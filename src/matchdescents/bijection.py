@@ -73,13 +73,15 @@ def emb(fixed: frozenset[int], sigma: Word, n: int) -> ShuffleElement:
     k = len(fixed)
     if len(sigma) != n - k or not fixed <= frozenset(range(1, n + 1)):
         raise ValueError(f"size mismatch: |J|={k}, |sigma|={len(sigma)}, n={n}")
+    if not perm.is_perm(sigma) or not perm.is_involution(sigma) or perm.fixed_points(sigma):
+        raise ValueError(f"not a fixed-point-free involution: {sigma}")
     word = [0] * n
     for big, pos in enumerate(sorted(fixed), start=n - k + 1):
         word[pos - 1] = big
     small_positions = [i for i in range(1, n + 1) if i not in fixed]
     for pos, v in zip(small_positions, sigma):
         word[pos - 1] = v
-    return ShuffleElement(tuple(word), k)
+    return perm._trusted(ShuffleElement, word=tuple(word), k=k)
 
 
 def phi(word: Word) -> ShuffleElement:
@@ -118,7 +120,7 @@ def q_map_inverse(word: Word) -> ShuffleElement:
         raise ValueError(f"not an involution: {word}")
     q_tab = tableau.rs_pair_q(word)
     shuffle_word = tableau.q_inverse_shuffle(q_tab)
-    return ShuffleElement(shuffle_word, len(perm.fixed_points(word)))
+    return perm._trusted(ShuffleElement, word=shuffle_word, k=len(perm.fixed_points(word)))
 
 
 def iota_hat(word: Word) -> Word:

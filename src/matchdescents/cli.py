@@ -8,6 +8,7 @@ or parse errors.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import io
 import json
@@ -287,14 +288,15 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     for start in elements:
         if start not in remaining:
             continue
-        orbit = [start]
-        y = cyclic.p_map_involution(start)
-        while y != start:
-            orbit.append(y)
-            y = cyclic.p_map_involution(y)
-        remaining -= set(orbit)
-        for w in orbit:
-            rows.append([orbit_id, len(orbit), perm.format_cycles(w), _set_str(cyclic.cdes_involution(w).members)])
+        orbit = []
+        y = start
+        while not orbit or y != start:
+            cdes, image = cyclic.transport_involution(y)
+            orbit.append((y, cdes))
+            y = image
+        remaining -= {w for w, _ in orbit}
+        for w, cdes in orbit:
+            rows.append([orbit_id, len(orbit), perm.format_cycles(w), _set_str(cdes.members)])
         orbit_id += 1
     _emit_rows(header, rows, args.format, args.output)
     return 0
@@ -321,13 +323,16 @@ def _verify_dispatch(args: argparse.Namespace) -> tuple[bool, dict]:
         else:
             nn = need_n()
             res = None
+            total: collections.Counter = collections.Counter()
             for kk in range(nn % 2, nn + 1, 2):
                 sub = fn(nn, kk)
+                total.update(sub.counts)
                 if res is None or not sub.ok:
                     res = sub
                 if not sub.ok:
                     break
             res.params = {"n": nn, "k": k}
+            res.counts = dict(total)
     elif identity == "main0":
         res = symfun.verify_main0(need_n())
     elif identity == "gessel":
@@ -338,9 +343,10 @@ def _verify_dispatch(args: argparse.Namespace) -> tuple[bool, dict]:
         checked = 0
         for kk in range(nn % 2, nn + 1, 2) if k is None else [k]:
             j_range = range((nn - kk) // 2 + 1) if j is None else [j]
+            classes = cyclic.involutions_by_nesting(nn, kk)
             for jj in j_range:
                 classification = cyclic.classify_escherian(nn, kk, jj)
-                report = cyclic.verify_cdes_involutions(nn, kk, jj)
+                report = cyclic.verify_cdes_involutions(nn, kk, jj, classes[jj])
                 checked += 1
                 expected_non_escher = classification == "non_escherian"
                 sub_ok = (

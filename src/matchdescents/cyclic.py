@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
 from . import bijection, matching as matching_mod, perm, tableau
+from .matching import Matching
 from .perm import DescentSet, Word
 from .tableau import StandardTableau
 
@@ -17,33 +18,50 @@ from .tableau import StandardTableau
 def cdes_involution(word: Word) -> DescentSet:
     """Cyclic descent set of an involution: the cyclic geometric descent
     set of its preimage under the composite bijection."""
-    if not perm.is_involution(word):
-        raise ValueError(f"not an involution: {word}")
-    pre = bijection.iota_hat_inverse(word)
-    return matching_mod.cmdes(matching_mod.from_involution(pre))
+    return matching_mod.cmdes(_preimage(word))
 
 
 def p_map_involution(word: Word) -> Word:
     """Rotation of the arc diagram, conjugated through the composite
     bijection; preserves the fixed-point count and the nesting number."""
-    if not perm.is_involution(word):
-        raise ValueError(f"not an involution: {word}")
-    pre = matching_mod.from_involution(bijection.iota_hat_inverse(word))
-    rotated = matching_mod.to_involution(matching_mod.rotate(pre))
-    return bijection.iota_hat(rotated)
+    return bijection.iota_hat(_rotated(_preimage(word)))
+
+
+def transport_involution(word: Word) -> tuple[DescentSet, Word]:
+    """(cdes_involution(word), p_map_involution(word)) from one preimage."""
+    pre = _preimage(word)
+    return matching_mod.cmdes(pre), bijection.iota_hat(_rotated(pre))
 
 
 def cdes_syt(t: StandardTableau) -> DescentSet:
     """cMDes of the preimage under h = Q after the composite bijection."""
-    pre = bijection.h_map_inverse(t)
-    return matching_mod.cmdes(matching_mod.from_involution(pre))
+    return matching_mod.cmdes(_syt_preimage(t))
 
 
 def p_map_syt(t: StandardTableau) -> StandardTableau:
     """The rotation conjugated through h."""
-    pre = matching_mod.from_involution(bijection.h_map_inverse(t))
-    rotated = matching_mod.to_involution(matching_mod.rotate(pre))
-    return bijection.h_map(rotated)
+    return bijection.h_map(_rotated(_syt_preimage(t)))
+
+
+def transport_syt(t: StandardTableau) -> tuple[DescentSet, StandardTableau]:
+    """(cdes_syt(t), p_map_syt(t)) from one preimage."""
+    pre = _syt_preimage(t)
+    return matching_mod.cmdes(pre), bijection.h_map(_rotated(pre))
+
+
+def _preimage(word: Word) -> Matching:
+    if not perm.is_involution(word):
+        raise ValueError(f"not an involution: {word}")
+    return matching_mod.from_involution(bijection.iota_hat_inverse(word))
+
+
+def _syt_preimage(t: StandardTableau) -> Matching:
+    return matching_mod.from_involution(bijection.h_map_inverse(t))
+
+
+def _rotated(pre: Matching) -> Word:
+    """The involution of the rotated arc diagram."""
+    return matching_mod.to_involution(matching_mod.rotate(pre))
 
 
 def classify_escherian(n: int, k: int, j: int) -> str:
@@ -104,15 +122,18 @@ def verify_cdes(
     if set(images.values()) != element_set:
         raise ValueError("p is not a bijection of the ground set")
 
+    # cDes of p(x) is read from p(x)'s own entry, computed from p(x) alone
+    cdes_of = {x: cdes_fn(x) for x in elements}
+
     extension_ok = True
     equivariance_ok = True
     witnesses = []
     for x in elements:
-        cd = cdes_fn(x)
+        cd = cdes_of[x]
         n = cd.n
         if cd.restrict_linear().members != des_fn(x).members:
             extension_ok = False
-        if cdes_fn(images[x]).members != cd.shifted().members:
+        if cdes_of[images[x]].members != cd.shifted().members:
             equivariance_ok = False
         if not cd.members or cd.members == frozenset(range(1, n + 1)):
             witnesses.append(x)
@@ -140,27 +161,38 @@ def verify_cdes(
     )
 
 
-def verify_cdes_involutions(n: int, k: int, j: int) -> CdesReport:
+def involutions_by_nesting(n: int, k: int) -> dict[int, list[Word]]:
+    """The classes I_{n,k,j} for every j, from one pass over M_{n,k}."""
+    classes: dict[int, list[Word]] = {j: [] for j in range((n - k) // 2 + 1)}
+    for m in matching_mod.enumerate_matchings(n, k):
+        classes[matching_mod.nesting_number(m)].append(matching_mod.to_involution(m))
+    return classes
+
+
+def verify_cdes_involutions(n: int, k: int, j: int, elements: list[Word] | None = None) -> CdesReport:
     """Run the verifier on the involutions with k fixed points and
-    nesting number j, using the transported maps."""
-    elements = [matching_mod.to_involution(m) for m in matching_mod.enumerate_inkj(n, k, j)]
-    return verify_cdes(
-        elements,
-        perm.des,
-        cdes_involution,
-        p_map_involution,
-        set_id=f"I_{{{n},{k},{j}}}",
-    )
+    nesting number j, using the transported maps.  ``elements`` may hold
+    that class when the caller has enumerated it already."""
+    if elements is None:
+        elements = [matching_mod.to_involution(m) for m in matching_mod.enumerate_inkj(n, k, j)]
+    return _verify_transported(elements, perm.des, transport_involution, f"I_{{{n},{k},{j}}}")
 
 
 def verify_cdes_syt(n: int, k: int, j: int) -> CdesReport:
     elements = list(tableau.enumerate_syt_nkj(n, k, j))
+    return _verify_transported(elements, tableau.des, transport_syt, f"SYT_{{{n},{k},{j}}}")
+
+
+def _verify_transported(elements: list, des_fn, transport, set_id: str) -> CdesReport:
+    """verify_cdes with cDes and p of each element taken from one call of
+    ``transport``."""
+    transported = {x: transport(x) for x in elements}
     return verify_cdes(
         elements,
-        tableau.des,
-        cdes_syt,
-        p_map_syt,
-        set_id=f"SYT_{{{n},{k},{j}}}",
+        des_fn,
+        lambda x: transported[x][0],
+        lambda x: transported[x][1],
+        set_id=set_id,
     )
 
 

@@ -13,7 +13,7 @@ from . import matching as matching_mod
 from . import perm, tableau
 from .matching import Matching
 from .perm import DescentSet, ParseError, Word
-from .tableau import EMPTY_TABLEAU, Shape, StandardTableau
+from .tableau import Shape
 
 
 @dataclass(frozen=True)
@@ -84,30 +84,25 @@ def validate(o_shapes: tuple[Shape, ...]) -> str:
     return "OK" if report is None else report
 
 
-def sundaram_tableaux(word: Word) -> list[StandardTableau]:
-    """The full tableau sequence underlying the shape walk."""
-    n = len(word)
-    if not perm.is_involution(word) or perm.fixed_points(word):
-        raise ValueError("input must be a fixed-point-free involution")
-    tabs = [EMPTY_TABLEAU]
-    t = EMPTY_TABLEAU
-    for d in range(1, n + 1):
-        partner = word[d - 1]
-        if d < partner:
-            t, _ = tableau.rs_insert(t, partner)
-        else:
-            t = tableau.jdt_delete(t, d)
-        tabs.append(t)
-    return tabs
-
-
 def sundaram(word: Word) -> OscillatingTableau:
     """
     Map a fixed-point-free involution to its oscillating tableau: insert
     the partner at the smaller endpoint of each arc, jeu-de-taquin-delete
     it at the larger one, and record the shapes.
     """
-    return OscillatingTableau(tuple(t.shape for t in sundaram_tableaux(word)))
+    if not perm.is_involution(word) or perm.fixed_points(word):
+        raise ValueError("input must be a fixed-point-free involution")
+    rows: list[list[int]] = []
+    shapes: list[Shape] = [()]
+    for d, partner in enumerate(word, start=1):
+        if d < partner:
+            tableau._insert(rows, partner)
+        else:
+            # the letters present are the right ends of the open arcs, so
+            # d, the least of them, sits in the corner cell
+            tableau._slide_out(rows, 0, 0)
+        shapes.append(tuple(map(len, rows)))
+    return _walk(tuple(shapes))
 
 
 def sundaram_inverse(o: OscillatingTableau) -> Word:
@@ -117,17 +112,17 @@ def sundaram_inverse(o: OscillatingTableau) -> Word:
     insertions by reverse row insertion, emitting one arc per insertion.
     """
     n = o.size
-    t = EMPTY_TABLEAU
+    rows: list[list[int]] = []
     word = list(range(1, n + 1))
     for d in range(n, 0, -1):
         prev, cur = o.shapes[d - 1], o.shapes[d]
-        corner = _box_difference(prev, cur)
+        r, c = _box_difference(prev, cur)
         if sum(prev) > sum(cur):
             # forward step deleted letter d; put it back
-            t = tableau.reverse_jdt_place(t, d, corner)
+            tableau._slide_in(rows, d, r - 1, c - 1)
         else:
             # forward step inserted the partner of d; extract it
-            t, partner = tableau.reverse_rs_insert(t, corner)
+            partner = tableau._unbump(rows, r - 1)
             word[d - 1], word[partner - 1] = partner, d
     return tuple(word)
 
@@ -143,7 +138,12 @@ def _box_difference(a: Shape, b: Shape) -> tuple[int, int]:
 
 
 def transpose(o: OscillatingTableau) -> OscillatingTableau:
-    return OscillatingTableau(tuple(tableau.transpose_shape(s) for s in o.shapes))
+    return _walk(tuple(tableau.transpose_shape(s) for s in o.shapes))
+
+
+def _walk(shapes: tuple[Shape, ...]) -> OscillatingTableau:
+    """Wrap a walk that is valid by construction without re-checking it."""
+    return perm._trusted(OscillatingTableau, shapes=shapes)
 
 
 def chen_iota(m: Matching) -> Matching:

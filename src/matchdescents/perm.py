@@ -54,6 +54,19 @@ def compose(a: Word, b: Word) -> Word:
     return tuple(a[b[i] - 1] for i in range(len(b)))
 
 
+def _trusted(cls, **fields):
+    """
+    An instance of the frozen dataclass ``cls`` built from field values
+    that are valid by construction, skipping ``__post_init__``.  The
+    package's kernels use it for their results; data entering from
+    outside goes through the public constructors.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class DescentSet:
     """

@@ -7,10 +7,19 @@ are stored row-major in English notation, cells addressed (row, column)
 1-based.  A tableau need not be filled with 1..n: intermediate tableaux
 appearing in insertion/deletion sequences carry arbitrary distinct
 positive labels, with the same strict row/column order.
+
+Validated where data enters; kernel results trusted.  A
+``StandardTableau`` built through its constructor, ``from_rows`` or
+``parse_tableau`` is checked in full, and the public algorithms check
+their arguments.  The algorithms themselves run as private kernels on
+plain row lists (``_insert``, ``_unbump``, ``_slide_out``,
+``_slide_in``), which other modules call directly in their inner loops.
+What a kernel returns is standard by construction and is wrapped
+without a second check.
 """
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -127,6 +136,108 @@ def des(t: StandardTableau) -> DescentSet:
     return DescentSet(n, frozenset(i for i in range(1, n) if row_of[i + 1] > row_of[i]))
 
 
+# ---------------------------------------------------------------------------
+# Kernels: the tableau algorithms in place on rows held as list[list[int]],
+# cells 0-based.  They check nothing; each states what its caller must
+# guarantee, and the rows they leave are standard whenever the rows they
+# were given were.
+
+_NO_ENTRY = float("-inf")  # reads as smaller than every entry
+
+
+def _insert(rows: list[list[int]], x: int) -> int:
+    """Row-insert x, which must be absent; return the row that grew."""
+    for r, row in enumerate(rows):
+        i = bisect_right(row, x)
+        if i == len(row):
+            row.append(x)
+            return r
+        x, row[i] = row[i], x
+    rows.append([x])
+    return len(rows) - 1
+
+
+def _unbump(rows: list[list[int]], r: int) -> int:
+    """Remove the last entry of row r, which must be an outer corner,
+    reverse-bump it up through the rows above and return the letter
+    expelled from the first row."""
+    x = rows[r].pop()
+    if not rows[r]:
+        rows.pop()
+    for above in range(r - 1, -1, -1):
+        row = rows[above]
+        i = bisect_left(row, x) - 1  # the largest entry smaller than x
+        x, row[i] = row[i], x
+    return x
+
+
+def _slide_out(rows: list[list[int]], r: int, c: int) -> None:
+    """Delete the entry at (r, c) and close the hole with forward slides:
+    the smaller of the right and lower neighbours moves in."""
+    row = rows[r]
+    while True:
+        lower = rows[r + 1] if r + 1 < len(rows) else ()
+        right = row[c + 1] if c + 1 < len(row) else None
+        below = lower[c] if c < len(lower) else None
+        if below is not None and (right is None or below < right):
+            row[c] = below
+            r += 1
+            row = lower
+        elif right is not None:
+            row[c] = right
+            c += 1
+        else:
+            break
+    row.pop()
+    if not row:
+        rows.pop()
+
+
+def _slide_in(rows: list[list[int]], x: int, r: int, c: int) -> None:
+    """Open a hole at (r, c), which must be an outer corner of the shape,
+    slide it inward past the larger of its upper and left neighbours while
+    one exceeds x, and write x, which must be absent, into it."""
+    if r == len(rows):
+        rows.append([])
+    row = rows[r]
+    row.append(x)
+    while True:
+        above = rows[r - 1][c] if r else _NO_ENTRY
+        left = row[c - 1] if c else _NO_ENTRY
+        if above > x and above > left:
+            row[c] = above
+            r -= 1
+            row = rows[r]
+        elif left > x:
+            row[c] = left
+            c -= 1
+        else:
+            break
+    row[c] = x
+
+
+def _reverse_rs(p_rows: list[list[int]], q_rows: Sequence[Sequence[int]]) -> list[int]:
+    """The word with insertion tableau p_rows, which are emptied, and
+    recording tableau q_rows, a standard filling of the same shape by 1..n."""
+    n = sum(map(len, q_rows))
+    row_of = [0] * (n + 1)
+    for r, row in enumerate(q_rows):
+        for step in row:
+            row_of[step] = r
+    word = [0] * n
+    for step in range(n, 0, -1):
+        word[step - 1] = _unbump(p_rows, row_of[step])
+    return word
+
+
+def _tableau(rows: Sequence[Sequence[int]]) -> StandardTableau:
+    """Wrap kernel output, standard by construction, without re-checking it."""
+    return perm._trusted(StandardTableau, rows=tuple(map(tuple, rows)))
+
+
+# ---------------------------------------------------------------------------
+# Robinson-Schensted and jeu de taquin on validated tableaux
+
 def rs_insert(t: StandardTableau, x: int) -> tuple[StandardTableau, Cell]:
     """
     Robinson-Schensted row insertion of x, returning the new tableau and
@@ -134,23 +245,9 @@ def rs_insert(t: StandardTableau, x: int) -> tuple[StandardTableau, Cell]:
     """
     if x in t.entries():
         raise ValueError(f"{x} already present")
-    rows = [list(r) for r in t.rows]
-    r = 0
-    while True:
-        if r == len(rows):
-            rows.append([x])
-            cell = (r + 1, 1)
-            break
-        row = rows[r]
-        # bump the smallest entry larger than x, or append at the end
-        bump_idx = next((i for i, e in enumerate(row) if e > x), None)
-        if bump_idx is None:
-            row.append(x)
-            cell = (r + 1, len(row))
-            break
-        x, row[bump_idx] = row[bump_idx], x
-        r += 1
-    return from_rows(rows), cell
+    rows = [list(row) for row in t.rows]
+    r = _insert(rows, x)
+    return _tableau(rows), (r + 1, len(rows[r]))
 
 
 def reverse_rs_insert(t: StandardTableau, corner: Cell) -> tuple[StandardTableau, int]:
@@ -164,30 +261,23 @@ def reverse_rs_insert(t: StandardTableau, corner: Cell) -> tuple[StandardTableau
     if r < len(t.rows) and len(t.rows[r]) >= c:
         raise ValueError(f"{corner} is not an outer corner")
     rows = [list(row) for row in t.rows]
-    x = rows[r - 1].pop()
-    if not rows[r - 1]:
-        rows.pop()
-    for row in reversed(rows[: r - 1]):
-        # replace the largest entry smaller than x
-        i = max(i for i, e in enumerate(row) if e < x)
-        x, row[i] = row[i], x
-    return from_rows(rows), x
+    x = _unbump(rows, r - 1)
+    return _tableau(rows), x
 
 
 def rs_pair(word: Word) -> tuple[StandardTableau, StandardTableau]:
-    """The RS insertion and recording tableaux of a permutation."""
-    p = EMPTY_TABLEAU
+    """The RS insertion and recording tableaux of a word with distinct letters."""
+    if len(set(word)) != len(word):
+        raise ValueError(f"repeated letters in {word!r}")
+    p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for step, x in enumerate(word, start=1):
-        p, (r, c) = rs_insert(p, x)
-        if r > len(q_rows):
-            q_rows.append([])
-        q_rows[r - 1].append(step)
-    return p, from_rows(q_rows)
-
-
-def rs_pair_p(word: Word) -> StandardTableau:
-    return rs_pair(word)[0]
+        r = _insert(p_rows, x)
+        if r == len(q_rows):
+            q_rows.append([step])
+        else:
+            q_rows[r].append(step)
+    return _tableau(p_rows), _tableau(q_rows)
 
 
 def rs_pair_q(word: Word) -> StandardTableau:
@@ -204,13 +294,8 @@ def rs_inverse(p_tab: StandardTableau, q_tab: StandardTableau) -> Word:
     n = q_tab.size
     if q_tab.entries() != frozenset(range(1, n + 1)):
         raise ValueError("recording tableau must hold 1..n")
-    word = [0] * n
-    p = p_tab
-    for step in range(n, 0, -1):
-        corner = q_tab.find(step)
-        p, x = reverse_rs_insert(p, corner)
-        word[step - 1] = x
-    return perm.check_perm(word)
+    # a P tableau not on 1..n shows up as a word that is not a permutation
+    return perm.check_perm(_reverse_rs([list(row) for row in p_tab.rows], q_tab.rows))
 
 
 def jdt_delete(t: StandardTableau, x: int) -> StandardTableau:
@@ -221,21 +306,8 @@ def jdt_delete(t: StandardTableau, x: int) -> StandardTableau:
     """
     r, c = t.find(x)
     rows = [list(row) for row in t.rows]
-    while True:
-        right = rows[r - 1][c] if c < len(rows[r - 1]) else None
-        below = rows[r][c - 1] if r < len(rows) and len(rows[r]) >= c else None
-        if right is None and below is None:
-            break
-        if below is None or (right is not None and right < below):
-            rows[r - 1][c - 1] = right
-            c += 1
-        else:
-            rows[r - 1][c - 1] = below
-            r += 1
-    rows[r - 1].pop()
-    if not rows[r - 1]:
-        rows.pop()
-    return from_rows(rows)
+    _slide_out(rows, r - 1, c - 1)
+    return _tableau(rows)
 
 
 def reverse_jdt_place(t: StandardTableau, x: int, corner: Cell) -> StandardTableau:
@@ -258,25 +330,8 @@ def reverse_jdt_place(t: StandardTableau, x: int, corner: Cell) -> StandardTable
     if x in t.entries():
         raise ValueError(f"{x} already present")
     rows = [list(row) for row in t.rows]
-    if r > len(rows):
-        rows.append([])
-    rows[r - 1].append(0)  # the hole
-    while True:
-        left = rows[r - 1][c - 2] if c > 1 else None
-        above = rows[r - 2][c - 1] if r > 1 else None
-        candidates = [v for v in (left, above) if v is not None and v > x]
-        if not candidates:
-            break
-        if above is not None and above > x and (left is None or above >= left):
-            rows[r - 1][c - 1] = above
-            r -= 1
-        else:
-            rows[r - 1][c - 1] = left
-            c -= 1
-        # open the hole at the new position
-        rows[r - 1][c - 1] = 0
-    rows[r - 1][c - 1] = x
-    return from_rows(rows)
+    _slide_in(rows, x, r - 1, c - 1)
+    return _tableau(rows)
 
 
 def q_inverse_shuffle(q_tab: StandardTableau) -> Word:
@@ -293,28 +348,22 @@ def q_inverse_shuffle(q_tab: StandardTableau) -> Word:
     n = q_tab.size
     if q_tab.entries() != frozenset(range(1, n + 1)):
         raise ValueError("tableau must hold 1..n")
-    k = odd_cols(q_tab.shape)
-    t = q_tab
-    big_positions: list[int] = []  # tau^{-1}(n), tau^{-1}(n-1), ...
-    for _ in range(k):
-        cols = transpose_shape(t.shape)
-        col = max(c for c, length in enumerate(cols, start=1) if length % 2 == 1)
-        t, pos = reverse_rs_insert(t, (cols[col - 1], col))
-        big_positions.append(pos)
+    rows = [list(row) for row in q_tab.rows]
+    word = [0] * n  # position tau^{-1}(n) gets n, then tau^{-1}(n-1), ...
+    for big in range(n, n - odd_cols(q_tab.shape), -1):
+        cols = transpose_shape(tuple(map(len, rows)))
+        # the bottom of the rightmost odd column ends its row: the column
+        # to its right is even, hence strictly shorter
+        col = max(c for c, length in enumerate(cols) if length % 2 == 1)
+        word[_unbump(rows, cols[col] - 1) - 1] = big
     # residue: the P tableau of tau^{-1} restricted to the small letters
-    residue_word = perm.standardize(tuple(e for row in t.rows for e in row))
-    rank = {v: r for r, v in zip(residue_word, (e for row in t.rows for e in row))}
-    q_sigma = from_rows(tuple(tuple(rank[e] for e in row) for row in t.rows))
-    sigma = rs_inverse(q_sigma, q_sigma)
+    rank = {v: r for r, v in enumerate(sorted(e for row in rows for e in row), start=1)}
+    q_sigma = [[rank[e] for e in row] for row in rows]
+    sigma = _reverse_rs([row[:] for row in q_sigma], q_sigma)
     if not perm.is_involution(sigma) or perm.fixed_points(sigma):
         raise ValueError("residue tableau does not encode a fixed-point-free involution")
-    word = [0] * n
-    for offset, pos in enumerate(big_positions):
-        word[pos - 1] = n - offset
-    small_positions = [i for i in range(1, n + 1) if word[i - 1] == 0]
-    for pos, v in zip(small_positions, sigma):
-        word[pos - 1] = v
-    return perm.check_perm(word)
+    small = iter(sigma)  # sigma's letters fill the other positions in order
+    return tuple(v or next(small) for v in word)
 
 
 # ---------------------------------------------------------------------------

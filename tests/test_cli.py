@@ -149,3 +149,23 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2  # cycles without --n
     code, _, err = run(capsys, "stats", "--matching", "1-6", "--n", "3")
     assert code == 2  # endpoint out of range
+
+
+@pytest.mark.parametrize("identity", ["main11", "main111"])
+def test_verify_main11_all_k_counts_add_up(capsys, identity):
+    # without --k every class M_{9,k} is checked; 2620 = |I_9|
+    code, out, _ = run(capsys, "verify", identity, "--n", "9")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert report["counts"] == {"matchings": 2620}
+
+
+def test_verify_cdes_all_classes(capsys):
+    code, out, _ = run(capsys, "verify", "cdes", "--n", "6")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert report["counts"] == {"classes_checked": 10}
+    code, _, err = run(capsys, "verify", "cdes", "--n", "6", "--k", "0", "--j", "4")
+    assert code == 2 and "invalid" in err

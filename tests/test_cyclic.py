@@ -110,3 +110,22 @@ def test_cdes_axioms_syt(n, k, j):
     escherian = cyclic.classify_escherian(n, k, j) == "escherian"
     assert report.non_escher_ok == (not escherian)
     assert all(n % size == 0 for size in report.orbit_sizes)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_involutions_by_nesting(n):
+    for k in range(n % 2, n + 1, 2):
+        classes = cyclic.involutions_by_nesting(n, k)
+        assert sorted(classes) == list(range((n - k) // 2 + 1))
+        for j, words in classes.items():
+            assert words == [mm.to_involution(m) for m in mm.enumerate_inkj(n, k, j)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_transport_shares_one_preimage(n):
+    for k in range(n % 2, n + 1, 2):
+        for m in mm.enumerate_matchings(n, k):
+            w = mm.to_involution(m)
+            assert cyclic.transport_involution(w) == (cyclic.cdes_involution(w), cyclic.p_map_involution(w))
+    for t in tableau.enumerate_syt_n(n):
+        assert cyclic.transport_syt(t) == (cyclic.cdes_syt(t), cyclic.p_map_syt(t))
