@@ -20,6 +20,7 @@ from . import bijection, cyclic, matching as matching_mod, oscillating, perm, sy
 from .perm import ParseError
 
 MAX_N_WITHOUT_FORCE = 12
+MAX_GESSEL_TOTAL_WITHOUT_FORCE = 9  # 52,328 pairs; 444,012 at 10
 
 MAP_NAMES = [
     "iota",
@@ -227,8 +228,7 @@ def cmd_enum(args: argparse.Namespace) -> int:
                     _set_str(matching_mod.des(m).members),
                     _set_str(matching_mod.mdes(m).members),
                     _set_str(matching_mod.cmdes(m).members),
-                    matching_mod.crossing_number(m),
-                    matching_mod.nesting_number(m),
+                    *matching_mod.crossing_nesting(m),
                     m.unmatched,
                 ]
             )
@@ -247,8 +247,7 @@ def cmd_enum(args: argparse.Namespace) -> int:
                     _set_str(matching_mod.des(m).members),
                     _set_str(matching_mod.mdes(m).members),
                     _set_str(matching_mod.cmdes(m).members),
-                    matching_mod.crossing_number(m),
-                    matching_mod.nesting_number(m),
+                    *matching_mod.crossing_nesting(m),
                     m.unmatched,
                 ]
             )
@@ -427,6 +426,10 @@ def _verify_dispatch(args: argparse.Namespace) -> tuple[bool, dict]:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.n is not None and args.n > MAX_N_WITHOUT_FORCE and not args.force:
         raise UsageError(f"n={args.n} exceeds the guard ({MAX_N_WITHOUT_FORCE}); pass --force to run anyway")
+    if args.max is not None and args.max > MAX_GESSEL_TOTAL_WITHOUT_FORCE and not args.force:
+        raise UsageError(
+            f"max={args.max} exceeds the guard ({MAX_GESSEL_TOTAL_WITHOUT_FORCE}); pass --force to run anyway"
+        )
     start = time.perf_counter()
     ok, report = _verify_dispatch(args)
     report["elapsed_ms"] = int((time.perf_counter() - start) * 1000)

@@ -6,14 +6,24 @@ is identified with the involution that swaps the endpoints of each arc
 and fixes the unmatched points.  The geometric statistics (MDes, cMDes,
 crossing and nesting numbers) are defined on the arc diagram, drawn on a
 line for the linear statistics and on a circle for the cyclic one.
+
+Validated where data enters; enumerator output trusted.  A ``Matching``
+built through its constructor, ``from_involution`` or the parsers is
+checked in full.  ``enumerate_matchings`` builds arcs that are sorted,
+disjoint and in range by construction and wraps them without a second
+check.  The statistics read a partner array computed once per call, and
+one left-to-right sweep gives both the crossing and the nesting number.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
+import random
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import perm
 from .perm import DescentSet, ParseError, Word
@@ -86,50 +96,51 @@ def _arcs_cross(a: Arc, b: Arc) -> bool:
     return a1 < b1 < a2 < b2
 
 
+def _partners(m: Matching) -> list[int]:
+    """p[i] is the partner of point i, 0 if i is unmatched (p[0] unused)."""
+    p = [0] * (m.n + 1)
+    for a, b in m.arcs:
+        p[a] = b
+        p[b] = a
+    return p
+
+
+def _geometric_descents(p: list[int], last: int) -> frozenset[int]:
+    """
+    The positions i in 1..last that pass the geometric descent test on
+    the partner array p of a matching on n points, with successor
+    i % n + 1: {i, succ} is an arc, the arcs through i and succ cross,
+    or i is unmatched while succ is matched.  Two disjoint arcs cross, on
+    the line and on the circle alike, iff exactly one endpoint of the one
+    lies strictly between the endpoints of the other.
+    """
+    n = len(p) - 1
+    members = set()  # frozenset(set) sizes its table to fit; from a list it does not
+    for i in range(1, last + 1):
+        succ = i % n + 1
+        pi, ps = p[i], p[succ]
+        if pi == succ or (not pi and ps):
+            members.add(i)
+        elif pi and ps:
+            lo, hi = (i, pi) if i < pi else (pi, i)
+            if (lo < succ < hi) != (lo < ps < hi):
+                members.add(i)
+    return frozenset(members)
+
+
 def mdes(m: Matching) -> DescentSet:
     """
     Geometric descent set: i is a descent iff {i, i+1} is an arc, the
     arcs through i and i+1 cross, or i is unmatched while i+1 is matched.
     """
-    members = set()
-    for i in range(1, m.n):
-        if _geometric_descent(m, i, i + 1, _arcs_cross):
-            members.add(i)
-    return DescentSet(m.n, frozenset(members))
-
-
-def _geometric_descent(m: Matching, i: int, succ: int, cross) -> bool:
-    pi = m.partner(i)
-    ps = m.partner(succ)
-    if pi == succ:
-        return True
-    if pi is not None and ps is not None:
-        return cross(tuple(sorted((i, pi))), tuple(sorted((succ, ps))))
-    return pi is None and ps is not None
-
-
-def _chords_cross(a: Arc, b: Arc, n: int) -> bool:
-    """Circle: chords cross iff exactly one endpoint of b lies on the
-    cyclic arc from a[0] to a[1]."""
-
-    def between(x: int) -> bool:
-        lo, hi = a
-        return lo < x < hi
-
-    return between(b[0]) != between(b[1])
+    return DescentSet(m.n, _geometric_descents(_partners(m), m.n - 1))
 
 
 def cmdes(m: Matching) -> DescentSet:
     """Cyclic geometric descent set, with i+1 read mod n and crossing
     read as chord intersection on the circle."""
-    members = set()
-    for i in range(1, m.n + 1):
-        succ = i % m.n + 1
-        if succ == i:
-            continue
-        if _geometric_descent(m, i, succ, lambda a, b: _chords_cross(a, b, m.n)):
-            members.add(i)
-    return DescentSet(m.n, frozenset(members), cyclic=True)
+    last = m.n if m.n > 1 else 0
+    return DescentSet(m.n, _geometric_descents(_partners(m), last), cyclic=True)
 
 
 def rotate(m: Matching) -> Matching:
@@ -140,12 +151,10 @@ def rotate(m: Matching) -> Matching:
 # ---------------------------------------------------------------------------
 # Crossing and nesting numbers
 
-def _longest_increasing(seq: list[int]) -> int:
-    import bisect
-
+def _longest_increasing(seq: Iterable[int]) -> int:
     tails: list[int] = []
     for x in seq:
-        i = bisect.bisect_left(tails, x)
+        i = bisect_left(tails, x)
         if i == len(tails):
             tails.append(x)
         else:
@@ -153,27 +162,41 @@ def _longest_increasing(seq: list[int]) -> int:
     return len(tails)
 
 
+def crossing_nesting(m: Matching) -> tuple[int, int]:
+    """
+    (cr, ne): the largest r with arcs i1<...<ir<j1<...<jr (crossing) and
+    with arcs i1<...<ir<jr<...<j1 (nesting).  Either family spans a
+    common gap, so the answer is the longest increasing (for cr) and
+    decreasing (for ne) subsequence of right endpoints, in left-endpoint
+    order, over the arcs spanning some gap.  One sweep keeps that list of
+    right endpoints; it is read only just before a closer, and only when
+    an arc has opened since the last read, because every other gap's
+    spanning set is contained in one read there.
+    """
+    p = _partners(m)
+    rights: list[int] = []
+    grown = False
+    cr = ne = 0
+    for t in range(1, m.n + 1):
+        q = p[t]
+        if q > t:
+            rights.append(q)
+            grown = True
+        elif q:
+            if grown:
+                cr = max(cr, _longest_increasing(rights))
+                ne = max(ne, _longest_increasing(reversed(rights)))
+                grown = False
+            rights.remove(t)
+    return cr, ne
+
+
 def crossing_number(m: Matching) -> int:
-    """
-    Largest r with arcs i1<...<ir<j1<...<jr.  Any such family spans a
-    common gap, so scanning gaps and chaining the spanning arcs by both
-    endpoints increasing is exact.
-    """
-    best = 0
-    for t in range(1, m.n):
-        spanning = sorted((a, b) for a, b in m.arcs if a <= t < b)
-        best = max(best, _longest_increasing([b for _, b in spanning]))
-    return best
+    return crossing_nesting(m)[0]
 
 
 def nesting_number(m: Matching) -> int:
-    """Largest r with arcs i1<...<ir<jr<...<j1 (a nested family)."""
-    best = 0
-    for t in range(1, m.n):
-        spanning = sorted((a, b) for a, b in m.arcs if a <= t < b)
-        rights = [-b for _, b in spanning]  # decreasing right endpoints
-        best = max(best, _longest_increasing(rights))
-    return best
+    return crossing_nesting(m)[1]
 
 
 def crossing_number_oracle(m: Matching) -> int:
@@ -211,9 +234,9 @@ def enumerate_matchings(n: int, k: int) -> Iterator[Matching]:
         raise ValueError(f"invalid (n, k) = ({n}, {k})")
 
     def gen(points: tuple[int, ...], arcs: tuple[Arc, ...], free: int) -> Iterator[Matching]:
-        if not points:
-            if free == 0:
-                yield Matching(n, arcs)
+        # len(points) - free stays even and >= 0, so no branch is dead
+        if len(points) == free:
+            yield perm._trusted(Matching, n=n, arcs=arcs)
             return
         first, rest = points[0], points[1:]
         if free > 0:
@@ -222,6 +245,20 @@ def enumerate_matchings(n: int, k: int) -> Iterator[Matching]:
             yield from gen(rest[:i] + rest[i + 1 :], arcs + ((first, q),), free)
 
     yield from gen(tuple(range(1, n + 1)), (), k)
+
+
+def random_matching(n: int, k: int, rng: random.Random) -> Matching:
+    """
+    A uniform element of M_{n,k}: the first k points of a uniform
+    shuffle are the unmatched set, and consecutive pairs of the rest form
+    a uniform perfect matching on it.
+    """
+    if (n - k) % 2 != 0 or not 0 <= k <= n:
+        raise ValueError(f"invalid (n, k) = ({n}, {k})")
+    points = list(range(1, n + 1))
+    rng.shuffle(points)
+    rest = points[k:]
+    return Matching(n, tuple(zip(rest[::2], rest[1::2])))
 
 
 def enumerate_all_matchings(n: int) -> Iterator[Matching]:
@@ -240,8 +277,6 @@ def enumerate_inkj(n: int, k: int, j: int) -> Iterator[Matching]:
 
 def count_matchings(n: int, k: int) -> int:
     """C(n, k) * (n-k-1)!! matchings with k unmatched points."""
-    import math
-
     if (n - k) % 2 != 0:
         raise ValueError("parity violation")
     dbl = 1

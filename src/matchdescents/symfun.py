@@ -151,8 +151,7 @@ def verify_lemma_main1(n2: int) -> VerifyResult:
     for m in matching_mod.enumerate_matchings(n2, 0):
         d = matching_mod.des(m).members
         g = matching_mod.mdes(m).members
-        cr = matching_mod.crossing_number(m)
-        ne = matching_mod.nesting_number(m)
+        cr, ne = matching_mod.crossing_nesting(m)
         plain[(d, g)] += 1
         plain_swap[(g, d)] += 1
         refined[(g, d, cr, ne)] += 1
@@ -172,8 +171,9 @@ def verify_main11(n: int, k: int) -> VerifyResult:
     rhs: Counter = Counter()
     count = 0
     for m in matching_mod.enumerate_matchings(n, k):
-        lhs[(matching_mod.crossing_number(m), matching_mod.mdes(m).members)] += 1
-        rhs[(matching_mod.nesting_number(m), matching_mod.des(m).members)] += 1
+        cr, ne = matching_mod.crossing_nesting(m)
+        lhs[(cr, matching_mod.mdes(m).members)] += 1
+        rhs[(ne, matching_mod.des(m).members)] += 1
         count += 1
     ok = lhs == rhs
     return VerifyResult("main11", {"n": n, "k": k}, ok, multiset_diff(lhs, rhs), {"matchings": count})
@@ -184,8 +184,7 @@ def verify_main111(n: int, k: int) -> VerifyResult:
     rhs: Counter = Counter()
     count = 0
     for m in matching_mod.enumerate_matchings(n, k):
-        cr = matching_mod.crossing_number(m)
-        ne = matching_mod.nesting_number(m)
+        cr, ne = matching_mod.crossing_nesting(m)
         lhs[(cr, ne, matching_mod.mdes(m).members)] += 1
         rhs[(ne, cr, matching_mod.des(m).members)] += 1
         count += 1

@@ -14,8 +14,8 @@ Validated where data enters; kernel results trusted.  A
 their arguments.  The algorithms themselves run as private kernels on
 plain row lists (``_insert``, ``_unbump``, ``_slide_out``,
 ``_slide_in``), which other modules call directly in their inner loops.
-What a kernel returns is standard by construction and is wrapped
-without a second check.
+What a kernel or ``enumerate_syt`` returns is standard by construction
+and is wrapped without a second check.
 """
 from __future__ import annotations
 
@@ -130,9 +130,12 @@ def des(t: StandardTableau) -> DescentSet:
     sits in a strictly lower row.
     """
     n = t.size
-    if t.entries() != frozenset(range(1, n + 1)):
-        raise ValueError("descent set requires entries 1..n")
-    row_of = {t.entry((r, c)): r for r in range(1, len(t.rows) + 1) for c in range(1, len(t.rows[r - 1]) + 1)}
+    row_of = [0] * (n + 1)
+    for r, row in enumerate(t.rows, start=1):
+        for e in row:
+            if not 1 <= e <= n or row_of[e]:
+                raise ValueError("descent set requires entries 1..n")
+            row_of[e] = r
     return DescentSet(n, frozenset(i for i in range(1, n) if row_of[i + 1] > row_of[i]))
 
 
@@ -376,7 +379,7 @@ def enumerate_syt(shape: Shape) -> Iterator[StandardTableau]:
 
     def gen(rows: list[list[int]], step: int) -> Iterator[StandardTableau]:
         if step > n:
-            yield from_rows(rows)
+            yield _tableau(rows)
             return
         for r in range(len(shape)):
             c = len(rows[r])

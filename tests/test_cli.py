@@ -140,6 +140,21 @@ def test_verify_guard(capsys):
     assert "force" in err
 
 
+def test_verify_gessel_max_guard(capsys, monkeypatch):
+    started = []
+
+    def stand_in(max_total):
+        started.append(max_total)
+        return cli.symfun.VerifyResult("gessel", {"max": max_total}, True)
+
+    monkeypatch.setattr(cli.symfun, "verify_gessel_all", stand_in)
+    code, _, err = run(capsys, "verify", "gessel", "--max", "10")
+    assert code == 2 and "force" in err
+    assert started == []
+    code, _, _ = run(capsys, "verify", "gessel", "--max", "10", "--force")
+    assert code == 0 and started == [10]
+
+
 def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, "stats", "--perm", "[1,2")
     assert code == 2 and "error:" in err
@@ -169,3 +184,13 @@ def test_verify_cdes_all_classes(capsys):
     assert report["counts"] == {"classes_checked": 10}
     code, _, err = run(capsys, "verify", "cdes", "--n", "6", "--k", "0", "--j", "4")
     assert code == 2 and "invalid" in err
+
+
+@pytest.mark.slow
+def test_verify_main11_exhaustive_n12(capsys):
+    # 140,152 = |I_12|, summed over every class M_{12,k}
+    code, out, _ = run(capsys, "verify", "main11", "--n", "12")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert report["counts"] == {"matchings": 140152}

@@ -129,3 +129,20 @@ def test_transport_shares_one_preimage(n):
             assert cyclic.transport_involution(w) == (cyclic.cdes_involution(w), cyclic.p_map_involution(w))
     for t in tableau.enumerate_syt_n(n):
         assert cyclic.transport_syt(t) == (cyclic.cdes_syt(t), cyclic.p_map_syt(t))
+
+
+@pytest.mark.slow
+def test_cdes_exhaustive_n10():
+    n = 10
+    for k in range(0, n + 1, 2):
+        classes = cyclic.involutions_by_nesting(n, k)
+        for j in range((n - k) // 2 + 1):
+            non_escherian = cyclic.classify_escherian(n, k, j) == "non_escherian"
+            reports = [cyclic.verify_cdes_involutions(n, k, j, classes[j])]
+            if any(True for _ in tableau.enumerate_syt_nkj(n, k, j)):
+                reports.append(cyclic.verify_cdes_syt(n, k, j))
+            for report in reports:
+                assert report.extension_ok, report.set_id
+                assert report.equivariance_ok, report.set_id
+                assert report.non_escher_ok == non_escherian, report.set_id
+                assert all(n % size == 0 for size in report.orbit_sizes), report.set_id

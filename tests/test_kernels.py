@@ -1,13 +1,18 @@
 """
-Differential tests for the list kernels behind the tableau algorithms.
+Differential tests for the kernels behind the tableau algorithms and the
+matching statistics.
 
-The public algorithms run on plain row lists and wrap their results
-without re-validating them.  These tests re-validate those results in
-full, compare each kernel-backed operation with the earlier
-one-tableau-per-step implementation (kept below as an oracle), and check
-the round trips and the input checks at sizes beyond the exhaustive
-range.
+The public algorithms run on plain row lists or partner arrays, and the
+enumerators wrap their results without re-validating them.  These tests
+re-validate those results in full, compare each kernel-backed operation
+with the earlier implementation (kept below as an oracle), and check the
+round trips, the input checks and the statistics' properties at sizes
+beyond the exhaustive range.
 """
+import bisect
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -139,6 +144,99 @@ def oracle_sundaram_shapes(word):
 
 
 # ---------------------------------------------------------------------------
+# Oracle: the matching statistics as they were before the partner array
+# and the one-sweep crossing/nesting kernel.
+
+
+def oracle_mdes(m):
+    """
+    Geometric descent set: i is a descent iff {i, i+1} is an arc, the
+    arcs through i and i+1 cross, or i is unmatched while i+1 is matched.
+    """
+    members = set()
+    for i in range(1, m.n):
+        if _geometric_descent(m, i, i + 1, mm._arcs_cross):
+            members.add(i)
+    return perm.DescentSet(m.n, frozenset(members))
+
+
+def _geometric_descent(m, i, succ, cross):
+    pi = m.partner(i)
+    ps = m.partner(succ)
+    if pi == succ:
+        return True
+    if pi is not None and ps is not None:
+        return cross(tuple(sorted((i, pi))), tuple(sorted((succ, ps))))
+    return pi is None and ps is not None
+
+
+def _chords_cross(a, b, n):
+    """Circle: chords cross iff exactly one endpoint of b lies on the
+    cyclic arc from a[0] to a[1]."""
+
+    def between(x):
+        lo, hi = a
+        return lo < x < hi
+
+    return between(b[0]) != between(b[1])
+
+
+def oracle_cmdes(m):
+    """Cyclic geometric descent set, with i+1 read mod n and crossing
+    read as chord intersection on the circle."""
+    members = set()
+    for i in range(1, m.n + 1):
+        succ = i % m.n + 1
+        if succ == i:
+            continue
+        if _geometric_descent(m, i, succ, lambda a, b: _chords_cross(a, b, m.n)):
+            members.add(i)
+    return perm.DescentSet(m.n, frozenset(members), cyclic=True)
+
+
+def _longest_increasing(seq):
+    tails = []
+    for x in seq:
+        i = bisect.bisect_left(tails, x)
+        if i == len(tails):
+            tails.append(x)
+        else:
+            tails[i] = x
+    return len(tails)
+
+
+def oracle_crossing_number(m):
+    """
+    Largest r with arcs i1<...<ir<j1<...<jr.  Any such family spans a
+    common gap, so scanning gaps and chaining the spanning arcs by both
+    endpoints increasing is exact.
+    """
+    best = 0
+    for t in range(1, m.n):
+        spanning = sorted((a, b) for a, b in m.arcs if a <= t < b)
+        best = max(best, _longest_increasing([b for _, b in spanning]))
+    return best
+
+
+def oracle_nesting_number(m):
+    """Largest r with arcs i1<...<ir<jr<...<j1 (a nested family)."""
+    best = 0
+    for t in range(1, m.n):
+        spanning = sorted((a, b) for a, b in m.arcs if a <= t < b)
+        rights = [-b for _, b in spanning]  # decreasing right endpoints
+        best = max(best, _longest_increasing(rights))
+    return best
+
+
+def oracle_syt_des(t):
+    n = t.size
+    if t.entries() != frozenset(range(1, n + 1)):
+        raise ValueError("descent set requires entries 1..n")
+    row_of = {t.entry((r, c)): r for r in range(1, len(t.rows) + 1) for c in range(1, len(t.rows[r - 1]) + 1)}
+    return perm.DescentSet(n, frozenset(i for i in range(1, n) if row_of[i + 1] > row_of[i]))
+
+
+# ---------------------------------------------------------------------------
 # Helpers
 
 
@@ -204,6 +302,51 @@ def test_q_map_inverse_revalidates(n):
         t = bj.q_map_inverse(word)
         assert bj.ShuffleElement(t.word, t.k) == t
         assert t.k == len(perm.fixed_points(word))
+
+
+@pytest.mark.parametrize("n", [*range(11), pytest.param(11, marks=pytest.mark.slow)])
+def test_matching_statistics_match_oracle(n):
+    # n <= 10: all 13,232 matchings; n = 11 adds 35,696 more
+    for k in range(n % 2, n + 1, 2):
+        seen = set()
+        for m in mm.enumerate_matchings(n, k):
+            assert mm.Matching(m.n, m.arcs) == m
+            seen.add(m)
+            cr, ne = mm.crossing_nesting(m)
+            assert (cr, ne) == (mm.crossing_number(m), mm.nesting_number(m))
+            assert (cr, ne) == (oracle_crossing_number(m), oracle_nesting_number(m))
+            assert mm.mdes(m) == oracle_mdes(m)
+            assert mm.cmdes(m) == oracle_cmdes(m)
+        assert len(seen) == mm.count_matchings(n, k)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_enumerate_syt_outputs_revalidate(n):
+    for shape in tableau.partitions(n):
+        syt = list(tableau.enumerate_syt(shape))
+        assert len(set(syt)) == tableau.hook_length_count(shape)
+        for t in syt:
+            revalidated(t)
+            assert t.shape == shape
+            assert tableau.des(t) == oracle_syt_des(t)
+
+
+def test_syt_des_keeps_entry_check():
+    for rows in [((2, 3),), ((1, 3), (2, 5)), ((1, 4), (2,))]:
+        with pytest.raises(ValueError):
+            tableau.des(from_rows(rows))
+        with pytest.raises(ValueError):
+            oracle_syt_des(from_rows(rows))
+
+
+def test_random_matching_is_uniform():
+    rng = random.Random(0)
+    draws = Counter(mm.random_matching(6, 2, rng) for _ in range(9000))
+    assert set(draws) == set(mm.enumerate_matchings(6, 2))  # 45 matchings
+    assert all(100 <= c <= 300 for c in draws.values())  # expected 200 each
+    for n, k in [(5, 0), (4, 6), (3, -1)]:
+        with pytest.raises(ValueError):
+            mm.random_matching(n, k, rng)
 
 
 def test_rs_insert_matches_oracle():
@@ -333,3 +476,32 @@ def test_rs_entry_points_reject_bad_input(word):
 def test_sundaram_rejects_fixed_points(word):
     with pytest.raises(ValueError):
         osc.sundaram(word)
+
+
+@st.composite
+def sampled_matchings(draw, min_n=12, max_n=32):
+    """Uniform matchings from M_{n,k}, with n in [min_n, max_n] and k of
+    the right parity drawn by hypothesis."""
+    n = draw(st.integers(min_n, max_n))
+    k = draw(st.sampled_from(range(n % 2, n + 1, 2)))
+    return mm.random_matching(n, k, draw(st.randoms(use_true_random=False)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(sampled_matchings())
+def test_crossing_nesting_matches_subset_oracles_large(m):
+    # at most 16 arcs for n <= 32, within the oracles' size guard
+    assert mm.crossing_nesting(m) == (mm.crossing_number_oracle(m), mm.nesting_number_oracle(m))
+
+
+@settings(deadline=None, max_examples=50)
+@given(sampled_matchings())
+def test_nesting_number_is_half_the_rs_height_large(m):
+    _, q = tableau.rs_pair(mm.to_involution(m))
+    assert mm.nesting_number(m) == tableau.height(q.shape) // 2
+
+
+@settings(deadline=None, max_examples=50)
+@given(sampled_matchings())
+def test_cmdes_rotation_equivariance_large(m):
+    assert mm.cmdes(mm.rotate(m)) == mm.cmdes(m).shifted()
