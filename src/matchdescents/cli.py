@@ -36,18 +36,21 @@ MAP_NAMES = [
     "h",
 ]
 
-VERIFY_NAMES = [
-    "main1",
-    "main11",
-    "main111",
-    "main0",
-    "cdes",
-    "gessel",
-    "chen",
-    "sundaram-roundtrip",
-    "kim",
-    "roby",
-]
+# The flags each identity takes; the rest are refused, and the report's
+# params name exactly these.
+VERIFY_PARAMS = {
+    "main1": ("n",),
+    "main11": ("n", "k"),
+    "main111": ("n", "k"),
+    "main0": ("n",),
+    "cdes": ("n", "k", "j"),
+    "gessel": ("max",),
+    "chen": ("n",),
+    "sundaram-roundtrip": ("n",),
+    "kim": ("n",),
+    "roby": ("n",),
+}
+GESSEL_DEFAULT_MAX = 6
 
 
 class UsageError(Exception):
@@ -330,12 +333,11 @@ def _verify_dispatch(args: argparse.Namespace) -> tuple[bool, dict]:
                     res = sub
                 if not sub.ok:
                     break
-            res.params = {"n": nn, "k": k}
             res.counts = dict(total)
     elif identity == "main0":
         res = symfun.verify_main0(need_n())
     elif identity == "gessel":
-        res = symfun.verify_gessel_all(args.max if args.max is not None else 6)
+        res = symfun.verify_gessel_all(args.max)
     elif identity == "cdes":
         nn = need_n()
         ok = True
@@ -414,16 +416,24 @@ def _verify_dispatch(args: argparse.Namespace) -> tuple[bool, dict]:
 
     report = {
         "identity": res.identity,
-        "params": {"n": n, "k": k, "j": j, **({"max": args.max} if args.max is not None else {})},
+        "params": {flag: getattr(args, flag) for flag in VERIFY_PARAMS[identity]},
         "ok": res.ok,
         "witness_diff": [list(w) if isinstance(w, tuple) else w for w in res.witness_diff],
         "counts": res.counts,
         **extra,
     }
+    if not res.ok:
+        report["failing"] = res.params  # the class, or for gessel the pair, that failed
     return res.ok, report
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    takes = VERIFY_PARAMS[args.identity]
+    for flag in ("n", "k", "j", "max"):
+        if flag not in takes and getattr(args, flag) is not None:
+            raise UsageError(f"verify {args.identity} does not take --{flag}")
+    if args.identity == "gessel" and args.max is None:
+        args.max = GESSEL_DEFAULT_MAX
     if args.n is not None and args.n > MAX_N_WITHOUT_FORCE and not args.force:
         raise UsageError(f"n={args.n} exceeds the guard ({MAX_N_WITHOUT_FORCE}); pass --force to run anyway")
     if args.max is not None and args.max > MAX_GESSEL_TOTAL_WITHOUT_FORCE and not args.force:
@@ -433,9 +443,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     ok, report = _verify_dispatch(args)
     report["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
-    serializable = json.loads(json.dumps(report, default=str))
-    print(json.dumps(serializable))
+    print(json.dumps(report, default=_json_default))
     return 0 if ok else 1
+
+
+def _json_default(value):
+    """Descent sets in a witness print as sorted lists, anything else as its str."""
+    return sorted(value) if isinstance(value, frozenset) else str(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbits.set_defaults(func=cmd_orbits)
 
     p_verify = sub.add_parser("verify", help="run one verification identity")
-    p_verify.add_argument("identity", choices=VERIFY_NAMES)
+    p_verify.add_argument("identity", choices=list(VERIFY_PARAMS))
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--k", type=int)
     p_verify.add_argument("--j", type=int)

@@ -12,7 +12,9 @@ built through its constructor, ``from_involution`` or the parsers is
 checked in full.  ``enumerate_matchings`` builds arcs that are sorted,
 disjoint and in range by construction and wraps them without a second
 check.  The statistics read a partner array computed once per call, and
-one left-to-right sweep gives both the crossing and the nesting number.
+one left-to-right sweep gives both the crossing and the nesting number;
+the descent sets they build are in range by construction and wrapped
+without the ``DescentSet`` range check.
 """
 from __future__ import annotations
 
@@ -86,8 +88,16 @@ def from_involution(word: Word) -> Matching:
 
 
 def des(m: Matching) -> DescentSet:
-    """Standard descent set, via the one-line form of the involution."""
-    return perm.des(to_involution(m))
+    """
+    Standard descent set of the involution: i is a descent iff the image
+    of i exceeds that of i+1, an unmatched point being its own image.
+    """
+    image = list(range(m.n + 1))
+    for a, b in m.arcs:
+        image[a] = b
+        image[b] = a
+    members = {i for i in range(1, m.n) if image[i] > image[i + 1]}
+    return perm._trusted(DescentSet, n=m.n, members=frozenset(members))
 
 
 def _arcs_cross(a: Arc, b: Arc) -> bool:
@@ -133,14 +143,14 @@ def mdes(m: Matching) -> DescentSet:
     Geometric descent set: i is a descent iff {i, i+1} is an arc, the
     arcs through i and i+1 cross, or i is unmatched while i+1 is matched.
     """
-    return DescentSet(m.n, _geometric_descents(_partners(m), m.n - 1))
+    return perm._trusted(DescentSet, n=m.n, members=_geometric_descents(_partners(m), m.n - 1))
 
 
 def cmdes(m: Matching) -> DescentSet:
     """Cyclic geometric descent set, with i+1 read mod n and crossing
     read as chord intersection on the circle."""
     last = m.n if m.n > 1 else 0
-    return DescentSet(m.n, _geometric_descents(_partners(m), last), cyclic=True)
+    return perm._trusted(DescentSet, n=m.n, members=_geometric_descents(_partners(m), last), cyclic=True)
 
 
 def rotate(m: Matching) -> Matching:

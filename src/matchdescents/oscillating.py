@@ -175,7 +175,7 @@ def kim_des(o: OscillatingTableau) -> DescentSet:
             or (k1 == "del" and k2 == "del" and r2 < r1)
         ):
             members.add(i)
-    return DescentSet(n, frozenset(members))
+    return perm._trusted(DescentSet, n=n, members=frozenset(members))
 
 
 def enumerate_oscillating(size: int) -> Iterator[OscillatingTableau]:

@@ -11,9 +11,11 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
+Placements = list[tuple[Word, Callable[[Sequence[int]], Word]]]
 
 
 class ParseError(ValueError):
@@ -74,7 +76,9 @@ class DescentSet:
 
     Linear descent sets live in [n-1]; cyclic ones in [n].  Keeping the
     ambient n on the value prevents confusing the two in multiset
-    comparisons and makes the mod-n shift well defined.
+    comparisons and makes the mod-n shift well defined.  The constructor
+    checks the range; the package's statistics build their sets within
+    it and wrap them with ``_trusted``.
     """
 
     n: int
@@ -88,13 +92,14 @@ class DescentSet:
 
     def restrict_linear(self) -> "DescentSet":
         """Intersect a cyclic set with [n-1]."""
-        return DescentSet(self.n, frozenset(i for i in self.members if i < self.n))
+        return _trusted(DescentSet, n=self.n, members=frozenset(i for i in self.members if i < self.n))
 
     def shifted(self) -> "DescentSet":
         """1 + members (mod n), staying in {1, ..., n}.  Cyclic sets only."""
         if not self.cyclic:
             raise ValueError("shift is defined for cyclic descent sets")
-        return DescentSet(self.n, frozenset(i % self.n + 1 for i in self.members), cyclic=True)
+        members = frozenset(i % self.n + 1 for i in self.members)
+        return _trusted(DescentSet, n=self.n, members=members, cyclic=True)
 
     def __str__(self) -> str:
         return "{" + ",".join(map(str, sorted(self.members))) + "}"
@@ -108,7 +113,7 @@ def des(word: Word) -> DescentSet:
     '{1,3,5}'
     """
     n = len(word)
-    return DescentSet(n, frozenset(i for i in range(1, n) if word[i - 1] > word[i]))
+    return _trusted(DescentSet, n=n, members=frozenset(i for i in range(1, n) if word[i - 1] > word[i]))
 
 
 def cellini_cdes(word: Word) -> DescentSet:
@@ -123,7 +128,7 @@ def cellini_cdes(word: Word) -> DescentSet:
     members = {i for i in range(1, n) if word[i - 1] > word[i]}
     if n >= 1 and word[n - 1] > word[0]:
         members.add(n)
-    return DescentSet(n, frozenset(members), cyclic=True)
+    return _trusted(DescentSet, n=n, members=frozenset(members), cyclic=True)
 
 
 def fixed_points(word: Word) -> frozenset[int]:
@@ -175,6 +180,46 @@ def standardize(letters: Sequence[int]) -> Word:
     return tuple(rank[v] for v in letters)
 
 
+def picker(indices: Sequence[int]) -> Callable[[Sequence[int]], Word]:
+    """
+    The map s -> tuple(s[i] for i in indices); an ``itemgetter`` when
+    there are two or more indices, which is where it returns a tuple.
+
+    >>> picker([2, 0])("abc"), picker([1])("abc"), picker([])("abc")
+    (('c', 'a'), ('b',), ())
+    """
+    if len(indices) >= 2:
+        return itemgetter(*indices)
+    return lambda s: tuple(s[i] for i in indices)
+
+
+def placements(m: int, n: int) -> Placements:
+    """
+    The ways to place a word of length m and a word of length n into one
+    word of length m + n, one per support S (the m positions of the
+    first word) in ``itertools.combinations`` order.  Each is a pair
+    ``(cols, layout)``: ``cols`` lists the positions 1..m+n, those in S
+    first and the rest after, both increasing; ``layout`` takes a
+    concatenation a + b and returns the word with a on S and b on the
+    rest, each in order.  Shuffles lay out one fixed concatenation on
+    every support; a split conjugacy class lays out one that depends on
+    the support, read off ``cols``.
+
+    >>> [layout("abC") for _, layout in placements(2, 1)]
+    [('a', 'b', 'C'), ('a', 'C', 'b'), ('C', 'a', 'b')]
+    """
+    total = m + n
+    out = []
+    for support in itertools.combinations(range(total), m):
+        chosen = set(support)
+        cols = support + tuple(i for i in range(total) if i not in chosen)
+        slot = [0] * total  # slot[position] = index into the concatenation
+        for j, c in enumerate(cols):
+            slot[c] = j
+        out.append((tuple(c + 1 for c in cols), picker(slot)))
+    return out
+
+
 def shuffles(word_a: Sequence[int], word_b: Sequence[int]) -> list[Word]:
     """
     All interleavings of two words on disjoint letter sets, ordered
@@ -188,17 +233,8 @@ def shuffles(word_a: Sequence[int], word_b: Sequence[int]) -> list[Word]:
     """
     if set(word_a) & set(word_b):
         raise ValueError("letter sets of the two words overlap")
-    n = len(word_a) + len(word_b)
-    out = []
-    for positions in itertools.combinations(range(n), len(word_a)):
-        word = [0] * n
-        it_a = iter(word_a)
-        it_b = iter(word_b)
-        pos_a = set(positions)
-        for i in range(n):
-            word[i] = next(it_a) if i in pos_a else next(it_b)
-        out.append(tuple(word))
-    return out
+    joined = (*word_a, *word_b)
+    return [layout(joined) for _, layout in placements(len(word_a), len(word_b))]
 
 
 def shuffle_sets(set_a: Iterable[Sequence[int]], set_b: Iterable[Sequence[int]]) -> list[Word]:

@@ -13,11 +13,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import gt
 from typing import Iterable
 
 from . import matching as matching_mod, perm, tableau
 from .matching import Matching
-from .perm import Word
+from .perm import Placements, Word
 from .tableau import Shape
 
 Term = tuple[int, int, frozenset[int]]
@@ -131,10 +132,9 @@ def rhs_main0(n: int) -> FormalQSym:
 
 def verify_main0(n: int) -> VerifyResult:
     lhs, rhs = lhs_main0(n), rhs_main0(n)
-    diff = multiset_diff(lhs.counter(), rhs.counter())
-    return VerifyResult(
-        "main0", {"n": n}, lhs == rhs, diff, {"lhs": len(lhs.terms), "rhs": len(rhs.terms)}
-    )
+    ok = lhs == rhs
+    diff = [] if ok else multiset_diff(lhs.counter(), rhs.counter())
+    return VerifyResult("main0", {"n": n}, ok, diff, {"lhs": len(lhs.terms), "rhs": len(rhs.terms)})
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def verify_lemma_main1(n2: int) -> VerifyResult:
         refined_swap[(d, g, ne, cr)] += 1
         count += 1
     ok = plain == plain_swap and refined == refined_swap
-    diff = multiset_diff(plain, plain_swap) + multiset_diff(refined, refined_swap)
+    diff = [] if ok else multiset_diff(plain, plain_swap) + multiset_diff(refined, refined_swap)
     return VerifyResult("main1", {"n": n2}, ok, diff, {"matchings": count})
 
 
@@ -176,7 +176,8 @@ def verify_main11(n: int, k: int) -> VerifyResult:
         rhs[(ne, matching_mod.des(m).members)] += 1
         count += 1
     ok = lhs == rhs
-    return VerifyResult("main11", {"n": n, "k": k}, ok, multiset_diff(lhs, rhs), {"matchings": count})
+    diff = [] if ok else multiset_diff(lhs, rhs)
+    return VerifyResult("main11", {"n": n, "k": k}, ok, diff, {"matchings": count})
 
 
 def verify_main111(n: int, k: int) -> VerifyResult:
@@ -189,18 +190,21 @@ def verify_main111(n: int, k: int) -> VerifyResult:
         rhs[(ne, cr, matching_mod.des(m).members)] += 1
         count += 1
     ok = lhs == rhs
-    return VerifyResult("main111", {"n": n, "k": k}, ok, multiset_diff(lhs, rhs), {"matchings": count})
+    diff = [] if ok else multiset_diff(lhs, rhs)
+    return VerifyResult("main111", {"n": n, "k": k}, ok, diff, {"matchings": count})
 
 
 # ---------------------------------------------------------------------------
 # Descent-set equidistribution between split conjugacy classes and shuffles
+#
+# A class word is a shuffle: for the support S it places sup∘pi on the
+# positions in S and rest∘sigma on the rest, where sup and rest list S and
+# its complement in increasing order.  Both sides therefore lay out words
+# through one table of placements per (m, n), and the verifier counts
+# descent sets as indicator tuples (True at each descent position).
 
-def gessel_class(pi: Word, sigma_word: tuple[int, ...]) -> list[Word]:
-    """
-    All permutations of cycle type mu ⊔ nu whose restrictions to the two
-    letter blocks are order-isomorphic to the given pair.  pi acts on
-    [m]; sigma is given as a word on the letters m+1..m+n.
-    """
+def _class_words(pi: Word, sigma_word: tuple[int, ...], kernel: Placements) -> list[Word]:
+    """gessel_class, laid out through the placements of (len(pi), len(sigma_word))."""
     m = len(pi)
     n = len(sigma_word)
     if sorted(sigma_word) != list(range(m + 1, m + n + 1)):
@@ -210,46 +214,73 @@ def gessel_class(pi: Word, sigma_word: tuple[int, ...]) -> list[Word]:
     nu = perm.cycle_type(sigma_std)
     if set(mu) & set(nu):
         raise ValueError(f"cycle types {mu} and {nu} share a part")
+    # cols is sup + rest, so sup∘pi + rest∘sigma picks cols at these indices
+    pick = perm.picker([v - 1 for v in pi] + [m + v - 1 for v in sigma_std])
+    letters = list(range(1, m + n + 1))
     out = []
-    universe = range(1, m + n + 1)
-    for support in itertools.combinations(universe, m):
-        word = [0] * (m + n)
-        sup = list(support)
-        for i, v in zip(sup, (sup[pi[r] - 1] for r in range(m))):
-            word[i - 1] = v
-        rest = [i for i in universe if i not in set(support)]
-        for i, v in zip(rest, (rest[sigma_std[r] - 1] for r in range(n))):
-            word[i - 1] = v
-        out.append(perm.check_perm(word))
+    for cols, layout in kernel:
+        word = layout(pick(cols))
+        if sorted(word) != letters:
+            raise ValueError(f"not a permutation of [n]: {word!r}")
+        out.append(word)
     return out
+
+
+def gessel_class(pi: Word, sigma_word: tuple[int, ...]) -> list[Word]:
+    """
+    All permutations of cycle type mu ⊔ nu whose restrictions to the two
+    letter blocks are order-isomorphic to the given pair.  pi acts on
+    [m]; sigma is given as a word on the letters m+1..m+n.
+    """
+    return _class_words(pi, sigma_word, perm.placements(len(pi), len(sigma_word)))
+
+
+def _des_counts(pi: Word, sigma_word: tuple[int, ...], kernel: Placements) -> tuple[Counter, Counter]:
+    """The Des multisets, keyed by indicator tuples, of the split class
+    and of the shuffles of the pair."""
+    lhs = Counter(tuple(map(gt, w, w[1:])) for w in _class_words(pi, sigma_word, kernel))
+    joined = (*pi, *sigma_word)
+    shuffles = (layout(joined) for _, layout in kernel)
+    rhs = Counter(tuple(map(gt, w, w[1:])) for w in shuffles)
+    return lhs, rhs
+
+
+def _gessel_result(pi: Word, sigma_word: tuple[int, ...], lhs: Counter, rhs: Counter) -> VerifyResult:
+    ok = lhs == rhs
+    diff = [] if ok else multiset_diff(_member_sets(lhs), _member_sets(rhs))
+    counts = {"class": sum(lhs.values()), "shuffles": sum(rhs.values())}
+    return VerifyResult("gessel", {"pi": list(pi), "sigma": list(sigma_word)}, ok, diff, counts)
+
+
+def _member_sets(indicators: Counter) -> Counter:
+    """The multiset re-keyed by the descent positions of each indicator tuple."""
+    return Counter(
+        {frozenset(itertools.compress(itertools.count(1), key)): c for key, c in indicators.items()}
+    )
 
 
 def verify_gessel(pi: Word, sigma_word: tuple[int, ...]) -> VerifyResult:
     """Des-multiset equality between the split class and the shuffles."""
-    cls = gessel_class(pi, sigma_word)
-    shuf = perm.shuffles(pi, sigma_word)
-    lhs = Counter(perm.des(w).members for w in cls)
-    rhs = Counter(perm.des(w).members for w in shuf)
-    ok = lhs == rhs
-    return VerifyResult(
-        "gessel",
-        {"pi": list(pi), "sigma": list(sigma_word)},
-        ok,
-        multiset_diff(lhs, rhs),
-        {"class": len(cls), "shuffles": len(shuf)},
-    )
+    kernel = perm.placements(len(pi), len(sigma_word))
+    return _gessel_result(pi, sigma_word, *_des_counts(pi, sigma_word, kernel))
+
+
+def _part_mask(word: Word) -> int:
+    """The cycle lengths of a permutation as bits of an int."""
+    return sum(1 << p for p in set(perm.cycle_type(word)))
 
 
 def gessel_pairs(max_total: int):
     """All valid (pi, sigma) pairs with disjoint interval supports,
     coprime cycle-type part sets and total size up to the bound."""
+    # each size's masks once, in enumerate_sn order
+    masks = {n: list(map(_part_mask, perm.enumerate_sn(n))) for n in range(1, max_total)}
     for total in range(2, max_total + 1):
         for m in range(1, total):
             n = total - m
-            for pi in perm.enumerate_sn(m):
-                mu = set(perm.cycle_type(pi))
-                for sigma_std in perm.enumerate_sn(n):
-                    if mu & set(perm.cycle_type(sigma_std)):
+            for pi, mu in zip(perm.enumerate_sn(m), masks[m]):
+                for sigma_std, nu in zip(perm.enumerate_sn(n), masks[n]):
+                    if mu & nu:
                         continue
                     sigma_word = tuple(v + m for v in sigma_std)
                     yield pi, sigma_word
@@ -257,10 +288,15 @@ def gessel_pairs(max_total: int):
 
 def verify_gessel_all(max_total: int) -> VerifyResult:
     checked = 0
+    block = None
     for pi, sigma_word in gessel_pairs(max_total):
-        result = verify_gessel(pi, sigma_word)
+        if block != (len(pi), len(sigma_word)):
+            block = (len(pi), len(sigma_word))
+            kernel = perm.placements(*block)
+        lhs, rhs = _des_counts(pi, sigma_word, kernel)
         checked += 1
-        if not result.ok:
+        if lhs != rhs:
+            result = _gessel_result(pi, sigma_word, lhs, rhs)
             result.counts["pairs_checked"] = checked
             return result
     return VerifyResult("gessel", {"max": max_total}, True, [], {"pairs_checked": checked})

@@ -136,7 +136,8 @@ def des(t: StandardTableau) -> DescentSet:
             if not 1 <= e <= n or row_of[e]:
                 raise ValueError("descent set requires entries 1..n")
             row_of[e] = r
-    return DescentSet(n, frozenset(i for i in range(1, n) if row_of[i + 1] > row_of[i]))
+    members = frozenset(i for i in range(1, n) if row_of[i + 1] > row_of[i])
+    return perm._trusted(DescentSet, n=n, members=members)
 
 
 # ---------------------------------------------------------------------------

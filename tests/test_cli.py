@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from matchdescents import cli
+from matchdescents import cli, perm, symfun
 
 
 def run(capsys, *argv):
@@ -194,3 +194,85 @@ def test_verify_main11_exhaustive_n12(capsys):
     report = json.loads(out)
     assert report["ok"] is True
     assert report["counts"] == {"matchings": 140152}
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("main0", "--n", "5", "--k", "3"), "--k"),
+        (("main11", "--n", "5", "--j", "1"), "--j"),
+        (("gessel", "--n", "4"), "--n"),
+        (("cdes", "--n", "4", "--max", "3"), "--max"),
+        (("roby", "--n", "4", "--k", "0"), "--k"),
+    ],
+)
+def test_verify_refuses_flags_the_identity_ignores(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert f"does not take {flag}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (("main0", "--n", "5"), {"n": 5}),
+        (("main11", "--n", "6", "--k", "2"), {"n": 6, "k": 2}),
+        (("main111", "--n", "6"), {"n": 6, "k": None}),
+        (("cdes", "--n", "6", "--k", "0", "--j", "3"), {"n": 6, "k": 0, "j": 3}),
+        (("gessel",), {"max": 6}),
+        (("gessel", "--max", "5"), {"max": 5}),
+    ],
+)
+def test_verify_reports_only_the_params_it_uses(capsys, argv, params):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["params"] == params
+    assert "failing" not in report
+
+
+def test_verify_gessel_names_the_failing_pair(capsys, monkeypatch):
+    def identity_words(pi, sigma_word, kernel):
+        return [perm.identity(len(pi) + len(sigma_word))] * len(kernel)
+
+    monkeypatch.setattr(symfun, "_class_words", identity_words)
+    code, out, _ = run(capsys, "verify", "gessel", "--max", "5")
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["params"] == {"max": 5}
+    # the first pair: pi = 1 (type (1)) and sigma = 32 (type (2))
+    assert report["failing"] == {"pi": [1], "sigma": [3, 2]}
+    assert report["counts"] == {"class": 3, "shuffles": 3, "pairs_checked": 1}
+    # shuffles of 1 and 32: 132, 312, 321 with Des {2}, {1}, {1,2}
+    assert sorted(report["witness_diff"]) == [
+        ["lhs-only", [], 3],
+        ["rhs-only", [1], 1],
+        ["rhs-only", [1, 2], 1],
+        ["rhs-only", [2], 1],
+    ]
+
+
+def test_verify_main11_names_the_failing_class(capsys, monkeypatch):
+    real = symfun.verify_main11
+
+    def fails_at_k3(n, k):
+        result = real(n, k)
+        result.ok = k != 3
+        return result
+
+    monkeypatch.setattr(symfun, "verify_main11", fails_at_k3)
+    code, out, _ = run(capsys, "verify", "main11", "--n", "7")
+    assert code == 1
+    report = json.loads(out)
+    assert report["params"] == {"n": 7, "k": None}
+    assert report["failing"] == {"n": 7, "k": 3}
+
+
+@pytest.mark.slow
+def test_verify_gessel_exhaustive_max9(capsys):
+    code, out, _ = run(capsys, "verify", "gessel", "--max", "9", "--force")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert report["counts"] == {"pairs_checked": 52328}

@@ -1,15 +1,17 @@
 """
-Differential tests for the kernels behind the tableau algorithms and the
-matching statistics.
+Differential tests for the kernels behind the tableau algorithms, the
+matching statistics and the Gessel class/shuffle placements.
 
-The public algorithms run on plain row lists or partner arrays, and the
-enumerators wrap their results without re-validating them.  These tests
-re-validate those results in full, compare each kernel-backed operation
-with the earlier implementation (kept below as an oracle), and check the
-round trips, the input checks and the statistics' properties at sizes
-beyond the exhaustive range.
+The public algorithms run on plain row lists, partner arrays or a table
+of placements, and the enumerators and statistics wrap their results
+(tableaux, matchings, descent sets) without re-validating them.  These
+tests re-validate those results in full, compare each kernel-backed
+operation with the earlier implementation (kept below as an oracle), and
+check the round trips, the input checks and the statistics' properties
+at sizes beyond the exhaustive range.
 """
 import bisect
+import itertools
 import random
 from collections import Counter
 
@@ -19,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from matchdescents import bijection as bj
 from matchdescents import matching as mm
 from matchdescents import oscillating as osc
-from matchdescents import perm, tableau
+from matchdescents import perm, symfun, tableau
 from matchdescents.tableau import EMPTY_TABLEAU, check_shape, from_rows
 
 # ---------------------------------------------------------------------------
@@ -236,6 +238,75 @@ def oracle_syt_des(t):
     return perm.DescentSet(n, frozenset(i for i in range(1, n) if row_of[i + 1] > row_of[i]))
 
 
+def oracle_matching_des(m):
+    """Standard descent set, via the one-line form of the involution."""
+    return perm.des(mm.to_involution(m))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the Gessel split class, the shuffles and their verifier as they
+# were before the placement kernel, each word built position by position.
+
+
+def oracle_gessel_class(pi, sigma_word):
+    m = len(pi)
+    n = len(sigma_word)
+    if sorted(sigma_word) != list(range(m + 1, m + n + 1)):
+        raise ValueError("second permutation must act on the letters m+1..m+n")
+    sigma_std = perm.standardize(sigma_word)
+    mu = perm.cycle_type(pi)
+    nu = perm.cycle_type(sigma_std)
+    if set(mu) & set(nu):
+        raise ValueError(f"cycle types {mu} and {nu} share a part")
+    out = []
+    universe = range(1, m + n + 1)
+    for support in itertools.combinations(universe, m):
+        word = [0] * (m + n)
+        sup = list(support)
+        for i, v in zip(sup, (sup[pi[r] - 1] for r in range(m))):
+            word[i - 1] = v
+        rest = [i for i in universe if i not in set(support)]
+        for i, v in zip(rest, (rest[sigma_std[r] - 1] for r in range(n))):
+            word[i - 1] = v
+        out.append(perm.check_perm(word))
+    return out
+
+
+def oracle_shuffles(word_a, word_b):
+    if set(word_a) & set(word_b):
+        raise ValueError("letter sets of the two words overlap")
+    n = len(word_a) + len(word_b)
+    out = []
+    for positions in itertools.combinations(range(n), len(word_a)):
+        word = [0] * n
+        it_a = iter(word_a)
+        it_b = iter(word_b)
+        pos_a = set(positions)
+        for i in range(n):
+            word[i] = next(it_a) if i in pos_a else next(it_b)
+        out.append(tuple(word))
+    return out
+
+
+def oracle_gessel_des_multisets(pi, sigma_word):
+    """The (lhs, rhs) Des multisets of the old verify_gessel."""
+    cls = oracle_gessel_class(pi, sigma_word)
+    shuf = oracle_shuffles(pi, sigma_word)
+    return Counter(perm.des(w).members for w in cls), Counter(perm.des(w).members for w in shuf)
+
+
+def oracle_gessel_pairs(max_total):
+    for total in range(2, max_total + 1):
+        for m in range(1, total):
+            n = total - m
+            for pi in perm.enumerate_sn(m):
+                mu = set(perm.cycle_type(pi))
+                for sigma_std in perm.enumerate_sn(n):
+                    if mu & set(perm.cycle_type(sigma_std)):
+                        continue
+                    yield pi, tuple(v + m for v in sigma_std)
+
+
 # ---------------------------------------------------------------------------
 # Helpers
 
@@ -329,6 +400,72 @@ def test_enumerate_syt_outputs_revalidate(n):
             revalidated(t)
             assert t.shape == shape
             assert tableau.des(t) == oracle_syt_des(t)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_matching_des_matches_oracle(n):
+    for m in mm.enumerate_all_matchings(n):
+        assert mm.des(m) == oracle_matching_des(m)
+
+
+def _kernel_descent_sets(n):
+    """Every descent set the statistics build on objects of size n."""
+    for word in perm.enumerate_sn(n):
+        yield perm.des(word)
+        cyclic = perm.cellini_cdes(word)
+        yield cyclic
+        yield cyclic.shifted()
+        yield cyclic.restrict_linear()
+    for m in mm.enumerate_all_matchings(n):
+        yield mm.des(m)
+        yield mm.mdes(m)
+        yield mm.cmdes(m)
+        if not m.unmatched:
+            yield osc.kim_des(osc.sundaram(mm.to_involution(m)))
+    for t in tableau.enumerate_syt_n(n):
+        yield tableau.des(t)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_kernel_descent_sets_revalidate(n):
+    for d in _kernel_descent_sets(n):
+        assert perm.DescentSet(d.n, d.members, d.cyclic) == d
+        assert d.n == n
+
+
+def test_descent_set_constructor_keeps_range_check():
+    for args in [(3, frozenset({3})), (3, frozenset({0})), (3, frozenset({4}), True)]:
+        with pytest.raises(ValueError):
+            perm.DescentSet(*args)
+
+
+def test_gessel_pairs_match_oracle():
+    assert list(symfun.gessel_pairs(7)) == list(oracle_gessel_pairs(7))
+
+
+def test_gessel_des_multisets_match_oracle():
+    # every pair with m + n <= 7: 1074 pairs
+    for pi, sigma_word in symfun.gessel_pairs(7):
+        lhs, rhs = oracle_gessel_des_multisets(pi, sigma_word)
+        result = symfun.verify_gessel(pi, sigma_word)
+        assert result.ok and lhs == rhs
+        kernel = perm.placements(len(pi), len(sigma_word))
+        new_lhs, new_rhs = symfun._des_counts(pi, sigma_word, kernel)
+        assert symfun._member_sets(new_lhs) == lhs
+        assert symfun._member_sets(new_rhs) == rhs
+        assert result.counts == {"class": len(kernel), "shuffles": len(kernel)}
+
+
+def test_gessel_inputs_keep_checks():
+    for pi, sigma_word in [((2, 1), (4, 3)), ((1, 2), (3, 4)), ((2, 2), (3, 4, 5)), ((1,), (3, 3))]:
+        with pytest.raises(ValueError):
+            oracle_gessel_class(pi, sigma_word)
+        with pytest.raises(ValueError):
+            symfun.gessel_class(pi, sigma_word)
+        with pytest.raises(ValueError):
+            symfun.verify_gessel(pi, sigma_word)
+    with pytest.raises(ValueError):
+        perm.shuffles((1, 2), (2, 3))
 
 
 def test_syt_des_keeps_entry_check():
@@ -505,3 +642,28 @@ def test_nesting_number_is_half_the_rs_height_large(m):
 @given(sampled_matchings())
 def test_cmdes_rotation_equivariance_large(m):
     assert mm.cmdes(mm.rotate(m)) == mm.cmdes(m).shifted()
+
+
+@st.composite
+def gessel_inputs(draw, min_total=9, max_total=12):
+    """A permutation pi of [m] and a word sigma on m+1..m+n, m + n in
+    [min_total, max_total]; their cycle types may share a part."""
+    total = draw(st.integers(min_total, max_total))
+    m = draw(st.integers(1, total - 1))
+    pi = tuple(draw(st.permutations(range(1, m + 1))))
+    sigma_word = tuple(draw(st.permutations(range(m + 1, total + 1))))
+    return pi, sigma_word
+
+
+@settings(deadline=None, max_examples=40)
+@given(gessel_inputs())
+def test_gessel_words_match_oracle_large(pair):
+    pi, sigma_word = pair
+    assert perm.shuffles(pi, sigma_word) == oracle_shuffles(pi, sigma_word)
+    try:
+        expected = oracle_gessel_class(pi, sigma_word)
+    except ValueError:
+        with pytest.raises(ValueError):
+            symfun.gessel_class(pi, sigma_word)
+    else:
+        assert symfun.gessel_class(pi, sigma_word) == expected
