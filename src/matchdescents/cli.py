@@ -2,13 +2,14 @@
 Command-line front end: object statistics, named maps, enumeration
 tables, orbit tables and the verification suite.
 
-Exit codes: 0 on success, 1 when a verified identity fails, 2 on usage
-or parse errors.
+Exit codes: 0 on success; 1 when a verified identity fails, with a
+witness; 2 on usage or parse errors, refused before any work starts; 3
+on an internal error, an exception raised inside a ``verify`` run after
+its parameters were accepted.
 """
 from __future__ import annotations
 
 import argparse
-import collections
 import csv
 import io
 import json
@@ -17,7 +18,6 @@ import time
 from typing import Sequence
 
 from . import bijection, cyclic, matching as matching_mod, oscillating, perm, symfun, tableau
-from .perm import ParseError
 
 MAX_N_WITHOUT_FORCE = 12
 MAX_GESSEL_TOTAL_WITHOUT_FORCE = 9  # 52,328 pairs; 444,012 at 10
@@ -35,22 +35,6 @@ MAP_NAMES = [
     "p",
     "h",
 ]
-
-# The flags each identity takes; the rest are refused, and the report's
-# params name exactly these.
-VERIFY_PARAMS = {
-    "main1": ("n",),
-    "main11": ("n", "k"),
-    "main111": ("n", "k"),
-    "main0": ("n",),
-    "cdes": ("n", "k", "j"),
-    "gessel": ("max",),
-    "chen": ("n",),
-    "sundaram-roundtrip": ("n",),
-    "kim": ("n",),
-    "roby": ("n",),
-}
-GESSEL_DEFAULT_MAX = 6
 
 
 class UsageError(Exception):
@@ -283,168 +267,42 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     n, k, j = args.n, args.k, args.j
     source = matching_mod.enumerate_inkj(n, k, j) if j is not None else matching_mod.enumerate_matchings(n, k)
     elements = [matching_mod.to_involution(m) for m in source]
-    remaining = set(elements)
-    header = ["orbit", "size", "element", "cdes"]
+    transported = {w: cyclic.transport_involution(w) for w in elements}
     rows = []
-    orbit_id = 0
-    for start in elements:
-        if start not in remaining:
-            continue
-        orbit = []
-        y = start
-        while not orbit or y != start:
-            cdes, image = cyclic.transport_involution(y)
-            orbit.append((y, cdes))
-            y = image
-        remaining -= {w for w, _ in orbit}
-        for w, cdes in orbit:
-            rows.append([orbit_id, len(orbit), perm.format_cycles(w), _set_str(cdes.members)])
-        orbit_id += 1
-    _emit_rows(header, rows, args.format, args.output)
+    for orbit_id, orbit in enumerate(cyclic.orbits(elements, lambda w: transported[w][1])):
+        rows.extend([orbit_id, len(orbit), perm.format_cycles(w), _set_str(transported[w][0].members)] for w in orbit)
+    _emit_rows(["orbit", "size", "element", "cdes"], rows, args.format, args.output)
     return 0
 
 
-def _verify_dispatch(args: argparse.Namespace) -> tuple[bool, dict]:
-    identity = args.identity
-    n, k, j = args.n, args.k, args.j
-    counts: dict = {}
-    witness: list = []
-    extra: dict = {}
+def cmd_verify(args: argparse.Namespace) -> int:
+    name = args.identity
+    params = symfun.resolve_params(name, {flag: getattr(args, flag) for flag in ("n", "k", "j", "max")})
+    for flag, bound in (("n", MAX_N_WITHOUT_FORCE), ("max", MAX_GESSEL_TOTAL_WITHOUT_FORCE)):
+        if params.get(flag, 0) > bound and not args.force:
+            raise UsageError(f"{flag}={params[flag]} exceeds the guard ({bound}); pass --force to run anyway")
+    start = time.perf_counter()
+    try:
+        res = symfun.run_identity(name, params)
+    except Exception as exc:  # the parameters were accepted, so this is a broken invariant
+        print(f"internal error: verify {name} {json.dumps(params)}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        import traceback  # only here, so that a normal run does not import it
 
-    def need_n() -> int:
-        if n is None:
-            raise UsageError(f"verify {identity} requires --n")
-        return n
-
-    if identity == "main1":
-        res = symfun.verify_lemma_main1(need_n())
-    elif identity in ("main11", "main111"):
-        fn = symfun.verify_main11 if identity == "main11" else symfun.verify_main111
-        if k is not None:
-            res = fn(need_n(), k)
-        else:
-            nn = need_n()
-            res = None
-            total: collections.Counter = collections.Counter()
-            for kk in range(nn % 2, nn + 1, 2):
-                sub = fn(nn, kk)
-                total.update(sub.counts)
-                if res is None or not sub.ok:
-                    res = sub
-                if not sub.ok:
-                    break
-            res.counts = dict(total)
-    elif identity == "main0":
-        res = symfun.verify_main0(need_n())
-    elif identity == "gessel":
-        res = symfun.verify_gessel_all(args.max)
-    elif identity == "cdes":
-        nn = need_n()
-        ok = True
-        checked = 0
-        for kk in range(nn % 2, nn + 1, 2) if k is None else [k]:
-            j_range = range((nn - kk) // 2 + 1) if j is None else [j]
-            classes = cyclic.involutions_by_nesting(nn, kk)
-            for jj in j_range:
-                classification = cyclic.classify_escherian(nn, kk, jj)
-                report = cyclic.verify_cdes_involutions(nn, kk, jj, classes[jj])
-                checked += 1
-                expected_non_escher = classification == "non_escherian"
-                sub_ok = (
-                    report.extension_ok
-                    and report.equivariance_ok
-                    and report.non_escher_ok == expected_non_escher
-                )
-                if k is not None and j is not None:
-                    extra["classification"] = classification
-                if not sub_ok:
-                    ok = False
-                    witness.append({"set": report.set_id, "report": json.loads(report.to_json())})
-        counts["classes_checked"] = checked
-        res = symfun.VerifyResult("cdes", {"n": nn, "k": k, "j": j}, ok, witness, counts)
-    elif identity == "chen":
-        nn = need_n()
-        ok = True
-        checked = 0
-        for m in matching_mod.enumerate_matchings(nn, 0):
-            image = oscillating.chen_iota(m)
-            checked += 1
-            if (
-                oscillating.chen_iota(image) != m
-                or matching_mod.crossing_number(m) != matching_mod.nesting_number(image)
-                or matching_mod.des(image).members != matching_mod.mdes(m).members
-            ):
-                ok = False
-                witness.append(matching_mod.format_matching(m))
-        res = symfun.VerifyResult("chen", {"n": nn}, ok, witness, {"matchings": checked})
-    elif identity == "sundaram-roundtrip":
-        nn = need_n()
-        ok = True
-        checked = 0
-        for m in matching_mod.enumerate_matchings(nn, 0):
-            word = matching_mod.to_involution(m)
-            checked += 1
-            if oscillating.sundaram_inverse(oscillating.sundaram(word)) != word:
-                ok = False
-                witness.append(perm.format_cycles(word))
-        res = symfun.VerifyResult("sundaram-roundtrip", {"n": nn}, ok, witness, {"involutions": checked})
-    elif identity == "kim":
-        nn = need_n()
-        ok = True
-        checked = 0
-        for m in matching_mod.enumerate_matchings(nn, 0):
-            word = matching_mod.to_involution(m)
-            checked += 1
-            if oscillating.kim_des(oscillating.sundaram(word)).members != perm.des(word).members:
-                ok = False
-                witness.append(perm.format_cycles(word))
-        res = symfun.VerifyResult("kim", {"n": nn}, ok, witness, {"involutions": checked})
-    elif identity == "roby":
-        nn = need_n()
-        ok = True
-        checked = 0
-        for m in matching_mod.enumerate_matchings(nn, 0):
-            word = matching_mod.to_involution(m)
-            checked += 1
-            reversed_shapes = tuple(reversed(oscillating.sundaram(word).shapes))
-            if oscillating.sundaram(perm.conjugate_w0(word)).shapes != reversed_shapes:
-                ok = False
-                witness.append(perm.format_cycles(word))
-        res = symfun.VerifyResult("roby", {"n": nn}, ok, witness, {"involutions": checked})
-    else:
-        raise UsageError(f"unknown identity {identity!r}")
-
+        traceback.print_exc()
+        return 3
     report = {
-        "identity": res.identity,
-        "params": {flag: getattr(args, flag) for flag in VERIFY_PARAMS[identity]},
+        "identity": name,
+        "params": params,
         "ok": res.ok,
-        "witness_diff": [list(w) if isinstance(w, tuple) else w for w in res.witness_diff],
+        "witness_diff": res.witness_diff,
         "counts": res.counts,
-        **extra,
+        **res.extra,
     }
     if not res.ok:
         report["failing"] = res.params  # the class, or for gessel the pair, that failed
-    return res.ok, report
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    takes = VERIFY_PARAMS[args.identity]
-    for flag in ("n", "k", "j", "max"):
-        if flag not in takes and getattr(args, flag) is not None:
-            raise UsageError(f"verify {args.identity} does not take --{flag}")
-    if args.identity == "gessel" and args.max is None:
-        args.max = GESSEL_DEFAULT_MAX
-    if args.n is not None and args.n > MAX_N_WITHOUT_FORCE and not args.force:
-        raise UsageError(f"n={args.n} exceeds the guard ({MAX_N_WITHOUT_FORCE}); pass --force to run anyway")
-    if args.max is not None and args.max > MAX_GESSEL_TOTAL_WITHOUT_FORCE and not args.force:
-        raise UsageError(
-            f"max={args.max} exceeds the guard ({MAX_GESSEL_TOTAL_WITHOUT_FORCE}); pass --force to run anyway"
-        )
-    start = time.perf_counter()
-    ok, report = _verify_dispatch(args)
     report["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
     print(json.dumps(report, default=_json_default))
-    return 0 if ok else 1
+    return 0 if res.ok else 1
 
 
 def _json_default(value):
@@ -490,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbits.set_defaults(func=cmd_orbits)
 
     p_verify = sub.add_parser("verify", help="run one verification identity")
-    p_verify.add_argument("identity", choices=list(VERIFY_PARAMS))
+    p_verify.add_argument("identity", choices=list(symfun.REGISTRY))
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--k", type=int)
     p_verify.add_argument("--j", type=int)
@@ -506,10 +364,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

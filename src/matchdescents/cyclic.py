@@ -5,7 +5,6 @@ the classification of the Escherian classes.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -88,68 +87,51 @@ class CdesReport:
     def all_axioms_ok(self) -> bool:
         return self.extension_ok and self.equivariance_ok and self.non_escher_ok
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "set_id": self.set_id,
-                "axioms": {
-                    "extension": self.extension_ok,
-                    "equivariance": self.equivariance_ok,
-                    "non_escher": self.non_escher_ok,
-                },
-                "witnesses": [str(w) for w in self.escher_witnesses],
-                "orbit_sizes": sorted(self.orbit_sizes),
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "set_id": self.set_id,
+            "axioms": {
+                "extension": self.extension_ok,
+                "equivariance": self.equivariance_ok,
+                "non_escher": self.non_escher_ok,
+            },
+            "witnesses": [str(w) for w in self.escher_witnesses],
+            "orbit_sizes": sorted(self.orbit_sizes),
+        }
 
 
 def verify_cdes(
     ground_set: Iterable,
     des_fn: Callable[[Hashable], DescentSet],
-    cdes_fn: Callable[[Hashable], DescentSet],
-    p_fn: Callable[[Hashable], Hashable],
+    transport: Callable[[Hashable], tuple[DescentSet, Hashable]],
     set_id: str = "",
 ) -> CdesReport:
     """
-    Check extension, equivariance and non-Escher for (cdes_fn, p_fn) on
-    the ground set, and report the orbit structure of p_fn.
+    Check extension, equivariance and non-Escher for the pair (cDes(x),
+    p(x)) that ``transport`` gives for each x of the ground set, and report
+    the orbit structure of p.
     """
     elements = list(ground_set)
     element_set = set(elements)
     if len(element_set) != len(elements):
         raise ValueError("ground set contains duplicates")
-    images = {x: p_fn(x) for x in elements}
-    if set(images.values()) != element_set:
-        raise ValueError("p is not a bijection of the ground set")
-
     # cDes of p(x) is read from p(x)'s own entry, computed from p(x) alone
-    cdes_of = {x: cdes_fn(x) for x in elements}
+    transported = {x: transport(x) for x in elements}
+    if {image for _, image in transported.values()} != element_set:
+        raise ValueError("p is not a bijection of the ground set")
 
     extension_ok = True
     equivariance_ok = True
     witnesses = []
     for x in elements:
-        cd = cdes_of[x]
+        cd, image = transported[x]
         n = cd.n
         if cd.restrict_linear().members != des_fn(x).members:
             extension_ok = False
-        if cdes_of[images[x]].members != cd.shifted().members:
+        if transported[image][0].members != cd.shifted().members:
             equivariance_ok = False
         if not cd.members or cd.members == frozenset(range(1, n + 1)):
             witnesses.append(x)
-
-    orbit_sizes = []
-    seen: set = set()
-    for x in elements:
-        if x in seen:
-            continue
-        size = 0
-        y = x
-        while y not in seen:
-            seen.add(y)
-            y = images[y]
-            size += 1
-        orbit_sizes.append(size)
 
     return CdesReport(
         set_id=set_id,
@@ -157,8 +139,24 @@ def verify_cdes(
         equivariance_ok=equivariance_ok,
         non_escher_ok=not witnesses,
         escher_witnesses=witnesses,
-        orbit_sizes=orbit_sizes,
+        orbit_sizes=[len(orbit) for orbit in orbits(elements, lambda x: transported[x][1])],
     )
+
+
+def orbits(elements: Sequence[Hashable], step: Callable[[Hashable], Hashable]) -> list[list]:
+    """The orbits of the bijection ``step`` of the elements, each listed
+    from its earliest element, in the order of the elements."""
+    out = []
+    seen: set = set()
+    for x in elements:
+        orbit = []
+        while x not in seen:
+            seen.add(x)
+            orbit.append(x)
+            x = step(x)
+        if orbit:
+            out.append(orbit)
+    return out
 
 
 def involutions_by_nesting(n: int, k: int) -> dict[int, list[Word]]:
@@ -175,43 +173,10 @@ def verify_cdes_involutions(n: int, k: int, j: int, elements: list[Word] | None 
     that class when the caller has enumerated it already."""
     if elements is None:
         elements = [matching_mod.to_involution(m) for m in matching_mod.enumerate_inkj(n, k, j)]
-    return _verify_transported(elements, perm.des, transport_involution, f"I_{{{n},{k},{j}}}")
+    return verify_cdes(elements, perm.des, transport_involution, f"I_{{{n},{k},{j}}}")
 
 
 def verify_cdes_syt(n: int, k: int, j: int) -> CdesReport:
     elements = list(tableau.enumerate_syt_nkj(n, k, j))
-    return _verify_transported(elements, tableau.des, transport_syt, f"SYT_{{{n},{k},{j}}}")
+    return verify_cdes(elements, tableau.des, transport_syt, f"SYT_{{{n},{k},{j}}}")
 
-
-def _verify_transported(elements: list, des_fn, transport, set_id: str) -> CdesReport:
-    """verify_cdes with cDes and p of each element taken from one call of
-    ``transport``."""
-    transported = {x: transport(x) for x in elements}
-    return verify_cdes(
-        elements,
-        des_fn,
-        lambda x: transported[x][0],
-        lambda x: transported[x][1],
-        set_id=set_id,
-    )
-
-
-# Hand-built cyclic extension on the transpositions in S_4, shipped as a
-# fixture: cDes values and the rotation orbits.
-S4_TRANSPOSITIONS_CDES: dict[Word, frozenset[int]] = {
-    (2, 1, 3, 4): frozenset({1, 4}),
-    (3, 2, 1, 4): frozenset({1, 2}),
-    (4, 2, 3, 1): frozenset({1, 3}),
-    (1, 3, 2, 4): frozenset({2, 4}),
-    (1, 4, 3, 2): frozenset({2, 3}),
-    (1, 2, 4, 3): frozenset({3, 4}),
-}
-
-S4_TRANSPOSITIONS_P: dict[Word, Word] = {
-    (3, 2, 1, 4): (1, 4, 3, 2),
-    (1, 4, 3, 2): (1, 2, 4, 3),
-    (1, 2, 4, 3): (2, 1, 3, 4),
-    (2, 1, 3, 4): (3, 2, 1, 4),
-    (4, 2, 3, 1): (1, 3, 2, 4),
-    (1, 3, 2, 4): (4, 2, 3, 1),
-}

@@ -78,12 +78,6 @@ def _differ_by_one_box(a: Shape, b: Shape) -> bool:
     return diffs.count(0) == len(diffs) - 1 and diffs.count(1) == 1
 
 
-def validate(o_shapes: tuple[Shape, ...]) -> str:
-    """Human-readable report: 'OK' or the first violation."""
-    report = validate_shapes(tuple(o_shapes))
-    return "OK" if report is None else report
-
-
 def sundaram(word: Word) -> OscillatingTableau:
     """
     Map a fixed-point-free involution to its oscillating tableau: insert

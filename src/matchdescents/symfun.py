@@ -1,7 +1,8 @@
 """
 Formal quasisymmetric sums as descent multisets, Schur expansions via
-descent sets of standard tableaux, and the exhaustive verification of
-the equidistribution identities.
+descent sets of standard tableaux, the exhaustive verification of the
+equidistribution identities, and the registry of every identity that
+``matchdescents verify`` and the acceptance tests run.
 
 A formal sum of fundamental quasisymmetric functions with monomial
 coefficients q^a t^b is stored as a multiset of (a, b, D) triples; two
@@ -14,48 +15,17 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import gt
-from typing import Iterable
+from typing import Callable
 
-from . import matching as matching_mod, perm, tableau
+from . import cyclic, matching as matching_mod, oscillating, perm, tableau
 from .matching import Matching
 from .perm import Placements, Word
 from .tableau import Shape
 
-Term = tuple[int, int, frozenset[int]]
-
-
-@dataclass(frozen=True)
-class FormalQSym:
-    """A multiset of (q-exponent, t-exponent, descent set) triples of
-    homogeneous degree n."""
-
-    n: int
-    terms: tuple[Term, ...]
-
-    def __post_init__(self) -> None:
-        for a, b, d in self.terms:
-            if a < 0 or b < 0 or not d <= frozenset(range(1, self.n)):
-                raise ValueError(f"bad term {(a, b, set(d))}")
-        object.__setattr__(self, "terms", tuple(sorted(self.terms, key=_term_key)))
-
-    def counter(self) -> Counter:
-        return Counter(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FormalQSym)
-            and self.n == other.n
-            and self.counter() == other.counter()
-        )
-
-
-def _term_key(term: Term) -> tuple:
-    a, b, d = term
-    return (a, b, sorted(d))
-
-
-def qsym(n: int, terms: Iterable[Term]) -> FormalQSym:
-    return FormalQSym(n, tuple(terms))
+# Counters built only by counting hold positive counts, so two of them are
+# the same multiset exactly when they are equal as dicts; dict equality runs
+# in C, while Counter.__eq__ is a Python-level generator.
+_same_multiset = dict.__eq__
 
 
 def multiset_diff(lhs: Counter, rhs: Counter, cap: int = 20) -> list:
@@ -75,6 +45,12 @@ class VerifyResult:
     ok: bool
     witness_diff: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
+    extra: dict = field(default_factory=dict)  # further report fields
+
+
+def _compared(identity: str, params: dict, lhs: Counter, rhs: Counter, counts: dict) -> VerifyResult:
+    ok = _same_multiset(lhs, rhs)
+    return VerifyResult(identity, params, ok, [] if ok else multiset_diff(lhs, rhs), counts)
 
 
 def fundamental_eval(n: int, d: frozenset[int] | set[int], num_vars: int) -> Counter:
@@ -111,87 +87,79 @@ def schur_descent_multiset(shape: Shape) -> Counter:
 # ---------------------------------------------------------------------------
 # The Schur-positivity identity over all matchings on n points
 
-def lhs_main0(n: int) -> FormalQSym:
-    """One term (um, cr, MDes) per matching on n points."""
-    terms = []
-    for m in matching_mod.enumerate_all_matchings(n):
-        terms.append((m.unmatched, matching_mod.crossing_number(m), matching_mod.mdes(m).members))
-    return qsym(n, terms)
+def lhs_main0(n: int) -> Counter:
+    """The multiset of (um, cr, MDes), one term per matching on n points."""
+    return Counter(
+        (m.unmatched, matching_mod.crossing_number(m), matching_mod.mdes(m).members)
+        for m in matching_mod.enumerate_all_matchings(n)
+    )
 
 
-def rhs_main0(n: int) -> FormalQSym:
-    """One term (odd columns, floor(height/2), Des(T)) per SYT of size n."""
-    terms = []
+def rhs_main0(n: int) -> Counter:
+    """The multiset of (odd columns, floor(height/2), Des(T)), one term per
+    SYT of size n."""
+    terms: Counter = Counter()
     for shape in tableau.partitions(n):
         a = tableau.odd_cols(shape)
         b = tableau.height(shape) // 2
-        for t in tableau.enumerate_syt(shape):
-            terms.append((a, b, tableau.des(t).members))
-    return qsym(n, terms)
+        terms.update((a, b, tableau.des(t).members) for t in tableau.enumerate_syt(shape))
+    return terms
 
 
 def verify_main0(n: int) -> VerifyResult:
     lhs, rhs = lhs_main0(n), rhs_main0(n)
-    ok = lhs == rhs
-    diff = [] if ok else multiset_diff(lhs.counter(), rhs.counter())
-    return VerifyResult("main0", {"n": n}, ok, diff, {"lhs": len(lhs.terms), "rhs": len(rhs.terms)})
+    return _compared("main0", {"n": n}, lhs, rhs, {"lhs": lhs.total(), "rhs": rhs.total()})
 
 
 # ---------------------------------------------------------------------------
 # Symmetry of (Des, MDes) on perfect matchings, with the (cr, ne) refinement
 
 def verify_lemma_main1(n2: int) -> VerifyResult:
-    if n2 % 2 != 0:
-        raise ValueError("perfect matchings need an even number of points")
-    plain: Counter = Counter()
-    plain_swap: Counter = Counter()
+    """(MDes, Des, cr, ne) and (Des, MDes, ne, cr) have one distribution;
+    projecting both onto their first two entries gives the symmetry of
+    (Des, MDes).  An odd n2 raises ValueError from the enumerator."""
     refined: Counter = Counter()
-    refined_swap: Counter = Counter()
-    count = 0
+    swapped: Counter = Counter()
     for m in matching_mod.enumerate_matchings(n2, 0):
         d = matching_mod.des(m).members
         g = matching_mod.mdes(m).members
         cr, ne = matching_mod.crossing_nesting(m)
-        plain[(d, g)] += 1
-        plain_swap[(g, d)] += 1
         refined[(g, d, cr, ne)] += 1
-        refined_swap[(d, g, ne, cr)] += 1
-        count += 1
-    ok = plain == plain_swap and refined == refined_swap
-    diff = [] if ok else multiset_diff(plain, plain_swap) + multiset_diff(refined, refined_swap)
-    return VerifyResult("main1", {"n": n2}, ok, diff, {"matchings": count})
+        swapped[(d, g, ne, cr)] += 1
+    return _compared("main1", {"n": n2}, refined, swapped, {"matchings": refined.total()})
 
 
 # ---------------------------------------------------------------------------
 # Equidistribution of (cr, MDes) with (ne, Des) over M_{n,k}, and the
 # two-variable multiset refinement
 
-def verify_main11(n: int, k: int) -> VerifyResult:
+def _cr_ne_counts(n: int, k: int) -> tuple[Counter, Counter]:
+    """The multisets of (cr, ne, MDes) and of (ne, cr, Des) over M_{n,k}."""
     lhs: Counter = Counter()
     rhs: Counter = Counter()
-    count = 0
-    for m in matching_mod.enumerate_matchings(n, k):
-        cr, ne = matching_mod.crossing_nesting(m)
-        lhs[(cr, matching_mod.mdes(m).members)] += 1
-        rhs[(ne, matching_mod.des(m).members)] += 1
-        count += 1
-    ok = lhs == rhs
-    diff = [] if ok else multiset_diff(lhs, rhs)
-    return VerifyResult("main11", {"n": n, "k": k}, ok, diff, {"matchings": count})
-
-
-def verify_main111(n: int, k: int) -> VerifyResult:
-    lhs: Counter = Counter()
-    rhs: Counter = Counter()
-    count = 0
     for m in matching_mod.enumerate_matchings(n, k):
         cr, ne = matching_mod.crossing_nesting(m)
         lhs[(cr, ne, matching_mod.mdes(m).members)] += 1
         rhs[(ne, cr, matching_mod.des(m).members)] += 1
-        count += 1
-    ok = lhs == rhs
-    diff = [] if ok else multiset_diff(lhs, rhs)
-    return VerifyResult("main111", {"n": n, "k": k}, ok, diff, {"matchings": count})
+    return lhs, rhs
+
+
+def _drop_middle(counts: Counter) -> Counter:
+    out: Counter = Counter()
+    for (a, _, d), c in counts.items():
+        out[(a, d)] += c
+    return out
+
+
+def verify_main11(n: int, k: int) -> VerifyResult:
+    lhs, rhs = _cr_ne_counts(n, k)
+    counts = {"matchings": lhs.total()}
+    return _compared("main11", {"n": n, "k": k}, _drop_middle(lhs), _drop_middle(rhs), counts)
+
+
+def verify_main111(n: int, k: int) -> VerifyResult:
+    lhs, rhs = _cr_ne_counts(n, k)
+    return _compared("main111", {"n": n, "k": k}, lhs, rhs, {"matchings": lhs.total()})
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +214,9 @@ def _des_counts(pi: Word, sigma_word: tuple[int, ...], kernel: Placements) -> tu
 
 
 def _gessel_result(pi: Word, sigma_word: tuple[int, ...], lhs: Counter, rhs: Counter) -> VerifyResult:
-    ok = lhs == rhs
-    diff = [] if ok else multiset_diff(_member_sets(lhs), _member_sets(rhs))
-    counts = {"class": sum(lhs.values()), "shuffles": sum(rhs.values())}
-    return VerifyResult("gessel", {"pi": list(pi), "sigma": list(sigma_word)}, ok, diff, counts)
+    params = {"pi": list(pi), "sigma": list(sigma_word)}
+    counts = {"class": lhs.total(), "shuffles": rhs.total()}
+    return _compared("gessel", params, _member_sets(lhs), _member_sets(rhs), counts)
 
 
 def _member_sets(indicators: Counter) -> Counter:
@@ -295,8 +262,170 @@ def verify_gessel_all(max_total: int) -> VerifyResult:
             kernel = perm.placements(*block)
         lhs, rhs = _des_counts(pi, sigma_word, kernel)
         checked += 1
-        if lhs != rhs:
+        if not _same_multiset(lhs, rhs):
             result = _gessel_result(pi, sigma_word, lhs, rhs)
             result.counts["pairs_checked"] = checked
             return result
     return VerifyResult("gessel", {"max": max_total}, True, [], {"pairs_checked": checked})
+
+
+# ---------------------------------------------------------------------------
+# The bijection identities, checked one perfect matching at a time
+
+def _chen_holds(m: Matching) -> bool:
+    """chen_iota is an involution taking MDes to Des and (cr, ne) to (ne, cr)."""
+    image = oscillating.chen_iota(m)
+    cr, ne = matching_mod.crossing_nesting(m)
+    return (
+        oscillating.chen_iota(image) == m
+        and matching_mod.des(image).members == matching_mod.mdes(m).members
+        and matching_mod.crossing_nesting(image) == (ne, cr)
+    )
+
+
+def _sundaram_roundtrip_holds(m: Matching) -> bool:
+    """sundaram_inverse undoes sundaram."""
+    word = matching_mod.to_involution(m)
+    return oscillating.sundaram_inverse(oscillating.sundaram(word)) == word
+
+
+def _kim_holds(m: Matching) -> bool:
+    """Kim's descent set of the oscillating tableau is Des of the involution."""
+    word = matching_mod.to_involution(m)
+    return oscillating.kim_des(oscillating.sundaram(word)).members == perm.des(word).members
+
+
+def _roby_holds(m: Matching) -> bool:
+    """Conjugating by w0 reverses the oscillating tableau."""
+    word = matching_mod.to_involution(m)
+    return oscillating.sundaram(perm.conjugate_w0(word)).shapes == oscillating.sundaram(word).shapes[::-1]
+
+
+def verify_bijection(name: str, holds: Callable[[Matching], bool], n: int) -> VerifyResult:
+    """The bijection identity ``name``, which ``holds`` checks on one
+    matching, on every perfect matching on n points."""
+    witness, checked = [], 0
+    for checked, m in enumerate(matching_mod.enumerate_matchings(n, 0), start=1):
+        if not holds(m):
+            witness.append(matching_mod.format_matching(m))
+    return VerifyResult(name, {"n": n}, not witness, witness, {"matchings": checked})
+
+
+# ---------------------------------------------------------------------------
+# Cyclic descent extensions, one class (n, k, j) at a time
+
+def verify_cdes_k(n: int, k: int, j: int | None = None, syt: bool = False) -> VerifyResult:
+    """The cyclic descent extension on I_{n,k,j} (SYT_{n,k,j} when syt),
+    every j when j is None: the three axioms, orbit sizes dividing n, and
+    Escher witnesses exactly on the Escherian classes.  The first failing
+    class stops the check and is reported."""
+    classes = None if syt else cyclic.involutions_by_nesting(n, k)
+    witness: list = []
+    checked = 0
+    for jj in range((n - k) // 2 + 1) if j is None else [j]:
+        report = cyclic.verify_cdes_syt(n, k, jj) if syt else cyclic.verify_cdes_involutions(n, k, jj, classes[jj])
+        classification = cyclic.classify_escherian(n, k, jj)
+        checked += 1
+        if not (
+            report.extension_ok
+            and report.equivariance_ok
+            and report.non_escher_ok == (classification == "non_escherian")
+            and all(n % size == 0 for size in report.orbit_sizes)
+        ):
+            witness.append({"set": report.set_id, "report": report.to_dict()})
+            break
+    name, params = "cdes-syt" if syt else "cdes", {"n": n, "k": k, "j": jj if witness else j}
+    extra = {} if j is None else {"classification": classification}
+    return VerifyResult(name, params, not witness, witness, {"classes_checked": checked}, extra)
+
+
+# ---------------------------------------------------------------------------
+# The identity registry, shared by the CLI and the tests
+
+GESSEL_DEFAULT_MAX = 6
+
+
+@dataclass(frozen=True)
+class Identity:
+    """A registry entry: the flags the identity takes, and ``check``, which
+    takes their values as keywords and checks one class k when k is a flag."""
+
+    flags: tuple[str, ...]
+    check: Callable[..., VerifyResult]
+    perfect: bool = False  # n counts the points of perfect matchings
+
+
+# Each entry looks its function up when it runs, so that a patched module
+# attribute takes effect.
+REGISTRY: dict[str, Identity] = {
+    "main1": Identity(("n",), lambda n: verify_lemma_main1(n), perfect=True),
+    "main11": Identity(("n", "k"), lambda n, k: verify_main11(n, k)),
+    "main111": Identity(("n", "k"), lambda n, k: verify_main111(n, k)),
+    "main0": Identity(("n",), lambda n: verify_main0(n)),
+    "cdes": Identity(("n", "k", "j"), lambda n, k, j: verify_cdes_k(n, k, j)),
+    "cdes-syt": Identity(("n", "k", "j"), lambda n, k, j: verify_cdes_k(n, k, j, syt=True)),
+    "gessel": Identity(("max",), lambda max: verify_gessel_all(max)),
+    "chen": Identity(("n",), lambda n: verify_bijection("chen", _chen_holds, n), perfect=True),
+    "sundaram-roundtrip": Identity(
+        ("n",), lambda n: verify_bijection("sundaram-roundtrip", _sundaram_roundtrip_holds, n), perfect=True
+    ),
+    "kim": Identity(("n",), lambda n: verify_bijection("kim", _kim_holds, n), perfect=True),
+    "roby": Identity(("n",), lambda n: verify_bijection("roby", _roby_holds, n), perfect=True),
+}
+
+
+def _ks(n: int, k: int | None, j: int | None) -> list[int]:
+    """The k classes of n points that the flags select: k itself, or every
+    k when k is None, keeping those whose nesting numbers reach j."""
+    return [kk for kk in range(n % 2, n + 1, 2) if (k is None or k == kk) and (j is None or 0 <= j <= (n - kk) // 2)]
+
+
+def resolve_params(name: str, given: dict) -> dict:
+    """The parameters of identity ``name`` from the flags given (None when
+    absent), with the default --max; a ValueError refuses a flag it does not
+    take and values that no class fits, before any work starts."""
+    entry = REGISTRY[name]
+    for flag, value in given.items():
+        if value is not None and flag not in entry.flags:
+            raise ValueError(f"verify {name} does not take --{flag}")
+    params = {flag: given.get(flag) for flag in entry.flags}
+    if "max" in params:
+        if params["max"] is None:
+            params["max"] = GESSEL_DEFAULT_MAX
+        if params["max"] < 3:  # m = n = 1 share the cycle-type part 1
+            raise ValueError(f"max={params['max']} leaves no pair to check; it must be at least 3")
+    if "n" in params:
+        n = params["n"]
+        if n is None:
+            raise ValueError(f"verify {name} requires --n")
+        if n < 0:
+            raise ValueError(f"n={n} is negative")
+        if entry.perfect and n % 2:
+            raise ValueError(f"verify {name} runs over perfect matchings, so n must be even, not {n}")
+        if not _ks(n, params.get("k"), params.get("j")):
+            raise ValueError("invalid " + ", ".join(f"{f}={v}" for f, v in params.items()) + ": no class fits")
+    return params
+
+
+def run_identity(name: str, params: dict) -> VerifyResult:
+    """Check identity ``name`` on parameters from ``resolve_params``.  When
+    k is a flag left absent, the counts are summed over every k class the
+    flags select; the first failing class stops the sum and is the result."""
+    check = REGISTRY[name].check
+    if "k" not in params or params["k"] is not None:
+        return check(**params)
+    total: Counter = Counter()
+    for k in _ks(params["n"], None, params.get("j")):
+        result = check(**{**params, "k": k})
+        total.update(result.counts)
+        if not result.ok:
+            break
+    else:
+        result = VerifyResult(name, params, True)
+    result.counts = dict(total)
+    return result
+
+
+def verify(name: str, **given) -> VerifyResult:
+    """Check identity ``name`` of the registry on the flags given."""
+    return run_identity(name, resolve_params(name, given))

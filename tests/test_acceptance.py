@@ -7,7 +7,7 @@ from collections import Counter
 from contextlib import contextmanager
 
 from matchdescents import bijection as bj
-from matchdescents import cyclic, oscillating as osc, perm, symfun, tableau
+from matchdescents import oscillating as osc, perm, symfun, tableau
 from matchdescents import matching as mm
 
 from conftest import ACCEPTANCE
@@ -80,21 +80,20 @@ def test_criterion_3_equidistribution_suite():
     start = time.perf_counter()
     with criterion(3, "equidistribution suite"):
         for n2 in (2, 4, 6, 8, 10):
-            assert symfun.verify_lemma_main1(n2).ok
+            assert symfun.verify("main1", n=n2).ok
         for n in range(1, 10):
             for k in range(n % 2, n + 1, 2):
-                assert symfun.verify_main11(n, k).ok
-                assert symfun.verify_main111(n, k).ok
-            assert symfun.verify_main0(n).ok
+                assert symfun.verify("main11", n=n, k=k).ok
+                assert symfun.verify("main111", n=n, k=k).ok
+            assert symfun.verify("main0", n=n).ok
         assert time.perf_counter() - start < 60
 
 
 def test_criterion_4_bijection_roundtrips():
     with criterion(4, "bijection round-trips"):
         for n2 in (2, 4, 6, 8, 10):
-            for m in mm.enumerate_matchings(n2, 0):
-                word = mm.to_involution(m)
-                assert osc.sundaram_inverse(osc.sundaram(word)) == word
+            result = symfun.verify("sundaram-roundtrip", n=n2)
+            assert result.ok, result.witness_diff
         for n in range(1, 9):
             for word in involutions(n):
                 assert bj.iota_hat_inverse(bj.iota_hat(word)) == word
@@ -113,14 +112,12 @@ def test_criterion_4_bijection_roundtrips():
 
 def test_criterion_5_structural_transport():
     with criterion(5, "structural transport"):
+        # chen: ι is an involution with Des(ι m) = MDes(m), cr(ι m) = ne(m)
+        # and ne(ι m) = cr(m); kim: Kim's descent set of sundaram(w) is Des(w)
         for n2 in (2, 4, 6, 8, 10):
-            for m in mm.enumerate_matchings(n2, 0):
-                image = osc.chen_iota(m)
-                assert mm.des(image).members == mm.mdes(m).members
-                assert mm.crossing_number(image) == mm.nesting_number(m)
-                assert mm.nesting_number(image) == mm.crossing_number(m)
-                word = mm.to_involution(m)
-                assert osc.kim_des(osc.sundaram(word)).members == perm.des(word).members
+            for identity in ("chen", "kim"):
+                result = symfun.verify(identity, n=n2)
+                assert result.ok, (identity, result.witness_diff)
         for n in range(1, 9):
             for word in involutions(n):
                 q = tableau.rs_pair_q(word)
@@ -142,26 +139,15 @@ def test_criterion_5_structural_transport():
 
 def test_criterion_6_cyclic_extension_suite():
     with criterion(6, "cyclic-extension suite"):
+        # every class (n, k, j) of involutions and of SYT: the extension,
+        # equivariance and non-Escher axioms, Escher witnesses exactly on
+        # the Escherian classes, and orbit sizes dividing n
         for n in range(1, 9):
-            for k in range(n % 2, n + 1, 2):
-                for j in range((n - k) // 2 + 1):
-                    escherian = cyclic.classify_escherian(n, k, j) == "escherian"
-                    for report, empty in (
-                        (
-                            cyclic.verify_cdes_involutions(n, k, j),
-                            not any(True for _ in mm.enumerate_inkj(n, k, j)),
-                        ),
-                        (
-                            cyclic.verify_cdes_syt(n, k, j),
-                            not any(True for _ in tableau.enumerate_syt_nkj(n, k, j)),
-                        ),
-                    ):
-                        if empty:
-                            continue
-                        assert report.extension_ok, report.set_id
-                        assert report.equivariance_ok, report.set_id
-                        assert report.non_escher_ok == (not escherian), report.set_id
-                        assert all(n % size == 0 for size in report.orbit_sizes), report.set_id
+            classes = sum((n - k) // 2 + 1 for k in range(n % 2, n + 1, 2))
+            for identity in ("cdes", "cdes-syt"):
+                result = symfun.verify(identity, n=n)
+                assert result.ok, (identity, result.params, result.witness_diff)
+                assert result.counts == {"classes_checked": classes}
 
 
 def test_criterion_7_gessel_suite():

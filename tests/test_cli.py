@@ -3,6 +3,8 @@ import json
 import pytest
 
 from matchdescents import cli, perm, symfun
+from matchdescents import matching as mm
+from matchdescents import oscillating as osc
 
 
 def run(capsys, *argv):
@@ -276,3 +278,103 @@ def test_verify_gessel_exhaustive_max9(capsys):
     report = json.loads(out)
     assert report["ok"] is True
     assert report["counts"] == {"pairs_checked": 52328}
+
+
+def test_verify_cdes_j_without_k(capsys):
+    # --j alone checks every k with j <= (n - k) / 2: k = 0, 2, 4 for n = 6
+    code, out, _ = run(capsys, "verify", "cdes", "--n", "6", "--j", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert report["counts"] == {"classes_checked": 3}
+    code, out, err = run(capsys, "verify", "cdes", "--n", "6", "--j", "4")
+    assert code == 2 and out == "" and "invalid" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("main0", "--n", "-1"), "negative"),
+        (("cdes", "--n", "-2"), "negative"),
+        (("main11", "--n", "-3"), "negative"),
+        (("main1", "--n", "5"), "must be even"),
+        (("chen", "--n", "3"), "must be even"),
+        (("sundaram-roundtrip", "--n", "7"), "must be even"),
+        (("kim", "--n", "1"), "must be even"),
+        (("roby", "--n", "9"), "must be even"),
+        (("gessel", "--max", "1"), "at least 3"),
+        (("gessel", "--max", "2"), "at least 3"),
+        (("main11", "--n", "7", "--k", "2"), "invalid"),
+        (("cdes", "--n", "6", "--k", "8"), "invalid"),
+        (("main11",), "requires --n"),
+    ],
+)
+def test_verify_refuses_bad_params_up_front(capsys, monkeypatch, argv, message):
+    started = []
+    monkeypatch.setattr(symfun, "run_identity", lambda *a: started.append(a))
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+    assert started == []
+
+
+@pytest.mark.parametrize("exc", [ValueError("broken invariant"), RuntimeError("broken invariant")])
+def test_verify_internal_error_exits_3(capsys, monkeypatch, exc):
+    def broken(n):
+        raise exc
+
+    monkeypatch.setattr(symfun, "verify_main0", broken)
+    code, out, err = run(capsys, "verify", "main0", "--n", "4")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: verify main0 {\"n\": 4}:")
+    assert f"{type(exc).__name__}: broken invariant" in err
+
+
+def _no_descents(obj):
+    return perm.DescentSet(obj.n, frozenset())
+
+
+def _no_cyclic_descents(m):
+    return perm.DescentSet(m.n, frozenset(), cyclic=True)
+
+
+def _identity_class_words(pi, sigma_word, kernel):
+    return [perm.identity(len(pi) + len(sigma_word))] * len(kernel)
+
+
+# Per registry identity: the flags of a small passing run, and a map to
+# patch, (module, attribute, stand-in), that the identity must then fail on.
+REGISTRY_CASES = {
+    "main1": (("--n", "4"), (mm, "mdes", _no_descents)),
+    "main11": (("--n", "4"), (mm, "mdes", _no_descents)),
+    "main111": (("--n", "4"), (mm, "mdes", _no_descents)),
+    "main0": (("--n", "4"), (mm, "mdes", _no_descents)),
+    "cdes": (("--n", "4"), (mm, "cmdes", _no_cyclic_descents)),
+    "cdes-syt": (("--n", "4"), (mm, "cmdes", _no_cyclic_descents)),
+    "gessel": (("--max", "4"), (symfun, "_class_words", _identity_class_words)),
+    "chen": (("--n", "6"), (osc, "chen_iota", lambda m: m)),
+    "sundaram-roundtrip": (("--n", "6"), (osc, "sundaram_inverse", lambda o: perm.identity(o.size))),
+    "kim": (("--n", "6"), (osc, "kim_des", lambda o: perm.DescentSet(o.size, frozenset()))),
+    "roby": (("--n", "6"), (perm, "conjugate_w0", lambda w: w)),
+}
+
+
+@pytest.mark.parametrize("name", list(symfun.REGISTRY))
+def test_every_registry_identity_passes_refuses_and_fails(capsys, monkeypatch, name):
+    argv, (module, attr, stand_in) = REGISTRY_CASES[name]  # a new identity needs a case here
+    code, out, _ = run(capsys, "verify", name, *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True and report["identity"] == name and "failing" not in report
+
+    foreign = next(f for f in ("n", "k", "j", "max") if f not in symfun.REGISTRY[name].flags)
+    code, out, err = run(capsys, "verify", name, *argv, f"--{foreign}", "1")
+    assert code == 2 and out == "" and f"does not take --{foreign}" in err
+
+    monkeypatch.setattr(module, attr, stand_in)
+    code, out, _ = run(capsys, "verify", name, *argv)
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["witness_diff"]
+    assert report["failing"]

@@ -62,13 +62,33 @@ def test_verify_cdes_i20_escherian():
     assert cyclic.cdes_involution((2, 1)).members == frozenset({1, 2})
 
 
+# Hand-built cyclic extension on the transpositions in S_4: cDes values
+# and the rotation orbits.
+S4_TRANSPOSITIONS_CDES = {
+    (2, 1, 3, 4): frozenset({1, 4}),
+    (3, 2, 1, 4): frozenset({1, 2}),
+    (4, 2, 3, 1): frozenset({1, 3}),
+    (1, 3, 2, 4): frozenset({2, 4}),
+    (1, 4, 3, 2): frozenset({2, 3}),
+    (1, 2, 4, 3): frozenset({3, 4}),
+}
+
+S4_TRANSPOSITIONS_P = {
+    (3, 2, 1, 4): (1, 4, 3, 2),
+    (1, 4, 3, 2): (1, 2, 4, 3),
+    (1, 2, 4, 3): (2, 1, 3, 4),
+    (2, 1, 3, 4): (3, 2, 1, 4),
+    (4, 2, 3, 1): (1, 3, 2, 4),
+    (1, 3, 2, 4): (4, 2, 3, 1),
+}
+
+
 def test_s4_transpositions_fixture():
-    words = list(cyclic.S4_TRANSPOSITIONS_CDES)
+    words = list(S4_TRANSPOSITIONS_CDES)
     report = cyclic.verify_cdes(
         words,
         perm.des,
-        lambda w: perm.DescentSet(4, cyclic.S4_TRANSPOSITIONS_CDES[w], cyclic=True),
-        lambda w: cyclic.S4_TRANSPOSITIONS_P[w],
+        lambda w: (perm.DescentSet(4, S4_TRANSPOSITIONS_CDES[w], cyclic=True), S4_TRANSPOSITIONS_P[w]),
         set_id="S4-transpositions",
     )
     assert report.all_axioms_ok
@@ -77,7 +97,7 @@ def test_s4_transpositions_fixture():
 
 def test_report_json():
     report = cyclic.verify_cdes_involutions(4, 2, 1)
-    data = json.loads(report.to_json())
+    data = json.loads(json.dumps(report.to_dict()))
     assert data["set_id"] == "I_{4,2,1}"
     assert data["axioms"] == {"extension": True, "equivariance": True, "non_escher": True}
     assert data["witnesses"] == []

@@ -98,10 +98,10 @@ def test_w0_conjugation_reverses(n2):
 
 
 def test_validate():
-    assert osc.validate(EX_SHAPES) == "OK"
-    assert "box" in osc.validate(((), (2,), ()))
-    assert "nonempty" in osc.validate(((), (1,), (1,)))
-    assert "odd" in osc.validate(((), (1,), (1, 1), ()))
+    assert osc.validate_shapes(EX_SHAPES) is None
+    assert "box" in osc.validate_shapes(((), (2,), ()))
+    assert "nonempty" in osc.validate_shapes(((), (1,), (1,)))
+    assert "odd" in osc.validate_shapes(((), (1,), (1, 1), ()))
 
 
 def test_step():
