@@ -87,17 +87,12 @@ def emb(fixed: frozenset[int], sigma: Word, n: int) -> ShuffleElement:
 def phi(word: Word) -> ShuffleElement:
     """res, then the crossing/nesting involution on the core, then emb."""
     fixed, sigma = res(word)
-    sigma_image = matching_mod.to_involution(
-        oscillating.chen_iota(matching_mod.from_involution(sigma))
-    )
-    return emb(fixed, sigma_image, len(word))
+    return emb(fixed, oscillating._iota(sigma), len(word))
 
 
 def phi_inverse(t: ShuffleElement) -> Word:
     fixed = t.big_letter_positions()
-    sigma_image = matching_mod.to_involution(
-        oscillating.chen_iota(matching_mod.from_involution(t.small_involution()))
-    )
+    sigma_image = oscillating._iota(t.small_involution())
     n = t.n
     word = [0] * n
     for pos in fixed:
@@ -146,5 +141,4 @@ def h_map_inverse(t: StandardTableau) -> Word:
 
 def shuffle_cr_ne(t: ShuffleElement) -> tuple[int, int]:
     """Crossing and nesting numbers of the standardized small-letter core."""
-    core = matching_mod.from_involution(t.small_involution())
-    return matching_mod.crossing_number(core), matching_mod.nesting_number(core)
+    return matching_mod._cr_ne(t.small_involution())

@@ -15,7 +15,7 @@ import io
 import json
 import sys
 import time
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import bijection, cyclic, matching as matching_mod, oscillating, perm, symfun, tableau
 
@@ -59,7 +59,7 @@ def _format_involution(word: tuple[int, ...], codec: str) -> str:
     if codec == "one-line":
         return perm.format_one_line(word)
     if codec == "matching":
-        return matching_mod.format_matching(matching_mod.from_involution(word))
+        return matching_mod._format_word(word)
     return perm.format_cycles(word)
 
 
@@ -145,9 +145,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     word, codec = _parse_involution(text, args.n)
 
     if name == "iota":
-        m = matching_mod.from_involution(word)
-        image = oscillating.chen_iota(m)
-        print(_format_involution(matching_mod.to_involution(image), codec))
+        print(_format_involution(oscillating._iota(word), codec))
     elif name == "iota-hat":
         print(_format_involution(bijection.iota_hat(word), codec))
     elif name == "iota-hat-inv":
@@ -161,11 +159,11 @@ def cmd_map(args: argparse.Namespace) -> int:
         element = bijection.ShuffleElement(word, k)
         print(_format_involution(bijection.q_map(element), codec))
     elif name == "rotate":
-        m = matching_mod.from_involution(word)
-        rotated = matching_mod.to_involution(matching_mod.rotate(m))
-        print(_format_involution(rotated, codec))
+        if not perm.is_involution(word):
+            raise UsageError(f"not an involution: {word}")
+        print(_format_involution(matching_mod._rotate(word), codec))
     elif name == "p":
-        print(_format_involution(cyclic.p_map_involution(word), codec))
+        print(_format_involution(cyclic.transport_involution(word)[1], codec))
     elif name == "h":
         print(tableau.format_tableau(bijection.h_map(word)))
     else:
@@ -201,45 +199,10 @@ def _set_str(members) -> str:
 
 def cmd_enum(args: argparse.Namespace) -> int:
     n, k, j = args.n, args.k, args.j
-    if args.family == "matchings":
+    if args.family == "syt":
         if k is None:
-            raise UsageError("enum matchings requires --k")
-        header = ["matching", "n", "k", "des", "mdes", "cmdes", "cr", "ne", "um"]
-        rows = []
-        for m in matching_mod.enumerate_matchings(n, k):
-            rows.append(
-                [
-                    matching_mod.format_matching(m),
-                    m.n,
-                    k,
-                    _set_str(matching_mod.des(m).members),
-                    _set_str(matching_mod.mdes(m).members),
-                    _set_str(matching_mod.cmdes(m).members),
-                    *matching_mod.crossing_nesting(m),
-                    m.unmatched,
-                ]
-            )
-    elif args.family == "involutions":
-        if k is None:
-            raise UsageError("enum involutions requires --k")
-        source = matching_mod.enumerate_inkj(n, k, j) if j is not None else matching_mod.enumerate_matchings(n, k)
-        header = ["cycles", "one_line", "des", "mdes", "cmdes", "cr", "ne", "um"]
-        rows = []
-        for m in source:
-            word = matching_mod.to_involution(m)
-            rows.append(
-                [
-                    perm.format_cycles(word),
-                    perm.format_one_line(word),
-                    _set_str(matching_mod.des(m).members),
-                    _set_str(matching_mod.mdes(m).members),
-                    _set_str(matching_mod.cmdes(m).members),
-                    *matching_mod.crossing_nesting(m),
-                    m.unmatched,
-                ]
-            )
-    elif args.family == "syt":
-        if k is None:
+            if j is not None:
+                raise UsageError("enum syt --j requires --k")
             stream = tableau.enumerate_syt_n(n)
         elif j is None:
             stream = tableau.enumerate_syt_nk(n, k)
@@ -258,15 +221,28 @@ def cmd_enum(args: argparse.Namespace) -> int:
                 ]
             )
     else:
-        raise UsageError(f"unknown family {args.family!r}")
+        if k is None:
+            raise UsageError(f"enum {args.family} requires --k")
+        matchings = args.family == "matchings"
+        header = ["matching", "n", "k"] if matchings else ["cycles", "one_line"]
+        header += ["des", "mdes", "cmdes", "cr", "ne", "um"]
+        rows = []
+        for w in _involution_words(n, k, j):
+            cr, ne = matching_mod._cr_ne(w)
+            first = [matching_mod._format_word(w), n, k] if matchings else [perm.format_cycles(w), perm.format_one_line(w)]
+            descents = (perm._descents(w), matching_mod._geometric_descents(w, n - 1), matching_mod._geometric_descents(w, n))
+            rows.append([*first, *map(_set_str, descents), cr, ne, k])
     _emit_rows(header, rows, args.format, args.output)
     return 0
 
 
+def _involution_words(n: int, k: int, j: int | None) -> Iterator[perm.Word]:
+    """The involution words of M_{n,k}, or of I_{n,k,j} when j is given."""
+    return matching_mod._words(n, k) if j is None else matching_mod._inkj_words(n, k, j)
+
+
 def cmd_orbits(args: argparse.Namespace) -> int:
-    n, k, j = args.n, args.k, args.j
-    source = matching_mod.enumerate_inkj(n, k, j) if j is not None else matching_mod.enumerate_matchings(n, k)
-    elements = [matching_mod.to_involution(m) for m in source]
+    elements = list(_involution_words(args.n, args.k, args.j))
     transported = {w: cyclic.transport_involution(w) for w in elements}
     rows = []
     for orbit_id, orbit in enumerate(cyclic.orbits(elements, lambda w: transported[w][1])):

@@ -9,58 +9,25 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
 from . import bijection, matching as matching_mod, perm, tableau
-from .matching import Matching
 from .perm import DescentSet, Word
 from .tableau import StandardTableau
 
 
-def cdes_involution(word: Word) -> DescentSet:
-    """Cyclic descent set of an involution: the cyclic geometric descent
-    set of its preimage under the composite bijection."""
-    return matching_mod.cmdes(_preimage(word))
-
-
-def p_map_involution(word: Word) -> Word:
-    """Rotation of the arc diagram, conjugated through the composite
-    bijection; preserves the fixed-point count and the nesting number."""
-    return bijection.iota_hat(_rotated(_preimage(word)))
-
-
 def transport_involution(word: Word) -> tuple[DescentSet, Word]:
-    """(cdes_involution(word), p_map_involution(word)) from one preimage."""
-    pre = _preimage(word)
-    return matching_mod.cmdes(pre), bijection.iota_hat(_rotated(pre))
-
-
-def cdes_syt(t: StandardTableau) -> DescentSet:
-    """cMDes of the preimage under h = Q after the composite bijection."""
-    return matching_mod.cmdes(_syt_preimage(t))
-
-
-def p_map_syt(t: StandardTableau) -> StandardTableau:
-    """The rotation conjugated through h."""
-    return bijection.h_map(_rotated(_syt_preimage(t)))
+    """
+    (cDes(word), p(word)): the cyclic geometric descent set of the
+    preimage of ``word`` under the composite bijection, and the rotation
+    of that preimage carried back through it.  p preserves the
+    fixed-point count and the nesting number.
+    """
+    pre = bijection.iota_hat_inverse(word)
+    return matching_mod._cmdes(pre), bijection.iota_hat(matching_mod._rotate(pre))
 
 
 def transport_syt(t: StandardTableau) -> tuple[DescentSet, StandardTableau]:
-    """(cdes_syt(t), p_map_syt(t)) from one preimage."""
-    pre = _syt_preimage(t)
-    return matching_mod.cmdes(pre), bijection.h_map(_rotated(pre))
-
-
-def _preimage(word: Word) -> Matching:
-    if not perm.is_involution(word):
-        raise ValueError(f"not an involution: {word}")
-    return matching_mod.from_involution(bijection.iota_hat_inverse(word))
-
-
-def _syt_preimage(t: StandardTableau) -> Matching:
-    return matching_mod.from_involution(bijection.h_map_inverse(t))
-
-
-def _rotated(pre: Matching) -> Word:
-    """The involution of the rotated arc diagram."""
-    return matching_mod.to_involution(matching_mod.rotate(pre))
+    """(cDes(t), p(t)) through h = Q after the composite bijection."""
+    pre = bijection.h_map_inverse(t)
+    return matching_mod._cmdes(pre), bijection.h_map(matching_mod._rotate(pre))
 
 
 def classify_escherian(n: int, k: int, j: int) -> str:
@@ -162,8 +129,8 @@ def orbits(elements: Sequence[Hashable], step: Callable[[Hashable], Hashable]) -
 def involutions_by_nesting(n: int, k: int) -> dict[int, list[Word]]:
     """The classes I_{n,k,j} for every j, from one pass over M_{n,k}."""
     classes: dict[int, list[Word]] = {j: [] for j in range((n - k) // 2 + 1)}
-    for m in matching_mod.enumerate_matchings(n, k):
-        classes[matching_mod.nesting_number(m)].append(matching_mod.to_involution(m))
+    for word in matching_mod._words(n, k):
+        classes[matching_mod._cr_ne(word)[1]].append(word)
     return classes
 
 
@@ -172,7 +139,7 @@ def verify_cdes_involutions(n: int, k: int, j: int, elements: list[Word] | None 
     nesting number j, using the transported maps.  ``elements`` may hold
     that class when the caller has enumerated it already."""
     if elements is None:
-        elements = [matching_mod.to_involution(m) for m in matching_mod.enumerate_inkj(n, k, j)]
+        elements = list(matching_mod._inkj_words(n, k, j))
     return verify_cdes(elements, perm.des, transport_involution, f"I_{{{n},{k},{j}}}")
 
 

@@ -7,14 +7,15 @@ and fixes the unmatched points.  The geometric statistics (MDes, cMDes,
 crossing and nesting numbers) are defined on the arc diagram, drawn on a
 line for the linear statistics and on a circle for the cyclic one.
 
-Validated where data enters; enumerator output trusted.  A ``Matching``
-built through its constructor, ``from_involution`` or the parsers is
-checked in full.  ``enumerate_matchings`` builds arcs that are sorted,
-disjoint and in range by construction and wraps them without a second
-check.  The statistics read a partner array computed once per call, and
-one left-to-right sweep gives both the crossing and the nesting number;
-the descent sets they build are in range by construction and wrapped
-without the ``DescentSet`` range check.
+The working representation is the involution word: ``word[i-1]`` is the
+partner of i, or i itself when i is unmatched.  The statistics, the
+rotation and the enumerator ``_words`` work on words; ``Matching`` is
+the type of the parsers, the codecs and the public functions, which
+convert once and keep every input check.  A ``Matching`` built through
+its constructor, ``from_involution`` or the parsers is checked in full;
+one that wraps a word the package built is not.  One left-to-right sweep
+gives both the crossing and the nesting number, and the descent sets are
+in range by construction and wrapped without the ``DescentSet`` check.
 """
 from __future__ import annotations
 
@@ -87,17 +88,17 @@ def from_involution(word: Word) -> Matching:
     return Matching(len(word), arcs)
 
 
+def _matching(word: Word) -> Matching:
+    """``from_involution`` without its checks, for a word the package built."""
+    return perm._trusted(Matching, n=len(word), arcs=tuple((i, v) for i, v in enumerate(word, start=1) if v > i))
+
+
 def des(m: Matching) -> DescentSet:
     """
     Standard descent set of the involution: i is a descent iff the image
     of i exceeds that of i+1, an unmatched point being its own image.
     """
-    image = list(range(m.n + 1))
-    for a, b in m.arcs:
-        image[a] = b
-        image[b] = a
-    members = {i for i in range(1, m.n) if image[i] > image[i + 1]}
-    return perm._trusted(DescentSet, n=m.n, members=frozenset(members))
+    return perm.des(to_involution(m))
 
 
 def _arcs_cross(a: Arc, b: Arc) -> bool:
@@ -106,32 +107,27 @@ def _arcs_cross(a: Arc, b: Arc) -> bool:
     return a1 < b1 < a2 < b2
 
 
-def _partners(m: Matching) -> list[int]:
-    """p[i] is the partner of point i, 0 if i is unmatched (p[0] unused)."""
-    p = [0] * (m.n + 1)
-    for a, b in m.arcs:
-        p[a] = b
-        p[b] = a
-    return p
-
-
-def _geometric_descents(p: list[int], last: int) -> frozenset[int]:
+def _geometric_descents(word: Word, last: int) -> frozenset[int]:
     """
     The positions i in 1..last that pass the geometric descent test on
-    the partner array p of a matching on n points, with successor
+    the involution word of a matching on n points, with successor
     i % n + 1: {i, succ} is an arc, the arcs through i and succ cross,
     or i is unmatched while succ is matched.  Two disjoint arcs cross, on
     the line and on the circle alike, iff exactly one endpoint of the one
-    lies strictly between the endpoints of the other.
+    lies strictly between the endpoints of the other.  MDes reads
+    last = n - 1 and cMDes last = n.
     """
-    n = len(p) - 1
+    n = len(word)
     members = set()  # frozenset(set) sizes its table to fit; from a list it does not
     for i in range(1, last + 1):
         succ = i % n + 1
-        pi, ps = p[i], p[succ]
-        if pi == succ or (not pi and ps):
+        pi, ps = word[i - 1], word[succ - 1]
+        if pi == i:
+            if ps != succ:
+                members.add(i)
+        elif pi == succ:
             members.add(i)
-        elif pi and ps:
+        elif ps != succ:
             lo, hi = (i, pi) if i < pi else (pi, i)
             if (lo < succ < hi) != (lo < ps < hi):
                 members.add(i)
@@ -143,19 +139,35 @@ def mdes(m: Matching) -> DescentSet:
     Geometric descent set: i is a descent iff {i, i+1} is an arc, the
     arcs through i and i+1 cross, or i is unmatched while i+1 is matched.
     """
-    return perm._trusted(DescentSet, n=m.n, members=_geometric_descents(_partners(m), m.n - 1))
+    return perm._trusted(DescentSet, n=m.n, members=_geometric_descents(to_involution(m), m.n - 1))
 
 
 def cmdes(m: Matching) -> DescentSet:
     """Cyclic geometric descent set, with i+1 read mod n and crossing
     read as chord intersection on the circle."""
-    last = m.n if m.n > 1 else 0
-    return perm._trusted(DescentSet, n=m.n, members=_geometric_descents(_partners(m), last), cyclic=True)
+    return _cmdes(to_involution(m))
+
+
+def _cmdes(word: Word) -> DescentSet:
+    """cMDes of the matching whose involution word is ``word``."""
+    return perm._trusted(DescentSet, n=len(word), members=_geometric_descents(word, len(word)), cyclic=True)
 
 
 def rotate(m: Matching) -> Matching:
     """Rotation i -> i+1 (mod n) of all labels."""
-    return Matching(m.n, tuple((a % m.n + 1, b % m.n + 1) for a, b in m.arcs))
+    return _matching(_rotate(to_involution(m)))
+
+
+def _rotate(word: Word) -> Word:
+    """
+    The involution word of the rotated matching: the partner v of i
+    becomes the partner v % n + 1 of i % n + 1.
+
+    >>> _rotate((4, 2, 6, 1, 5, 3))  # 1-4,3-6 on 6 points -> 1-4,2-5
+    (4, 5, 3, 1, 2, 6)
+    """
+    n = len(word)
+    return tuple(v % n + 1 for v in word[-1:] + word[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +195,19 @@ def crossing_nesting(m: Matching) -> tuple[int, int]:
     an arc has opened since the last read, because every other gap's
     spanning set is contained in one read there.
     """
-    p = _partners(m)
+    return _cr_ne(to_involution(m))
+
+
+def _cr_ne(word: Word) -> tuple[int, int]:
+    """crossing_nesting of the matching whose involution word is ``word``."""
     rights: list[int] = []
     grown = False
     cr = ne = 0
-    for t in range(1, m.n + 1):
-        q = p[t]
+    for t, q in enumerate(word, start=1):
         if q > t:
             rights.append(q)
             grown = True
-        elif q:
+        elif q < t:
             if grown:
                 cr = max(cr, _longest_increasing(rights))
                 ne = max(ne, _longest_increasing(reversed(rights)))
@@ -236,25 +251,38 @@ def _subset_oracle(m: Matching, related) -> int:
 # Enumeration
 
 def enumerate_matchings(n: int, k: int) -> Iterator[Matching]:
+    """All matchings on n points with k unmatched, in the order of ``_words``."""
+    return map(_matching, _words(n, k))
+
+
+def _words(n: int, k: int) -> Iterator[Word]:
     """
-    All matchings on n points with k unmatched, by smallest-unmatched-first
-    pairing recursion; deterministic order.
+    The involution words of the matchings on n points with k unmatched,
+    by smallest-undecided-first recursion: that point is left unmatched
+    first, then paired with each larger undecided point in turn.  Pairs
+    are made in one list and undone on return.
+
+    >>> list(_words(4, 2))
+    [(1, 2, 4, 3), (1, 3, 2, 4), (1, 4, 3, 2), (2, 1, 3, 4), (3, 2, 1, 4), (4, 2, 3, 1)]
     """
     if (n - k) % 2 != 0 or not 0 <= k <= n:
         raise ValueError(f"invalid (n, k) = ({n}, {k})")
+    word = list(range(1, n + 1))
 
-    def gen(points: tuple[int, ...], arcs: tuple[Arc, ...], free: int) -> Iterator[Matching]:
+    def gen(points: tuple[int, ...], free: int) -> Iterator[Word]:
         # len(points) - free stays even and >= 0, so no branch is dead
         if len(points) == free:
-            yield perm._trusted(Matching, n=n, arcs=arcs)
+            yield tuple(word)
             return
         first, rest = points[0], points[1:]
         if free > 0:
-            yield from gen(rest, arcs, free - 1)
+            yield from gen(rest, free - 1)
         for i, q in enumerate(rest):
-            yield from gen(rest[:i] + rest[i + 1 :], arcs + ((first, q),), free)
+            word[first - 1], word[q - 1] = q, first
+            yield from gen(rest[:i] + rest[i + 1 :], free)
+            word[first - 1], word[q - 1] = first, q
 
-    yield from gen(tuple(range(1, n + 1)), (), k)
+    return gen(tuple(range(1, n + 1)), k)
 
 
 def random_matching(n: int, k: int, rng: random.Random) -> Matching:
@@ -278,11 +306,14 @@ def enumerate_all_matchings(n: int) -> Iterator[Matching]:
 
 def enumerate_inkj(n: int, k: int, j: int) -> Iterator[Matching]:
     """Matchings in M_{n,k} with nesting number j."""
+    return map(_matching, _inkj_words(n, k, j))
+
+
+def _inkj_words(n: int, k: int, j: int) -> Iterator[Word]:
+    """The words of ``_words(n, k)`` with nesting number j, in its order."""
     if not 0 <= j <= (n - k) // 2:
         raise ValueError(f"invalid j = {j} for (n, k) = ({n}, {k})")
-    for m in enumerate_matchings(n, k):
-        if nesting_number(m) == j:
-            yield m
+    return (w for w in _words(n, k) if _cr_ne(w)[1] == j)
 
 
 def count_matchings(n: int, k: int) -> int:
@@ -319,7 +350,12 @@ def parse_matching(text: str, n: int) -> Matching:
 
 
 def format_matching(m: Matching) -> str:
-    return ",".join(f"{a}-{b}" for a, b in m.arcs)
+    return _format_word(to_involution(m))
+
+
+def _format_word(word: Word) -> str:
+    """The arc list of the matching whose involution word is ``word``."""
+    return ",".join(f"{i}-{v}" for i, v in enumerate(word, start=1) if v > i)
 
 
 def matching_to_json(m: Matching) -> str:

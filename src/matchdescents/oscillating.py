@@ -147,9 +147,12 @@ def chen_iota(m: Matching) -> Matching:
     """
     if m.unmatched:
         raise ValueError("defined on perfect matchings only")
-    word = matching_mod.to_involution(m)
-    image = sundaram_inverse(transpose(sundaram(word)))
-    return matching_mod.from_involution(image)
+    return matching_mod._matching(_iota(matching_mod.to_involution(m)))
+
+
+def _iota(word: Word) -> Word:
+    """chen_iota on the involution word of a perfect matching."""
+    return sundaram_inverse(transpose(sundaram(word)))
 
 
 def kim_des(o: OscillatingTableau) -> DescentSet:

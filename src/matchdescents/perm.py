@@ -112,8 +112,13 @@ def des(word: Word) -> DescentSet:
     >>> str(des((6, 2, 4, 3, 7, 1, 5, 8)))
     '{1,3,5}'
     """
-    n = len(word)
-    return _trusted(DescentSet, n=n, members=frozenset(i for i in range(1, n) if word[i - 1] > word[i]))
+    return _trusted(DescentSet, n=len(word), members=_descents(word))
+
+
+def _descents(word: Word) -> frozenset[int]:
+    """The members of ``des(word)``."""
+    # frozenset(set) sizes its table to fit; from an iterator it does not
+    return frozenset({i for i in range(1, len(word)) if word[i - 1] > word[i]})
 
 
 def cellini_cdes(word: Word) -> DescentSet:

@@ -18,7 +18,6 @@ from operator import gt
 from typing import Callable
 
 from . import cyclic, matching as matching_mod, oscillating, perm, tableau
-from .matching import Matching
 from .perm import Placements, Word
 from .tableau import Shape
 
@@ -90,8 +89,9 @@ def schur_descent_multiset(shape: Shape) -> Counter:
 def lhs_main0(n: int) -> Counter:
     """The multiset of (um, cr, MDes), one term per matching on n points."""
     return Counter(
-        (m.unmatched, matching_mod.crossing_number(m), matching_mod.mdes(m).members)
-        for m in matching_mod.enumerate_all_matchings(n)
+        (k, matching_mod._cr_ne(w)[0], matching_mod._geometric_descents(w, n - 1))
+        for k in range(n % 2, n + 1, 2)
+        for w in matching_mod._words(n, k)
     )
 
 
@@ -120,10 +120,10 @@ def verify_lemma_main1(n2: int) -> VerifyResult:
     (Des, MDes).  An odd n2 raises ValueError from the enumerator."""
     refined: Counter = Counter()
     swapped: Counter = Counter()
-    for m in matching_mod.enumerate_matchings(n2, 0):
-        d = matching_mod.des(m).members
-        g = matching_mod.mdes(m).members
-        cr, ne = matching_mod.crossing_nesting(m)
+    for w in matching_mod._words(n2, 0):
+        d = perm._descents(w)
+        g = matching_mod._geometric_descents(w, n2 - 1)
+        cr, ne = matching_mod._cr_ne(w)
         refined[(g, d, cr, ne)] += 1
         swapped[(d, g, ne, cr)] += 1
     return _compared("main1", {"n": n2}, refined, swapped, {"matchings": refined.total()})
@@ -137,10 +137,10 @@ def _cr_ne_counts(n: int, k: int) -> tuple[Counter, Counter]:
     """The multisets of (cr, ne, MDes) and of (ne, cr, Des) over M_{n,k}."""
     lhs: Counter = Counter()
     rhs: Counter = Counter()
-    for m in matching_mod.enumerate_matchings(n, k):
-        cr, ne = matching_mod.crossing_nesting(m)
-        lhs[(cr, ne, matching_mod.mdes(m).members)] += 1
-        rhs[(ne, cr, matching_mod.des(m).members)] += 1
+    for w in matching_mod._words(n, k):
+        cr, ne = matching_mod._cr_ne(w)
+        lhs[(cr, ne, matching_mod._geometric_descents(w, n - 1))] += 1
+        rhs[(ne, cr, perm._descents(w))] += 1
     return lhs, rhs
 
 
@@ -175,6 +175,7 @@ def _class_words(pi: Word, sigma_word: tuple[int, ...], kernel: Placements) -> l
     """gessel_class, laid out through the placements of (len(pi), len(sigma_word))."""
     m = len(pi)
     n = len(sigma_word)
+    perm.check_perm(pi)
     if sorted(sigma_word) != list(range(m + 1, m + n + 1)):
         raise ValueError("second permutation must act on the letters m+1..m+n")
     sigma_std = perm.standardize(sigma_word)
@@ -184,14 +185,7 @@ def _class_words(pi: Word, sigma_word: tuple[int, ...], kernel: Placements) -> l
         raise ValueError(f"cycle types {mu} and {nu} share a part")
     # cols is sup + rest, so sup∘pi + rest∘sigma picks cols at these indices
     pick = perm.picker([v - 1 for v in pi] + [m + v - 1 for v in sigma_std])
-    letters = list(range(1, m + n + 1))
-    out = []
-    for cols, layout in kernel:
-        word = layout(pick(cols))
-        if sorted(word) != letters:
-            raise ValueError(f"not a permutation of [n]: {word!r}")
-        out.append(word)
-    return out
+    return [layout(pick(cols)) for cols, layout in kernel]
 
 
 def gessel_class(pi: Word, sigma_word: tuple[int, ...]) -> list[Word]:
@@ -272,42 +266,39 @@ def verify_gessel_all(max_total: int) -> VerifyResult:
 # ---------------------------------------------------------------------------
 # The bijection identities, checked one perfect matching at a time
 
-def _chen_holds(m: Matching) -> bool:
+def _chen_holds(w: Word) -> bool:
     """chen_iota is an involution taking MDes to Des and (cr, ne) to (ne, cr)."""
-    image = oscillating.chen_iota(m)
-    cr, ne = matching_mod.crossing_nesting(m)
+    image = oscillating._iota(w)
+    cr, ne = matching_mod._cr_ne(w)
     return (
-        oscillating.chen_iota(image) == m
-        and matching_mod.des(image).members == matching_mod.mdes(m).members
-        and matching_mod.crossing_nesting(image) == (ne, cr)
+        oscillating._iota(image) == w
+        and perm._descents(image) == matching_mod._geometric_descents(w, len(w) - 1)
+        and matching_mod._cr_ne(image) == (ne, cr)
     )
 
 
-def _sundaram_roundtrip_holds(m: Matching) -> bool:
+def _sundaram_roundtrip_holds(w: Word) -> bool:
     """sundaram_inverse undoes sundaram."""
-    word = matching_mod.to_involution(m)
-    return oscillating.sundaram_inverse(oscillating.sundaram(word)) == word
+    return oscillating.sundaram_inverse(oscillating.sundaram(w)) == w
 
 
-def _kim_holds(m: Matching) -> bool:
+def _kim_holds(w: Word) -> bool:
     """Kim's descent set of the oscillating tableau is Des of the involution."""
-    word = matching_mod.to_involution(m)
-    return oscillating.kim_des(oscillating.sundaram(word)).members == perm.des(word).members
+    return oscillating.kim_des(oscillating.sundaram(w)).members == perm._descents(w)
 
 
-def _roby_holds(m: Matching) -> bool:
+def _roby_holds(w: Word) -> bool:
     """Conjugating by w0 reverses the oscillating tableau."""
-    word = matching_mod.to_involution(m)
-    return oscillating.sundaram(perm.conjugate_w0(word)).shapes == oscillating.sundaram(word).shapes[::-1]
+    return oscillating.sundaram(perm.conjugate_w0(w)).shapes == oscillating.sundaram(w).shapes[::-1]
 
 
-def verify_bijection(name: str, holds: Callable[[Matching], bool], n: int) -> VerifyResult:
-    """The bijection identity ``name``, which ``holds`` checks on one
-    matching, on every perfect matching on n points."""
+def verify_bijection(name: str, holds: Callable[[Word], bool], n: int) -> VerifyResult:
+    """The bijection identity ``name``, which ``holds`` checks on the
+    involution word of one matching, on every perfect matching on n points."""
     witness, checked = [], 0
-    for checked, m in enumerate(matching_mod.enumerate_matchings(n, 0), start=1):
-        if not holds(m):
-            witness.append(matching_mod.format_matching(m))
+    for checked, w in enumerate(matching_mod._words(n, 0), start=1):
+        if not holds(w):
+            witness.append(matching_mod._format_word(w))
     return VerifyResult(name, {"n": n}, not witness, witness, {"matchings": checked})
 
 

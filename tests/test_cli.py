@@ -91,6 +91,22 @@ def test_enum_involutions_filter(capsys):
     assert all(row["ne"] == 1 and row["um"] == 2 for row in rows)
 
 
+@pytest.mark.parametrize("family", ["matchings", "involutions"])
+def test_enum_honours_j(capsys, family):
+    # M_{6,0} has 15 matchings, 5 of them with nesting number 1
+    code, out, _ = run(capsys, "enum", family, "--n", "6", "--k", "0", "--j", "1", "--format", "json")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 5 and all(row["ne"] == 1 and row["um"] == 0 for row in rows)
+    code, out, err = run(capsys, "enum", family, "--n", "6", "--k", "0", "--j", "9")
+    assert code == 2 and out == "" and "invalid j" in err
+
+
+def test_enum_syt_j_without_k(capsys):
+    code, out, err = run(capsys, "enum", "syt", "--n", "6", "--j", "1")
+    assert code == 2 and out == "" and "requires --k" in err
+
+
 def test_enum_output_file(capsys, tmp_path):
     target = tmp_path / "rows.csv"
     code, out, _ = run(capsys, "enum", "matchings", "--n", "4", "--k", "0",
@@ -330,12 +346,12 @@ def test_verify_internal_error_exits_3(capsys, monkeypatch, exc):
     assert f"{type(exc).__name__}: broken invariant" in err
 
 
-def _no_descents(obj):
-    return perm.DescentSet(obj.n, frozenset())
+def _no_geometric_descents(word, last):
+    return frozenset()
 
 
-def _no_cyclic_descents(m):
-    return perm.DescentSet(m.n, frozenset(), cyclic=True)
+def _no_cyclic_descents(word):
+    return perm.DescentSet(len(word), frozenset(), cyclic=True)
 
 
 def _identity_class_words(pi, sigma_word, kernel):
@@ -345,14 +361,14 @@ def _identity_class_words(pi, sigma_word, kernel):
 # Per registry identity: the flags of a small passing run, and a map to
 # patch, (module, attribute, stand-in), that the identity must then fail on.
 REGISTRY_CASES = {
-    "main1": (("--n", "4"), (mm, "mdes", _no_descents)),
-    "main11": (("--n", "4"), (mm, "mdes", _no_descents)),
-    "main111": (("--n", "4"), (mm, "mdes", _no_descents)),
-    "main0": (("--n", "4"), (mm, "mdes", _no_descents)),
-    "cdes": (("--n", "4"), (mm, "cmdes", _no_cyclic_descents)),
-    "cdes-syt": (("--n", "4"), (mm, "cmdes", _no_cyclic_descents)),
+    "main1": (("--n", "4"), (mm, "_geometric_descents", _no_geometric_descents)),
+    "main11": (("--n", "4"), (mm, "_geometric_descents", _no_geometric_descents)),
+    "main111": (("--n", "4"), (mm, "_geometric_descents", _no_geometric_descents)),
+    "main0": (("--n", "4"), (mm, "_geometric_descents", _no_geometric_descents)),
+    "cdes": (("--n", "4"), (mm, "_cmdes", _no_cyclic_descents)),
+    "cdes-syt": (("--n", "4"), (mm, "_cmdes", _no_cyclic_descents)),
     "gessel": (("--max", "4"), (symfun, "_class_words", _identity_class_words)),
-    "chen": (("--n", "6"), (osc, "chen_iota", lambda m: m)),
+    "chen": (("--n", "6"), (osc, "_iota", lambda w: w)),
     "sundaram-roundtrip": (("--n", "6"), (osc, "sundaram_inverse", lambda o: perm.identity(o.size))),
     "kim": (("--n", "6"), (osc, "kim_des", lambda o: perm.DescentSet(o.size, frozenset()))),
     "roby": (("--n", "6"), (perm, "conjugate_w0", lambda w: w)),

@@ -12,29 +12,32 @@ def test_cdes_involution_examples():
     # ι̂ maps (1,4)(3,6) to [1,6,4,3,5,2], so the cyclic descents of the
     # image are the cyclic geometric descents of that matching
     expected = mm.cmdes(mm.matching(6, (1, 4), (3, 6))).members
-    assert cyclic.cdes_involution((1, 6, 4, 3, 5, 2)).members == expected
-    assert cyclic.cdes_involution(tuple(range(1, 6))).members == frozenset()
-    assert cyclic.cdes_involution((2, 1)).members == frozenset({1, 2})
+    assert cyclic.transport_involution((1, 6, 4, 3, 5, 2))[0].members == expected
+    assert cyclic.transport_involution(tuple(range(1, 6)))[0].members == frozenset()
+    assert cyclic.transport_involution((2, 1))[0].members == frozenset({1, 2})
     with pytest.raises(ValueError):
-        cyclic.cdes_involution((2, 3, 1))
+        cyclic.transport_involution((2, 3, 1))
 
 
 def test_cdes_syt_examples():
     single_row = tableau.from_rows(((1, 2, 3, 4),))
-    assert cyclic.cdes_syt(single_row).members == frozenset()
+    assert cyclic.transport_syt(single_row)[0].members == frozenset()
     single_col = tableau.from_rows(((1,), (2,), (3,), (4,)))
-    assert cyclic.cdes_syt(single_col).members == frozenset({1, 2, 3, 4})
+    assert cyclic.transport_syt(single_col)[0].members == frozenset({1, 2, 3, 4})
     # the single-column preimage is the maximal-crossing matching
     pre = mm.from_involution(bj.h_map_inverse(single_col))
     assert mm.crossing_number(pre) == 2
 
 
 def test_p_map_small():
+    def p(w):
+        return cyclic.transport_involution(w)[1]
+
     # on I_{2,0} the rotation squares to the identity
     w = (2, 1)
-    assert cyclic.p_map_involution(cyclic.p_map_involution(w)) == w
+    assert p(p(w)) == w
     # the identity involution is a fixed point of p
-    assert cyclic.p_map_involution((1, 2)) == (1, 2)
+    assert p((1, 2)) == (1, 2)
 
 
 def test_classify_escherian():
@@ -59,7 +62,7 @@ def test_verify_cdes_i20_escherian():
     assert report.extension_ok and report.equivariance_ok
     assert not report.non_escher_ok
     assert report.escher_witnesses == [(2, 1)]
-    assert cyclic.cdes_involution((2, 1)).members == frozenset({1, 2})
+    assert cyclic.transport_involution((2, 1))[0].members == frozenset({1, 2})
 
 
 # Hand-built cyclic extension on the transpositions in S_4: cDes values
@@ -143,12 +146,21 @@ def test_involutions_by_nesting(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_transport_shares_one_preimage(n):
+    # cDes(x) and p(x) come from one preimage of x, so cDes(p(x)) is cDes(x)
+    # shifted, and p keeps the class of x: k and the nesting number of an
+    # involution, the shape class (odd columns, height // 2) of a tableau
     for k in range(n % 2, n + 1, 2):
         for m in mm.enumerate_matchings(n, k):
             w = mm.to_involution(m)
-            assert cyclic.transport_involution(w) == (cyclic.cdes_involution(w), cyclic.p_map_involution(w))
+            cd, image = cyclic.transport_involution(w)
+            assert cyclic.transport_involution(image)[0] == cd.shifted()
+            assert len(perm.fixed_points(image)) == k
+            assert mm.nesting_number(mm.from_involution(image)) == mm.nesting_number(m)
     for t in tableau.enumerate_syt_n(n):
-        assert cyclic.transport_syt(t) == (cyclic.cdes_syt(t), cyclic.p_map_syt(t))
+        cd, image = cyclic.transport_syt(t)
+        assert cyclic.transport_syt(image)[0] == cd.shifted()
+        assert tableau.odd_cols(image.shape) == tableau.odd_cols(t.shape)
+        assert tableau.height(image.shape) // 2 == tableau.height(t.shape) // 2
 
 
 @pytest.mark.slow

@@ -1,14 +1,15 @@
 """
 Differential tests for the kernels behind the tableau algorithms, the
-matching statistics and the Gessel class/shuffle placements.
+matching statistics, the cyclic transport and the Gessel class/shuffle
+placements.
 
-The public algorithms run on plain row lists, partner arrays or a table
-of placements, and the enumerators and statistics wrap their results
-(tableaux, matchings, descent sets) without re-validating them.  These
-tests re-validate those results in full, compare each kernel-backed
-operation with the earlier implementation (kept below as an oracle), and
-check the round trips, the input checks and the statistics' properties
-at sizes beyond the exhaustive range.
+The public algorithms run on plain row lists, involution words or a
+table of placements, and the enumerators and statistics wrap their
+results (tableaux, matchings, descent sets) without re-validating them.
+These tests re-validate those results in full, compare each
+kernel-backed operation with the earlier implementation (kept below as
+an oracle), and check the round trips, the input checks and the
+statistics' properties at sizes beyond the exhaustive range.
 """
 import bisect
 import itertools
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchdescents import bijection as bj
+from matchdescents import cyclic
 from matchdescents import matching as mm
 from matchdescents import oscillating as osc
 from matchdescents import perm, symfun, tableau
@@ -244,6 +246,45 @@ def oracle_matching_des(m):
 
 
 # ---------------------------------------------------------------------------
+# Oracle: the matching enumerator and the cyclic transport as they were
+# before the word kernels, going through Matching at every step.
+
+
+def oracle_enumerate_matchings(n, k):
+    if (n - k) % 2 != 0 or not 0 <= k <= n:
+        raise ValueError(f"invalid (n, k) = ({n}, {k})")
+
+    def gen(points, arcs, free):
+        if len(points) == free:
+            yield mm.Matching(n, arcs)
+            return
+        first, rest = points[0], points[1:]
+        if free > 0:
+            yield from gen(rest, arcs, free - 1)
+        for i, q in enumerate(rest):
+            yield from gen(rest[:i] + rest[i + 1 :], arcs + ((first, q),), free)
+
+    yield from gen(tuple(range(1, n + 1)), (), k)
+
+
+def oracle_rotate(m):
+    return mm.Matching(m.n, tuple((a % m.n + 1, b % m.n + 1) for a, b in m.arcs))
+
+
+def _oracle_transport(pre, forward):
+    m = mm.from_involution(pre)
+    return oracle_cmdes(m), forward(mm.to_involution(oracle_rotate(m)))
+
+
+def oracle_transport_involution(word):
+    return _oracle_transport(bj.iota_hat_inverse(word), bj.iota_hat)
+
+
+def oracle_transport_syt(t):
+    return _oracle_transport(bj.h_map_inverse(t), bj.h_map)
+
+
+# ---------------------------------------------------------------------------
 # Oracle: the Gessel split class, the shuffles and their verifier as they
 # were before the placement kernel, each word built position by position.
 
@@ -389,6 +430,25 @@ def test_matching_statistics_match_oracle(n):
             assert mm.mdes(m) == oracle_mdes(m)
             assert mm.cmdes(m) == oracle_cmdes(m)
         assert len(seen) == mm.count_matchings(n, k)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_word_enumerator_matches_oracle(n):
+    for k in range(n % 2, n + 1, 2):
+        expected = [mm.to_involution(m) for m in oracle_enumerate_matchings(n, k)]
+        assert list(mm._words(n, k)) == expected
+        assert [mm.to_involution(m) for m in mm.enumerate_matchings(n, k)] == expected
+    for k in [n + 1, n + 2, -2]:
+        with pytest.raises(ValueError):
+            mm._words(n, k)
+
+
+@pytest.mark.parametrize("n", [*range(9), *(pytest.param(n, marks=pytest.mark.slow) for n in (9, 10))])
+def test_transport_matches_oracle(n):
+    for word in involutions(n):
+        assert cyclic.transport_involution(word) == oracle_transport_involution(word)
+    for t in tableau.enumerate_syt_n(n):
+        assert cyclic.transport_syt(t) == oracle_transport_syt(t)
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -667,3 +727,20 @@ def test_gessel_words_match_oracle_large(pair):
             symfun.gessel_class(pi, sigma_word)
     else:
         assert symfun.gessel_class(pi, sigma_word) == expected
+
+
+@st.composite
+def sampled_words(draw, min_n=20, max_n=40):
+    """Involution words of uniform matchings from M_{n,k}, n in [min_n, max_n]."""
+    return mm.to_involution(draw(sampled_matchings(min_n, max_n)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(sampled_words())
+def test_cyclic_transport_large(word):
+    cd, image = cyclic.transport_involution(word)
+    assert cd.restrict_linear().members == perm.des(word).members
+    assert cyclic.transport_involution(image)[0] == cd.shifted()
+    assert len(perm.fixed_points(image)) == len(perm.fixed_points(word))
+    assert mm._cr_ne(image)[1] == mm._cr_ne(word)[1]
+    assert bj.h_map_inverse(bj.h_map(word)) == word

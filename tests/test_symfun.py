@@ -102,6 +102,10 @@ def test_gessel_rejects_shared_parts():
         symfun.gessel_class((2, 1), (4, 3))  # both types are (2)
     with pytest.raises(ValueError):
         symfun.gessel_class((1, 2), (3, 4))  # letters must start at m+1
+    with pytest.raises(ValueError):
+        symfun.gessel_class((2, 2), (3, 4))  # pi is not a permutation
+    with pytest.raises(ValueError):
+        symfun.gessel_class((3, 1), (3,))  # pi is not a permutation of [2]
 
 
 def test_gessel_all():
