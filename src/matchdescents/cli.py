@@ -10,12 +10,12 @@ its parameters were accepted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 import time
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import bijection, cyclic, matching as matching_mod, oscillating, perm, symfun, tableau
 
@@ -171,69 +171,77 @@ def cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_rows(header: list[str], rows: list[list], fmt: str, output: str | None) -> None:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    elif fmt == "json":
-        text = "\n".join(json.dumps(dict(zip(header, row))) for row in rows) + "\n"
-    else:
+def _emit_rows(header: list[str], rows: Iterable[list], fmt: str, output: str | None) -> None:
+    """
+    Write a table to ``output``, or to stdout.  csv and json write each
+    row as it comes; plain reads them all first to align its columns.
+    Every check on the command's input has run before this opens
+    ``output``.
+    """
+    if fmt == "plain":
+        rows = list(rows)
         widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
         lines = ["  ".join(str(h).ljust(w) for h, w in zip(header, widths))]
         for row in rows:
             lines.append("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
-        text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
+        if fmt == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        elif fmt == "json":
+            empty = True
+            for row in rows:
+                fh.write(json.dumps(dict(zip(header, row))) + "\n")
+                empty = False
+            if empty:  # an empty table is one empty line
+                fh.write("\n")
+        else:
+            fh.write("\n".join(lines) + "\n")
 
 
 def _set_str(members) -> str:
     return "{" + ",".join(map(str, sorted(members))) + "}"
 
 
+def _refuse_over_guard(flag: str, value: int, bound: int, force: bool) -> None:
+    if value > bound and not force:
+        raise UsageError(f"{flag}={value} exceeds the guard ({bound}); pass --force to run anyway")
+
+
 def cmd_enum(args: argparse.Namespace) -> int:
     n, k, j = args.n, args.k, args.j
     if args.family == "syt":
-        if k is None:
-            if j is not None:
-                raise UsageError("enum syt --j requires --k")
-            stream = tableau.enumerate_syt_n(n)
-        elif j is None:
-            stream = tableau.enumerate_syt_nk(n, k)
-        else:
-            stream = tableau.enumerate_syt_nkj(n, k, j)
+        if j is not None and k is None:
+            raise UsageError("enum syt --j requires --k")
         header = ["tableau", "shape", "height", "odd_cols", "des"]
-        rows = []
-        for t in stream:
-            rows.append(
-                [
-                    tableau.format_tableau(t),
-                    tableau.format_shape(t.shape),
-                    tableau.height(t.shape),
-                    tableau.odd_cols(t.shape),
-                    _set_str(tableau.des(t).members),
-                ]
-            )
+        rows = _syt_rows(tableau._syt_shapes(n, k, j))
     else:
         if k is None:
             raise UsageError(f"enum {args.family} requires --k")
         matchings = args.family == "matchings"
         header = ["matching", "n", "k"] if matchings else ["cycles", "one_line"]
         header += ["des", "mdes", "cmdes", "cr", "ne", "um"]
-        rows = []
-        for w in _involution_words(n, k, j):
-            cr, ne = matching_mod._cr_ne(w)
-            first = [matching_mod._format_word(w), n, k] if matchings else [perm.format_cycles(w), perm.format_one_line(w)]
-            descents = (perm._descents(w), matching_mod._geometric_descents(w, n - 1), matching_mod._geometric_descents(w, n))
-            rows.append([*first, *map(_set_str, descents), cr, ne, k])
+        rows = _word_rows(_involution_words(n, k, j), n, k, matchings)
     _emit_rows(header, rows, args.format, args.output)
     return 0
+
+
+def _syt_rows(shapes: list[tableau.Shape]) -> Iterator[list]:
+    """The ``enum syt`` rows of the tableaux of the given shapes."""
+    for shape in shapes:
+        columns = (tableau.format_shape(shape), tableau.height(shape), tableau.odd_cols(shape))
+        for rows, descents in tableau._syt_des(shape):
+            yield [tableau._format_rows(rows), *columns, _set_str(descents)]
+
+
+def _word_rows(words: Iterable[perm.Word], n: int, k: int, matchings: bool) -> Iterator[list]:
+    """The ``enum matchings`` (or ``involutions``) rows of the words."""
+    for w in words:
+        cr, ne = matching_mod._cr_ne(w)
+        first = [matching_mod._format_word(w), n, k] if matchings else [perm.format_cycles(w), perm.format_one_line(w)]
+        cmdes = matching_mod._geometric_descents(w, n)  # MDes is cMDes without n
+        yield [*first, _set_str(perm._descents(w)), _set_str(cmdes - {n}), _set_str(cmdes), cr, ne, k]
 
 
 def _involution_words(n: int, k: int, j: int | None) -> Iterator[perm.Word]:
@@ -242,11 +250,14 @@ def _involution_words(n: int, k: int, j: int | None) -> Iterator[perm.Word]:
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:
+    _refuse_over_guard("n", args.n, MAX_N_WITHOUT_FORCE, args.force)
     elements = list(_involution_words(args.n, args.k, args.j))
     transported = {w: cyclic.transport_involution(w) for w in elements}
-    rows = []
-    for orbit_id, orbit in enumerate(cyclic.orbits(elements, lambda w: transported[w][1])):
-        rows.extend([orbit_id, len(orbit), perm.format_cycles(w), _set_str(transported[w][0].members)] for w in orbit)
+    rows = (
+        [orbit_id, len(orbit), perm.format_cycles(w), _set_str(transported[w][0].members)]
+        for orbit_id, orbit in enumerate(cyclic.orbits(elements, lambda w: transported[w][1]))
+        for w in orbit
+    )
     _emit_rows(["orbit", "size", "element", "cdes"], rows, args.format, args.output)
     return 0
 
@@ -255,8 +266,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     name = args.identity
     params = symfun.resolve_params(name, {flag: getattr(args, flag) for flag in ("n", "k", "j", "max")})
     for flag, bound in (("n", MAX_N_WITHOUT_FORCE), ("max", MAX_GESSEL_TOTAL_WITHOUT_FORCE)):
-        if params.get(flag, 0) > bound and not args.force:
-            raise UsageError(f"{flag}={params[flag]} exceeds the guard ({bound}); pass --force to run anyway")
+        _refuse_over_guard(flag, params.get(flag, 0), bound, args.force)
     start = time.perf_counter()
     try:
         res = symfun.run_identity(name, params)
@@ -321,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbits.add_argument("--j", type=int)
     p_orbits.add_argument("--format", choices=["json", "csv", "plain"], default="plain")
     p_orbits.add_argument("--output")
+    p_orbits.add_argument("--force", action="store_true")
     p_orbits.set_defaults(func=cmd_orbits)
 
     p_verify = sub.add_parser("verify", help="run one verification identity")

@@ -144,6 +144,11 @@ def verify_cdes_involutions(n: int, k: int, j: int, elements: list[Word] | None 
 
 
 def verify_cdes_syt(n: int, k: int, j: int) -> CdesReport:
-    elements = list(tableau.enumerate_syt_nkj(n, k, j))
-    return verify_cdes(elements, tableau.des, transport_syt, f"SYT_{{{n},{k},{j}}}")
+    # each tableau with its Des, both from the enumeration kernel, in its order
+    des = {
+        tableau._tableau(rows): perm._trusted(DescentSet, n=n, members=frozenset(d))
+        for shape in tableau._syt_shapes(n, k, j)
+        for rows, d in tableau._syt_des(shape)
+    }
+    return verify_cdes(list(des), des.__getitem__, transport_syt, f"SYT_{{{n},{k},{j}}}")
 

@@ -80,7 +80,7 @@ def fundamental_eval(n: int, d: frozenset[int] | set[int], num_vars: int) -> Cou
 def schur_descent_multiset(shape: Shape) -> Counter:
     """The descent multiset {Des(T) : T in SYT(shape)}, representing the
     Schur function in the fundamental basis."""
-    return Counter(tableau.des(t).members for t in tableau.enumerate_syt(shape))
+    return Counter(frozenset(d) for _, d in tableau._syt_des(tableau.check_shape(shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def rhs_main0(n: int) -> Counter:
     for shape in tableau.partitions(n):
         a = tableau.odd_cols(shape)
         b = tableau.height(shape) // 2
-        terms.update((a, b, tableau.des(t).members) for t in tableau.enumerate_syt(shape))
+        terms.update((a, b, frozenset(d)) for _, d in tableau._syt_des(shape))
     return terms
 
 

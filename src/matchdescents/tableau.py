@@ -14,8 +14,9 @@ Validated where data enters; kernel results trusted.  A
 their arguments.  The algorithms themselves run as private kernels on
 plain row lists (``_insert``, ``_unbump``, ``_slide_out``,
 ``_slide_in``), which other modules call directly in their inner loops.
-What a kernel or ``enumerate_syt`` returns is standard by construction
-and is wrapped without a second check.
+One more kernel, ``_syt_des``, lists the tableaux of a shape with their
+descent sets.  What a kernel returns is standard by construction and is
+wrapped without a second check.
 """
 from __future__ import annotations
 
@@ -373,49 +374,88 @@ def q_inverse_shuffle(q_tab: StandardTableau) -> Word:
 # ---------------------------------------------------------------------------
 # Enumeration
 
-def enumerate_syt(shape: Shape) -> Iterator[StandardTableau]:
-    """All standard Young tableaux of a shape, in a fixed order."""
-    shape = check_shape(shape)
+def _syt_des(shape: Shape) -> Iterator[tuple[list[list[int]], list[int]]]:
+    """
+    The standard Young tableaux of a valid shape, each with its descent
+    set, by one iterative depth-first search: step s goes into each row
+    that can take it, top row first.  ``row_of[s]`` is the row step s
+    sits in, which makes it the search's stack, and the descents are
+    pushed as the steps are placed.  Each item is the pair (rows,
+    descents) of live lists, the descents in increasing order; they stay
+    valid until the next item is drawn.
+
+    >>> [(str(from_rows(rows)), list(d)) for rows, d in _syt_des((2, 1))]
+    [('1,2/3', [2]), ('1,3/2', [1])]
+    """
     n = sum(shape)
-
-    def gen(rows: list[list[int]], step: int) -> Iterator[StandardTableau]:
-        if step > n:
-            yield _tableau(rows)
-            return
-        for r in range(len(shape)):
+    h = len(shape)
+    rows: list[list[int]] = [[] for _ in shape]
+    descents: list[int] = []
+    if not n:
+        yield rows, descents
+        return
+    row_of = [h] * (n + 1)  # row_of[0] = h: no step lies below it
+    step, r = 1, 0  # place step in the first row from r on that can take it
+    while True:
+        while r < h:
             c = len(rows[r])
-            if c >= shape[r]:
-                continue
-            if r > 0 and len(rows[r - 1]) <= c:
-                continue
+            if c < shape[r] and (not r or len(rows[r - 1]) > c):
+                break
+            r += 1
+        if r < h:
             rows[r].append(step)
-            yield from gen(rows, step + 1)
-            rows[r].pop()
+            if r > row_of[step - 1]:
+                descents.append(step - 1)
+            row_of[step] = r
+            if step < n:
+                step, r = step + 1, 0
+                continue
+            yield rows, descents
+        else:  # no row left for this step: take back the one before it
+            step -= 1
+            if not step:
+                return
+            r = row_of[step]
+        rows[r].pop()
+        if descents and descents[-1] == step - 1:
+            descents.pop()
+        r += 1
 
-    yield from gen([[] for _ in shape], 1)
+
+def enumerate_syt(shape: Shape) -> Iterator[StandardTableau]:
+    """All standard Young tableaux of a shape, in the order of ``_syt_des``."""
+    return (_tableau(rows) for rows, _ in _syt_des(check_shape(shape)))
+
+
+def _syt_shapes(n: int, k: int | None = None, j: int | None = None) -> list[Shape]:
+    """
+    The shapes of size n; with k, those with k odd columns; with j as
+    well, those of height 2j or 2j + 1.  An (n, k) or (n, k, j) that
+    names no class is refused here, before any tableau is built.
+    """
+    if k is not None and ((n - k) % 2 != 0 or not 0 <= k <= n):
+        raise ValueError(f"invalid (n, k) = ({n}, {k})")
+    if j is not None and not 0 <= j <= (n - k) // 2:
+        raise ValueError(f"invalid (n, k, j) = ({n}, {k}, {j})")
+    return [
+        shape
+        for shape in partitions(n)
+        if (k is None or odd_cols(shape) == k) and (j is None or 2 * j <= height(shape) <= 2 * j + 1)
+    ]
 
 
 def enumerate_syt_n(n: int) -> Iterator[StandardTableau]:
-    for shape in partitions(n):
-        yield from enumerate_syt(shape)
+    return (t for shape in _syt_shapes(n) for t in enumerate_syt(shape))
 
 
 def enumerate_syt_nk(n: int, k: int) -> Iterator[StandardTableau]:
     """Tableaux of size n with exactly k odd columns."""
-    if (n - k) % 2 != 0 or not 0 <= k <= n:
-        raise ValueError(f"invalid (n, k) = ({n}, {k})")
-    for shape in partitions(n):
-        if odd_cols(shape) == k:
-            yield from enumerate_syt(shape)
+    return (t for shape in _syt_shapes(n, k) for t in enumerate_syt(shape))
 
 
 def enumerate_syt_nkj(n: int, k: int, j: int) -> Iterator[StandardTableau]:
     """Tableaux with k odd columns and height in {2j, 2j+1}."""
-    if (n - k) % 2 != 0 or not 0 <= k <= n or not 0 <= j <= (n - k) // 2:
-        raise ValueError(f"invalid (n, k, j) = ({n}, {k}, {j})")
-    for shape in partitions(n):
-        if odd_cols(shape) == k and 2 * j <= height(shape) <= 2 * j + 1:
-            yield from enumerate_syt(shape)
+    return (t for shape in _syt_shapes(n, k, j) for t in enumerate_syt(shape))
 
 
 def hook_length_count(shape: Shape) -> int:
@@ -448,7 +488,11 @@ def parse_tableau(text: str) -> StandardTableau:
 
 
 def format_tableau(t: StandardTableau) -> str:
-    return "/".join(",".join(map(str, row)) for row in t.rows)
+    return _format_rows(t.rows)
+
+
+def _format_rows(rows: Sequence[Sequence[int]]) -> str:
+    return "/".join([",".join(map(str, row)) for row in rows])
 
 
 def parse_shape(text: str) -> Shape:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from matchdescents import cli, perm, symfun
+from matchdescents import cli, cyclic, perm, symfun
 from matchdescents import matching as mm
 from matchdescents import oscillating as osc
 
@@ -113,6 +113,43 @@ def test_enum_output_file(capsys, tmp_path):
                        "--format", "csv", "--output", str(target))
     assert code == 0 and out == ""
     assert target.read_text().splitlines()[0].startswith("matching,")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("syt", "--n", "6", "--k", "2", "--j", "9"), "invalid"),
+        (("syt", "--n", "5", "--k", "2"), "invalid"),
+        (("syt", "--n", "5", "--k", "7"), "invalid"),
+        (("matchings", "--n", "6", "--k", "0", "--j", "9"), "invalid j"),
+        (("involutions", "--n", "5", "--k", "2"), "invalid"),
+        (("matchings", "--n", "6"), "requires --k"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json", "plain"])
+def test_enum_refuses_before_writing(capsys, tmp_path, argv, message, fmt):
+    code, out, err = run(capsys, "enum", *argv, "--format", fmt)
+    assert code == 2 and out == "" and message in err
+    target = tmp_path / "rows.csv"
+    code, out, err = run(capsys, "enum", *argv, "--format", fmt, "--output", str(target))
+    assert code == 2 and out == "" and message in err
+    assert not target.exists()
+
+
+def test_orbits_guard(capsys, monkeypatch):
+    started = []
+
+    def stand_in(word):
+        started.append(word)
+        raise RuntimeError("transport started")
+
+    monkeypatch.setattr(cyclic, "transport_involution", stand_in)
+    code, out, err = run(capsys, "orbits", "--n", "13", "--k", "13")
+    assert code == 2 and out == "" and "exceeds the guard" in err and "--force" in err
+    assert started == []
+    with pytest.raises(RuntimeError, match="transport started"):
+        cli.main(["orbits", "--n", "13", "--k", "13", "--force"])
+    assert started == [tuple(range(1, 14))]
 
 
 def test_orbits(capsys):

@@ -12,15 +12,19 @@ an oracle), and check the round trips, the input checks and the
 statistics' properties at sizes beyond the exhaustive range.
 """
 import bisect
+import csv
+import io
 import itertools
+import json
 import random
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchdescents import bijection as bj
-from matchdescents import cyclic
+from matchdescents import cli, cyclic
 from matchdescents import matching as mm
 from matchdescents import oscillating as osc
 from matchdescents import perm, symfun, tableau
@@ -349,6 +353,101 @@ def oracle_gessel_pairs(max_total):
 
 
 # ---------------------------------------------------------------------------
+# Oracle: the SYT enumerator, the tableau Des and the ``enum`` table writer
+# as they were before the single-frame enumeration kernel: a recursive
+# generator, a row table rebuilt per tableau, every row built before any
+# was written.
+
+
+def oracle_enumerate_syt(shape):
+    shape = check_shape(shape)
+    n = sum(shape)
+
+    def gen(rows, step):
+        if step > n:
+            yield tableau._tableau(rows)
+            return
+        for r in range(len(shape)):
+            c = len(rows[r])
+            if c >= shape[r]:
+                continue
+            if r > 0 and len(rows[r - 1]) <= c:
+                continue
+            rows[r].append(step)
+            yield from gen(rows, step + 1)
+            rows[r].pop()
+
+    yield from gen([[] for _ in shape], 1)
+
+
+def oracle_tableau_des(t):
+    n = t.size
+    row_of = [0] * (n + 1)
+    for r, row in enumerate(t.rows, start=1):
+        for e in row:
+            if not 1 <= e <= n or row_of[e]:
+                raise ValueError("descent set requires entries 1..n")
+            row_of[e] = r
+    return perm.DescentSet(n, frozenset(i for i in range(1, n) if row_of[i + 1] > row_of[i]))
+
+
+def oracle_syt_stream(n, k, j):
+    for shape in tableau.partitions(n):
+        if k is not None and tableau.odd_cols(shape) != k:
+            continue
+        if j is not None and not 2 * j <= tableau.height(shape) <= 2 * j + 1:
+            continue
+        yield from oracle_enumerate_syt(shape)
+
+
+def _oracle_set_str(members):
+    return "{" + ",".join(map(str, sorted(members))) + "}"
+
+
+def oracle_enum_rows(family, n, k, j):
+    if family == "syt":
+        header = ["tableau", "shape", "height", "odd_cols", "des"]
+        rows = []
+        for t in oracle_syt_stream(n, k, j):
+            rows.append(
+                [
+                    tableau.format_tableau(t),
+                    tableau.format_shape(t.shape),
+                    tableau.height(t.shape),
+                    tableau.odd_cols(t.shape),
+                    _oracle_set_str(oracle_tableau_des(t).members),
+                ]
+            )
+        return header, rows
+    matchings = family == "matchings"
+    header = ["matching", "n", "k"] if matchings else ["cycles", "one_line"]
+    header += ["des", "mdes", "cmdes", "cr", "ne", "um"]
+    rows = []
+    for w in mm._words(n, k) if j is None else mm._inkj_words(n, k, j):
+        cr, ne = mm._cr_ne(w)
+        first = [mm._format_word(w), n, k] if matchings else [perm.format_cycles(w), perm.format_one_line(w)]
+        descents = (perm._descents(w), mm._geometric_descents(w, n - 1), mm._geometric_descents(w, n))
+        rows.append([*first, *map(_oracle_set_str, descents), cr, ne, k])
+    return header, rows
+
+
+def oracle_emit_text(header, rows, fmt):
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
+    if fmt == "json":
+        return "\n".join(json.dumps(dict(zip(header, row))) for row in rows) + "\n"
+    widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
+    lines = ["  ".join(str(h).ljust(w) for h, w in zip(header, widths))]
+    for row in rows:
+        lines.append("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # Helpers
 
 
@@ -460,6 +559,83 @@ def test_enumerate_syt_outputs_revalidate(n):
             revalidated(t)
             assert t.shape == shape
             assert tableau.des(t) == oracle_syt_des(t)
+
+
+@pytest.mark.parametrize("n", [*range(10), *(pytest.param(n, marks=pytest.mark.slow) for n in (10, 11))])
+def test_syt_kernel_matches_oracle(n):
+    # n = 0 and n = 1 included: the empty tableau, and the one box
+    for shape in tableau.partitions(n):
+        expected = list(oracle_enumerate_syt(shape))
+        got = [(tuple(map(tuple, rows)), list(d)) for rows, d in tableau._syt_des(shape)]
+        assert got == [(t.rows, sorted(oracle_tableau_des(t).members)) for t in expected]
+        assert list(tableau.enumerate_syt(shape)) == expected
+
+
+def _enum_cases(max_n):
+    """(family, n, k, j) for every family, n <= max_n and every valid k, j;
+    for syt also without --k."""
+    for n in range(max_n + 1):
+        yield "syt", n, None, None
+        for k in range(n % 2, n + 1, 2):
+            for j in (None, *range((n - k) // 2 + 1)):
+                for family in ("matchings", "involutions", "syt"):
+                    yield family, n, k, j
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "plain"])
+def test_enum_output_matches_oracle(capsys, fmt):
+    for family, n, k, j in _enum_cases(7):
+        argv = ["enum", family, "--n", str(n), "--format", fmt]
+        argv += [] if k is None else ["--k", str(k)]
+        argv += [] if j is None else ["--j", str(j)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == oracle_emit_text(*oracle_enum_rows(family, n, k, j), fmt), argv
+
+
+def test_enum_output_file_matches_oracle(tmp_path):
+    target = tmp_path / "rows.csv"
+    assert cli.main(["enum", "syt", "--n", "6", "--format", "csv", "--output", str(target)]) == 0
+    assert target.read_text() == oracle_emit_text(*oracle_enum_rows("syt", 6, None, None), "csv")
+
+
+@pytest.mark.parametrize("fmt, header_lines", [("csv", 1), ("json", 0), ("plain", None)])
+@pytest.mark.parametrize("family", ["matchings", "syt"])
+def test_enum_streams_rows(monkeypatch, family, fmt, header_lines):
+    """A stand-in row source records how many lines were written each time
+    it hands out an object: csv and json have written every earlier row,
+    plain has written nothing yet."""
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    written = []
+    if family == "matchings":
+        real_words = mm._words
+
+        def source(n, k):
+            for w in real_words(n, k):
+                written.append(out.getvalue().count("\n"))
+                yield w
+
+        monkeypatch.setattr(mm, "_words", source)
+        argv = ["enum", "matchings", "--n", "6", "--k", "0"]
+    else:
+        real_syt = tableau._syt_des
+
+        def source(shape):
+            for item in real_syt(shape):
+                written.append(out.getvalue().count("\n"))
+                yield item
+
+        monkeypatch.setattr(tableau, "_syt_des", source)
+        argv = ["enum", "syt", "--n", "5"]
+    assert cli.main([*argv, "--format", fmt]) == 0
+    objects = len(written)
+    assert objects == (15 if family == "matchings" else 26)
+    if header_lines is None:
+        assert written == [0] * objects
+        header_lines = 1
+    else:
+        assert written == [header_lines + i for i in range(objects)]
+    assert out.getvalue().count("\n") == header_lines + objects
 
 
 @pytest.mark.parametrize("n", range(11))
@@ -733,6 +909,22 @@ def test_gessel_words_match_oracle_large(pair):
 def sampled_words(draw, min_n=20, max_n=40):
     """Involution words of uniform matchings from M_{n,k}, n in [min_n, max_n]."""
     return mm.to_involution(draw(sampled_matchings(min_n, max_n)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(sampled_words())
+def test_q_roundtrip_large(word):
+    # q_inverse_shuffle far beyond the exhaustive range
+    element = bj.phi(word)
+    assert bj.q_map_inverse(bj.q_map(element)) == element
+
+
+@settings(deadline=None, max_examples=25)
+@given(sampled_words())
+def test_iota_hat_transports_mdes_and_cr_large(word):
+    image = bj.iota_hat(word)
+    assert perm._descents(image) == mm._geometric_descents(word, len(word) - 1)
+    assert mm._cr_ne(image)[1] == mm._cr_ne(word)[0]
 
 
 @settings(deadline=None, max_examples=25)
