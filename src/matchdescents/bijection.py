@@ -5,10 +5,11 @@ An involution with k fixed points is split into its fixed-point set and
 a fixed-point-free core (res), the core is pushed through the
 crossing/nesting-swapping involution, and the pair is re-embedded as a
 shuffle of the core with an increasing run of the k largest letters
-(emb).  Reading off the recording tableau and taking the RS preimage of
-its diagonal pair (q) lands back in the involutions with k fixed
-points.  The composite transports the geometric descent set to the
-standard one and the crossing number to the nesting number.
+(emb); together they are phi.  H = Q∘phi, the recording tableau of the
+shuffle, has k odd columns and is the primitive: the composite iota_hat
+is RS⁻¹(H, H), and H⁻¹ reads the shuffle back off the tableau and undoes
+phi.  iota_hat carries the geometric descent set to the standard one
+and the crossing number to the nesting number.
 """
 from __future__ import annotations
 
@@ -91,15 +92,10 @@ def phi(word: Word) -> ShuffleElement:
 
 
 def phi_inverse(t: ShuffleElement) -> Word:
-    fixed = t.big_letter_positions()
-    sigma_image = oscillating._iota(t.small_involution())
-    n = t.n
-    word = [0] * n
-    for pos in fixed:
-        word[pos - 1] = pos
-    small_positions = [i for i in range(1, n + 1) if i not in fixed]
-    for a, b in zip(small_positions, (small_positions[v - 1] for v in sigma_image)):
-        word[a - 1] = b
+    small_positions = [i for i, v in enumerate(t.word, start=1) if v <= t.n - t.k]
+    word = list(range(1, t.n + 1))  # the positions of the large letters stay fixed
+    for a, v in zip(small_positions, oscillating._iota(t.small_involution())):
+        word[a - 1] = small_positions[v - 1]
     return perm.check_perm(word)
 
 
@@ -130,13 +126,15 @@ def iota_hat_inverse(word: Word) -> Word:
 
 
 def h_map(word: Word) -> StandardTableau:
-    """Recording tableau of the composite image; a bijection from
-    involutions with k fixed points to tableaux with k odd columns."""
-    return tableau.rs_pair_q(iota_hat(word))
+    """H = Q∘phi, the recording tableau of phi(word) and of the composite
+    image; a bijection from involutions with k fixed points to tableaux
+    with k odd columns."""
+    return tableau.rs_pair_q(phi(word).word)
 
 
 def h_map_inverse(t: StandardTableau) -> Word:
-    return iota_hat_inverse(tableau.rs_inverse(t, t))
+    """phi⁻¹ of the shuffle whose recording tableau is t, k its odd columns."""
+    return phi_inverse(perm._trusted(ShuffleElement, word=tableau.q_inverse_shuffle(t), k=tableau.odd_cols(t.shape)))
 
 
 def shuffle_cr_ne(t: ShuffleElement) -> tuple[int, int]:

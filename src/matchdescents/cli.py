@@ -145,7 +145,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     word, codec = _parse_involution(text, args.n)
 
     if name == "iota":
-        print(_format_involution(oscillating._iota(word), codec))
+        print(_format_involution(oscillating._iota(oscillating._fixed_point_free(word)), codec))
     elif name == "iota-hat":
         print(_format_involution(bijection.iota_hat(word), codec))
     elif name == "iota-hat-inv":
@@ -190,12 +190,8 @@ def _emit_rows(header: list[str], rows: Iterable[list], fmt: str, output: str | 
             writer.writerow(header)
             writer.writerows(rows)
         elif fmt == "json":
-            empty = True
             for row in rows:
                 fh.write(json.dumps(dict(zip(header, row))) + "\n")
-                empty = False
-            if empty:  # an empty table is one empty line
-                fh.write("\n")
         else:
             fh.write("\n".join(lines) + "\n")
 

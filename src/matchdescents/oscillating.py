@@ -3,17 +3,26 @@ Oscillating tableaux with empty endpoints, the insertion/deletion
 bijection from fixed-point-free involutions, the pointwise transpose,
 and the induced crossing/nesting-swapping involution on perfect
 matchings.
+
+The working form of Sundaram's walk is the list of cells its steps add
+or remove, each a ``Step`` (adds, row, column), 0-based: one forward
+pass over the tableau rows (``_cells``) writes it, one backward pass
+(``_from_cells``) reads it back into the word.  Conjugating every shape
+swaps each cell's row and column, so ι is the backward pass on the
+transposed cells.  ``_cell`` reads the one cell between two shapes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import matching as matching_mod
 from . import perm, tableau
 from .matching import Matching
 from .perm import DescentSet, ParseError, Word
 from .tableau import Shape
+
+Step = tuple[bool, int, int]
 
 
 @dataclass(frozen=True)
@@ -34,17 +43,10 @@ class OscillatingTableau:
 
     def step(self, i: int) -> tuple[str, int]:
         """('add' | 'del', row index) describing step i (1-based)."""
-        prev, cur = self.shapes[i - 1], self.shapes[i]
-        if sum(cur) > sum(prev):
-            kind = "add"
-            longer, shorter = cur, prev
-        else:
-            kind = "del"
-            longer, shorter = prev, cur
-        for r in range(len(longer)):
-            if r >= len(shorter) or longer[r] != shorter[r]:
-                return kind, r + 1
-        raise AssertionError("shapes are equal")
+        if not 1 <= i <= self.size:
+            raise ValueError(f"step {i} outside 1..{self.size}")
+        adds, r, _ = _cell(self.shapes[i - 1], self.shapes[i])
+        return ("add" if adds else "del"), r + 1
 
     def __str__(self) -> str:
         return format_oscillating(self)
@@ -64,18 +66,57 @@ def validate_shapes(shapes: tuple[Shape, ...]) -> str | None:
         try:
             tableau.check_shape(a)
             tableau.check_shape(b)
+            _cell(a, b)
         except ValueError as exc:
             return f"step {idx}: {exc}"
-        if abs(sum(a) - sum(b)) != 1 or not _differ_by_one_box(a, b):
-            return f"step {idx}: shapes differ by other than one box"
     return None
 
 
-def _differ_by_one_box(a: Shape, b: Shape) -> bool:
-    small, large = (a, b) if sum(a) < sum(b) else (b, a)
-    padded = small + (0,) * (len(large) - len(small))
-    diffs = [lr - sr for lr, sr in zip(large, padded)]
-    return diffs.count(0) == len(diffs) - 1 and diffs.count(1) == 1
+def _cell(a: Shape, b: Shape) -> Step:
+    """The step from partition a to partition b: the one cell it adds or
+    removes.  A ValueError unless the two differ by exactly one cell."""
+    r = 0
+    while r < len(a) and r < len(b) and a[r] == b[r]:
+        r += 1
+    x = a[r] if r < len(a) else 0
+    y = b[r] if r < len(b) else 0
+    if abs(x - y) != 1 or a[r + 1 :] != b[r + 1 :]:
+        raise ValueError("shapes differ by other than one box")
+    return y > x, r, max(x, y) - 1
+
+
+def _fixed_point_free(word: Word) -> Word:
+    """The word, refused unless it is a fixed-point-free involution."""
+    if not perm.is_involution(word) or perm.fixed_points(word):
+        raise ValueError("input must be a fixed-point-free involution")
+    return word
+
+
+def _cells(word: Word) -> Iterator[Step]:
+    """The cells of the walk of a fixed-point-free involution word."""
+    rows: list[list[int]] = []
+    for d, partner in enumerate(word, start=1):
+        if d < partner:
+            r = tableau._insert(rows, partner)
+            yield True, r, len(rows[r]) - 1
+        else:
+            # the letters present are the right ends of the open arcs, so
+            # d, the least of them, sits in the corner cell
+            yield (False, *tableau._slide_out(rows, 0, 0))
+
+
+def _from_cells(cells: Sequence[Step]) -> Word:
+    """The word whose walk has these cells, its steps undone from the end."""
+    rows: list[list[int]] = []
+    word = list(range(1, len(cells) + 1))
+    for d in range(len(cells), 0, -1):
+        adds, r, c = cells[d - 1]
+        if adds:
+            partner = tableau._unbump(rows, r)
+            word[d - 1], word[partner - 1] = partner, d
+        else:
+            tableau._slide_in(rows, d, r, c)
+    return tuple(word)
 
 
 def sundaram(word: Word) -> OscillatingTableau:
@@ -84,18 +125,10 @@ def sundaram(word: Word) -> OscillatingTableau:
     the partner at the smaller endpoint of each arc, jeu-de-taquin-delete
     it at the larger one, and record the shapes.
     """
-    if not perm.is_involution(word) or perm.fixed_points(word):
-        raise ValueError("input must be a fixed-point-free involution")
-    rows: list[list[int]] = []
     shapes: list[Shape] = [()]
-    for d, partner in enumerate(word, start=1):
-        if d < partner:
-            tableau._insert(rows, partner)
-        else:
-            # the letters present are the right ends of the open arcs, so
-            # d, the least of them, sits in the corner cell
-            tableau._slide_out(rows, 0, 0)
-        shapes.append(tuple(map(len, rows)))
+    for adds, r, c in _cells(_fixed_point_free(word)):
+        shape = shapes[-1]  # row r now has c + adds cells; an empty last row goes
+        shapes.append(shape[:r] + ((c + adds,) if c + adds else ()) + shape[r + 1 :])
     return _walk(tuple(shapes))
 
 
@@ -105,30 +138,7 @@ def sundaram_inverse(o: OscillatingTableau) -> Word:
     the end, undoing deletions by reverse jeu-de-taquin placements and
     insertions by reverse row insertion, emitting one arc per insertion.
     """
-    n = o.size
-    rows: list[list[int]] = []
-    word = list(range(1, n + 1))
-    for d in range(n, 0, -1):
-        prev, cur = o.shapes[d - 1], o.shapes[d]
-        r, c = _box_difference(prev, cur)
-        if sum(prev) > sum(cur):
-            # forward step deleted letter d; put it back
-            tableau._slide_in(rows, d, r - 1, c - 1)
-        else:
-            # forward step inserted the partner of d; extract it
-            partner = tableau._unbump(rows, r - 1)
-            word[d - 1], word[partner - 1] = partner, d
-    return tuple(word)
-
-
-def _box_difference(a: Shape, b: Shape) -> tuple[int, int]:
-    """The cell present in exactly one of two shapes differing by a box."""
-    small, large = (a, b) if sum(a) < sum(b) else (b, a)
-    for r in range(len(large)):
-        s = small[r] if r < len(small) else 0
-        if large[r] != s:
-            return (r + 1, large[r])
-    raise ValueError("shapes are equal")
+    return _from_cells([_cell(a, b) for a, b in zip(o.shapes, o.shapes[1:])])
 
 
 def transpose(o: OscillatingTableau) -> OscillatingTableau:
@@ -151,8 +161,13 @@ def chen_iota(m: Matching) -> Matching:
 
 
 def _iota(word: Word) -> Word:
-    """chen_iota on the involution word of a perfect matching."""
-    return sundaram_inverse(transpose(sundaram(word)))
+    """chen_iota on the involution word of a perfect matching: the walk's
+    cells with row and column swapped, read back into a word.
+
+    >>> _iota((5, 4, 8, 2, 1, 7, 6, 3))
+    (4, 7, 5, 1, 3, 8, 2, 6)
+    """
+    return _from_cells([(adds, c, r) for adds, r, c in _cells(word)])
 
 
 def kim_des(o: OscillatingTableau) -> DescentSet:
@@ -161,18 +176,12 @@ def kim_des(o: OscillatingTableau) -> DescentSet:
     i+1 deletes, both add with the second strictly lower, or both delete
     with the second strictly higher.
     """
-    n = o.size
+    steps = [_cell(a, b) for a, b in zip(o.shapes, o.shapes[1:])]
     members = set()
-    for i in range(1, n):
-        k1, r1 = o.step(i)
-        k2, r2 = o.step(i + 1)
-        if (
-            (k1 == "add" and k2 == "del")
-            or (k1 == "add" and k2 == "add" and r2 > r1)
-            or (k1 == "del" and k2 == "del" and r2 < r1)
-        ):
+    for i, ((add1, r1, _), (add2, r2, _)) in enumerate(zip(steps, steps[1:]), start=1):
+        if (add1 and (not add2 or r2 > r1)) or (not add1 and not add2 and r2 < r1):
             members.add(i)
-    return perm._trusted(DescentSet, n=n, members=frozenset(members))
+    return perm._trusted(DescentSet, n=o.size, members=frozenset(members))
 
 
 def enumerate_oscillating(size: int) -> Iterator[OscillatingTableau]:
@@ -180,31 +189,21 @@ def enumerate_oscillating(size: int) -> Iterator[OscillatingTableau]:
     if size % 2 != 0:
         raise ValueError("size must be even")
 
-    def neighbors(shape: Shape) -> list[Shape]:
-        out = []
-        # add a box
-        for r in range(len(shape) + 1):
-            parts = list(shape) + ([0] if r == len(shape) else [])
-            parts[r] += 1
-            if all(x >= y for x, y in zip(parts, parts[1:])):
-                out.append(tuple(p for p in parts if p))
-        # remove a box
-        for r in range(len(shape)):
-            parts = list(shape)
-            parts[r] -= 1
-            if all(x >= y for x, y in zip(parts, parts[1:])):
-                out.append(tuple(p for p in parts if p))
-        return out
+    def neighbors(shape: Shape) -> Iterator[Shape]:
+        padded = shape + (0,)
+        for r in range(len(padded)):  # add a box
+            if not r or padded[r - 1] > padded[r]:
+                yield shape[:r] + (padded[r] + 1,) + shape[r + 1 :]
+        for r in range(len(shape)):  # remove a box
+            if shape[r] > padded[r + 1]:
+                yield shape[:r] + ((shape[r] - 1,) if shape[r] > 1 else ()) + shape[r + 1 :]
 
     def gen(path: list[Shape]) -> Iterator[OscillatingTableau]:
-        step = len(path) - 1
-        if step == size:
-            if path[-1] == ():
-                yield OscillatingTableau(tuple(path))
-            return
-        remaining = size - step
+        left = size + 1 - len(path)  # the steps still to take
+        if not left:
+            yield OscillatingTableau(tuple(path))
         for nxt in neighbors(path[-1]):
-            if sum(nxt) <= remaining - 1:  # must be able to return to empty
+            if sum(nxt) < left:  # must be able to return to empty
                 yield from gen(path + [nxt])
 
     yield from gen([()])

@@ -14,9 +14,11 @@ Validated where data enters; kernel results trusted.  A
 their arguments.  The algorithms themselves run as private kernels on
 plain row lists (``_insert``, ``_unbump``, ``_slide_out``,
 ``_slide_in``), which other modules call directly in their inner loops.
-One more kernel, ``_syt_des``, lists the tableaux of a shape with their
-descent sets.  What a kernel returns is standard by construction and is
-wrapped without a second check.
+``_insert`` returns the row that grew and ``_slide_out`` the cell it
+vacates, so Sundaram's walk reads its cells off the kernels.  One more
+kernel, ``_syt_des``, lists the tableaux of a shape with their descent
+sets.  What a kernel returns is standard by construction and is wrapped
+without a second check.
 """
 from __future__ import annotations
 
@@ -176,9 +178,10 @@ def _unbump(rows: list[list[int]], r: int) -> int:
     return x
 
 
-def _slide_out(rows: list[list[int]], r: int, c: int) -> None:
+def _slide_out(rows: list[list[int]], r: int, c: int) -> tuple[int, int]:
     """Delete the entry at (r, c) and close the hole with forward slides:
-    the smaller of the right and lower neighbours moves in."""
+    the smaller of the right and lower neighbours moves in.  Return the
+    cell the slides vacate, an outer corner of the old shape."""
     row = rows[r]
     while True:
         lower = rows[r + 1] if r + 1 < len(rows) else ()
@@ -196,6 +199,7 @@ def _slide_out(rows: list[list[int]], r: int, c: int) -> None:
     row.pop()
     if not row:
         rows.pop()
+    return r, c
 
 
 def _slide_in(rows: list[list[int]], x: int, r: int, c: int) -> None:

@@ -136,6 +136,16 @@ def test_enum_refuses_before_writing(capsys, tmp_path, argv, message, fmt):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("family", ["syt", "matchings"])
+def test_enum_json_empty_class_writes_nothing(capsys, tmp_path, family):
+    # I_{4,0,0} and the tableaux with 0 odd columns and height <= 1 of size 4 are empty
+    argv = ("enum", family, "--n", "4", "--k", "0", "--j", "0", "--format", "json")
+    assert run(capsys, *argv) == (0, "", "")
+    target = tmp_path / "rows.json"
+    assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_bytes() == b""
+
+
 def test_orbits_guard(capsys, monkeypatch):
     started = []
 

@@ -152,6 +152,41 @@ def oracle_sundaram_shapes(word):
 
 
 # ---------------------------------------------------------------------------
+# Oracle: chen's iota as it was before the cell list, through the shape
+# tuples of the walk: the walk, every shape conjugated, and the reverse
+# reading of the conjugate walk with the box between each pair of shapes
+# searched for.
+
+
+def oracle_box_difference(a, b):
+    small, large = (a, b) if sum(a) < sum(b) else (b, a)
+    for r in range(len(large)):
+        s = small[r] if r < len(small) else 0
+        if large[r] != s:
+            return (r + 1, large[r])
+    raise ValueError("shapes are equal")
+
+
+def oracle_sundaram_inverse(shapes):
+    n = len(shapes) - 1
+    rows = []
+    word = list(range(1, n + 1))
+    for d in range(n, 0, -1):
+        prev, cur = shapes[d - 1], shapes[d]
+        r, c = oracle_box_difference(prev, cur)
+        if sum(prev) > sum(cur):
+            tableau._slide_in(rows, d, r - 1, c - 1)
+        else:
+            partner = tableau._unbump(rows, r - 1)
+            word[d - 1], word[partner - 1] = partner, d
+    return tuple(word)
+
+
+def oracle_iota(word):
+    return oracle_sundaram_inverse(tuple(tableau.transpose_shape(s) for s in oracle_sundaram_shapes(word)))
+
+
+# ---------------------------------------------------------------------------
 # Oracle: the matching statistics as they were before the partner array
 # and the one-sweep crossing/nesting kernel.
 
@@ -251,7 +286,10 @@ def oracle_matching_des(m):
 
 # ---------------------------------------------------------------------------
 # Oracle: the matching enumerator and the cyclic transport as they were
-# before the word kernels, going through Matching at every step.
+# before the word kernels, going through Matching at every step.  The
+# transport runs the composite and H the way they were before H became
+# its primitive: phi and its inverse on the oracle iota, H as Q of the
+# composite image, and H inverse through RS inverse of (t, t).
 
 
 def oracle_enumerate_matchings(n, k):
@@ -275,17 +313,52 @@ def oracle_rotate(m):
     return mm.Matching(m.n, tuple((a % m.n + 1, b % m.n + 1) for a, b in m.arcs))
 
 
+def oracle_phi(word):
+    fixed, sigma = bj.res(word)
+    return bj.emb(fixed, oracle_iota(sigma), len(word))
+
+
+def oracle_phi_inverse(t):
+    fixed = t.big_letter_positions()
+    sigma_image = oracle_iota(t.small_involution())
+    n = t.n
+    word = [0] * n
+    for pos in fixed:
+        word[pos - 1] = pos
+    small_positions = [i for i in range(1, n + 1) if i not in fixed]
+    for a, b in zip(small_positions, (small_positions[v - 1] for v in sigma_image)):
+        word[a - 1] = b
+    return perm.check_perm(word)
+
+
+def oracle_iota_hat(word):
+    return bj.q_map(oracle_phi(word))
+
+
+def oracle_iota_hat_inverse(word):
+    return oracle_phi_inverse(bj.q_map_inverse(word))
+
+
+def oracle_h_map(word):
+    """H through the RS round trip: Q of the composite image."""
+    return tableau.rs_pair_q(oracle_iota_hat(word))
+
+
+def oracle_h_map_inverse(t):
+    return oracle_iota_hat_inverse(tableau.rs_inverse(t, t))
+
+
 def _oracle_transport(pre, forward):
     m = mm.from_involution(pre)
     return oracle_cmdes(m), forward(mm.to_involution(oracle_rotate(m)))
 
 
 def oracle_transport_involution(word):
-    return _oracle_transport(bj.iota_hat_inverse(word), bj.iota_hat)
+    return _oracle_transport(oracle_iota_hat_inverse(word), oracle_iota_hat)
 
 
 def oracle_transport_syt(t):
-    return _oracle_transport(bj.h_map_inverse(t), bj.h_map)
+    return _oracle_transport(oracle_h_map_inverse(t), oracle_h_map)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +512,7 @@ def oracle_emit_text(header, rows, fmt):
         writer.writerows(rows)
         return buf.getvalue()
     if fmt == "json":
-        return "\n".join(json.dumps(dict(zip(header, row))) for row in rows) + "\n"
+        return "".join(json.dumps(dict(zip(header, row))) + "\n" for row in rows)  # no rows: no bytes
     widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
     lines = ["  ".join(str(h).ljust(w) for h, w in zip(header, widths))]
     for row in rows:
@@ -546,8 +619,20 @@ def test_word_enumerator_matches_oracle(n):
 def test_transport_matches_oracle(n):
     for word in involutions(n):
         assert cyclic.transport_involution(word) == oracle_transport_involution(word)
+        assert bj.iota_hat(word) == oracle_iota_hat(word)
+        assert bj.iota_hat_inverse(word) == oracle_iota_hat_inverse(word)
+        assert bj.h_map(word) == oracle_h_map(word)
     for t in tableau.enumerate_syt_n(n):
         assert cyclic.transport_syt(t) == oracle_transport_syt(t)
+        assert bj.h_map_inverse(t) == oracle_h_map_inverse(t)
+
+
+@pytest.mark.parametrize("n2", [0, 2, 4, 6, 8, 10, pytest.param(12, marks=pytest.mark.slow)])
+def test_iota_matches_oracle(n2):
+    # n2 <= 10: all 1,069 perfect matchings; n2 = 12 adds 10,395 more
+    for word in mm._words(n2, 0):
+        assert osc._iota(word) == oracle_iota(word)
+        assert mm.to_involution(osc.chen_iota(mm._matching(word))) == oracle_iota(word)
 
 
 @pytest.mark.parametrize("n", range(9))

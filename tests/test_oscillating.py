@@ -102,6 +102,11 @@ def test_validate():
     assert "box" in osc.validate_shapes(((), (2,), ()))
     assert "nonempty" in osc.validate_shapes(((), (1,), (1,)))
     assert "odd" in osc.validate_shapes(((), (1,), (1, 1), ()))
+    # step 3 grows by one box in size but changes two rows
+    assert (
+        osc.validate_shapes(((), (1,), (2,), (1, 1, 1), (1, 1), (1,), ()))
+        == "step 3: shapes differ by other than one box"
+    )
 
 
 def test_step():
@@ -109,7 +114,12 @@ def test_step():
     assert o.step(1) == ("add", 1)
     assert o.step(2) == ("add", 2)
     assert o.step(4) == ("del", 2)
+    assert o.step(8) == ("del", 1)
     assert o.size == 8
+    short = osc.OscillatingTableau(((), (1,), (1, 1), (1,), ()))
+    for walk, i in [(o, 0), (o, 9), (short, 0), (short, -1), (short, 5)]:
+        with pytest.raises(ValueError, match="outside"):
+            walk.step(i)
 
 
 def test_enumerate_oscillating():
