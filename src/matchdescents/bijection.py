@@ -9,7 +9,8 @@ shuffle of the core with an increasing run of the k largest letters
 shuffle, has k odd columns and is the primitive: the composite iota_hat
 is RS⁻¹(H, H), and H⁻¹ reads the shuffle back off the tableau and undoes
 phi.  iota_hat carries the geometric descent set to the standard one
-and the crossing number to the nesting number.
+and the crossing number to the nesting number.  The maps run as kernels
+on words and rows, and iota_hat⁻¹ inserts once, as Q = P for involutions.
 """
 from __future__ import annotations
 
@@ -46,95 +47,117 @@ class ShuffleElement:
         return len(self.word)
 
     def small_involution(self) -> Word:
-        """The subword of letters <= n-k, standardized."""
-        small = tuple(v for v in self.word if v <= self.n - self.k)
-        return perm.standardize(small)
+        """The subword of the small letters, which are 1..n-k: the core."""
+        return tuple(v for v in self.word if v <= self.n - self.k)
 
     def big_letter_positions(self) -> frozenset[int]:
         return frozenset(i for i, v in enumerate(self.word, start=1) if v > self.n - self.k)
 
 
-def res(word: Word) -> tuple[frozenset[int], Word]:
-    """
-    Split an involution into (fixed points, fixed-point-free core): the
-    core is the standardization of the restriction to the moved letters.
-    """
+def _involution(word: Word) -> Word:
     if not perm.is_involution(word):
         raise ValueError(f"not an involution: {word}")
+    return word
+
+
+def res(word: Word) -> tuple[frozenset[int], Word]:
+    """Split an involution into (fixed points, fixed-point-free core): the
+    core is the standardization of the restriction to the moved letters."""
+    return _res(_involution(word))
+
+
+def _res(word: Word) -> tuple[frozenset[int], Word]:
     fixed = perm.fixed_points(word)
-    moved = [v for i, v in enumerate(word, start=1) if i not in fixed]
-    return fixed, perm.standardize(moved)
+    return fixed, perm.standardize([v for i, v in enumerate(word, start=1) if i not in fixed])
 
 
 def emb(fixed: frozenset[int], sigma: Word, n: int) -> ShuffleElement:
-    """
-    Re-embed: positions in ``fixed`` carry n-k+1..n increasing, the rest
-    carry sigma's word on the small letters.
-    """
-    k = len(fixed)
-    if len(sigma) != n - k or not fixed <= frozenset(range(1, n + 1)):
-        raise ValueError(f"size mismatch: |J|={k}, |sigma|={len(sigma)}, n={n}")
+    """Re-embed: positions in ``fixed`` carry n-k+1..n increasing, the rest
+    carry sigma's word on the small letters."""
+    if len(sigma) != n - len(fixed) or not fixed <= frozenset(range(1, n + 1)):
+        raise ValueError(f"size mismatch: |J|={len(fixed)}, |sigma|={len(sigma)}, n={n}")
+    return perm._trusted(ShuffleElement, word=_emb(fixed, sigma, n), k=len(fixed))
+
+
+def _emb(fixed: frozenset[int], sigma: Word, n: int) -> Word:
     if not perm.is_perm(sigma) or not perm.is_involution(sigma) or perm.fixed_points(sigma):
         raise ValueError(f"not a fixed-point-free involution: {sigma}")
     word = [0] * n
-    for big, pos in enumerate(sorted(fixed), start=n - k + 1):
+    for big, pos in enumerate(sorted(fixed), start=n - len(fixed) + 1):
         word[pos - 1] = big
-    small_positions = [i for i in range(1, n + 1) if i not in fixed]
-    for pos, v in zip(small_positions, sigma):
-        word[pos - 1] = v
-    return perm._trusted(ShuffleElement, word=tuple(word), k=k)
+    small = iter(sigma)  # sigma's letters fill the other positions in order
+    return tuple(v or next(small) for v in word)
 
 
 def phi(word: Word) -> ShuffleElement:
     """res, then the crossing/nesting involution on the core, then emb."""
-    fixed, sigma = res(word)
-    return emb(fixed, oscillating._iota(sigma), len(word))
+    return perm._trusted(ShuffleElement, word=_phi(_involution(word)), k=len(perm.fixed_points(word)))
+
+
+def _phi(word: Word) -> Word:
+    fixed, core = _res(word)
+    return _emb(fixed, oscillating._iota(core), len(word))
 
 
 def phi_inverse(t: ShuffleElement) -> Word:
-    small_positions = [i for i, v in enumerate(t.word, start=1) if v <= t.n - t.k]
-    word = list(range(1, t.n + 1))  # the positions of the large letters stay fixed
-    for a, v in zip(small_positions, oscillating._iota(t.small_involution())):
-        word[a - 1] = small_positions[v - 1]
-    return perm.check_perm(word)
+    return _phi_inverse(t.word, t.k)
+
+
+def _phi_inverse(word: Word, k: int) -> Word:
+    """phi⁻¹ on a shuffle word with k large letters; its small letters, 1..n-k, are the core."""
+    small_positions = [i for i, v in enumerate(word, start=1) if v <= len(word) - k]
+    out = list(range(1, len(word) + 1))  # the positions of the large letters stay fixed
+    for a, v in zip(small_positions, oscillating._iota([word[a - 1] for a in small_positions])):
+        out[a - 1] = small_positions[v - 1]
+    return perm.check_perm(out)
 
 
 def q_map(t: ShuffleElement) -> Word:
     """The RS preimage of the diagonal pair of the recording tableau."""
-    q_tab = tableau.rs_pair_q(t.word)
-    return tableau.rs_inverse(q_tab, q_tab)
+    return _q_map(t.word)
+
+
+def _q_map(word: Word) -> Word:
+    q_rows = tableau._rs(word)[1]
+    return perm.check_perm(tableau._reverse_rs(q_rows, q_rows))
 
 
 def q_map_inverse(word: Word) -> ShuffleElement:
     """Invert the recording-tableau map on an involution with k fixed points."""
-    if not perm.is_involution(word):
-        raise ValueError(f"not an involution: {word}")
-    q_tab = tableau.rs_pair_q(word)
-    shuffle_word = tableau.q_inverse_shuffle(q_tab)
-    return perm._trusted(ShuffleElement, word=shuffle_word, k=len(perm.fixed_points(word)))
+    shuffle_word, k = _q_map_inverse(_involution(word))
+    return perm._trusted(ShuffleElement, word=shuffle_word, k=k)
+
+
+def _q_map_inverse(word: Word) -> tuple[Word, int]:
+    k = len(perm.fixed_points(word))  # its insertion rows are its recording rows
+    return tableau._q_inverse_shuffle(tableau._rs(word)[0]), k
 
 
 def iota_hat(word: Word) -> Word:
     """The composite bijection; preserves the fixed-point count and maps
     the geometric descent set / crossing number of the input to the
     standard descent set / nesting number of the output."""
-    return q_map(phi(word))
+    return _iota_hat(_involution(word))
+
+
+def _iota_hat(word: Word) -> Word:
+    return _q_map(_phi(word))
 
 
 def iota_hat_inverse(word: Word) -> Word:
-    return phi_inverse(q_map_inverse(word))
+    return _phi_inverse(*_q_map_inverse(_involution(word)))
 
 
 def h_map(word: Word) -> StandardTableau:
     """H = Q∘phi, the recording tableau of phi(word) and of the composite
     image; a bijection from involutions with k fixed points to tableaux
     with k odd columns."""
-    return tableau.rs_pair_q(phi(word).word)
+    return tableau._tableau(tableau._rs(_phi(_involution(word)))[1])
 
 
 def h_map_inverse(t: StandardTableau) -> Word:
     """phi⁻¹ of the shuffle whose recording tableau is t, k its odd columns."""
-    return phi_inverse(perm._trusted(ShuffleElement, word=tableau.q_inverse_shuffle(t), k=tableau.odd_cols(t.shape)))
+    return _phi_inverse(tableau.q_inverse_shuffle(t), tableau.odd_cols(t.shape))
 
 
 def shuffle_cr_ne(t: ShuffleElement) -> tuple[int, int]:

@@ -159,9 +159,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         element = bijection.ShuffleElement(word, k)
         print(_format_involution(bijection.q_map(element), codec))
     elif name == "rotate":
-        if not perm.is_involution(word):
-            raise UsageError(f"not an involution: {word}")
-        print(_format_involution(matching_mod._rotate(word), codec))
+        print(_format_involution(matching_mod._rotate(bijection._involution(word)), codec))
     elif name == "p":
         print(_format_involution(cyclic.transport_involution(word)[1], codec))
     elif name == "h":

@@ -20,8 +20,8 @@ def transport_involution(word: Word) -> tuple[DescentSet, Word]:
     of that preimage carried back through it.  p preserves the
     fixed-point count and the nesting number.
     """
-    pre = bijection.iota_hat_inverse(word)
-    return matching_mod._cmdes(pre), bijection.iota_hat(matching_mod._rotate(pre))
+    pre = bijection.iota_hat_inverse(word)  # the one involution check
+    return matching_mod._cmdes(pre), bijection._iota_hat(matching_mod._rotate(pre))
 
 
 def transport_syt(t: StandardTableau) -> tuple[DescentSet, StandardTableau]:
@@ -67,17 +67,17 @@ class CdesReport:
         }
 
 
-def verify_cdes(
-    ground_set: Iterable,
-    des_fn: Callable[[Hashable], DescentSet],
-    transport: Callable[[Hashable], tuple[DescentSet, Hashable]],
-    set_id: str = "",
-) -> CdesReport:
+def verify_cdes(ground_set: Iterable, des_fn: Callable, transport: Callable, set_id: str = "") -> CdesReport:
     """
     Check extension, equivariance and non-Escher for the pair (cDes(x),
-    p(x)) that ``transport`` gives for each x of the ground set, and report
-    the orbit structure of p.
+    p(x)) that ``transport`` gives for each x of the ground set, with Des(x)
+    = ``des_fn(x)`` (DescentSets), and report the orbit structure of p.
     """
+    return _verify_cdes(ground_set, lambda x: des_fn(x).members, transport, set_id)
+
+
+def _verify_cdes(ground_set: Iterable, des_members: Callable, transport: Callable, set_id: str) -> CdesReport:
+    """verify_cdes with ``des_members(x)`` the members of Des(x)."""
     elements = list(ground_set)
     element_set = set(elements)
     if len(element_set) != len(elements):
@@ -92,12 +92,12 @@ def verify_cdes(
     witnesses = []
     for x in elements:
         cd, image = transported[x]
-        n = cd.n
-        if cd.restrict_linear().members != des_fn(x).members:
+        n, members = cd.n, cd.members
+        if members - {n} != des_members(x):
             extension_ok = False
-        if transported[image][0].members != cd.shifted().members:
+        if transported[image][0].members != {i % n + 1 for i in members}:
             equivariance_ok = False
-        if not cd.members or cd.members == frozenset(range(1, n + 1)):
+        if not members or len(members) == n:  # a cyclic descent set lies in [n]
             witnesses.append(x)
 
     return CdesReport(
@@ -140,15 +140,15 @@ def verify_cdes_involutions(n: int, k: int, j: int, elements: list[Word] | None 
     that class when the caller has enumerated it already."""
     if elements is None:
         elements = list(matching_mod._inkj_words(n, k, j))
-    return verify_cdes(elements, perm.des, transport_involution, f"I_{{{n},{k},{j}}}")
+    return _verify_cdes(elements, perm._descents, transport_involution, f"I_{{{n},{k},{j}}}")
 
 
 def verify_cdes_syt(n: int, k: int, j: int) -> CdesReport:
     # each tableau with its Des, both from the enumeration kernel, in its order
     des = {
-        tableau._tableau(rows): perm._trusted(DescentSet, n=n, members=frozenset(d))
+        tableau._tableau(rows): frozenset(d)
         for shape in tableau._syt_shapes(n, k, j)
         for rows, d in tableau._syt_des(shape)
     }
-    return verify_cdes(list(des), des.__getitem__, transport_syt, f"SYT_{{{n},{k},{j}}}")
+    return _verify_cdes(list(des), des.__getitem__, transport_syt, f"SYT_{{{n},{k},{j}}}")
 

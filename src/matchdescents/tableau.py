@@ -15,10 +15,11 @@ their arguments.  The algorithms themselves run as private kernels on
 plain row lists (``_insert``, ``_unbump``, ``_slide_out``,
 ``_slide_in``), which other modules call directly in their inner loops.
 ``_insert`` returns the row that grew and ``_slide_out`` the cell it
-vacates, so Sundaram's walk reads its cells off the kernels.  One more
-kernel, ``_syt_des``, lists the tableaux of a shape with their descent
-sets.  What a kernel returns is standard by construction and is wrapped
-without a second check.
+vacates, so Sundaram's walk reads its cells off the kernels.  ``_rs``
+runs RS (Q = P for an involution), ``_q_inverse_shuffle`` transposes
+its shape once, and ``_syt_des`` lists the tableaux of a shape with
+their descent sets.  What a kernel returns is standard by construction
+and is wrapped without a second check.
 """
 from __future__ import annotations
 
@@ -225,9 +226,22 @@ def _slide_in(rows: list[list[int]], x: int, r: int, c: int) -> None:
     row[c] = x
 
 
+def _rs(word: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """The insertion and recording rows of a word with distinct letters."""
+    p_rows: list[list[int]] = []
+    q_rows: list[list[int]] = []
+    for step, x in enumerate(word, start=1):
+        r = _insert(p_rows, x)
+        if r == len(q_rows):
+            q_rows.append([])
+        q_rows[r].append(step)
+    return p_rows, q_rows
+
+
 def _reverse_rs(p_rows: list[list[int]], q_rows: Sequence[Sequence[int]]) -> list[int]:
     """The word with insertion tableau p_rows, which are emptied, and
-    recording tableau q_rows, a standard filling of the same shape by 1..n."""
+    recording tableau q_rows, a standard filling of the same shape by 1..n.
+    q_rows is read before p_rows is touched, so the two may be one list."""
     n = sum(map(len, q_rows))
     row_of = [0] * (n + 1)
     for r, row in enumerate(q_rows):
@@ -278,14 +292,7 @@ def rs_pair(word: Word) -> tuple[StandardTableau, StandardTableau]:
     """The RS insertion and recording tableaux of a word with distinct letters."""
     if len(set(word)) != len(word):
         raise ValueError(f"repeated letters in {word!r}")
-    p_rows: list[list[int]] = []
-    q_rows: list[list[int]] = []
-    for step, x in enumerate(word, start=1):
-        r = _insert(p_rows, x)
-        if r == len(q_rows):
-            q_rows.append([step])
-        else:
-            q_rows[r].append(step)
+    p_rows, q_rows = _rs(word)
     return _tableau(p_rows), _tableau(q_rows)
 
 
@@ -344,31 +351,29 @@ def reverse_jdt_place(t: StandardTableau, x: int, corner: Cell) -> StandardTable
 
 
 def q_inverse_shuffle(q_tab: StandardTableau) -> Word:
-    """
-    Invert the recording-tableau map on shuffles of a fixed-point-free
-    involution with a trailing increasing run of large letters.
-
-    Given a standard tableau with k odd columns, recover the unique word
-    tau in I_{n-k,0} shuffled with [n-k+1..n] whose recording tableau it
-    is: k reverse insertions from the bottoms of the rightmost odd
-    columns yield the positions of the large letters, the standardized
-    residue determines the small involution.
-    """
+    """The unique shuffle tau of a word in I_{n-k,0} with the increasing run
+    n-k+1..n whose recording tableau is q_tab, which has k odd columns."""
     n = q_tab.size
     if q_tab.entries() != frozenset(range(1, n + 1)):
         raise ValueError("tableau must hold 1..n")
-    rows = [list(row) for row in q_tab.rows]
-    word = [0] * n  # position tau^{-1}(n) gets n, then tau^{-1}(n-1), ...
-    for big in range(n, n - odd_cols(q_tab.shape), -1):
-        cols = transpose_shape(tuple(map(len, rows)))
-        # the bottom of the rightmost odd column ends its row: the column
-        # to its right is even, hence strictly shorter
-        col = max(c for c, length in enumerate(cols) if length % 2 == 1)
-        word[_unbump(rows, cols[col] - 1) - 1] = big
+    return _q_inverse_shuffle([list(row) for row in q_tab.rows])
+
+
+def _q_inverse_shuffle(rows: list[list[int]]) -> Word:
+    """q_inverse_shuffle on the rows of a tableau on 1..n, which it empties:
+    one reverse insertion from the bottom of each odd column, the
+    rightmost first, yields the positions of the large letters, and the
+    standardized residue determines the small involution."""
+    word = [0] * sum(map(len, rows))  # position tau^{-1}(n) gets n, then tau^{-1}(n-1), ...
+    # the bottom of the rightmost odd column ends its row, as the column to its right is
+    # even, hence shorter; unbumping it shortens no other column, so the next one is left
+    odd = [length for length in reversed(transpose_shape(tuple(map(len, rows)))) if length % 2]
+    for big, length in zip(range(len(word), 0, -1), odd):
+        word[_unbump(rows, length - 1) - 1] = big
     # residue: the P tableau of tau^{-1} restricted to the small letters
     rank = {v: r for r, v in enumerate(sorted(e for row in rows for e in row), start=1)}
-    q_sigma = [[rank[e] for e in row] for row in rows]
-    sigma = _reverse_rs([row[:] for row in q_sigma], q_sigma)
+    rows[:] = [[rank[e] for e in row] for row in rows]
+    sigma = _reverse_rs(rows, rows)
     if not perm.is_involution(sigma) or perm.fixed_points(sigma):
         raise ValueError("residue tableau does not encode a fixed-point-free involution")
     small = iter(sigma)  # sigma's letters fill the other positions in order

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import matchdescents
 from matchdescents import cli, cyclic, perm, symfun
 from matchdescents import matching as mm
 from matchdescents import oscillating as osc
@@ -64,6 +69,25 @@ def test_map_rotate(capsys):
     code, out, _ = run(capsys, "map", "rotate", "1-6,3-4,5-7", "--n", "8")
     assert code == 0
     assert out.strip() == "2-7,4-5,6-8"
+
+
+def test_map_p_refuses_a_non_involution(capsys):
+    assert run(capsys, "map", "p", "[2,3,1]") == (2, "", "error: not an involution: (2, 3, 1)\n")
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package runs as a module from a source tree, where no console script is installed
+    src = str(Path(matchdescents.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "matchdescents", "verify", "main0", "--n", "4"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["ok"] is True
 
 
 def test_enum_matchings_csv(capsys):

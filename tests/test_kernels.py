@@ -289,7 +289,11 @@ def oracle_matching_des(m):
 # before the word kernels, going through Matching at every step.  The
 # transport runs the composite and H the way they were before H became
 # its primitive: phi and its inverse on the oracle iota, H as Q of the
-# composite image, and H inverse through RS inverse of (t, t).
+# composite image, and H inverse through RS inverse of (t, t).  Its steps
+# are the maps as they were before they ran on row lists: res and emb
+# with their checks, the core standardized, Q and its inverse through
+# full tableaux, and the shuffle read off Q with the column lengths
+# recomputed for every large letter.  A shuffle is a pair (word, k).
 
 
 def oracle_enumerate_matchings(n, k):
@@ -313,15 +317,61 @@ def oracle_rotate(m):
     return mm.Matching(m.n, tuple((a % m.n + 1, b % m.n + 1) for a, b in m.arcs))
 
 
+def oracle_res(word):
+    if not perm.is_involution(word):
+        raise ValueError(f"not an involution: {word}")
+    fixed = perm.fixed_points(word)
+    moved = [v for i, v in enumerate(word, start=1) if i not in fixed]
+    return fixed, perm.standardize(moved)
+
+
+def oracle_emb(fixed, sigma, n):
+    k = len(fixed)
+    if len(sigma) != n - k or not fixed <= frozenset(range(1, n + 1)):
+        raise ValueError(f"size mismatch: |J|={k}, |sigma|={len(sigma)}, n={n}")
+    if not perm.is_perm(sigma) or not perm.is_involution(sigma) or perm.fixed_points(sigma):
+        raise ValueError(f"not a fixed-point-free involution: {sigma}")
+    word = [0] * n
+    for big, pos in enumerate(sorted(fixed), start=n - k + 1):
+        word[pos - 1] = big
+    small_positions = [i for i in range(1, n + 1) if i not in fixed]
+    for pos, v in zip(small_positions, sigma):
+        word[pos - 1] = v
+    return tuple(word), k
+
+
+def oracle_small_involution(word, k):
+    return perm.standardize(tuple(v for v in word if v <= len(word) - k))
+
+
+def oracle_q_inverse_shuffle(q_tab):
+    n = q_tab.size
+    if q_tab.entries() != frozenset(range(1, n + 1)):
+        raise ValueError("tableau must hold 1..n")
+    rows = [list(row) for row in q_tab.rows]
+    word = [0] * n
+    for big in range(n, n - tableau.odd_cols(q_tab.shape), -1):
+        cols = tableau.transpose_shape(tuple(map(len, rows)))
+        col = max(c for c, length in enumerate(cols) if length % 2 == 1)
+        word[tableau._unbump(rows, cols[col] - 1) - 1] = big
+    rank = {v: r for r, v in enumerate(sorted(e for row in rows for e in row), start=1)}
+    q_sigma = [[rank[e] for e in row] for row in rows]
+    sigma = tableau._reverse_rs([row[:] for row in q_sigma], q_sigma)
+    if not perm.is_involution(sigma) or perm.fixed_points(sigma):
+        raise ValueError("residue tableau does not encode a fixed-point-free involution")
+    small = iter(sigma)
+    return tuple(v or next(small) for v in word)
+
+
 def oracle_phi(word):
-    fixed, sigma = bj.res(word)
-    return bj.emb(fixed, oracle_iota(sigma), len(word))
+    fixed, sigma = oracle_res(word)
+    return oracle_emb(fixed, oracle_iota(sigma), len(word))
 
 
-def oracle_phi_inverse(t):
-    fixed = t.big_letter_positions()
-    sigma_image = oracle_iota(t.small_involution())
-    n = t.n
+def oracle_phi_inverse(shuffle_word, k):
+    n = len(shuffle_word)
+    fixed = frozenset(i for i, v in enumerate(shuffle_word, start=1) if v > n - k)
+    sigma_image = oracle_iota(oracle_small_involution(shuffle_word, k))
     word = [0] * n
     for pos in fixed:
         word[pos - 1] = pos
@@ -331,17 +381,42 @@ def oracle_phi_inverse(t):
     return perm.check_perm(word)
 
 
+def oracle_rs_q(word):
+    """The recording tableau, in the insertion loop of its own that RS had
+    before Q and the insertion rows shared one."""
+    p_rows = []
+    q_rows = []
+    for step, x in enumerate(word, start=1):
+        r = tableau._insert(p_rows, x)
+        if r == len(q_rows):
+            q_rows.append([step])
+        else:
+            q_rows[r].append(step)
+    return from_rows(q_rows)
+
+
+def oracle_q_map(shuffle_word):
+    q_tab = oracle_rs_q(shuffle_word)
+    return tableau.rs_inverse(q_tab, q_tab)
+
+
+def oracle_q_map_inverse(word):
+    if not perm.is_involution(word):
+        raise ValueError(f"not an involution: {word}")
+    return oracle_q_inverse_shuffle(oracle_rs_q(word)), len(perm.fixed_points(word))
+
+
 def oracle_iota_hat(word):
-    return bj.q_map(oracle_phi(word))
+    return oracle_q_map(oracle_phi(word)[0])
 
 
 def oracle_iota_hat_inverse(word):
-    return oracle_phi_inverse(bj.q_map_inverse(word))
+    return oracle_phi_inverse(*oracle_q_map_inverse(word))
 
 
 def oracle_h_map(word):
     """H through the RS round trip: Q of the composite image."""
-    return tableau.rs_pair_q(oracle_iota_hat(word))
+    return oracle_rs_q(oracle_iota_hat(word))
 
 
 def oracle_h_map_inverse(t):
@@ -622,9 +697,32 @@ def test_transport_matches_oracle(n):
         assert bj.iota_hat(word) == oracle_iota_hat(word)
         assert bj.iota_hat_inverse(word) == oracle_iota_hat_inverse(word)
         assert bj.h_map(word) == oracle_h_map(word)
+        element = bj.phi(word)
+        assert (element.word, element.k) == oracle_phi(word)
+        assert bj.phi_inverse(element) == oracle_phi_inverse(*oracle_phi(word)) == word
+        element = bj.q_map_inverse(word)
+        assert (element.word, element.k) == oracle_q_map_inverse(word)
+        assert bj.q_map(element) == oracle_q_map(element.word) == word
     for t in tableau.enumerate_syt_n(n):
         assert cyclic.transport_syt(t) == oracle_transport_syt(t)
         assert bj.h_map_inverse(t) == oracle_h_map_inverse(t)
+
+
+@pytest.mark.parametrize("n", [*range(10), pytest.param(10, marks=pytest.mark.slow)])
+def test_q_inverse_shuffle_matches_oracle(n):
+    for t in tableau.enumerate_syt_n(n):
+        assert tableau.q_inverse_shuffle(t) == oracle_q_inverse_shuffle(t)
+
+
+def test_transport_wrappers_keep_input_checks():
+    shifted = from_rows(((2, 3), (4,)))  # not on 1..3
+    for q_inverse_shuffle in (tableau.q_inverse_shuffle, oracle_q_inverse_shuffle):
+        with pytest.raises(ValueError, match=r"^tableau must hold 1\.\.n$"):
+            q_inverse_shuffle(shifted)
+    with pytest.raises(ValueError, match=r"^not an involution: \(2, 3, 1\)$"):
+        cyclic.transport_involution((2, 3, 1))
+    with pytest.raises(ValueError, match=r"^not an involution: \(2, 3, 1\)$"):
+        oracle_transport_involution((2, 3, 1))
 
 
 @pytest.mark.parametrize("n2", [0, 2, 4, 6, 8, 10, pytest.param(12, marks=pytest.mark.slow)])
