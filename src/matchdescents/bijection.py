@@ -152,7 +152,12 @@ def h_map(word: Word) -> StandardTableau:
     """H = Q∘phi, the recording tableau of phi(word) and of the composite
     image; a bijection from involutions with k fixed points to tableaux
     with k odd columns."""
-    return tableau._tableau(tableau._rs(_phi(_involution(word)))[1])
+    return _h_map(_involution(word))
+
+
+def _h_map(word: Word) -> StandardTableau:
+    """h_map of an involution word the package built."""
+    return tableau._tableau(tableau._rs(_phi(word))[1])
 
 
 def h_map_inverse(t: StandardTableau) -> Word:

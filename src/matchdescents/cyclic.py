@@ -27,7 +27,7 @@ def transport_involution(word: Word) -> tuple[DescentSet, Word]:
 def transport_syt(t: StandardTableau) -> tuple[DescentSet, StandardTableau]:
     """(cDes(t), p(t)) through h = Q after the composite bijection."""
     pre = bijection.h_map_inverse(t)
-    return matching_mod._cmdes(pre), bijection.h_map(matching_mod._rotate(pre))
+    return matching_mod._cmdes(pre), bijection._h_map(matching_mod._rotate(pre))
 
 
 def classify_escherian(n: int, k: int, j: int) -> str:

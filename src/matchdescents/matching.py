@@ -16,6 +16,14 @@ its constructor, ``from_involution`` or the parsers is checked in full;
 one that wraps a word the package built is not.  One left-to-right sweep
 gives both the crossing and the nesting number, and the descent sets are
 in range by construction and wrapped without the ``DescentSet`` check.
+
+The identities that only count statistics over a class M_{n,k} (the
+``verify`` loops of main1, main11, main111 and main0) build no words:
+``_stat_counts`` is one depth-first search in the order of ``_words``
+that carries the sweep state (cr, ne, the open right endpoints, and Des
+and MDes as bit masks) down the search, so each prefix is swept once for
+every leaf below it.  ``enum``, ``cdes``, ``chen`` and the oracles still
+read the words of ``_words``.
 """
 from __future__ import annotations
 
@@ -26,7 +34,7 @@ import random
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import perm
 from .perm import DescentSet, ParseError, Word
@@ -283,6 +291,79 @@ def _words(n: int, k: int) -> Iterator[Word]:
             word[first - 1], word[q - 1] = first, q
 
     return gen(tuple(range(1, n + 1)), k)
+
+
+def _stat_counts(n: int, k: int, fold: Callable[[int, int, int, int], object]) -> None:
+    """
+    Call ``fold(cr, ne, mdes, des)`` once per matching of ``_words(n, k)``,
+    in its order, with the descent sets as masks (bit i for position i).
+    One depth-first search decides the smallest undecided point at each
+    node, so the points below it are all decided: each node sweeps them
+    once, as ``_cr_ne``, ``_geometric_descents`` and ``perm._descents``
+    would, and every leaf below it shares that sweep state.
+
+    >>> _stat_counts(4, 2, lambda cr, ne, mdes, des: print(cr, ne, bin(mdes), bin(des)))
+    1 1 0b1100 0b1000
+    1 1 0b110 0b100
+    1 1 0b1010 0b1100
+    1 1 0b10 0b10
+    1 1 0b100 0b110
+    1 1 0b1000 0b1010
+    """
+    if (n - k) % 2 != 0 or not 0 <= k <= n:
+        raise ValueError(f"invalid (n, k) = ({n}, {k})")
+    # p[i] is the partner of i, i itself when unmatched, 0 while undecided;
+    # p[n + 1] = 0 ends every sweep, and p[0] = -1 sets no bit at position 0
+    p = [0] * (n + 2)
+    p[0] = -1
+    rights: list[int] = []  # as in _cr_ne
+
+    def node(s, pairs, free, cr, ne, grown, des, mdes):
+        # s: the first point not yet swept; pairs, free: arcs and unmatched
+        # points still to place; the rest is the sweep state up to s - 1
+        saved = rights[:]
+        q = p[s]
+        while q:
+            i = s - 1
+            pi = p[i]
+            if pi > q:
+                des |= 1 << i
+            if pi == i:
+                if q != s:
+                    mdes |= 1 << i
+            elif pi == s:
+                mdes |= 1 << i
+            elif q != s:
+                lo, hi = (i, pi) if i < pi else (pi, i)
+                if (lo < s < hi) != (lo < q < hi):
+                    mdes |= 1 << i
+            if q > s:
+                rights.append(q)
+                grown = True
+            elif q < s:
+                if grown:
+                    cr = max(cr, _longest_increasing(rights))
+                    ne = max(ne, _longest_increasing(reversed(rights)))
+                    grown = False
+                rights.remove(s)
+            s += 1
+            q = p[s]
+        if s > n:
+            fold(cr, ne, mdes, des)
+        else:
+            if free:
+                p[s] = s
+                node(s, pairs, free - 1, cr, ne, grown, des, mdes)
+            if pairs:
+                for t in range(s + 1, n + 1):
+                    if not p[t]:
+                        p[s], p[t] = t, s
+                        node(s, pairs - 1, free, cr, ne, grown, des, mdes)
+                        p[t] = 0
+            p[s] = 0
+        rights[:] = saved
+
+    node(1, (n - k) // 2, k, 0, 0, False, 0, 0)
 
 
 def random_matching(n: int, k: int, rng: random.Random) -> Matching:

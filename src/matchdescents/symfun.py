@@ -11,6 +11,7 @@ exists only as an independent numeric cross-check.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -84,15 +85,36 @@ def schur_descent_multiset(shape: Shape) -> Counter:
 
 
 # ---------------------------------------------------------------------------
+# The matching identities fold the statistics of ``matching._stat_counts``
+# into counters keyed by descent masks, and read the masks as sets once,
+# at the end, for the comparison and the witness.  The cache holds at most
+# 2^(n-1) sets for the largest n checked.
+
+@functools.cache
+def _members(mask: int) -> frozenset[int]:
+    """The descent set whose mask is ``mask``: bit i for position i."""
+    return frozenset({i for i in range(1, mask.bit_length()) if mask >> i & 1})
+
+
+def _mask_last(counts: Counter) -> Counter:
+    """``counts``, keyed by triples, with the descent mask that ends each key
+    read as its set."""
+    return Counter({(a, b, _members(mask)): c for (a, b, mask), c in counts.items()})
+
+
+# ---------------------------------------------------------------------------
 # The Schur-positivity identity over all matchings on n points
 
 def lhs_main0(n: int) -> Counter:
     """The multiset of (um, cr, MDes), one term per matching on n points."""
-    return Counter(
-        (k, matching_mod._cr_ne(w)[0], matching_mod._geometric_descents(w, n - 1))
-        for k in range(n % 2, n + 1, 2)
-        for w in matching_mod._words(n, k)
-    )
+    terms: Counter = Counter()
+    for k in range(n % 2, n + 1, 2):
+
+        def fold(cr, ne, mdes, des, k=k):
+            terms[k, cr, mdes] += 1
+
+        matching_mod._stat_counts(n, k, fold)
+    return _mask_last(terms)
 
 
 def rhs_main0(n: int) -> Counter:
@@ -119,13 +141,13 @@ def verify_lemma_main1(n2: int) -> VerifyResult:
     projecting both onto their first two entries gives the symmetry of
     (Des, MDes).  An odd n2 raises ValueError from the enumerator."""
     refined: Counter = Counter()
-    swapped: Counter = Counter()
-    for w in matching_mod._words(n2, 0):
-        d = perm._descents(w)
-        g = matching_mod._geometric_descents(w, n2 - 1)
-        cr, ne = matching_mod._cr_ne(w)
-        refined[(g, d, cr, ne)] += 1
-        swapped[(d, g, ne, cr)] += 1
+
+    def fold(cr, ne, mdes, des):
+        refined[mdes, des, cr, ne] += 1
+
+    matching_mod._stat_counts(n2, 0, fold)
+    refined = Counter({(_members(g), _members(d), cr, ne): c for (g, d, cr, ne), c in refined.items()})
+    swapped = Counter({(d, g, ne, cr): c for (g, d, cr, ne), c in refined.items()})
     return _compared("main1", {"n": n2}, refined, swapped, {"matchings": refined.total()})
 
 
@@ -137,11 +159,13 @@ def _cr_ne_counts(n: int, k: int) -> tuple[Counter, Counter]:
     """The multisets of (cr, ne, MDes) and of (ne, cr, Des) over M_{n,k}."""
     lhs: Counter = Counter()
     rhs: Counter = Counter()
-    for w in matching_mod._words(n, k):
-        cr, ne = matching_mod._cr_ne(w)
-        lhs[(cr, ne, matching_mod._geometric_descents(w, n - 1))] += 1
-        rhs[(ne, cr, perm._descents(w))] += 1
-    return lhs, rhs
+
+    def fold(cr, ne, mdes, des):
+        lhs[cr, ne, mdes] += 1
+        rhs[ne, cr, des] += 1
+
+    matching_mod._stat_counts(n, k, fold)
+    return _mask_last(lhs), _mask_last(rhs)
 
 
 def _drop_middle(counts: Counter) -> Counter:
@@ -401,19 +425,23 @@ def resolve_params(name: str, given: dict) -> dict:
 def run_identity(name: str, params: dict) -> VerifyResult:
     """Check identity ``name`` on parameters from ``resolve_params``.  When
     k is a flag left absent, the counts are summed over every k class the
-    flags select; the first failing class stops the sum and is the result."""
+    flags select, and each class's counts are kept in the extra field
+    ``classes``; the first failing class stops the sum and is the result."""
     check = REGISTRY[name].check
     if "k" not in params or params["k"] is not None:
         return check(**params)
     total: Counter = Counter()
+    classes = {}
     for k in _ks(params["n"], None, params.get("j")):
         result = check(**{**params, "k": k})
         total.update(result.counts)
+        classes[k] = result.counts
         if not result.ok:
             break
     else:
         result = VerifyResult(name, params, True)
     result.counts = dict(total)
+    result.extra = {**result.extra, "classes": classes}
     return result
 
 

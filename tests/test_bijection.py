@@ -118,6 +118,11 @@ def test_h_map():
     assert bj.h_map(tuple(range(1, 5))) == tableau.from_rows(((1, 2, 3, 4),))
 
 
+def test_h_map_refuses_a_non_involution():
+    with pytest.raises(ValueError, match=r"^not an involution: \(2, 3, 1\)$"):
+        bj.h_map((2, 3, 1))
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_h_map_bijection(n):
     for k in range(n % 2, n + 1, 2):

@@ -275,6 +275,26 @@ def test_verify_cdes_all_classes(capsys):
     assert code == 2 and "invalid" in err
 
 
+@pytest.mark.parametrize(
+    "argv, per_class",
+    [
+        (("main11", "--n", "9"), {k: {"matchings": mm.count_matchings(9, k)} for k in (1, 3, 5, 7, 9)}),
+        (("main111", "--n", "9"), {k: {"matchings": mm.count_matchings(9, k)} for k in (1, 3, 5, 7, 9)}),
+        (("cdes", "--n", "6"), {k: {"classes_checked": (6 - k) // 2 + 1} for k in (0, 2, 4, 6)}),
+        (("cdes-syt", "--n", "6", "--j", "1"), {k: {"classes_checked": 1} for k in (0, 2, 4)}),
+    ],
+)
+def test_verify_reports_per_class_counts_that_add_up(capsys, argv, per_class):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["classes"] == {str(k): counts for k, counts in per_class.items()}
+    (key,) = report["counts"]
+    assert report["counts"][key] == sum(counts[key] for counts in per_class.values())
+    code, out, _ = run(capsys, "verify", *argv, "--k", str(min(per_class)))
+    assert "classes" not in json.loads(out)
+
+
 @pytest.mark.slow
 def test_verify_main11_exhaustive_n12(capsys):
     # 140,152 = |I_12|, summed over every class M_{12,k}
@@ -356,6 +376,8 @@ def test_verify_main11_names_the_failing_class(capsys, monkeypatch):
     report = json.loads(out)
     assert report["params"] == {"n": 7, "k": None}
     assert report["failing"] == {"n": 7, "k": 3}
+    assert report["classes"] == {"1": {"matchings": 105}, "3": {"matchings": 105}}
+    assert report["counts"] == {"matchings": 210}
 
 
 @pytest.mark.slow
@@ -417,8 +439,12 @@ def test_verify_internal_error_exits_3(capsys, monkeypatch, exc):
     assert f"{type(exc).__name__}: broken invariant" in err
 
 
-def _no_geometric_descents(word, last):
-    return frozenset()
+_stat_counts = mm._stat_counts
+
+
+def _no_geometric_descents(n, k, fold):
+    """The matching-statistics kernel with every MDes folded as the empty set."""
+    _stat_counts(n, k, lambda cr, ne, mdes, des: fold(cr, ne, 0, des))
 
 
 def _no_cyclic_descents(word):
@@ -432,10 +458,10 @@ def _identity_class_words(pi, sigma_word, kernel):
 # Per registry identity: the flags of a small passing run, and a map to
 # patch, (module, attribute, stand-in), that the identity must then fail on.
 REGISTRY_CASES = {
-    "main1": (("--n", "4"), (mm, "_geometric_descents", _no_geometric_descents)),
-    "main11": (("--n", "4"), (mm, "_geometric_descents", _no_geometric_descents)),
-    "main111": (("--n", "4"), (mm, "_geometric_descents", _no_geometric_descents)),
-    "main0": (("--n", "4"), (mm, "_geometric_descents", _no_geometric_descents)),
+    "main1": (("--n", "4"), (mm, "_stat_counts", _no_geometric_descents)),
+    "main11": (("--n", "4"), (mm, "_stat_counts", _no_geometric_descents)),
+    "main111": (("--n", "4"), (mm, "_stat_counts", _no_geometric_descents)),
+    "main0": (("--n", "4"), (mm, "_stat_counts", _no_geometric_descents)),
     "cdes": (("--n", "4"), (mm, "_cmdes", _no_cyclic_descents)),
     "cdes-syt": (("--n", "4"), (mm, "_cmdes", _no_cyclic_descents)),
     "gessel": (("--max", "4"), (symfun, "_class_words", _identity_class_words)),

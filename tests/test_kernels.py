@@ -690,6 +690,42 @@ def test_word_enumerator_matches_oracle(n):
             mm._words(n, k)
 
 
+def _per_word_stats(n, k):
+    """(cr, ne, MDes, Des) of each matching of M_{n,k}, one sweep per word."""
+    return ((*mm._cr_ne(w), mm._geometric_descents(w, n - 1), perm._descents(w)) for w in mm._words(n, k))
+
+
+@pytest.mark.parametrize("n", [*range(11), *(pytest.param(n, marks=pytest.mark.slow) for n in (11, 12))])
+def test_stat_counts_match_per_word_path(n):
+    # n <= 10: all 13,232 matchings, in _words' order; n = 11, 12 add 35,696 + 140,152
+    for k in range(n % 2, n + 1, 2):
+        folded = []
+        mm._stat_counts(n, k, lambda *stats: folded.append(stats))
+        per_word = _per_word_stats(n, k)
+        assert folded == [(cr, ne, sum(1 << i for i in g), sum(1 << i for i in d)) for cr, ne, g, d in per_word]
+        assert len(folded) == mm.count_matchings(n, k)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_kernel_counters_match_per_word_path(n):
+    main0 = Counter()
+    for k in range(n % 2, n + 1, 2):
+        stats = list(_per_word_stats(n, k))
+        lhs, rhs = symfun._cr_ne_counts(n, k)
+        assert lhs == Counter((cr, ne, g) for cr, ne, g, _ in stats)
+        assert rhs == Counter((ne, cr, d) for cr, ne, _, d in stats)
+        main0.update((k, cr, g) for cr, _, g, _ in stats)
+    assert symfun.lhs_main0(n) == main0
+
+
+def test_stat_counts_refuses_invalid_classes():
+    folded = []
+    for n, k in [(4, 1), (4, 6), (4, -2), (3, 0), (0, 1)]:
+        with pytest.raises(ValueError, match="invalid"):
+            mm._stat_counts(n, k, lambda *stats: folded.append(stats))
+    assert folded == []
+
+
 @pytest.mark.parametrize("n", [*range(9), *(pytest.param(n, marks=pytest.mark.slow) for n in (9, 10))])
 def test_transport_matches_oracle(n):
     for word in involutions(n):
