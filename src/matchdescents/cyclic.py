@@ -2,6 +2,10 @@
 Cyclic descent extensions: the transported cyclic statistics on
 involutions and standard Young tableaux, the three-axiom verifier, and
 the classification of the Escherian classes.
+
+p = ι̂∘rot∘ι̂⁻¹ and ι̂ sends cr to ne, so the class checks walk forward from
+the matchings with cr = j, one ι̂ (or H) per element and no inverse; the
+``transport_*`` maps carry one object at a time.
 """
 from __future__ import annotations
 
@@ -73,40 +77,30 @@ def verify_cdes(ground_set: Iterable, des_fn: Callable, transport: Callable, set
     p(x)) that ``transport`` gives for each x of the ground set, with Des(x)
     = ``des_fn(x)`` (DescentSets), and report the orbit structure of p.
     """
-    return _verify_cdes(ground_set, lambda x: des_fn(x).members, transport, set_id)
-
-
-def _verify_cdes(ground_set: Iterable, des_members: Callable, transport: Callable, set_id: str) -> CdesReport:
-    """verify_cdes with ``des_members(x)`` the members of Des(x)."""
     elements = list(ground_set)
-    element_set = set(elements)
-    if len(element_set) != len(elements):
+    if len(set(elements)) != len(elements):
         raise ValueError("ground set contains duplicates")
     # cDes of p(x) is read from p(x)'s own entry, computed from p(x) alone
     transported = {x: transport(x) for x in elements}
-    if {image for _, image in transported.values()} != element_set:
+    p = {x: image for x, (_, image) in transported.items()}
+    if set(p.values()) != p.keys():
         raise ValueError("p is not a bijection of the ground set")
+    n = transported[elements[0]][0].n if elements else 0
+    cdes = {x: cd.members for x, (cd, _) in transported.items()}
+    return _report(set_id, n, {x: des_fn(x).members for x in elements}, cdes, p)
 
-    extension_ok = True
-    equivariance_ok = True
-    witnesses = []
-    for x in elements:
-        cd, image = transported[x]
-        n, members = cd.n, cd.members
-        if members - {n} != des_members(x):
-            extension_ok = False
-        if transported[image][0].members != {i % n + 1 for i in members}:
-            equivariance_ok = False
-        if not members or len(members) == n:  # a cyclic descent set lies in [n]
-            witnesses.append(x)
 
+def _report(set_id: str, n: int, des: dict, cdes: dict, p: dict) -> CdesReport:
+    """The axioms and orbits for the members of Des and cDes and the map p
+    of each element of ``des``, in its order."""
+    witnesses = [x for x in des if not cdes[x] or len(cdes[x]) == n]  # a cyclic descent set lies in [n]
     return CdesReport(
         set_id=set_id,
-        extension_ok=extension_ok,
-        equivariance_ok=equivariance_ok,
+        extension_ok=all(cdes[x] - {n} == members for x, members in des.items()),
+        equivariance_ok=all(cdes[p[x]] == {i % n + 1 for i in members} for x, members in cdes.items()),
         non_escher_ok=not witnesses,
         escher_witnesses=witnesses,
-        orbit_sizes=[len(orbit) for orbit in orbits(elements, lambda x: transported[x][1])],
+        orbit_sizes=[len(orbit) for orbit in orbits(list(des), p.__getitem__)],
     )
 
 
@@ -126,29 +120,59 @@ def orbits(elements: Sequence[Hashable], step: Callable[[Hashable], Hashable]) -
     return out
 
 
+def _cr_ne_classes(n: int, k: int) -> tuple[dict[int, list[Word]], dict[int, list[Word]]]:
+    """The words of M_{n,k} by crossing number and by nesting number, from
+    one pass over ``_words(n, k)``, each class in its order."""
+    by_cr: dict[int, list[Word]] = {j: [] for j in range((n - k) // 2 + 1)}
+    by_ne: dict[int, list[Word]] = {j: [] for j in by_cr}
+    for word in matching_mod._words(n, k):
+        cr, ne = matching_mod._cr_ne(word)
+        by_cr[cr].append(word)
+        by_ne[ne].append(word)
+    return by_cr, by_ne
+
+
 def involutions_by_nesting(n: int, k: int) -> dict[int, list[Word]]:
     """The classes I_{n,k,j} for every j, from one pass over M_{n,k}."""
-    classes: dict[int, list[Word]] = {j: [] for j in range((n - k) // 2 + 1)}
-    for word in matching_mod._words(n, k):
-        classes[matching_mod._cr_ne(word)[1]].append(word)
-    return classes
+    return _cr_ne_classes(n, k)[1]
 
 
 def verify_cdes_involutions(n: int, k: int, j: int, elements: list[Word] | None = None) -> CdesReport:
     """Run the verifier on the involutions with k fixed points and
-    nesting number j, using the transported maps.  ``elements`` may hold
-    that class when the caller has enumerated it already."""
-    if elements is None:
-        elements = list(matching_mod._inkj_words(n, k, j))
-    return _verify_cdes(elements, perm._descents, transport_involution, f"I_{{{n},{k},{j}}}")
+    nesting number j.  ``elements`` may list that class, in the order its
+    witnesses take, when the caller has it already."""
+    classes = _cr_ne_classes(n, k)
+    if elements is not None:
+        classes[1][j] = elements
+    return _check_class(n, k, j, classes)
 
 
 def verify_cdes_syt(n: int, k: int, j: int) -> CdesReport:
-    # each tableau with its Des, both from the enumeration kernel, in its order
-    des = {
-        tableau._tableau(rows): frozenset(d)
-        for shape in tableau._syt_shapes(n, k, j)
-        for rows, d in tableau._syt_des(shape)
-    }
-    return _verify_cdes(list(des), des.__getitem__, transport_syt, f"SYT_{{{n},{k},{j}}}")
+    return _check_class(n, k, j, _cr_ne_classes(n, k), syt=True)
 
+
+def _check_class(n: int, k: int, j: int, classes: tuple[dict, dict], syt: bool = False) -> CdesReport:
+    """The report on I_{n,k,j} (SYT_{n,k,j} when syt) from the class cr = j
+    of ``_cr_ne_classes(n, k)``: cDes(ι̂ m) = cMDes(m), p(ι̂ m) = ι̂(rot m)."""
+    if syt:
+        # each tableau with its Des, both from the enumeration kernel, in its order
+        des = {
+            tableau._tableau(rows): frozenset(d)
+            for shape in tableau._syt_shapes(n, k, j)
+            for rows, d in tableau._syt_des(shape)
+        }
+        image_of, set_id = bijection._h_map, f"SYT_{{{n},{k},{j}}}"
+    else:
+        des = {x: perm._descents(x) for x in classes[1][j]}
+        image_of, set_id = bijection._iota_hat, f"I_{{{n},{k},{j}}}"
+    preimages = classes[0][j]
+    image = {m: image_of(m) for m in preimages}
+    if len(preimages) != len(des) or des.keys() != set(image.values()):
+        raise ValueError("p is not a bijection of the ground set")
+    cdes, p = {}, {}
+    for m, x in image.items():
+        r = matching_mod._rotate(m)
+        if r not in image:
+            raise ValueError("rotation leaves the crossing class: p is not a bijection of the ground set")
+        cdes[x], p[x] = matching_mod._cmdes(m).members, image[r]
+    return _report(set_id, n, des, cdes, p)

@@ -333,14 +333,14 @@ def verify_cdes_k(n: int, k: int, j: int | None = None, syt: bool = False) -> Ve
     """The cyclic descent extension on I_{n,k,j} (SYT_{n,k,j} when syt),
     every j when j is None: the three axioms, orbit sizes dividing n, and
     Escher witnesses exactly on the Escherian classes.  The first failing
-    class stops the check and is reported."""
-    classes = None if syt else cyclic.involutions_by_nesting(n, k)
+    class stops the check and is reported, and ``class_sizes`` holds sizes."""
+    classes = cyclic._cr_ne_classes(n, k)
     witness: list = []
-    checked = 0
+    sizes = {}
     for jj in range((n - k) // 2 + 1) if j is None else [j]:
-        report = cyclic.verify_cdes_syt(n, k, jj) if syt else cyclic.verify_cdes_involutions(n, k, jj, classes[jj])
+        report = cyclic._check_class(n, k, jj, classes, syt)
         classification = cyclic.classify_escherian(n, k, jj)
-        checked += 1
+        sizes[jj] = len(classes[0][jj])
         if not (
             report.extension_ok
             and report.equivariance_ok
@@ -351,7 +351,8 @@ def verify_cdes_k(n: int, k: int, j: int | None = None, syt: bool = False) -> Ve
             break
     name, params = "cdes-syt" if syt else "cdes", {"n": n, "k": k, "j": jj if witness else j}
     extra = {} if j is None else {"classification": classification}
-    return VerifyResult(name, params, not witness, witness, {"classes_checked": checked}, extra)
+    extra["class_sizes"] = sizes
+    return VerifyResult(name, params, not witness, witness, {"classes_checked": len(sizes)}, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -425,23 +426,27 @@ def resolve_params(name: str, given: dict) -> dict:
 def run_identity(name: str, params: dict) -> VerifyResult:
     """Check identity ``name`` on parameters from ``resolve_params``.  When
     k is a flag left absent, the counts are summed over every k class the
-    flags select, and each class's counts are kept in the extra field
-    ``classes``; the first failing class stops the sum and is the result."""
+    flags select, each class's counts are kept in the extra field
+    ``classes``, and each of its extra fields is kept keyed by k; the first
+    failing class stops the sum and is the result."""
     check = REGISTRY[name].check
     if "k" not in params or params["k"] is not None:
         return check(**params)
     total: Counter = Counter()
     classes = {}
+    extra: dict = {}
     for k in _ks(params["n"], None, params.get("j")):
         result = check(**{**params, "k": k})
         total.update(result.counts)
         classes[k] = result.counts
+        for key, value in result.extra.items():
+            extra.setdefault(key, {})[k] = value
         if not result.ok:
             break
     else:
         result = VerifyResult(name, params, True)
     result.counts = dict(total)
-    result.extra = {**result.extra, "classes": classes}
+    result.extra = {"classes": classes, **extra}
     return result
 
 

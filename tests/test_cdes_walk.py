@@ -1,0 +1,72 @@
+"""
+The forward walk of ``verify cdes``/``cdes-syt`` against the per-element
+verifier: ``cyclic.verify_cdes`` with one ``transport_involution``
+(``transport_syt``) per element, which runs ι̂⁻¹ (H⁻¹) and then ι̂ (H).
+
+The walk reads p(ι̂ m) = ι̂(rot m) off the class of M_{n,k} with crossing
+number j.  It rests on rotation keeping cr and on its own check that ι̂
+maps that class onto the class it reports on; both are tested here.
+"""
+import pytest
+
+from matchdescents import bijection as bj
+from matchdescents import cli, cyclic
+from matchdescents import matching as mm
+from matchdescents import perm, tableau
+
+
+def classes(n):
+    for k in range(n % 2, n + 1, 2):
+        for j in range((n - k) // 2 + 1):
+            yield k, j
+
+
+def oracle_involutions(n, k, j):
+    elements = mm._inkj_words(n, k, j)
+    return cyclic.verify_cdes(elements, perm.des, cyclic.transport_involution, f"I_{{{n},{k},{j}}}")
+
+
+def oracle_syt(n, k, j):
+    elements = tableau.enumerate_syt_nkj(n, k, j)
+    return cyclic.verify_cdes(elements, tableau.des, cyclic.transport_syt, f"SYT_{{{n},{k},{j}}}")
+
+
+@pytest.mark.parametrize("n", [*range(10), pytest.param(10, marks=pytest.mark.slow)])
+def test_walk_matches_per_element_verifier(n):
+    for k, j in classes(n):
+        for walked, oracle in [
+            (cyclic.verify_cdes_involutions(n, k, j), oracle_involutions(n, k, j)),
+            (cyclic.verify_cdes_syt(n, k, j), oracle_syt(n, k, j)),
+        ]:
+            assert walked.to_dict() == oracle.to_dict()
+            assert walked == oracle  # witnesses as objects, orbits in the class's order
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_rotation_keeps_the_crossing_number(n):
+    for k in range(n % 2, n + 1, 2):
+        for word in mm._words(n, k):
+            assert mm._cr_ne(mm._rotate(word))[0] == mm._cr_ne(word)[0]
+
+
+def test_walk_refuses_a_map_that_is_not_onto_the_class(monkeypatch):
+    # the identity is injective, but it keeps the noncrossing perfect
+    # matchings of 6 points, which are not the nonnesting ones
+    monkeypatch.setattr(bj, "_iota_hat", lambda word: word)
+    with pytest.raises(ValueError, match="not a bijection"):
+        cyclic.verify_cdes_involutions(6, 0, 1)
+
+
+def test_walk_refuses_a_rotation_that_leaves_the_crossing_class(monkeypatch):
+    # the identity word has cr = 0, outside the class cr = 1 of M_{6,0}
+    monkeypatch.setattr(mm, "_rotate", lambda word: tuple(range(1, len(word) + 1)))
+    with pytest.raises(ValueError, match="rotation leaves the crossing class"):
+        cyclic.verify_cdes_involutions(6, 0, 1)
+
+
+def test_verify_cdes_exits_3_when_iota_hat_is_not_injective(capsys, monkeypatch):
+    monkeypatch.setattr(bj, "_iota_hat", lambda word: tuple(sorted(word)))  # every word to the identity
+    code = cli.main(["verify", "cdes", "--n", "6"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "internal error" in err and "not a bijection" in err

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import matchdescents
-from matchdescents import cli, cyclic, perm, symfun
+from matchdescents import cli, cyclic, perm, symfun, tableau
 from matchdescents import matching as mm
 from matchdescents import oscillating as osc
 
@@ -396,6 +396,11 @@ def test_verify_cdes_j_without_k(capsys):
     report = json.loads(out)
     assert report["ok"] is True
     assert report["counts"] == {"classes_checked": 3}
+    # each k class's extra fields are kept, keyed by k
+    assert report["classification"] == {"0": "non_escherian", "2": "non_escherian", "4": "non_escherian"}
+    code, out, _ = run(capsys, "verify", "cdes-syt", "--n", "6", "--j", "3")
+    assert code == 0
+    assert json.loads(out)["classification"] == {"0": "escherian"}
     code, out, err = run(capsys, "verify", "cdes", "--n", "6", "--j", "4")
     assert code == 2 and out == "" and "invalid" in err
 
@@ -491,3 +496,22 @@ def test_every_registry_identity_passes_refuses_and_fails(capsys, monkeypatch, n
     assert report["ok"] is False
     assert report["witness_diff"]
     assert report["failing"]
+
+
+@pytest.mark.parametrize("identity", ["cdes", "cdes-syt"])
+def test_verify_cdes_reports_class_sizes(capsys, identity):
+    # 2620 = |I_9| = |SYT(9)|; the sizes sit outside counts
+    enumerate_class = tableau.enumerate_syt_nkj if identity == "cdes-syt" else mm._inkj_words
+    code, out, _ = run(capsys, "verify", identity, "--n", "9")
+    assert code == 0
+    report = json.loads(out)
+    assert report["counts"] == {"classes_checked": 15}
+    sizes = report["class_sizes"]
+    assert sizes == {
+        str(k): {str(j): sum(1 for _ in enumerate_class(9, k, j)) for j in range((9 - k) // 2 + 1)}
+        for k in range(1, 10, 2)
+    }
+    assert sum(sum(per_j.values()) for per_j in sizes.values()) == 2620
+    assert sum(1 for _ in tableau.enumerate_syt_n(9)) == 2620
+    code, out, _ = run(capsys, "verify", identity, "--n", "9", "--k", "3", "--j", "2")
+    assert json.loads(out)["class_sizes"] == {"2": sizes["3"]["2"]}
