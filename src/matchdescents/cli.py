@@ -246,10 +246,12 @@ def _involution_words(n: int, k: int, j: int | None) -> Iterator[perm.Word]:
 def cmd_orbits(args: argparse.Namespace) -> int:
     _refuse_over_guard("n", args.n, MAX_N_WITHOUT_FORCE, args.force)
     elements = list(_involution_words(args.n, args.k, args.j))
-    transported = {w: cyclic.transport_involution(w) for w in elements}
+    # ι̂ sends cr to ne, so I_{n,k,j} is the image of the matchings with cr = j
+    preimages = elements if args.j is None else cyclic._cr_ne_classes(args.n, args.k)[0][args.j]
+    cdes, p = cyclic._walk(preimages, bijection._iota_hat, set(elements))
     rows = (
-        [orbit_id, len(orbit), perm.format_cycles(w), _set_str(transported[w][0].members)]
-        for orbit_id, orbit in enumerate(cyclic.orbits(elements, lambda w: transported[w][1]))
+        [orbit_id, len(orbit), perm.format_cycles(w), _set_str(cdes[w])]
+        for orbit_id, orbit in enumerate(cyclic.orbits(elements, p.__getitem__))
         for w in orbit
     )
     _emit_rows(["orbit", "size", "element", "cdes"], rows, args.format, args.output)

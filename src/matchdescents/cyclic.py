@@ -10,7 +10,7 @@ the matchings with cr = j, one ι̂ (or H) per element and no inverse; the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import AbstractSet, Callable, Hashable, Iterable, Sequence
 
 from . import bijection, matching as matching_mod, perm, tableau
 from .perm import DescentSet, Word
@@ -165,9 +165,16 @@ def _check_class(n: int, k: int, j: int, classes: tuple[dict, dict], syt: bool =
     else:
         des = {x: perm._descents(x) for x in classes[1][j]}
         image_of, set_id = bijection._iota_hat, f"I_{{{n},{k},{j}}}"
-    preimages = classes[0][j]
+    return _report(set_id, n, des, *_walk(classes[0][j], image_of, des.keys()))
+
+
+def _walk(preimages: list[Word], image_of: Callable, ground: AbstractSet) -> tuple[dict, dict]:
+    """The members of cDes and the map p of each element of ``ground``, read
+    forward from the matchings that ``image_of`` (ι̂ or H) maps onto it:
+    cDes(ι̂ m) = cMDes(m) and p(ι̂ m) = ι̂(rot m).  Raises unless the map is
+    a bijection onto ``ground`` and rotation keeps the preimages."""
     image = {m: image_of(m) for m in preimages}
-    if len(preimages) != len(des) or des.keys() != set(image.values()):
+    if len(preimages) != len(ground) or ground != set(image.values()):
         raise ValueError("p is not a bijection of the ground set")
     cdes, p = {}, {}
     for m, x in image.items():
@@ -175,4 +182,4 @@ def _check_class(n: int, k: int, j: int, classes: tuple[dict, dict], syt: bool =
         if r not in image:
             raise ValueError("rotation leaves the crossing class: p is not a bijection of the ground set")
         cdes[x], p[x] = matching_mod._cmdes(m).members, image[r]
-    return _report(set_id, n, des, cdes, p)
+    return cdes, p

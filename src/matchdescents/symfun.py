@@ -6,8 +6,7 @@ equidistribution identities, and the registry of every identity that
 
 A formal sum of fundamental quasisymmetric functions with monomial
 coefficients q^a t^b is stored as a multiset of (a, b, D) triples; two
-sums are equal iff the multisets agree.  Finite-variable evaluation
-exists only as an independent numeric cross-check.
+sums are equal iff the multisets agree.
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import gt
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import cyclic, matching as matching_mod, oscillating, perm, tableau
 from .perm import Placements, Word
@@ -51,31 +50,6 @@ class VerifyResult:
 def _compared(identity: str, params: dict, lhs: Counter, rhs: Counter, counts: dict) -> VerifyResult:
     ok = _same_multiset(lhs, rhs)
     return VerifyResult(identity, params, ok, [] if ok else multiset_diff(lhs, rhs), counts)
-
-
-def fundamental_eval(n: int, d: frozenset[int] | set[int], num_vars: int) -> Counter:
-    """
-    Monomial expansion of a fundamental quasisymmetric function in a
-    finite variable set: chains i_1 <= ... <= i_n with strict rises at D.
-    Returns a multiset of exponent vectors.
-    """
-    d = frozenset(d)
-    if not d <= frozenset(range(1, n)):
-        raise ValueError(f"invalid descent positions {set(d)}")
-    out: Counter = Counter()
-
-    def gen(pos: int, current: int, expo: list[int]) -> None:
-        if pos == n:
-            out[tuple(expo)] += 1
-            return
-        start = current + 1 if pos in d else current
-        for i in range(max(start, 1), num_vars + 1):
-            expo[i - 1] += 1
-            gen(pos + 1, i, expo)
-            expo[i - 1] -= 1
-
-    gen(0, 0, [0] * num_vars)
-    return out
 
 
 def schur_descent_multiset(shape: Shape) -> Counter:
@@ -193,22 +167,26 @@ def verify_main111(n: int, k: int) -> VerifyResult:
 # positions in S and rest∘sigma on the rest, where sup and rest list S and
 # its complement in increasing order.  Both sides therefore lay out words
 # through one table of placements per (m, n), and the verifier counts
-# descent sets as indicator tuples (True at each descent position).
+# descent sets as indicator tuples (True at each descent position).  Pairs
+# are checked where they enter: ``gessel_pairs`` builds only valid ones.
 
-def _class_words(pi: Word, sigma_word: tuple[int, ...], kernel: Placements) -> list[Word]:
-    """gessel_class, laid out through the placements of (len(pi), len(sigma_word))."""
+def _check_pair(pi: Word, sigma_word: tuple[int, ...]) -> None:
+    """Raise unless pi permutes [m], sigma m+1..m+n, with no shared cycle-type part."""
     m = len(pi)
-    n = len(sigma_word)
     perm.check_perm(pi)
-    if sorted(sigma_word) != list(range(m + 1, m + n + 1)):
+    if sorted(sigma_word) != list(range(m + 1, m + len(sigma_word) + 1)):
         raise ValueError("second permutation must act on the letters m+1..m+n")
-    sigma_std = perm.standardize(sigma_word)
     mu = perm.cycle_type(pi)
-    nu = perm.cycle_type(sigma_std)
+    nu = perm.cycle_type(perm.standardize(sigma_word))
     if set(mu) & set(nu):
         raise ValueError(f"cycle types {mu} and {nu} share a part")
-    # cols is sup + rest, so sup∘pi + rest∘sigma picks cols at these indices
-    pick = perm.picker([v - 1 for v in pi] + [m + v - 1 for v in sigma_std])
+
+
+def _class_words(pi: Word, sigma_word: tuple[int, ...], kernel: Placements) -> list[Word]:
+    """gessel_class of a checked pair, laid out through its placements."""
+    # cols is sup + rest, so sup∘pi + rest∘sigma picks cols at pi - 1 and at
+    # m + (sigma - m) - 1 = sigma - 1
+    pick = perm.picker([v - 1 for v in (*pi, *sigma_word)])
     return [layout(pick(cols)) for cols, layout in kernel]
 
 
@@ -218,17 +196,45 @@ def gessel_class(pi: Word, sigma_word: tuple[int, ...]) -> list[Word]:
     letter blocks are order-isomorphic to the given pair.  pi acts on
     [m]; sigma is given as a word on the letters m+1..m+n.
     """
+    _check_pair(pi, sigma_word)
     return _class_words(pi, sigma_word, perm.placements(len(pi), len(sigma_word)))
+
+
+def _descent_counts(words: Iterable[Word]) -> Counter:
+    """The Des multiset of the words, keyed by indicator tuples."""
+    return Counter(tuple(map(gt, w, w[1:])) for w in words)
 
 
 def _des_counts(pi: Word, sigma_word: tuple[int, ...], kernel: Placements) -> tuple[Counter, Counter]:
     """The Des multisets, keyed by indicator tuples, of the split class
-    and of the shuffles of the pair."""
-    lhs = Counter(tuple(map(gt, w, w[1:])) for w in _class_words(pi, sigma_word, kernel))
+    and of the shuffles of a checked pair."""
     joined = (*pi, *sigma_word)
-    shuffles = (layout(joined) for _, layout in kernel)
-    rhs = Counter(tuple(map(gt, w, w[1:])) for w in shuffles)
-    return lhs, rhs
+    lhs = _descent_counts(_class_words(pi, sigma_word, kernel))
+    return lhs, _descent_counts(layout(joined) for _, layout in kernel)
+
+
+def _gessel_counts(pairs: Iterable[tuple[Word, Word]]) -> Iterator[tuple[Word, Word, Counter, Counter]]:
+    """
+    Each checked pair with its ``_des_counts``.  The shuffles' multiset,
+    F_{Des pi} F_{Des sigma}, depends only on the block (m, n) and Des(pi +
+    sigma), which is Des pi and m + Des sigma: pi's letters lie below
+    sigma's.  It is computed once per key, in a table cleared at each block.
+    """
+    block = None
+    for pi, sigma_word in pairs:
+        if block != (len(pi), len(sigma_word)):
+            block = (len(pi), len(sigma_word))
+            kernel = perm.placements(*block)
+            shuffle_side: dict[tuple[bool, ...], Counter] = {}
+            shared: dict[tuple[bool, ...], tuple[bool, ...]] = {}
+        joined = (*pi, *sigma_word)
+        key = tuple(map(gt, joined, joined[1:]))
+        rhs = shuffle_side.get(key)
+        if rhs is None:
+            # one indicator tuple per Des set in the block's table, not one per entry
+            counts = _descent_counts(layout(joined) for _, layout in kernel)
+            rhs = shuffle_side[key] = Counter({shared.setdefault(d, d): c for d, c in counts.items()})
+        yield pi, sigma_word, _descent_counts(_class_words(pi, sigma_word, kernel)), rhs
 
 
 def _gessel_result(pi: Word, sigma_word: tuple[int, ...], lhs: Counter, rhs: Counter) -> VerifyResult:
@@ -246,6 +252,7 @@ def _member_sets(indicators: Counter) -> Counter:
 
 def verify_gessel(pi: Word, sigma_word: tuple[int, ...]) -> VerifyResult:
     """Des-multiset equality between the split class and the shuffles."""
+    _check_pair(pi, sigma_word)
     kernel = perm.placements(len(pi), len(sigma_word))
     return _gessel_result(pi, sigma_word, *_des_counts(pi, sigma_word, kernel))
 
@@ -273,12 +280,7 @@ def gessel_pairs(max_total: int):
 
 def verify_gessel_all(max_total: int) -> VerifyResult:
     checked = 0
-    block = None
-    for pi, sigma_word in gessel_pairs(max_total):
-        if block != (len(pi), len(sigma_word)):
-            block = (len(pi), len(sigma_word))
-            kernel = perm.placements(*block)
-        lhs, rhs = _des_counts(pi, sigma_word, kernel)
+    for pi, sigma_word, lhs, rhs in _gessel_counts(gessel_pairs(max_total)):
         checked += 1
         if not _same_multiset(lhs, rhs):
             result = _gessel_result(pi, sigma_word, lhs, rhs)

@@ -70,3 +70,25 @@ def test_verify_cdes_exits_3_when_iota_hat_is_not_injective(capsys, monkeypatch)
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert "internal error" in err and "not a bijection" in err
+
+
+def oracle_orbit_rows(n, k, j):
+    """The rows of ``orbits`` from one ``transport_involution`` (ι̂⁻¹, then ι̂)
+    per element."""
+    elements = list(mm._words(n, k) if j is None else mm._inkj_words(n, k, j))
+    transported = {w: cyclic.transport_involution(w) for w in elements}
+    return [
+        [orbit_id, len(orbit), perm.format_cycles(w), cli._set_str(transported[w][0].members)]
+        for orbit_id, orbit in enumerate(cyclic.orbits(elements, lambda w: transported[w][1]))
+        for w in orbit
+    ]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_orbits_walk_matches_per_element_transport(capsys, n):
+    for k, j in [*classes(n), *((k, None) for k in range(n % 2, n + 1, 2))]:
+        flags = ["--n", str(n), "--k", str(k)] + ([] if j is None else ["--j", str(j)])
+        assert cli.main(["orbits", *flags, "--format", "csv"]) == 0
+        walked = capsys.readouterr().out
+        cli._emit_rows(["orbit", "size", "element", "cdes"], oracle_orbit_rows(n, k, j), "csv", None)
+        assert walked == capsys.readouterr().out

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import matchdescents
-from matchdescents import cli, cyclic, perm, symfun, tableau
+from matchdescents import bijection as bj
+from matchdescents import cli, perm, symfun, tableau
 from matchdescents import matching as mm
 from matchdescents import oscillating as osc
 
@@ -177,7 +178,7 @@ def test_orbits_guard(capsys, monkeypatch):
         started.append(word)
         raise RuntimeError("transport started")
 
-    monkeypatch.setattr(cyclic, "transport_involution", stand_in)
+    monkeypatch.setattr(bj, "_iota_hat", stand_in)  # the walk's first kernel call on a word
     code, out, err = run(capsys, "orbits", "--n", "13", "--k", "13")
     assert code == 2 and out == "" and "exceeds the guard" in err and "--force" in err
     assert started == []

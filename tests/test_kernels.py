@@ -923,6 +923,43 @@ def test_gessel_inputs_keep_checks():
         perm.shuffles((1, 2), (2, 3))
 
 
+def fresh_shuffle_side(pi, sigma_word):
+    """The Des multiset of the shuffles of the pair, keyed by indicator tuples."""
+    n = len(pi) + len(sigma_word)
+    descents = (perm.des(w).members for w in perm.shuffles(pi, sigma_word))
+    return Counter(tuple(i in d for i in range(1, n)) for d in descents)
+
+
+@pytest.mark.parametrize("max_total", [7, pytest.param(9, marks=pytest.mark.slow)])
+def test_shuffle_side_depends_only_on_block_and_descents(max_total):
+    # every pair with m + n <= max_total gets the shuffle multiset of its
+    # own shuffles, from a table computed once per (m, n, Des pi, Des sigma)
+    kept, keys = [], set()
+    for pi, sigma_word, _, rhs in symfun._gessel_counts(symfun.gessel_pairs(max_total)):
+        assert rhs == fresh_shuffle_side(pi, sigma_word)
+        kept.append(rhs)
+        keys.add((perm.des(pi), perm.des(sigma_word)))
+    assert len({id(rhs) for rhs in kept}) == len(keys)
+
+
+def test_gessel_all_matches_oracle_per_pair(monkeypatch):
+    # the (lhs, rhs) that verify_gessel_all compares, pair by pair: 1074 pairs
+    seen = []
+
+    def recorded(pairs):
+        for item in counts(pairs):
+            seen.append(item)
+            yield item
+
+    counts = symfun._gessel_counts
+    monkeypatch.setattr(symfun, "_gessel_counts", recorded)
+    result = symfun.verify_gessel_all(7)
+    assert result.ok and result.counts == {"pairs_checked": 1074}
+    assert [(pi, sigma_word) for pi, sigma_word, _, _ in seen] == list(oracle_gessel_pairs(7))
+    for pi, sigma_word, lhs, rhs in seen:
+        assert (symfun._member_sets(lhs), symfun._member_sets(rhs)) == oracle_gessel_des_multisets(pi, sigma_word)
+
+
 def test_syt_des_keeps_entry_check():
     for rows in [((2, 3),), ((1, 3), (2, 5)), ((1, 4), (2,))]:
         with pytest.raises(ValueError):
@@ -1122,6 +1159,40 @@ def test_gessel_words_match_oracle_large(pair):
             symfun.gessel_class(pi, sigma_word)
     else:
         assert symfun.gessel_class(pi, sigma_word) == expected
+
+
+def with_descents_of(word, base):
+    """A word on the letters base+1..base+len(word) with the descent set of
+    ``word``: its ascending runs take the largest letters first."""
+    runs = [[]]
+    for i, v in enumerate(word):
+        if i and word[i - 1] > v:
+            runs.append([])
+        runs[-1].append(v)
+    out, top = [], base + len(word)
+    for run in runs:
+        out.extend(range(top - len(run) + 1, top + 1))
+        top -= len(run)
+    return tuple(out)
+
+
+@settings(deadline=None, max_examples=40)
+@given(gessel_inputs())
+def test_cached_shuffle_side_matches_verify_gessel_large(pair):
+    # the shuffle side is read from a table seeded by another pair with the
+    # same block and descent sets
+    pi, sigma_word = pair
+    seed = (with_descents_of(pi, 0), with_descents_of(sigma_word, len(pi)))
+    assert (perm.des(seed[0]), perm.des(seed[1])) == (perm.des(pi), perm.des(sigma_word))
+    (*_, seeded), (*_, lhs, rhs) = symfun._gessel_counts([seed, pair])
+    assert rhs is seeded and rhs == fresh_shuffle_side(pi, sigma_word)
+    try:
+        result = symfun.verify_gessel(pi, sigma_word)
+    except ValueError:  # the cycle types share a part
+        return
+    kernel = perm.placements(len(pi), len(sigma_word))
+    assert result.ok and result.counts == {"class": len(kernel), "shuffles": len(kernel)}
+    assert (lhs, rhs) == symfun._des_counts(pi, sigma_word, kernel)
 
 
 @st.composite
