@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 import time
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import bijection, cyclic, matching as matching_mod, oscillating, perm, symfun, tableau
 
@@ -169,28 +170,33 @@ def cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_rows(header: list[str], rows: Iterable[list], fmt: str, output: str | None) -> None:
+@contextlib.contextmanager
+def _row_sink(header: list[str], fmt: str, output: str | None) -> Iterator[Callable[[list], object]]:
     """
-    Write a table to ``output``, or to stdout.  csv and json write each
-    row as it comes; plain reads them all first to align its columns.
-    Every check on the command's input has run before this opens
-    ``output``.
+    Open ``output``, or stdout, for a table and yield the function that
+    takes its rows, one call per row.  csv and json write each row at
+    once; plain collects them and aligns its columns at the end.  A
+    command runs every check on its input before it opens the sink, and
+    an ``output`` that cannot be opened is refused as a usage error.
     """
-    if fmt == "plain":
-        rows = list(rows)
-        widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
-        lines = ["  ".join(str(h).ljust(w) for h, w in zip(header, widths))]
-        for row in rows:
-            lines.append("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
-    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
+    try:
+        target = open(output, "w") if output else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {output}: {exc.strerror}") from exc
+    with target as fh:
         if fmt == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(rows)
+            yield writer.writerow
         elif fmt == "json":
-            for row in rows:
-                fh.write(json.dumps(dict(zip(header, row))) + "\n")
+            yield lambda row: fh.write(json.dumps(dict(zip(header, row))) + "\n")
         else:
+            rows: list[list] = []
+            yield rows.append
+            widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
+            lines = ["  ".join(str(h).ljust(w) for h, w in zip(header, widths))]
+            for row in rows:
+                lines.append("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
             fh.write("\n".join(lines) + "\n")
 
 
@@ -203,58 +209,80 @@ def _refuse_over_guard(flag: str, value: int, bound: int, force: bool) -> None:
         raise UsageError(f"{flag}={value} exceeds the guard ({bound}); pass --force to run anyway")
 
 
+@functools.cache
+def _mask_str(mask: int) -> str:
+    """The text of the descent set whose mask is ``mask``: bit i for position i.
+    The cache holds the texts alone, a few bytes for each mask seen."""
+    return "{" + ",".join([str(i) for i in range(1, mask.bit_length()) if mask >> i & 1]) + "}"
+
+
 def cmd_enum(args: argparse.Namespace) -> int:
     n, k, j = args.n, args.k, args.j
     if args.family == "syt":
         if j is not None and k is None:
             raise UsageError("enum syt --j requires --k")
-        header = ["tableau", "shape", "height", "odd_cols", "des"]
-        rows = _syt_rows(tableau._syt_shapes(n, k, j))
-    else:
-        if k is None:
-            raise UsageError(f"enum {args.family} requires --k")
-        matchings = args.family == "matchings"
-        header = ["matching", "n", "k"] if matchings else ["cycles", "one_line"]
-        header += ["des", "mdes", "cmdes", "cr", "ne", "um"]
-        rows = _word_rows(_involution_words(n, k, j), n, k, matchings)
-    _emit_rows(header, rows, args.format, args.output)
+        shapes = tableau._syt_shapes(n, k, j)
+        with _row_sink(["tableau", "shape", "height", "odd_cols", "des"], args.format, args.output) as push:
+            for shape in shapes:
+                columns = (tableau.format_shape(shape), tableau.height(shape), tableau.odd_cols(shape))
+                for _, des, texts in tableau._syt_des(shape):
+                    push(["/".join(texts), *columns, _mask_str(des)])
+        return 0
+    if k is None:
+        raise UsageError(f"enum {args.family} requires --k")
+    matching_mod._check_nkj(n, k, j)
+    matchings = args.family == "matchings"
+    header = ["matching", "n", "k"] if matchings else ["cycles", "one_line"]
+    with _row_sink([*header, "des", "mdes", "cmdes", "cr", "ne", "um"], args.format, args.output) as push:
+        _push_matching_rows(push, n, k, j, matchings)
     return 0
 
 
-def _syt_rows(shapes: list[tableau.Shape]) -> Iterator[list]:
-    """The ``enum syt`` rows of the tableaux of the given shapes."""
-    for shape in shapes:
-        columns = (tableau.format_shape(shape), tableau.height(shape), tableau.odd_cols(shape))
-        for rows, descents in tableau._syt_des(shape):
-            yield [tableau._format_rows(rows), *columns, _set_str(descents)]
+def _push_matching_rows(push: Callable[[list], object], n: int, k: int, j: int | None, matchings: bool) -> None:
+    """
+    Push the ``enum matchings`` (or ``involutions``) row of each matching
+    of M_{n,k}, or of I_{n,k,j} when j is given, in the order of
+    ``_words``.  The statistics come from ``_stat_counts`` and the
+    matching from the partner list ``p`` that it fills.
+    """
+    p: list[int] = []
+    # the text of arc {i, q}, for i < q: an arc of the list, or a 2-cycle
+    arc = [[f"{i}-{q}" if matchings else f"({i},{q})" for q in range(n + 1)] for i in range(n + 1)]
+    mask_str = _mask_str
 
+    def fold(cr, ne, mdes, des):
+        if j is not None and ne != j:
+            return
+        # cMDes is MDes and the bit at n, by _geometric_descents' test on n and its
+        # successor 1: n unmatched and 1 matched, the arc {n, 1}, or crossing arcs
+        last, first = p[n], p[1]
+        wraps = first != 1 if last == n else last == 1 or last < first < n
+        cmdes = mdes | wraps << n
+        arcs = [arc[i][q] for i, q in enumerate(p) if q > i]  # p[0] = -1 and p[n + 1] = 0 add none
+        if matchings:
+            row = [",".join(arcs), n, k]
+        else:
+            row = ["".join(arcs) or "()", "[" + ",".join(map(str, p[1 : n + 1])) + "]"]
+        push([*row, mask_str(des), mask_str(mdes), mask_str(cmdes), cr, ne, k])
 
-def _word_rows(words: Iterable[perm.Word], n: int, k: int, matchings: bool) -> Iterator[list]:
-    """The ``enum matchings`` (or ``involutions``) rows of the words."""
-    for w in words:
-        cr, ne = matching_mod._cr_ne(w)
-        first = [matching_mod._format_word(w), n, k] if matchings else [perm.format_cycles(w), perm.format_one_line(w)]
-        cmdes = matching_mod._geometric_descents(w, n)  # MDes is cMDes without n
-        yield [*first, _set_str(perm._descents(w)), _set_str(cmdes - {n}), _set_str(cmdes), cr, ne, k]
-
-
-def _involution_words(n: int, k: int, j: int | None) -> Iterator[perm.Word]:
-    """The involution words of M_{n,k}, or of I_{n,k,j} when j is given."""
-    return matching_mod._words(n, k) if j is None else matching_mod._inkj_words(n, k, j)
+    matching_mod._stat_counts(n, k, fold, p)
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:
-    _refuse_over_guard("n", args.n, MAX_N_WITHOUT_FORCE, args.force)
-    elements = list(_involution_words(args.n, args.k, args.j))
-    # ι̂ sends cr to ne, so I_{n,k,j} is the image of the matchings with cr = j
-    preimages = elements if args.j is None else cyclic._cr_ne_classes(args.n, args.k)[0][args.j]
+    n, k, j = args.n, args.k, args.j
+    _refuse_over_guard("n", n, MAX_N_WITHOUT_FORCE, args.force)
+    matching_mod._check_nkj(n, k, j)
+    if j is None:
+        elements = preimages = list(matching_mod._words(n, k))
+    else:
+        # ι̂ sends cr to ne, so I_{n,k,j} is the image of the matchings with cr = j
+        by_cr, by_ne = cyclic._cr_ne_classes(n, k)
+        elements, preimages = by_ne[j], by_cr[j]
     cdes, p = cyclic._walk(preimages, bijection._iota_hat, set(elements))
-    rows = (
-        [orbit_id, len(orbit), perm.format_cycles(w), _set_str(cdes[w])]
-        for orbit_id, orbit in enumerate(cyclic.orbits(elements, p.__getitem__))
-        for w in orbit
-    )
-    _emit_rows(["orbit", "size", "element", "cdes"], rows, args.format, args.output)
+    with _row_sink(["orbit", "size", "element", "cdes"], args.format, args.output) as push:
+        for orbit_id, orbit in enumerate(cyclic.orbits(elements, p.__getitem__)):
+            for w in orbit:
+                push([orbit_id, len(orbit), perm.format_cycles(w), _set_str(cdes[w])])
     return 0
 
 

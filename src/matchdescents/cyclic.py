@@ -157,9 +157,9 @@ def _check_class(n: int, k: int, j: int, classes: tuple[dict, dict], syt: bool =
     if syt:
         # each tableau with its Des, both from the enumeration kernel, in its order
         des = {
-            tableau._tableau(rows): frozenset(d)
+            tableau._tableau(rows): perm._members(d)
             for shape in tableau._syt_shapes(n, k, j)
-            for rows, d in tableau._syt_des(shape)
+            for rows, d, _ in tableau._syt_des(shape)
         }
         image_of, set_id = bijection._h_map, f"SYT_{{{n},{k},{j}}}"
     else:

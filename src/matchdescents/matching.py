@@ -18,12 +18,14 @@ gives both the crossing and the nesting number, and the descent sets are
 in range by construction and wrapped without the ``DescentSet`` check.
 
 The identities that only count statistics over a class M_{n,k} (the
-``verify`` loops of main1, main11, main111 and main0) build no words:
-``_stat_counts`` is one depth-first search in the order of ``_words``
-that carries the sweep state (cr, ne, the open right endpoints, and Des
-and MDes as bit masks) down the search, so each prefix is swept once for
-every leaf below it.  ``enum``, ``cdes``, ``chen`` and the oracles still
-read the words of ``_words``.
+``verify`` loops of main1, main11, main111 and main0) and ``enum
+matchings|involutions`` build no words: ``_stat_counts`` is one
+depth-first search in the order of ``_words`` that carries the sweep
+state (cr, ne, the open right endpoints, and Des and MDes as bit masks)
+down the search, so each prefix is swept once for every leaf below it;
+``enum`` reads each matching off the partner list that the search fills.
+``cdes``, ``orbits``, ``chen`` and the oracles still read the words of
+``_words``.
 """
 from __future__ import annotations
 
@@ -258,6 +260,15 @@ def _subset_oracle(m: Matching, related) -> int:
 # ---------------------------------------------------------------------------
 # Enumeration
 
+def _check_nkj(n: int, k: int, j: int | None = None) -> None:
+    """Refuse an (n, k) that names no class M_{n,k}, and a j that names no
+    nesting class I_{n,k,j} in it."""
+    if (n - k) % 2 != 0 or not 0 <= k <= n:
+        raise ValueError(f"invalid (n, k) = ({n}, {k})")
+    if j is not None and not 0 <= j <= (n - k) // 2:
+        raise ValueError(f"invalid j = {j} for (n, k) = ({n}, {k})")
+
+
 def enumerate_matchings(n: int, k: int) -> Iterator[Matching]:
     """All matchings on n points with k unmatched, in the order of ``_words``."""
     return map(_matching, _words(n, k))
@@ -273,8 +284,7 @@ def _words(n: int, k: int) -> Iterator[Word]:
     >>> list(_words(4, 2))
     [(1, 2, 4, 3), (1, 3, 2, 4), (1, 4, 3, 2), (2, 1, 3, 4), (3, 2, 1, 4), (4, 2, 3, 1)]
     """
-    if (n - k) % 2 != 0 or not 0 <= k <= n:
-        raise ValueError(f"invalid (n, k) = ({n}, {k})")
+    _check_nkj(n, k)
     word = list(range(1, n + 1))
 
     def gen(points: tuple[int, ...], free: int) -> Iterator[Word]:
@@ -293,14 +303,16 @@ def _words(n: int, k: int) -> Iterator[Word]:
     return gen(tuple(range(1, n + 1)), k)
 
 
-def _stat_counts(n: int, k: int, fold: Callable[[int, int, int, int], object]) -> None:
+def _stat_counts(n: int, k: int, fold: Callable[[int, int, int, int], object], p: list[int] | None = None) -> None:
     """
     Call ``fold(cr, ne, mdes, des)`` once per matching of ``_words(n, k)``,
     in its order, with the descent sets as masks (bit i for position i).
     One depth-first search decides the smallest undecided point at each
     node, so the points below it are all decided: each node sweeps them
     once, as ``_cr_ne``, ``_geometric_descents`` and ``perm._descents``
-    would, and every leaf below it shares that sweep state.
+    would, and every leaf below it shares that sweep state.  A caller
+    that passes a list ``p`` reads the matching of each call off it:
+    ``p[i]`` is the partner of i, or i itself when unmatched, for 1 <= i <= n.
 
     >>> _stat_counts(4, 2, lambda cr, ne, mdes, des: print(cr, ne, bin(mdes), bin(des)))
     1 1 0b1100 0b1000
@@ -310,12 +322,12 @@ def _stat_counts(n: int, k: int, fold: Callable[[int, int, int, int], object]) -
     1 1 0b100 0b110
     1 1 0b1000 0b1010
     """
-    if (n - k) % 2 != 0 or not 0 <= k <= n:
-        raise ValueError(f"invalid (n, k) = ({n}, {k})")
+    _check_nkj(n, k)
     # p[i] is the partner of i, i itself when unmatched, 0 while undecided;
     # p[n + 1] = 0 ends every sweep, and p[0] = -1 sets no bit at position 0
-    p = [0] * (n + 2)
-    p[0] = -1
+    if p is None:
+        p = []
+    p[:] = [-1] + [0] * (n + 1)
     rights: list[int] = []  # as in _cr_ne
 
     def node(s, pairs, free, cr, ne, grown, des, mdes):
@@ -372,8 +384,7 @@ def random_matching(n: int, k: int, rng: random.Random) -> Matching:
     shuffle are the unmatched set, and consecutive pairs of the rest form
     a uniform perfect matching on it.
     """
-    if (n - k) % 2 != 0 or not 0 <= k <= n:
-        raise ValueError(f"invalid (n, k) = ({n}, {k})")
+    _check_nkj(n, k)
     points = list(range(1, n + 1))
     rng.shuffle(points)
     rest = points[k:]
@@ -392,8 +403,7 @@ def enumerate_inkj(n: int, k: int, j: int) -> Iterator[Matching]:
 
 def _inkj_words(n: int, k: int, j: int) -> Iterator[Word]:
     """The words of ``_words(n, k)`` with nesting number j, in its order."""
-    if not 0 <= j <= (n - k) // 2:
-        raise ValueError(f"invalid j = {j} for (n, k) = ({n}, {k})")
+    _check_nkj(n, k, j)
     return (w for w in _words(n, k) if _cr_ne(w)[1] == j)
 
 

@@ -8,6 +8,7 @@ on this form; cycle notation is an I/O codec only.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -119,6 +120,12 @@ def _descents(word: Word) -> frozenset[int]:
     """The members of ``des(word)``."""
     # frozenset(set) sizes its table to fit; from an iterator it does not
     return frozenset({i for i in range(1, len(word)) if word[i - 1] > word[i]})
+
+
+@functools.cache
+def _members(mask: int) -> frozenset[int]:
+    """The descent set whose mask is ``mask``: bit i for position i."""
+    return frozenset({i for i in range(1, mask.bit_length()) if mask >> i & 1})
 
 
 def cellini_cdes(word: Word) -> DescentSet:

@@ -10,7 +10,6 @@ sums are equal iff the multisets agree.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -55,25 +54,21 @@ def _compared(identity: str, params: dict, lhs: Counter, rhs: Counter, counts: d
 def schur_descent_multiset(shape: Shape) -> Counter:
     """The descent multiset {Des(T) : T in SYT(shape)}, representing the
     Schur function in the fundamental basis."""
-    return Counter(frozenset(d) for _, d in tableau._syt_des(tableau.check_shape(shape)))
+    masks = Counter(d for _, d, _ in tableau._syt_des(tableau.check_shape(shape)))
+    return Counter({perm._members(d): c for d, c in masks.items()})
 
 
 # ---------------------------------------------------------------------------
-# The matching identities fold the statistics of ``matching._stat_counts``
-# into counters keyed by descent masks, and read the masks as sets once,
-# at the end, for the comparison and the witness.  The cache holds at most
-# 2^(n-1) sets for the largest n checked.
-
-@functools.cache
-def _members(mask: int) -> frozenset[int]:
-    """The descent set whose mask is ``mask``: bit i for position i."""
-    return frozenset({i for i in range(1, mask.bit_length()) if mask >> i & 1})
-
+# The matching and tableau identities fold the descent masks of
+# ``matching._stat_counts`` and ``tableau._syt_des`` into counters, and read
+# the masks as sets once, at the end, for the comparison and the witness,
+# through the cache of ``perm._members``, which holds at most 2^(n-1) sets
+# for the largest n checked.
 
 def _mask_last(counts: Counter) -> Counter:
     """``counts``, keyed by triples, with the descent mask that ends each key
     read as its set."""
-    return Counter({(a, b, _members(mask)): c for (a, b, mask), c in counts.items()})
+    return Counter({(a, b, perm._members(mask)): c for (a, b, mask), c in counts.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +93,8 @@ def rhs_main0(n: int) -> Counter:
     for shape in tableau.partitions(n):
         a = tableau.odd_cols(shape)
         b = tableau.height(shape) // 2
-        terms.update((a, b, frozenset(d)) for _, d in tableau._syt_des(shape))
-    return terms
+        terms.update((a, b, d) for _, d, _ in tableau._syt_des(shape))
+    return _mask_last(terms)
 
 
 def verify_main0(n: int) -> VerifyResult:
@@ -120,7 +115,7 @@ def verify_lemma_main1(n2: int) -> VerifyResult:
         refined[mdes, des, cr, ne] += 1
 
     matching_mod._stat_counts(n2, 0, fold)
-    refined = Counter({(_members(g), _members(d), cr, ne): c for (g, d, cr, ne), c in refined.items()})
+    refined = Counter({(perm._members(g), perm._members(d), cr, ne): c for (g, d, cr, ne), c in refined.items()})
     swapped = Counter({(d, g, ne, cr): c for (g, d, cr, ne), c in refined.items()})
     return _compared("main1", {"n": n2}, refined, swapped, {"matchings": refined.total()})
 

@@ -18,8 +18,8 @@ plain row lists (``_insert``, ``_unbump``, ``_slide_out``,
 vacates, so Sundaram's walk reads its cells off the kernels.  ``_rs``
 runs RS (Q = P for an involution), ``_q_inverse_shuffle`` transposes
 its shape once, and ``_syt_des`` lists the tableaux of a shape with
-their descent sets.  What a kernel returns is standard by construction
-and is wrapped without a second check.
+their descent masks and row texts.  What a kernel returns is standard
+by construction and is wrapped without a second check.
 """
 from __future__ import annotations
 
@@ -383,27 +383,33 @@ def _q_inverse_shuffle(rows: list[list[int]]) -> Word:
 # ---------------------------------------------------------------------------
 # Enumeration
 
-def _syt_des(shape: Shape) -> Iterator[tuple[list[list[int]], list[int]]]:
+def _syt_des(shape: Shape) -> Iterator[tuple[list[list[int]], int, list[str]]]:
     """
     The standard Young tableaux of a valid shape, each with its descent
-    set, by one iterative depth-first search: step s goes into each row
-    that can take it, top row first.  ``row_of[s]`` is the row step s
-    sits in, which makes it the search's stack, and the descents are
-    pushed as the steps are placed.  Each item is the pair (rows,
-    descents) of live lists, the descents in increasing order; they stay
-    valid until the next item is drawn.
+    set and its text, by one iterative depth-first search: step s goes
+    into each row that can take it, top row first.  ``row_of[s]`` is the
+    row step s sits in, which makes it the search's stack; ``des[s]`` is
+    the descent mask of steps 1..s (bit i for descent i), and each row's
+    text grows by one concatenation per placement and is popped back off
+    its stack of prefixes per removal.  Each item is the triple (rows,
+    mask, texts): the rows and the row texts are live lists, valid until
+    the next item is drawn, and ``"/".join(texts)`` is the tableau's codec.
 
-    >>> [(str(from_rows(rows)), list(d)) for rows, d in _syt_des((2, 1))]
-    [('1,2/3', [2]), ('1,3/2', [1])]
+    >>> [(str(from_rows(rows)), bin(d), "/".join(t)) for rows, d, t in _syt_des((2, 1))]
+    [('1,2/3', '0b100', '1,2/3'), ('1,3/2', '0b10', '1,3/2')]
     """
     n = sum(shape)
     h = len(shape)
     rows: list[list[int]] = [[] for _ in shape]
-    descents: list[int] = []
+    texts = [""] * h
+    prefixes: list[list[str]] = [[] for _ in shape]  # the text of each row before each of its entries
     if not n:
-        yield rows, descents
+        yield rows, 0, texts
         return
+    label = [str(step) for step in range(n + 1)]
+    after = ["," + text for text in label]  # step's label after the row's first entry
     row_of = [h] * (n + 1)  # row_of[0] = h: no step lies below it
+    des = [0] * (n + 1)
     step, r = 1, 0  # place step in the first row from r on that can take it
     while True:
         while r < h:
@@ -413,35 +419,38 @@ def _syt_des(shape: Shape) -> Iterator[tuple[list[list[int]], list[int]]]:
             r += 1
         if r < h:
             rows[r].append(step)
-            if r > row_of[step - 1]:
-                descents.append(step - 1)
+            prefixes[r].append(texts[r])
+            texts[r] = texts[r] + after[step] if c else label[step]
+            des[step] = des[step - 1] | 1 << step - 1 if r > row_of[step - 1] else des[step - 1]
             row_of[step] = r
             if step < n:
                 step, r = step + 1, 0
                 continue
-            yield rows, descents
+            yield rows, des[n], texts
         else:  # no row left for this step: take back the one before it
             step -= 1
             if not step:
                 return
             r = row_of[step]
         rows[r].pop()
-        if descents and descents[-1] == step - 1:
-            descents.pop()
+        texts[r] = prefixes[r].pop()
         r += 1
 
 
 def enumerate_syt(shape: Shape) -> Iterator[StandardTableau]:
     """All standard Young tableaux of a shape, in the order of ``_syt_des``."""
-    return (_tableau(rows) for rows, _ in _syt_des(check_shape(shape)))
+    return (_tableau(rows) for rows, _, _ in _syt_des(check_shape(shape)))
 
 
 def _syt_shapes(n: int, k: int | None = None, j: int | None = None) -> list[Shape]:
     """
     The shapes of size n; with k, those with k odd columns; with j as
-    well, those of height 2j or 2j + 1.  An (n, k) or (n, k, j) that
-    names no class is refused here, before any tableau is built.
+    well, those of height 2j or 2j + 1.  A negative n, and an (n, k) or
+    (n, k, j) that names no class, is refused here, before any tableau is
+    built.
     """
+    if n < 0:
+        raise ValueError(f"invalid n = {n}")
     if k is not None and ((n - k) % 2 != 0 or not 0 <= k <= n):
         raise ValueError(f"invalid (n, k) = ({n}, {k})")
     if j is not None and not 0 <= j <= (n - k) // 2:

@@ -90,5 +90,7 @@ def test_orbits_walk_matches_per_element_transport(capsys, n):
         flags = ["--n", str(n), "--k", str(k)] + ([] if j is None else ["--j", str(j)])
         assert cli.main(["orbits", *flags, "--format", "csv"]) == 0
         walked = capsys.readouterr().out
-        cli._emit_rows(["orbit", "size", "element", "cdes"], oracle_orbit_rows(n, k, j), "csv", None)
+        with cli._row_sink(["orbit", "size", "element", "cdes"], "csv", None) as push:
+            for row in oracle_orbit_rows(n, k, j):
+                push(row)
         assert walked == capsys.readouterr().out

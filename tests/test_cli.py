@@ -149,6 +149,7 @@ def test_enum_output_file(capsys, tmp_path):
         (("matchings", "--n", "6", "--k", "0", "--j", "9"), "invalid j"),
         (("involutions", "--n", "5", "--k", "2"), "invalid"),
         (("matchings", "--n", "6"), "requires --k"),
+        (("syt", "--n", "-2"), "invalid n = -2"),
     ],
 )
 @pytest.mark.parametrize("fmt", ["csv", "json", "plain"])
@@ -159,6 +160,18 @@ def test_enum_refuses_before_writing(capsys, tmp_path, argv, message, fmt):
     code, out, err = run(capsys, "enum", *argv, "--format", fmt, "--output", str(target))
     assert code == 2 and out == "" and message in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("enum", "matchings", "--k", "0"), ("enum", "involutions", "--k", "0"), ("enum", "syt"), ("orbits", "--k", "0")],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json", "plain"])
+def test_unwritable_output_is_refused(capsys, tmp_path, argv, fmt):
+    for target in (tmp_path / "missing" / "rows.csv", tmp_path):  # no such directory; a directory
+        code, out, err = run(capsys, *argv, "--n", "4", "--format", fmt, "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write --output {target}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("family", ["syt", "matchings"])

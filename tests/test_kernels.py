@@ -785,25 +785,38 @@ def test_syt_kernel_matches_oracle(n):
     # n = 0 and n = 1 included: the empty tableau, and the one box
     for shape in tableau.partitions(n):
         expected = list(oracle_enumerate_syt(shape))
-        got = [(tuple(map(tuple, rows)), list(d)) for rows, d in tableau._syt_des(shape)]
-        assert got == [(t.rows, sorted(oracle_tableau_des(t).members)) for t in expected]
+        got = [(tuple(map(tuple, rows)), d, "/".join(texts)) for rows, d, texts in tableau._syt_des(shape)]
+        masks = [sum(1 << i for i in oracle_tableau_des(t).members) for t in expected]
+        assert got == [(t.rows, mask, tableau._format_rows(t.rows)) for t, mask in zip(expected, masks)]
         assert list(tableau.enumerate_syt(shape)) == expected
 
 
-def _enum_cases(max_n):
-    """(family, n, k, j) for every family, n <= max_n and every valid k, j;
-    for syt also without --k."""
-    for n in range(max_n + 1):
-        yield "syt", n, None, None
+ENUM_FAMILIES = ("matchings", "involutions", "syt")
+
+
+def _enum_cases(max_n, min_n=0, families=ENUM_FAMILIES):
+    """(family, n, k, j) for every family, min_n <= n <= max_n and every
+    valid k, j; for syt also without --k."""
+    for n in range(min_n, max_n + 1):
+        if "syt" in families:
+            yield "syt", n, None, None
         for k in range(n % 2, n + 1, 2):
             for j in (None, *range((n - k) // 2 + 1)):
-                for family in ("matchings", "involutions", "syt"):
+                for family in families:
                     yield family, n, k, j
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json", "plain"])
-def test_enum_output_matches_oracle(capsys, fmt):
-    for family, n, k, j in _enum_cases(7):
+@pytest.mark.parametrize(
+    "fmt, span",
+    [
+        *(pytest.param(fmt, (7,), id=fmt) for fmt in ("csv", "json", "plain")),
+        pytest.param("csv", (8, 8), id="csv-n8"),
+        pytest.param("csv", (10, 10), id="csv-n10", marks=pytest.mark.slow),
+        pytest.param("csv", (11, 11, ("syt",)), id="csv-syt-n11", marks=pytest.mark.slow),
+    ],
+)
+def test_enum_output_matches_oracle(capsys, fmt, span):
+    for family, n, k, j in _enum_cases(*span):
         argv = ["enum", family, "--n", str(n), "--format", fmt]
         argv += [] if k is None else ["--k", str(k)]
         argv += [] if j is None else ["--j", str(j)]
@@ -827,14 +840,16 @@ def test_enum_streams_rows(monkeypatch, family, fmt, header_lines):
     monkeypatch.setattr(sys, "stdout", out)
     written = []
     if family == "matchings":
-        real_words = mm._words
+        real_stat_counts = mm._stat_counts
 
-        def source(n, k):
-            for w in real_words(n, k):
+        def source(n, k, fold, p):
+            def recorded(*stats):
                 written.append(out.getvalue().count("\n"))
-                yield w
+                fold(*stats)
 
-        monkeypatch.setattr(mm, "_words", source)
+            real_stat_counts(n, k, recorded, p)
+
+        monkeypatch.setattr(mm, "_stat_counts", source)
         argv = ["enum", "matchings", "--n", "6", "--k", "0"]
     else:
         real_syt = tableau._syt_des
