@@ -33,8 +33,7 @@ class ShuffleElement:
         perm.check_perm(self.word)
         n = len(self.word)
         k = self.k
-        if not 0 <= k <= n or (n - k) % 2 != 0:
-            raise ValueError(f"invalid split k={k} for n={n}")
+        matching_mod._check_nkj(n, k)
         big_positions = [i for i, v in enumerate(self.word) if v > n - k]
         if [self.word[i] for i in big_positions] != list(range(n - k + 1, n + 1)):
             raise ValueError("large letters do not form an increasing run")

@@ -23,21 +23,6 @@ from . import bijection, cyclic, matching as matching_mod, oscillating, perm, sy
 MAX_N_WITHOUT_FORCE = 12
 MAX_GESSEL_TOTAL_WITHOUT_FORCE = 9  # 52,328 pairs; 444,012 at 10
 
-MAP_NAMES = [
-    "iota",
-    "iota-hat",
-    "iota-hat-inv",
-    "sundaram",
-    "sundaram-inv",
-    "transpose",
-    "phi",
-    "q",
-    "rotate",
-    "p",
-    "h",
-]
-
-
 class UsageError(Exception):
     pass
 
@@ -65,9 +50,14 @@ def _format_involution(word: tuple[int, ...], codec: str) -> str:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    record: dict = {}
+    word = None
     if args.perm:
         word = perm.parse_one_line(args.perm)
+    elif args.cycles is not None and args.matching is None and not args.syt:
+        if args.n is None:
+            raise UsageError("--cycles requires --n")
+        word = perm.parse_cycles(args.cycles, args.n)
+    if word is not None:
         record = {
             "object": perm.format_one_line(word),
             "n": len(word),
@@ -95,12 +85,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             "odd_cols": tableau.odd_cols(t.shape),
             "Des": sorted(tableau.des(t).members),
         }
-    elif args.cycles is not None:
-        if args.n is None:
-            raise UsageError("--cycles requires --n")
-        word = perm.parse_cycles(args.cycles, args.n)
-        args.perm = perm.format_one_line(word)
-        return cmd_stats(args)
     else:
         raise UsageError("one of --perm, --matching, --syt, --cycles is required")
 
@@ -129,44 +113,34 @@ def _plain(value) -> str:
     return str(value)
 
 
+# name -> (whether it takes an oscillating tableau, the text of its image
+# of the parsed object, given the codec of the input)
+MAPS: dict[str, tuple[bool, Callable]] = {
+    "iota": (False, lambda w, codec: _format_involution(oscillating._iota(oscillating._fixed_point_free(w)), codec)),
+    "iota-hat": (False, lambda w, codec: _format_involution(bijection.iota_hat(w), codec)),
+    "iota-hat-inv": (False, lambda w, codec: _format_involution(bijection.iota_hat_inverse(w), codec)),
+    "sundaram": (False, lambda w, _: oscillating.format_oscillating(oscillating.sundaram(w))),
+    "sundaram-inv": (True, lambda o, _: perm.format_cycles(oscillating.sundaram_inverse(o))),
+    "transpose": (True, lambda o, _: oscillating.format_oscillating(oscillating.transpose(o))),
+    "phi": (False, lambda w, _: perm.format_one_line(bijection.phi(w).word)),
+    # a shuffle word's k is the number of odd columns of its recording tableau
+    "q": (False, lambda w, codec: _format_involution(
+        bijection.q_map(bijection.ShuffleElement(w, tableau.odd_cols(tableau.rs_pair_q(w).shape))), codec)),
+    "rotate": (False, lambda w, codec: _format_involution(matching_mod._rotate(bijection._involution(w)), codec)),
+    "p": (False, lambda w, codec: _format_involution(cyclic.transport_involution(w)[1], codec)),
+    "h": (False, lambda w, _: tableau.format_tableau(bijection.h_map(w))),
+}
+
+
 def cmd_map(args: argparse.Namespace) -> int:
-    name = args.name
-    text = args.object
-
-    if name in ("sundaram-inv", "transpose") or (";" in text):
-        o = oscillating.parse_oscillating(text)
-        if name == "transpose":
-            print(oscillating.format_oscillating(oscillating.transpose(o)))
-            return 0
-        if name == "sundaram-inv":
-            print(perm.format_cycles(oscillating.sundaram_inverse(o)))
-            return 0
-        raise UsageError(f"map {name} does not accept an oscillating tableau")
-
-    word, codec = _parse_involution(text, args.n)
-
-    if name == "iota":
-        print(_format_involution(oscillating._iota(oscillating._fixed_point_free(word)), codec))
-    elif name == "iota-hat":
-        print(_format_involution(bijection.iota_hat(word), codec))
-    elif name == "iota-hat-inv":
-        print(_format_involution(bijection.iota_hat_inverse(word), codec))
-    elif name == "sundaram":
-        print(oscillating.format_oscillating(oscillating.sundaram(word)))
-    elif name == "phi":
-        print(perm.format_one_line(bijection.phi(word).word))
-    elif name == "q":
-        k = args.k if args.k is not None else tableau.odd_cols(tableau.rs_pair_q(word).shape)
-        element = bijection.ShuffleElement(word, k)
-        print(_format_involution(bijection.q_map(element), codec))
-    elif name == "rotate":
-        print(_format_involution(matching_mod._rotate(bijection._involution(word)), codec))
-    elif name == "p":
-        print(_format_involution(cyclic.transport_involution(word)[1], codec))
-    elif name == "h":
-        print(tableau.format_tableau(bijection.h_map(word)))
+    takes_walk, image = MAPS[args.name]
+    if takes_walk or ";" in args.object:
+        obj, codec = oscillating.parse_oscillating(args.object), None
+        if not takes_walk:
+            raise UsageError(f"map {args.name} does not accept an oscillating tableau")
     else:
-        raise UsageError(f"unknown map {name!r}")
+        obj, codec = _parse_involution(args.object, args.n)
+    print(image(obj, codec))
     return 0
 
 
@@ -200,10 +174,6 @@ def _row_sink(header: list[str], fmt: str, output: str | None) -> Iterator[Calla
             fh.write("\n".join(lines) + "\n")
 
 
-def _set_str(members) -> str:
-    return "{" + ",".join(map(str, sorted(members))) + "}"
-
-
 def _refuse_over_guard(flag: str, value: int, bound: int, force: bool) -> None:
     if value > bound and not force:
         raise UsageError(f"{flag}={value} exceeds the guard ({bound}); pass --force to run anyway")
@@ -213,7 +183,7 @@ def _refuse_over_guard(flag: str, value: int, bound: int, force: bool) -> None:
 def _mask_str(mask: int) -> str:
     """The text of the descent set whose mask is ``mask``: bit i for position i.
     The cache holds the texts alone, a few bytes for each mask seen."""
-    return "{" + ",".join([str(i) for i in range(1, mask.bit_length()) if mask >> i & 1]) + "}"
+    return perm.format_set([i for i in range(1, mask.bit_length()) if mask >> i & 1])
 
 
 def cmd_enum(args: argparse.Namespace) -> int:
@@ -272,17 +242,17 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     n, k, j = args.n, args.k, args.j
     _refuse_over_guard("n", n, MAX_N_WITHOUT_FORCE, args.force)
     matching_mod._check_nkj(n, k, j)
-    if j is None:
-        elements = preimages = list(matching_mod._words(n, k))
-    else:
-        # ι̂ sends cr to ne, so I_{n,k,j} is the image of the matchings with cr = j
-        by_cr, by_ne = cyclic._cr_ne_classes(n, k)
-        elements, preimages = by_ne[j], by_cr[j]
-    cdes, p = cyclic._walk(preimages, bijection._iota_hat, set(elements))
     with _row_sink(["orbit", "size", "element", "cdes"], args.format, args.output) as push:
+        if j is None:
+            elements = preimages = list(matching_mod._words(n, k))
+        else:
+            # ι̂ sends cr to ne, so I_{n,k,j} is the image of the matchings with cr = j
+            by_cr, by_ne = cyclic._cr_ne_classes(n, k)
+            elements, preimages = by_ne[j], by_cr[j]
+        cdes, p = cyclic._walk(preimages, bijection._iota_hat, set(elements))
         for orbit_id, orbit in enumerate(cyclic.orbits(elements, p.__getitem__)):
             for w in orbit:
-                push([orbit_id, len(orbit), perm.format_cycles(w), _set_str(cdes[w])])
+                push([orbit_id, len(orbit), perm.format_cycles(w), perm.format_set(cdes[w])])
     return 0
 
 
@@ -334,10 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=cmd_stats)
 
     p_map = sub.add_parser("map", help="apply a named map to an object")
-    p_map.add_argument("name", choices=MAP_NAMES)
+    p_map.add_argument("name", choices=MAPS)
     p_map.add_argument("object")
     p_map.add_argument("--n", type=int)
-    p_map.add_argument("--k", type=int)
     p_map.set_defaults(func=cmd_map)
 
     p_enum = sub.add_parser("enum", help="enumerate a family with statistics")

@@ -36,8 +36,7 @@ def transport_syt(t: StandardTableau) -> tuple[DescentSet, StandardTableau]:
 
 def classify_escherian(n: int, k: int, j: int) -> str:
     """'escherian' exactly when k = n, or k = 0 with maximal crossing j = n/2."""
-    if (n - k) % 2 != 0 or not 0 <= k <= n or not 0 <= j <= (n - k) // 2:
-        raise ValueError(f"invalid (n, k, j) = ({n}, {k}, {j})")
+    matching_mod._check_nkj(n, k, j)
     if k == n or (k == 0 and 2 * j == n):
         return "escherian"
     return "non_escherian"
@@ -137,14 +136,10 @@ def involutions_by_nesting(n: int, k: int) -> dict[int, list[Word]]:
     return _cr_ne_classes(n, k)[1]
 
 
-def verify_cdes_involutions(n: int, k: int, j: int, elements: list[Word] | None = None) -> CdesReport:
+def verify_cdes_involutions(n: int, k: int, j: int) -> CdesReport:
     """Run the verifier on the involutions with k fixed points and
-    nesting number j.  ``elements`` may list that class, in the order its
-    witnesses take, when the caller has it already."""
-    classes = _cr_ne_classes(n, k)
-    if elements is not None:
-        classes[1][j] = elements
-    return _check_class(n, k, j, classes)
+    nesting number j."""
+    return _check_class(n, k, j, _cr_ne_classes(n, k))
 
 
 def verify_cdes_syt(n: int, k: int, j: int) -> CdesReport:

@@ -409,8 +409,7 @@ def _inkj_words(n: int, k: int, j: int) -> Iterator[Word]:
 
 def count_matchings(n: int, k: int) -> int:
     """C(n, k) * (n-k-1)!! matchings with k unmatched points."""
-    if (n - k) % 2 != 0:
-        raise ValueError("parity violation")
+    _check_nkj(n, k)
     dbl = 1
     for i in range(n - k - 1, 0, -2):
         dbl *= i

@@ -45,13 +45,6 @@ def identity(n: int) -> Word:
     return tuple(range(1, n + 1))
 
 
-def inverse(word: Word) -> Word:
-    inv = [0] * len(word)
-    for i, v in enumerate(word, start=1):
-        inv[v - 1] = i
-    return tuple(inv)
-
-
 def compose(a: Word, b: Word) -> Word:
     """The permutation a∘b, mapping i to a(b(i))."""
     return tuple(a[b[i] - 1] for i in range(len(b)))
@@ -103,7 +96,12 @@ class DescentSet:
         return _trusted(DescentSet, n=self.n, members=members, cyclic=True)
 
     def __str__(self) -> str:
-        return "{" + ",".join(map(str, sorted(self.members))) + "}"
+        return format_set(self.members)
+
+
+def format_set(members: Iterable[int]) -> str:
+    """The text of a set of positions in increasing order, such as ``{1,3,5}``."""
+    return "{" + ",".join(map(str, sorted(members))) + "}"
 
 
 def des(word: Word) -> DescentSet:

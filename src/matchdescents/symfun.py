@@ -10,6 +10,7 @@ sums are equal iff the multisets agree.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -390,7 +391,12 @@ REGISTRY: dict[str, Identity] = {
 def _ks(n: int, k: int | None, j: int | None) -> list[int]:
     """The k classes of n points that the flags select: k itself, or every
     k when k is None, keeping those whose nesting numbers reach j."""
-    return [kk for kk in range(n % 2, n + 1, 2) if (k is None or k == kk) and (j is None or 0 <= j <= (n - kk) // 2)]
+    ks = []
+    for kk in range(n % 2, n + 1, 2) if k is None else [k]:
+        with contextlib.suppress(ValueError):  # (n, kk, j) names no class
+            matching_mod._check_nkj(n, kk, j)
+            ks.append(kk)
+    return ks
 
 
 def resolve_params(name: str, given: dict) -> dict:

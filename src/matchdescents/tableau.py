@@ -27,6 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from . import matching as matching_mod
 from . import perm
 from .perm import DescentSet, ParseError, Word
 
@@ -451,10 +452,8 @@ def _syt_shapes(n: int, k: int | None = None, j: int | None = None) -> list[Shap
     """
     if n < 0:
         raise ValueError(f"invalid n = {n}")
-    if k is not None and ((n - k) % 2 != 0 or not 0 <= k <= n):
-        raise ValueError(f"invalid (n, k) = ({n}, {k})")
-    if j is not None and not 0 <= j <= (n - k) // 2:
-        raise ValueError(f"invalid (n, k, j) = ({n}, {k}, {j})")
+    if k is not None:
+        matching_mod._check_nkj(n, k, j)
     return [
         shape
         for shape in partitions(n)

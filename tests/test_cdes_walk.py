@@ -78,7 +78,7 @@ def oracle_orbit_rows(n, k, j):
     elements = list(mm._words(n, k) if j is None else mm._inkj_words(n, k, j))
     transported = {w: cyclic.transport_involution(w) for w in elements}
     return [
-        [orbit_id, len(orbit), perm.format_cycles(w), cli._set_str(transported[w][0].members)]
+        [orbit_id, len(orbit), perm.format_cycles(w), "{" + ",".join(map(str, sorted(transported[w][0].members))) + "}"]
         for orbit_id, orbit in enumerate(cyclic.orbits(elements, lambda w: transported[w][1]))
         for w in orbit
     ]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import matchdescents
 from matchdescents import bijection as bj
-from matchdescents import cli, perm, symfun, tableau
+from matchdescents import cli, cyclic, perm, symfun, tableau
 from matchdescents import matching as mm
 from matchdescents import oscillating as osc
 
@@ -74,6 +75,63 @@ def test_map_rotate(capsys):
 
 def test_map_p_refuses_a_non_involution(capsys):
     assert run(capsys, "map", "p", "[2,3,1]") == (2, "", "error: not an involution: (2, 3, 1)\n")
+
+
+def _q_of_the_one_split(word):
+    """q of the shuffle element that ``word`` is, trying every split k:
+    a word is a valid shuffle for at most one k."""
+    elements = []
+    for k in range(len(word) + 1):
+        try:
+            elements.append(bj.ShuffleElement(word, k))
+        except ValueError:
+            pass
+    if not elements:
+        raise ValueError(f"no split k for {word}")
+    (element,) = elements
+    return bj.q_map(element)
+
+
+# The library call behind each map name.  A word result prints in the
+# codec of the input; any other result is the text itself.
+MAP_CALLS = {
+    "iota": lambda w: mm.to_involution(osc.chen_iota(mm.from_involution(w))),
+    "iota-hat": bj.iota_hat,
+    "iota-hat-inv": bj.iota_hat_inverse,
+    "sundaram": lambda w: osc.format_oscillating(osc.sundaram(w)),
+    "sundaram-inv": lambda o: perm.format_cycles(osc.sundaram_inverse(o)),
+    "transpose": lambda o: osc.format_oscillating(osc.transpose(o)),
+    "phi": lambda w: perm.format_one_line(bj.phi(w).word),
+    "q": _q_of_the_one_split,
+    "rotate": lambda w: mm.to_involution(mm.rotate(mm.from_involution(w))),
+    "p": lambda w: cyclic.transport_involution(w)[1],
+    "h": lambda w: tableau.format_tableau(bj.h_map(w)),
+}
+WALK_MAPS = ("sundaram-inv", "transpose")  # these parse their object as an oscillating tableau
+
+
+@pytest.mark.parametrize("name", MAP_CALLS)
+def test_map_matches_the_library(capsys, name):
+    involutions = [
+        w
+        for n in range(7)
+        for w in itertools.permutations(range(1, n + 1))
+        if all(w[v - 1] == i for i, v in enumerate(w, start=1))
+    ]
+    assert len(involutions) == 1 + 1 + 2 + 4 + 10 + 26 + 76
+    cases = [(perm.format_one_line(w), (), w, perm.format_one_line) for w in involutions]
+    cases += [(perm.format_cycles(w), ("--n", str(len(w))), w, perm.format_cycles) for w in involutions]
+    if name in WALK_MAPS:
+        cases.append(("-;1;1,1;2,1;2;1;1,1;1;-", (), None, None))
+    for text, flags, word, codec in cases:
+        try:
+            result = MAP_CALLS[name](osc.parse_oscillating(text) if name in WALK_MAPS else word)
+            expected = (0, (result if isinstance(result, str) else codec(result)) + "\n")
+        except ValueError:
+            expected = (2, "")
+        code, out, err = run(capsys, "map", name, *flags, "--", text)
+        assert (code, out) == expected, (name, text)
+        assert code == 0 or err.startswith("error: "), (name, text)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -172,6 +230,16 @@ def test_unwritable_output_is_refused(capsys, tmp_path, argv, fmt):
         code, out, err = run(capsys, *argv, "--n", "4", "--format", fmt, "--output", str(target))
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot write --output {target}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("j", [None, 1])
+def test_orbits_refuses_unwritable_output_before_the_walk(capsys, monkeypatch, tmp_path, j):
+    walked = []
+    monkeypatch.setattr(cyclic, "_walk", lambda *args: walked.append(args))
+    flags = ["--n", "6", "--k", "0"] + ([] if j is None else ["--j", str(j)])
+    code, out, err = run(capsys, "orbits", *flags, "--output", str(tmp_path / "missing" / "rows.csv"))
+    assert code == 2 and out == "" and err.startswith("error: cannot write --output ")
+    assert walked == []
 
 
 @pytest.mark.parametrize("family", ["syt", "matchings"])

@@ -167,10 +167,9 @@ def test_transport_shares_one_preimage(n):
 def test_cdes_exhaustive_n10():
     n = 10
     for k in range(0, n + 1, 2):
-        classes = cyclic.involutions_by_nesting(n, k)
         for j in range((n - k) // 2 + 1):
             non_escherian = cyclic.classify_escherian(n, k, j) == "non_escherian"
-            reports = [cyclic.verify_cdes_involutions(n, k, j, classes[j])]
+            reports = [cyclic.verify_cdes_involutions(n, k, j)]
             if any(True for _ in tableau.enumerate_syt_nkj(n, k, j)):
                 reports.append(cyclic.verify_cdes_syt(n, k, j))
             for report in reports:
