@@ -4,8 +4,8 @@ tables, orbit tables and the verification suite.
 
 Exit codes: 0 on success; 1 when a verified identity fails, with a
 witness; 2 on usage or parse errors, refused before any work starts; 3
-on an internal error, an exception raised inside a ``verify`` run after
-its parameters were accepted.
+on an internal error, an exception raised inside a ``verify`` run or an
+``orbits`` walk after its parameters were accepted.
 """
 from __future__ import annotations
 
@@ -25,6 +25,10 @@ MAX_GESSEL_TOTAL_WITHOUT_FORCE = 9  # 52,328 pairs; 444,012 at 10
 
 class UsageError(Exception):
     pass
+
+
+class InternalError(Exception):
+    """A broken invariant, raised from its cause; the text names the command and its accepted parameters."""
 
 
 def _parse_involution(text: str, n: int | None) -> tuple[tuple[int, ...], str]:
@@ -242,15 +246,20 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     n, k, j = args.n, args.k, args.j
     _refuse_over_guard("n", n, MAX_N_WITHOUT_FORCE, args.force)
     matching_mod._check_nkj(n, k, j)
+    params = {flag: value for flag, value in (("n", n), ("k", k), ("j", j)) if value is not None}
     with _row_sink(["orbit", "size", "element", "cdes"], args.format, args.output) as push:
-        if j is None:
-            elements = preimages = list(matching_mod._words(n, k))
-        else:
-            # ι̂ sends cr to ne, so I_{n,k,j} is the image of the matchings with cr = j
-            by_cr, by_ne = cyclic._cr_ne_classes(n, k)
-            elements, preimages = by_ne[j], by_cr[j]
-        cdes, p = cyclic._walk(preimages, bijection._iota_hat, set(elements))
-        for orbit_id, orbit in enumerate(cyclic.orbits(elements, p.__getitem__)):
+        try:
+            if j is None:
+                elements = preimages = list(matching_mod._words(n, k))
+            else:
+                # ι̂ sends cr to ne, so I_{n,k,j} is the image of the matchings with cr = j
+                by_cr, by_ne = cyclic._cr_ne_classes(n, k)
+                elements, preimages = by_ne[j], by_cr[j]
+            cdes, p = cyclic._walk(preimages, bijection._iota_hat, set(elements))
+            table = cyclic.orbits(elements, p.__getitem__)
+        except Exception as exc:
+            raise InternalError(f"orbits {json.dumps(params)}") from exc
+        for orbit_id, orbit in enumerate(table):
             for w in orbit:
                 push([orbit_id, len(orbit), perm.format_cycles(w), perm.format_set(cdes[w])])
     return 0
@@ -265,11 +274,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         res = symfun.run_identity(name, params)
     except Exception as exc:  # the parameters were accepted, so this is a broken invariant
-        print(f"internal error: verify {name} {json.dumps(params)}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        import traceback  # only here, so that a normal run does not import it
-
-        traceback.print_exc()
-        return 3
+        raise InternalError(f"verify {name} {json.dumps(params)}") from exc
     report = {
         "identity": name,
         "params": params,
@@ -347,6 +352,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        cause = exc.__cause__
+        print(f"internal error: {exc}: {type(cause).__name__}: {cause}", file=sys.stderr)
+        import traceback  # only here, so that a normal run does not import it
+
+        traceback.print_exception(cause)
+        return 3
 
 
 if __name__ == "__main__":

@@ -21,15 +21,17 @@ The identities that only count statistics over a class M_{n,k} (the
 ``verify`` loops of main1, main11, main111 and main0) and ``enum
 matchings|involutions`` build no words: ``_stat_counts`` is one
 depth-first search in the order of ``_words`` that carries the sweep
-state (cr, ne, the open right endpoints, and Des and MDes as bit masks)
-down the search, so each prefix is swept once for every leaf below it;
-``enum`` reads each matching off the partner list that the search fills.
+state (cr, ne, the open right endpoints as a tuple, and Des and MDes as
+bit masks) down the search, so each prefix is swept once for every leaf
+below it.  cr and ne are running maxima of the tuple's longest
+increasing and decreasing subsequences, so a table that lives for one
+search computes that pair once per distinct tuple.  ``enum`` reads
+each matching off the partner list that the search fills.
 ``cdes``, ``orbits``, ``chen`` and the oracles still read the words of
 ``_words``.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
@@ -109,12 +111,6 @@ def des(m: Matching) -> DescentSet:
     of i exceeds that of i+1, an unmatched point being its own image.
     """
     return perm.des(to_involution(m))
-
-
-def _arcs_cross(a: Arc, b: Arc) -> bool:
-    """Linear diagram: two disjoint arcs cross iff their endpoints interleave."""
-    (a1, a2), (b1, b2) = sorted((a, b))
-    return a1 < b1 < a2 < b2
 
 
 def _geometric_descents(word: Word, last: int) -> frozenset[int]:
@@ -234,29 +230,6 @@ def nesting_number(m: Matching) -> int:
     return crossing_nesting(m)[1]
 
 
-def crossing_number_oracle(m: Matching) -> int:
-    """Brute-force maximum over arc subsets; for cross-validation only."""
-    return _subset_oracle(m, lambda a, b: _arcs_cross(a, b))
-
-
-def nesting_number_oracle(m: Matching) -> int:
-    return _subset_oracle(m, lambda a, b: (a[0] < b[0] and b[1] < a[1]) or (b[0] < a[0] and a[1] < b[1]))
-
-
-def _subset_oracle(m: Matching, related) -> int:
-    if len(m.arcs) > 16:
-        raise ValueError("oracle size guard exceeded")
-    best = 0
-    for r in range(len(m.arcs), best, -1):
-        for subset in itertools.combinations(m.arcs, r):
-            if all(related(a, b) for a, b in itertools.combinations(subset, 2)):
-                best = max(best, r)
-                break
-        if best:
-            break
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 
@@ -310,9 +283,15 @@ def _stat_counts(n: int, k: int, fold: Callable[[int, int, int, int], object], p
     One depth-first search decides the smallest undecided point at each
     node, so the points below it are all decided: each node sweeps them
     once, as ``_cr_ne``, ``_geometric_descents`` and ``perm._descents``
-    would, and every leaf below it shares that sweep state.  A caller
-    that passes a list ``p`` reads the matching of each call off it:
-    ``p[i]`` is the partner of i, or i itself when unmatched, for 1 <= i <= n.
+    would, and every leaf below it shares that sweep state.  The open
+    right endpoints go down the search as a tuple, which a node extends
+    at an opener and rebuilds without s at a closer, so no node restores
+    anything on return.  cr and ne are running maxima of the LIS and LDS
+    of that tuple (Chen-Deng-Du-Stanley-Yan), so one table that lives
+    only in this call computes that pair once per distinct tuple.  A
+    caller that passes a list ``p`` reads the matching of each call off
+    it: ``p[i]`` is the partner of i, or i itself when unmatched, for
+    1 <= i <= n.
 
     >>> _stat_counts(4, 2, lambda cr, ne, mdes, des: print(cr, ne, bin(mdes), bin(des)))
     1 1 0b1100 0b1000
@@ -328,12 +307,14 @@ def _stat_counts(n: int, k: int, fold: Callable[[int, int, int, int], object], p
     if p is None:
         p = []
     p[:] = [-1] + [0] * (n + 1)
-    rights: list[int] = []  # as in _cr_ne
+    table: dict[tuple[int, ...], tuple[int, int]] = {}  # open right endpoints -> (LIS, LDS)
+    # the table's values, one shared object per (LIS, LDS), so that no entry holds a pair of its own
+    lis_lds = [[(a, b) for b in range(n + 1)] for a in range(n + 1)]
 
-    def node(s, pairs, free, cr, ne, grown, des, mdes):
+    def node(s, pairs, free, rights, cr, ne, grown, des, mdes):
         # s: the first point not yet swept; pairs, free: arcs and unmatched
-        # points still to place; the rest is the sweep state up to s - 1
-        saved = rights[:]
+        # points still to place; the rest is the sweep state up to s - 1,
+        # with rights the open right endpoints in opener order, as in _cr_ne
         q = p[s]
         while q:
             i = s - 1
@@ -350,14 +331,22 @@ def _stat_counts(n: int, k: int, fold: Callable[[int, int, int, int], object], p
                 if (lo < s < hi) != (lo < q < hi):
                     mdes |= 1 << i
             if q > s:
-                rights.append(q)
+                rights += (q,)
                 grown = True
             elif q < s:
                 if grown:
-                    cr = max(cr, _longest_increasing(rights))
-                    ne = max(ne, _longest_increasing(reversed(rights)))
+                    try:
+                        lis, lds = table[rights]
+                    except KeyError:
+                        lis, lds = _longest_increasing(rights), _longest_increasing(reversed(rights))
+                        table[rights] = lis_lds[lis][lds]
+                    if lis > cr:
+                        cr = lis
+                    if lds > ne:
+                        ne = lds
                     grown = False
-                rights.remove(s)
+                at = rights.index(s)
+                rights = rights[:at] + rights[at + 1 :]
             s += 1
             q = p[s]
         if s > n:
@@ -365,17 +354,19 @@ def _stat_counts(n: int, k: int, fold: Callable[[int, int, int, int], object], p
         else:
             if free:
                 p[s] = s
-                node(s, pairs, free - 1, cr, ne, grown, des, mdes)
+                node(s, pairs, free - 1, rights, cr, ne, grown, des, mdes)
             if pairs:
                 for t in range(s + 1, n + 1):
                     if not p[t]:
                         p[s], p[t] = t, s
-                        node(s, pairs - 1, free, cr, ne, grown, des, mdes)
+                        node(s, pairs - 1, free, rights, cr, ne, grown, des, mdes)
                         p[t] = 0
             p[s] = 0
-        rights[:] = saved
 
-    node(1, (n - k) // 2, k, 0, 0, False, 0, 0)
+    node(1, (n - k) // 2, k, (), 0, 0, False, 0, 0)
+    # node's closure holds node itself: unbinding it frees the table, and the
+    # caller's fold, now rather than at the next cyclic collection
+    del node
 
 
 def random_matching(n: int, k: int, rng: random.Random) -> Matching:

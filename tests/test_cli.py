@@ -263,9 +263,22 @@ def test_orbits_guard(capsys, monkeypatch):
     code, out, err = run(capsys, "orbits", "--n", "13", "--k", "13")
     assert code == 2 and out == "" and "exceeds the guard" in err and "--force" in err
     assert started == []
-    with pytest.raises(RuntimeError, match="transport started"):
-        cli.main(["orbits", "--n", "13", "--k", "13", "--force"])
+    code, out, err = run(capsys, "orbits", "--n", "13", "--k", "13", "--force")
+    assert code == 3 and out == "" and "RuntimeError: transport started" in err
     assert started == [tuple(range(1, 14))]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "plain"])
+def test_orbits_internal_error_exits_3(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(bj, "_iota_hat", lambda word: word)  # a broken ι̂
+    code, out, err = run(capsys, "orbits", "--n", "6", "--k", "0", "--j", "1", "--format", fmt)
+    assert code == 3
+    assert out == ("orbit,size,element,cdes\n" if fmt == "csv" else "")  # csv writes its header first
+    assert err.startswith('internal error: orbits {"n": 6, "k": 0, "j": 1}: ValueError: p is not a bijection')
+    for bad in (("--j", "4"), ("--k", "1"), ("--n", "-1")):
+        flags = {"--n": "6", "--k": "0", "--j": "1", **dict([bad])}
+        code, out, err = run(capsys, "orbits", *itertools.chain(*flags.items()))
+        assert code == 2 and out == "" and err.startswith("error: invalid")
 
 
 def test_orbits(capsys):

@@ -30,6 +30,8 @@ from matchdescents import oscillating as osc
 from matchdescents import perm, symfun, tableau
 from matchdescents.tableau import EMPTY_TABLEAU, check_shape, from_rows
 
+from oracles import arcs_cross, crossing_number_oracle, nesting_number_oracle
+
 # ---------------------------------------------------------------------------
 # Oracle: the tableau operations as they were before the kernels, each step
 # building and validating a full StandardTableau.
@@ -198,7 +200,7 @@ def oracle_mdes(m):
     """
     members = set()
     for i in range(1, m.n):
-        if _geometric_descent(m, i, i + 1, mm._arcs_cross):
+        if _geometric_descent(m, i, i + 1, arcs_cross):
             members.add(i)
     return perm.DescentSet(m.n, frozenset(members))
 
@@ -1135,7 +1137,20 @@ def sampled_matchings(draw, min_n=12, max_n=32):
 @given(sampled_matchings())
 def test_crossing_nesting_matches_subset_oracles_large(m):
     # at most 16 arcs for n <= 32, within the oracles' size guard
-    assert mm.crossing_nesting(m) == (mm.crossing_number_oracle(m), mm.nesting_number_oracle(m))
+    assert mm.crossing_nesting(m) == (crossing_number_oracle(m), nesting_number_oracle(m))
+
+
+def test_statistics_match_oracles_above_the_exhaustive_range():
+    # n = 13..20 lies past every exhaustive test; a fixed seed makes a failure reproducible
+    rng = random.Random(2022)
+    for n in range(13, 21):
+        for k in (n % 2, n % 2 + 2, n // 2 - (n // 2 - n) % 2, n - 2):
+            for _ in range(8):
+                m = mm.random_matching(n, k, rng)
+                word = mm.to_involution(m)
+                assert mm.crossing_nesting(m) == (crossing_number_oracle(m), nesting_number_oracle(m))
+                assert mm.mdes(m).members == mm._geometric_descents(word, n - 1) == oracle_mdes(m).members
+                assert mm.cmdes(m).members == oracle_cmdes(m).members
 
 
 @settings(deadline=None, max_examples=50)
