@@ -246,7 +246,6 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     n, k, j = args.n, args.k, args.j
     _refuse_over_guard("n", n, MAX_N_WITHOUT_FORCE, args.force)
     matching_mod._check_nkj(n, k, j)
-    params = {flag: value for flag, value in (("n", n), ("k", k), ("j", j)) if value is not None}
     with _row_sink(["orbit", "size", "element", "cdes"], args.format, args.output) as push:
         try:
             if j is None:
@@ -257,7 +256,8 @@ def cmd_orbits(args: argparse.Namespace) -> int:
                 elements, preimages = by_ne[j], by_cr[j]
             cdes, p = cyclic._walk(preimages, bijection._iota_hat, set(elements))
             table = cyclic.orbits(elements, p.__getitem__)
-        except Exception as exc:
+        except Exception as exc:  # the flags were accepted, so this is a broken invariant
+            params = {"n": n, "k": k} if j is None else {"n": n, "k": k, "j": j}
             raise InternalError(f"orbits {json.dumps(params)}") from exc
         for orbit_id, orbit in enumerate(table):
             for w in orbit:
