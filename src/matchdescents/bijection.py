@@ -11,10 +11,17 @@ is RS⁻¹(H, H), and H⁻¹ reads the shuffle back off the tableau and undoes
 phi.  iota_hat carries the geometric descent set to the standard one
 and the crossing number to the nesting number.  The maps run as kernels
 on words and rows, and iota_hat⁻¹ inserts once, as Q = P for involutions.
+The forward kernels (_emb, _phi, _q_map, _iota_hat, _h_map) check
+nothing, as their callers pass words that are valid by construction;
+emb, phi, iota_hat and h_map check their input, and q_map its output.
+_phi, and through it _iota_hat and _h_map, takes an optional stand-in
+for the crossing/nesting involution on the core, so that a walk over a
+class can run it once per distinct core.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import matching as matching_mod
 from . import oscillating, perm, tableau
@@ -75,12 +82,12 @@ def emb(fixed: frozenset[int], sigma: Word, n: int) -> ShuffleElement:
     carry sigma's word on the small letters."""
     if len(sigma) != n - len(fixed) or not fixed <= frozenset(range(1, n + 1)):
         raise ValueError(f"size mismatch: |J|={len(fixed)}, |sigma|={len(sigma)}, n={n}")
+    if not perm.is_perm(sigma) or not perm.is_involution(sigma) or perm.fixed_points(sigma):
+        raise ValueError(f"not a fixed-point-free involution: {sigma}")
     return perm._trusted(ShuffleElement, word=_emb(fixed, sigma, n), k=len(fixed))
 
 
 def _emb(fixed: frozenset[int], sigma: Word, n: int) -> Word:
-    if not perm.is_perm(sigma) or not perm.is_involution(sigma) or perm.fixed_points(sigma):
-        raise ValueError(f"not a fixed-point-free involution: {sigma}")
     word = [0] * n
     for big, pos in enumerate(sorted(fixed), start=n - len(fixed) + 1):
         word[pos - 1] = big
@@ -93,9 +100,10 @@ def phi(word: Word) -> ShuffleElement:
     return perm._trusted(ShuffleElement, word=_phi(_involution(word)), k=len(perm.fixed_points(word)))
 
 
-def _phi(word: Word) -> Word:
+def _phi(word: Word, iota: Callable[[Word], Word] | None = None) -> Word:
+    """phi of a word the package built, with ``iota`` (``oscillating._iota`` by default) on the core."""
     fixed, core = _res(word)
-    return _emb(fixed, oscillating._iota(core), len(word))
+    return _emb(fixed, (iota or oscillating._iota)(core), len(word))
 
 
 def phi_inverse(t: ShuffleElement) -> Word:
@@ -113,12 +121,12 @@ def _phi_inverse(word: Word, k: int) -> Word:
 
 def q_map(t: ShuffleElement) -> Word:
     """The RS preimage of the diagonal pair of the recording tableau."""
-    return _q_map(t.word)
+    return perm.check_perm(_q_map(t.word))
 
 
 def _q_map(word: Word) -> Word:
     q_rows = tableau._rs(word)[1]
-    return perm.check_perm(tableau._reverse_rs(q_rows, q_rows))
+    return tuple(tableau._reverse_rs(q_rows, q_rows))
 
 
 def q_map_inverse(word: Word) -> ShuffleElement:
@@ -136,11 +144,11 @@ def iota_hat(word: Word) -> Word:
     """The composite bijection; preserves the fixed-point count and maps
     the geometric descent set / crossing number of the input to the
     standard descent set / nesting number of the output."""
-    return _iota_hat(_involution(word))
+    return perm.check_perm(_iota_hat(_involution(word)))
 
 
-def _iota_hat(word: Word) -> Word:
-    return _q_map(_phi(word))
+def _iota_hat(word: Word, iota: Callable[[Word], Word] | None = None) -> Word:
+    return _q_map(_phi(word, iota))
 
 
 def iota_hat_inverse(word: Word) -> Word:
@@ -154,9 +162,9 @@ def h_map(word: Word) -> StandardTableau:
     return _h_map(_involution(word))
 
 
-def _h_map(word: Word) -> StandardTableau:
+def _h_map(word: Word, iota: Callable[[Word], Word] | None = None) -> StandardTableau:
     """h_map of an involution word the package built."""
-    return tableau._tableau(tableau._rs(_phi(word))[1])
+    return tableau._tableau(tableau._rs(_phi(word, iota))[1])
 
 
 def h_map_inverse(t: StandardTableau) -> Word:

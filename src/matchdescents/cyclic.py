@@ -4,15 +4,17 @@ involutions and standard Young tableaux, the three-axiom verifier, and
 the classification of the Escherian classes.
 
 p = ι̂∘rot∘ι̂⁻¹ and ι̂ sends cr to ne, so the class checks walk forward from
-the matchings with cr = j, one ι̂ (or H) per element and no inverse; the
-``transport_*`` maps carry one object at a time.
+the matchings with cr = j, one ι̂ (or H) per element, Chen's ι once per
+fixed-point-free core and no inverse; the ``transport_*`` maps carry
+one object at a time.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Hashable, Iterable, Sequence
 
-from . import bijection, matching as matching_mod, perm, tableau
+from . import bijection, matching as matching_mod, oscillating, perm, tableau
 from .perm import DescentSet, Word
 from .tableau import StandardTableau
 
@@ -120,14 +122,19 @@ def orbits(elements: Sequence[Hashable], step: Callable[[Hashable], Hashable]) -
 
 
 def _cr_ne_classes(n: int, k: int) -> tuple[dict[int, list[Word]], dict[int, list[Word]]]:
-    """The words of M_{n,k} by crossing number and by nesting number, from
-    one pass over ``_words(n, k)``, each class in its order."""
+    """The words of M_{n,k} by crossing number and by nesting number, each
+    class in the order of ``_words(n, k)``: one ``_stat_counts`` search,
+    each word read off the partner list it fills."""
     by_cr: dict[int, list[Word]] = {j: [] for j in range((n - k) // 2 + 1)}
     by_ne: dict[int, list[Word]] = {j: [] for j in by_cr}
-    for word in matching_mod._words(n, k):
-        cr, ne = matching_mod._cr_ne(word)
+    p: list[int] = []
+
+    def fold(cr, ne, mdes, des):
+        word = tuple(p[1:-1])  # p[0] and p[n + 1] are the search's sentinels
         by_cr[cr].append(word)
         by_ne[ne].append(word)
+
+    matching_mod._stat_counts(n, k, fold, p)
     return by_cr, by_ne
 
 
@@ -166,9 +173,14 @@ def _check_class(n: int, k: int, j: int, classes: tuple[dict, dict], syt: bool =
 def _walk(preimages: list[Word], image_of: Callable, ground: AbstractSet) -> tuple[dict, dict]:
     """The members of cDes and the map p of each element of ``ground``, read
     forward from the matchings that ``image_of`` (ι̂ or H) maps onto it:
-    cDes(ι̂ m) = cMDes(m) and p(ι̂ m) = ι̂(rot m).  Raises unless the map is
-    a bijection onto ``ground`` and rotation keeps the preimages."""
-    image = {m: image_of(m) for m in preimages}
+    cDes(ι̂ m) = cMDes(m) and p(ι̂ m) = ι̂(rot m).  A class is every choice
+    of fixed points times a few fixed-point-free cores, so ``image_of``
+    gets a table of ``oscillating._iota`` that lives for this walk and runs
+    ι once per core.  ι̂'s kernels re-check nothing; this walk raises unless
+    the map is a bijection onto ``ground`` and rotation keeps the
+    preimages."""
+    iota = functools.cache(oscillating._iota)
+    image = {m: image_of(m, iota) for m in preimages}
     if len(preimages) != len(ground) or ground != set(image.values()):
         raise ValueError("p is not a bijection of the ground set")
     cdes, p = {}, {}

@@ -26,9 +26,10 @@ bit masks) down the search, so each prefix is swept once for every leaf
 below it.  cr and ne are running maxima of the tuple's longest
 increasing and decreasing subsequences, so a table that lives for one
 search computes that pair once per distinct tuple.  ``enum`` reads
-each matching off the partner list that the search fills.
-``cdes``, ``orbits``, ``chen`` and the oracles still read the words of
-``_words``.
+each matching off the partner list that the search fills, and so does
+the cr/ne class split of ``verify cdes`` and ``orbits --j``.
+``orbits`` without ``--j``, ``chen`` and the oracles still read the
+words of ``_words``.
 """
 from __future__ import annotations
 
@@ -258,22 +259,23 @@ def _words(n: int, k: int) -> Iterator[Word]:
     [(1, 2, 4, 3), (1, 3, 2, 4), (1, 4, 3, 2), (2, 1, 3, 4), (3, 2, 1, 4), (4, 2, 3, 1)]
     """
     _check_nkj(n, k)
-    word = list(range(1, n + 1))
+    return _words_below(list(range(1, n + 1)), tuple(range(1, n + 1)), k)
 
-    def gen(points: tuple[int, ...], free: int) -> Iterator[Word]:
-        # len(points) - free stays even and >= 0, so no branch is dead
-        if len(points) == free:
-            yield tuple(word)
-            return
-        first, rest = points[0], points[1:]
-        if free > 0:
-            yield from gen(rest, free - 1)
-        for i, q in enumerate(rest):
-            word[first - 1], word[q - 1] = q, first
-            yield from gen(rest[:i] + rest[i + 1 :], free)
-            word[first - 1], word[q - 1] = first, q
 
-    return gen(tuple(range(1, n + 1)), k)
+def _words_below(word: list[int], points: tuple[int, ...], free: int) -> Iterator[Word]:
+    """``_words``' recursion over the undecided ``points``, ``free`` of them
+    left unmatched; a module-level generator, so a search leaves no cycle."""
+    # len(points) - free stays even and >= 0, so no branch is dead
+    if len(points) == free:
+        yield tuple(word)
+        return
+    first, rest = points[0], points[1:]
+    if free > 0:
+        yield from _words_below(word, rest, free - 1)
+    for i, q in enumerate(rest):
+        word[first - 1], word[q - 1] = q, first
+        yield from _words_below(word, rest[:i] + rest[i + 1 :], free)
+        word[first - 1], word[q - 1] = first, q
 
 
 def _stat_counts(n: int, k: int, fold: Callable[[int, int, int, int], object], p: list[int] | None = None) -> None:

@@ -28,6 +28,14 @@ def test_emb():
         bj.emb(frozenset({1}), (2, 1), 4)
 
 
+def test_emb_refuses_a_sigma_that_is_not_a_fixed_point_free_involution():
+    for sigma in [(1, 2), (2, 2)]:  # fixed points; not a permutation
+        with pytest.raises(ValueError, match="not a fixed-point-free involution"):
+            bj.emb(frozenset({3}), sigma, 3)
+    with pytest.raises(ValueError, match="not a fixed-point-free involution"):
+        bj.emb(frozenset({4}), (2, 3, 1), 4)  # not an involution
+
+
 def test_shuffle_element_validation():
     with pytest.raises(ValueError):
         bj.ShuffleElement((5, 6, 3, 2, 4, 1), 2)  # big letters 5,6 fine but core not fpf involution
@@ -121,6 +129,13 @@ def test_h_map():
 def test_h_map_refuses_a_non_involution():
     with pytest.raises(ValueError, match=r"^not an involution: \(2, 3, 1\)$"):
         bj.h_map((2, 3, 1))
+
+
+@pytest.mark.parametrize("public_map", [bj.iota_hat, bj.h_map])
+def test_iota_hat_and_h_map_refuse_a_non_involution(public_map):
+    for word in [(2, 3, 1), (1, 3, 4, 2), (2, 2)]:
+        with pytest.raises(ValueError, match=r"^not an involution: "):
+            public_map(word)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -12,6 +12,7 @@ import pytest
 from matchdescents import bijection as bj
 from matchdescents import cli, cyclic
 from matchdescents import matching as mm
+from matchdescents import oscillating as osc
 from matchdescents import perm, tableau
 
 
@@ -49,10 +50,26 @@ def test_rotation_keeps_the_crossing_number(n):
             assert mm._cr_ne(mm._rotate(word))[0] == mm._cr_ne(word)[0]
 
 
+def test_walk_runs_iota_once_per_core(monkeypatch):
+    # I_{9,3,1} is 420 involutions: C(9, 3) fixed-point sets times the 5 perfect
+    # matchings of 6 points with cr = 1, so the walk's table runs ι 5 times
+    cores = []
+
+    def counting_iota(word):
+        cores.append(word)
+        return iota(word)
+
+    iota = osc._iota
+    monkeypatch.setattr(osc, "_iota", counting_iota)
+    report = cyclic.verify_cdes_involutions(9, 3, 1)
+    assert sum(report.orbit_sizes) == 420
+    assert len(cores) == len(set(cores)) == 5
+
+
 def test_walk_refuses_a_map_that_is_not_onto_the_class(monkeypatch):
     # the identity is injective, but it keeps the noncrossing perfect
     # matchings of 6 points, which are not the nonnesting ones
-    monkeypatch.setattr(bj, "_iota_hat", lambda word: word)
+    monkeypatch.setattr(bj, "_iota_hat", lambda word, iota=None: word)
     with pytest.raises(ValueError, match="not a bijection"):
         cyclic.verify_cdes_involutions(6, 0, 1)
 
@@ -65,7 +82,7 @@ def test_walk_refuses_a_rotation_that_leaves_the_crossing_class(monkeypatch):
 
 
 def test_verify_cdes_exits_3_when_iota_hat_is_not_injective(capsys, monkeypatch):
-    monkeypatch.setattr(bj, "_iota_hat", lambda word: tuple(sorted(word)))  # every word to the identity
+    monkeypatch.setattr(bj, "_iota_hat", lambda word, iota=None: tuple(sorted(word)))  # every word to the identity
     code = cli.main(["verify", "cdes", "--n", "6"])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""

@@ -255,7 +255,7 @@ def test_enum_json_empty_class_writes_nothing(capsys, tmp_path, family):
 def test_orbits_guard(capsys, monkeypatch):
     started = []
 
-    def stand_in(word):
+    def stand_in(word, iota=None):
         started.append(word)
         raise RuntimeError("transport started")
 
@@ -270,7 +270,7 @@ def test_orbits_guard(capsys, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "plain"])
 def test_orbits_internal_error_exits_3(capsys, monkeypatch, fmt):
-    monkeypatch.setattr(bj, "_iota_hat", lambda word: word)  # a broken ι̂
+    monkeypatch.setattr(bj, "_iota_hat", lambda word, iota=None: word)  # a broken ι̂
     code, out, err = run(capsys, "orbits", "--n", "6", "--k", "0", "--j", "1", "--format", fmt)
     assert code == 3
     assert out == ("orbit,size,element,cdes\n" if fmt == "csv" else "")  # csv writes its header first

@@ -13,6 +13,7 @@ statistics' properties at sizes beyond the exhaustive range.
 """
 import bisect
 import csv
+import gc
 import io
 import itertools
 import json
@@ -690,6 +691,30 @@ def test_word_enumerator_matches_oracle(n):
     for k in [n + 1, n + 2, -2]:
         with pytest.raises(ValueError):
             mm._words(n, k)
+
+
+def test_words_leaves_no_reference_cycle():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(list(mm._words(10, 0))) == 945
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_cr_ne_classes_match_per_word_split(n):
+    for k in range(n % 2, n + 1, 2):
+        by_cr = {j: [] for j in range((n - k) // 2 + 1)}
+        by_ne = {j: [] for j in by_cr}
+        for w in mm._words(n, k):
+            cr, ne = mm._cr_ne(w)
+            by_cr[cr].append(w)
+            by_ne[ne].append(w)
+        assert cyclic._cr_ne_classes(n, k) == (by_cr, by_ne)
 
 
 def _per_word_stats(n, k):
