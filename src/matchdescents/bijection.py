@@ -61,7 +61,8 @@ class ShuffleElement:
 
 
 def _involution(word: Word) -> Word:
-    if not perm.is_involution(word):
+    """``word``, checked at a public entry to be an involution of [len(word)]."""
+    if not (perm.is_perm(word) and perm.is_involution(word)):
         raise ValueError(f"not an involution: {word}")
     return word
 

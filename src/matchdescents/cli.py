@@ -216,8 +216,9 @@ def _push_matching_rows(push: Callable[[list], object], n: int, k: int, j: int |
     """
     Push the ``enum matchings`` (or ``involutions``) row of each matching
     of M_{n,k}, or of I_{n,k,j} when j is given, in the order of
-    ``_words``.  The statistics come from ``_stat_counts`` and the
-    matching from the partner list ``p`` that it fills.
+    ``_words``.  The statistics come from ``_stat_counts``, which cuts every
+    branch whose ne passes j, and the matching from the partner list ``p``
+    that it fills.
     """
     p: list[int] = []
     # the text of arc {i, q}, for i < q: an arc of the list, or a 2-cycle
@@ -239,7 +240,7 @@ def _push_matching_rows(push: Callable[[list], object], n: int, k: int, j: int |
             row = ["".join(arcs) or "()", "[" + ",".join(map(str, p[1 : n + 1])) + "]"]
         push([*row, mask_str(des), mask_str(mdes), mask_str(cmdes), cr, ne, k])
 
-    matching_mod._stat_counts(n, k, fold, p)
+    matching_mod._stat_counts(n, k, fold, p, ne_max=j)
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:

@@ -25,9 +25,11 @@ state (cr, ne, the open right endpoints as a tuple, and Des and MDes as
 bit masks) down the search, so each prefix is swept once for every leaf
 below it.  cr and ne are running maxima of the tuple's longest
 increasing and decreasing subsequences, so a table that lives for one
-search computes that pair once per distinct tuple.  ``enum`` reads
-each matching off the partner list that the search fills, and so does
-the cr/ne class split of ``verify cdes`` and ``orbits --j``.
+search computes that pair once per distinct tuple.  One search covers
+every class M_{n,k} at once for ``main0``, and for ``main11``/``main111``
+without ``--k``.  ``enum`` reads each matching off the partner list that
+the search fills, and cuts the branches whose ne passes ``--j``; the
+cr/ne class split of ``verify cdes`` and ``orbits --j`` reads that list too.
 ``orbits`` without ``--j``, ``chen`` and the oracles still read the
 words of ``_words``.
 """
@@ -278,10 +280,17 @@ def _words_below(word: list[int], points: tuple[int, ...], free: int) -> Iterato
         word[first - 1], word[q - 1] = first, q
 
 
-def _stat_counts(n: int, k: int, fold: Callable[[int, int, int, int], object], p: list[int] | None = None) -> None:
+def _stat_counts(
+    n: int, k: int | None, fold: Callable[..., object], p: list[int] | None = None, ne_max: int | None = None
+) -> None:
     """
     Call ``fold(cr, ne, mdes, des)`` once per matching of ``_words(n, k)``,
     in its order, with the descent sets as masks (bit i for position i).
+    When k is None, one search runs over every class M_{n,k} at once:
+    ``fold(k)`` is called once per class, in k order, and returns the fold
+    of that class, which gets its matchings in the order of ``_words(n,
+    k)``.  With ``ne_max``, only the matchings with ne <= ne_max are folded.
+
     One depth-first search decides the smallest undecided point at each
     node, so the points below it are all decided: each node sweeps them
     once, as ``_cr_ne``, ``_geometric_descents`` and ``perm._descents``
@@ -290,7 +299,8 @@ def _stat_counts(n: int, k: int, fold: Callable[[int, int, int, int], object], p
     at an opener and rebuilds without s at a closer, so no node restores
     anything on return.  cr and ne are running maxima of the LIS and LDS
     of that tuple (Chen-Deng-Du-Stanley-Yan), so one table that lives
-    only in this call computes that pair once per distinct tuple.  A
+    only in this call computes that pair once per distinct tuple, and a
+    node whose ne passes ``ne_max`` returns before its children.  A
     caller that passes a list ``p`` reads the matching of each call off
     it: ``p[i]`` is the partner of i, or i itself when unmatched, for
     1 <= i <= n.
@@ -303,7 +313,20 @@ def _stat_counts(n: int, k: int, fold: Callable[[int, int, int, int], object], p
     1 1 0b100 0b110
     1 1 0b1000 0b1010
     """
-    _check_nkj(n, k)
+    if k is None:
+        if n < 0:
+            raise ValueError(f"invalid n = {n}")
+        # budgets that every matching meets: a leaf that leaves `left` of the
+        # n unmatched points unused has n - left of them, so it is in class n - left
+        pairs, free = n // 2, n
+        folds = [None] * (n + 1)
+        for kk in range(n % 2, n + 1, 2):
+            folds[n - kk] = fold(kk)
+    else:
+        _check_nkj(n, k)
+        pairs, free, folds = (n - k) // 2, k, [fold]  # every leaf uses the whole budget
+    if ne_max is None:
+        ne_max = n
     # p[i] is the partner of i, i itself when unmatched, 0 while undecided;
     # p[n + 1] = 0 ends every sweep, and p[0] = -1 sets no bit at position 0
     if p is None:
@@ -345,6 +368,8 @@ def _stat_counts(n: int, k: int, fold: Callable[[int, int, int, int], object], p
                     if lis > cr:
                         cr = lis
                     if lds > ne:
+                        if lds > ne_max:  # ne never falls along a branch
+                            return
                         ne = lds
                     grown = False
                 at = rights.index(s)
@@ -352,7 +377,7 @@ def _stat_counts(n: int, k: int, fold: Callable[[int, int, int, int], object], p
             s += 1
             q = p[s]
         if s > n:
-            fold(cr, ne, mdes, des)
+            folds[free](cr, ne, mdes, des)
         else:
             if free:
                 p[s] = s
@@ -365,7 +390,7 @@ def _stat_counts(n: int, k: int, fold: Callable[[int, int, int, int], object], p
                         p[t] = 0
             p[s] = 0
 
-    node(1, (n - k) // 2, k, (), 0, 0, False, 0, 0)
+    node(1, pairs, free, (), 0, 0, False, 0, 0)
     # node's closure holds node itself: unbinding it frees the table, and the
     # caller's fold, now rather than at the next cyclic collection
     del node

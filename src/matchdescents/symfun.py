@@ -55,21 +55,22 @@ def _compared(identity: str, params: dict, lhs: Counter, rhs: Counter, counts: d
 def schur_descent_multiset(shape: Shape) -> Counter:
     """The descent multiset {Des(T) : T in SYT(shape)}, representing the
     Schur function in the fundamental basis."""
-    masks = Counter(d for _, d, _ in tableau._syt_des(tableau.check_shape(shape)))
+    shape = tableau.check_shape(shape)
+    masks = tableau._shape_des_counts(sum(shape), shape)[shape]
     return Counter({perm._members(d): c for d, c in masks.items()})
 
 
 # ---------------------------------------------------------------------------
-# The matching and tableau identities fold the descent masks of
-# ``matching._stat_counts`` and ``tableau._syt_des`` into counters, and read
-# the masks as sets once, at the end, for the comparison and the witness,
+# The matching and tableau identities count the descent masks of
+# ``matching._stat_counts`` and ``tableau._shape_des_counts``, and read the
+# masks as sets once, at the end, for the comparison and the witness,
 # through the cache of ``perm._members``, which holds at most 2^(n-1) sets
 # for the largest n checked.
 
 def _mask_last(counts: Counter) -> Counter:
-    """``counts``, keyed by triples, with the descent mask that ends each key
+    """``counts``, keyed by tuples, with the descent mask that ends each key
     read as its set."""
-    return Counter({(a, b, perm._members(mask)): c for (a, b, mask), c in counts.items()})
+    return Counter({(*key, perm._members(mask)): c for (*key, mask), c in counts.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +79,14 @@ def _mask_last(counts: Counter) -> Counter:
 def lhs_main0(n: int) -> Counter:
     """The multiset of (um, cr, MDes), one term per matching on n points."""
     terms: Counter = Counter()
-    for k in range(n % 2, n + 1, 2):
 
-        def fold(cr, ne, mdes, des, k=k):
+    def class_fold(k):
+        def fold(cr, ne, mdes, des):
             terms[k, cr, mdes] += 1
 
-        matching_mod._stat_counts(n, k, fold)
+        return fold
+
+    matching_mod._stat_counts(n, None, class_fold)
     return _mask_last(terms)
 
 
@@ -91,10 +94,11 @@ def rhs_main0(n: int) -> Counter:
     """The multiset of (odd columns, floor(height/2), Des(T)), one term per
     SYT of size n."""
     terms: Counter = Counter()
-    for shape in tableau.partitions(n):
+    for shape, masks in tableau._shape_des_counts(n).items():
         a = tableau.odd_cols(shape)
         b = tableau.height(shape) // 2
-        terms.update((a, b, d) for _, d, _ in tableau._syt_des(shape))
+        for d, c in masks.items():
+            terms[a, b, d] += c
     return _mask_last(terms)
 
 
@@ -125,35 +129,51 @@ def verify_lemma_main1(n2: int) -> VerifyResult:
 # Equidistribution of (cr, MDes) with (ne, Des) over M_{n,k}, and the
 # two-variable multiset refinement
 
-def _cr_ne_counts(n: int, k: int) -> tuple[Counter, Counter]:
-    """The multisets of (cr, ne, MDes) and of (ne, cr, Des) over M_{n,k}."""
-    lhs: Counter = Counter()
-    rhs: Counter = Counter()
+def _cr_ne_counts(n: int, k: int | None, refined: bool = True) -> Iterator[tuple[int, Counter, Counter]]:
+    """
+    (k, lhs, rhs) per class M_{n,k}, for class k, or for every class in k
+    order from one search when k is None: lhs and rhs are the multisets of
+    (cr, ne, MDes) and of (ne, cr, Des), or of (cr, MDes) and of (ne, Des)
+    when not ``refined``.  Each class reads its masks as sets only when its
+    turn comes, and drops its mask counts then.
+    """
+    classes = {kk: (Counter(), Counter()) for kk in (range(n % 2, n + 1, 2) if k is None else [k])}
 
-    def fold(cr, ne, mdes, des):
-        lhs[cr, ne, mdes] += 1
-        rhs[ne, cr, des] += 1
+    def class_fold(kk):
+        lhs, rhs = classes[kk]
+        if refined:
 
-    matching_mod._stat_counts(n, k, fold)
-    return _mask_last(lhs), _mask_last(rhs)
+            def fold(cr, ne, mdes, des):
+                lhs[cr, ne, mdes] += 1
+                rhs[ne, cr, des] += 1
+
+        else:
+
+            def fold(cr, ne, mdes, des):
+                lhs[cr, mdes] += 1
+                rhs[ne, des] += 1
+
+        return fold
+
+    matching_mod._stat_counts(n, k, class_fold if k is None else class_fold(k))
+    for kk in list(classes):
+        lhs, rhs = classes.pop(kk)
+        yield kk, _mask_last(lhs), _mask_last(rhs)
 
 
-def _drop_middle(counts: Counter) -> Counter:
-    out: Counter = Counter()
-    for (a, _, d), c in counts.items():
-        out[(a, d)] += c
-    return out
+def _main11_results(name: str, n: int, k: int | None) -> Iterator[VerifyResult]:
+    """``verify_main11`` (``verify_main111`` when ``name`` is main111) on
+    class k, or on every class in k order when k is None."""
+    for kk, lhs, rhs in _cr_ne_counts(n, k, refined=name == "main111"):
+        yield _compared(name, {"n": n, "k": kk}, lhs, rhs, {"matchings": lhs.total()})
 
 
 def verify_main11(n: int, k: int) -> VerifyResult:
-    lhs, rhs = _cr_ne_counts(n, k)
-    counts = {"matchings": lhs.total()}
-    return _compared("main11", {"n": n, "k": k}, _drop_middle(lhs), _drop_middle(rhs), counts)
+    return next(_main11_results("main11", n, k))
 
 
 def verify_main111(n: int, k: int) -> VerifyResult:
-    lhs, rhs = _cr_ne_counts(n, k)
-    return _compared("main111", {"n": n, "k": k}, lhs, rhs, {"matchings": lhs.total()})
+    return next(_main11_results("main111", n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +382,11 @@ GESSEL_DEFAULT_MAX = 6
 @dataclass(frozen=True)
 class Identity:
     """A registry entry: the flags the identity takes, and ``check``, which
-    takes their values as keywords and checks one class k when k is a flag."""
+    takes their values as keywords.  When k is a flag, ``check`` yields one
+    result per class that the flags select, in k order."""
 
     flags: tuple[str, ...]
-    check: Callable[..., VerifyResult]
+    check: Callable[..., VerifyResult | Iterator[VerifyResult]]
     perfect: bool = False  # n counts the points of perfect matchings
 
 
@@ -373,11 +394,13 @@ class Identity:
 # attribute takes effect.
 REGISTRY: dict[str, Identity] = {
     "main1": Identity(("n",), lambda n: verify_lemma_main1(n), perfect=True),
-    "main11": Identity(("n", "k"), lambda n, k: verify_main11(n, k)),
-    "main111": Identity(("n", "k"), lambda n, k: verify_main111(n, k)),
+    "main11": Identity(("n", "k"), lambda n, k: _main11_results("main11", n, k)),
+    "main111": Identity(("n", "k"), lambda n, k: _main11_results("main111", n, k)),
     "main0": Identity(("n",), lambda n: verify_main0(n)),
-    "cdes": Identity(("n", "k", "j"), lambda n, k, j: verify_cdes_k(n, k, j)),
-    "cdes-syt": Identity(("n", "k", "j"), lambda n, k, j: verify_cdes_k(n, k, j, syt=True)),
+    "cdes": Identity(("n", "k", "j"), lambda n, k, j: (verify_cdes_k(n, kk, j) for kk in _ks(n, k, j))),
+    "cdes-syt": Identity(
+        ("n", "k", "j"), lambda n, k, j: (verify_cdes_k(n, kk, j, syt=True) for kk in _ks(n, k, j))
+    ),
     "gessel": Identity(("max",), lambda max: verify_gessel_all(max)),
     "chen": Identity(("n",), lambda n: verify_bijection("chen", _chen_holds, n), perfect=True),
     "sundaram-roundtrip": Identity(
@@ -432,14 +455,17 @@ def run_identity(name: str, params: dict) -> VerifyResult:
     flags select, each class's counts are kept in the extra field
     ``classes``, and each of its extra fields is kept keyed by k; the first
     failing class stops the sum and is the result."""
-    check = REGISTRY[name].check
-    if "k" not in params or params["k"] is not None:
-        return check(**params)
+    results = REGISTRY[name].check(**params)
+    if "k" not in params:
+        return results
+    if params["k"] is not None:
+        (result,) = results
+        return result
     total: Counter = Counter()
     classes = {}
     extra: dict = {}
-    for k in _ks(params["n"], None, params.get("j")):
-        result = check(**{**params, "k": k})
+    for result in results:
+        k = result.params["k"]
         total.update(result.counts)
         classes[k] = result.counts
         for key, value in result.extra.items():

@@ -18,8 +18,10 @@ plain row lists (``_insert``, ``_unbump``, ``_slide_out``,
 vacates, so Sundaram's walk reads its cells off the kernels.  ``_rs``
 runs RS (Q = P for an involution), ``_q_inverse_shuffle`` transposes
 its shape once, and ``_syt_des`` lists the tableaux of a shape with
-their descent masks and row texts.  What a kernel returns is standard
-by construction and is wrapped without a second check.
+their descent masks and row texts.  ``_shape_des_counts`` counts the
+descent masks of every shape by one pass over Young's lattice, with no
+tableau built.  What a kernel returns is standard by construction and is
+wrapped without a second check.
 """
 from __future__ import annotations
 
@@ -436,6 +438,45 @@ def _syt_des(shape: Shape) -> Iterator[tuple[list[list[int]], int, list[str]]]:
         rows[r].pop()
         texts[r] = prefixes[r].pop()
         r += 1
+
+
+def _shape_des_counts(n: int, bound: Shape | None = None) -> dict[Shape, dict[int, int]]:
+    """
+    {Des mask: number of tableaux} for each shape of size n, or for each
+    one inside ``bound``, by one forward pass over Young's lattice.  A
+    descent at s means that entry s + 1 sits in a strictly lower row than
+    entry s, so the masks of a shape's tableaux are read off their
+    sub-shapes and the row of their last entry: level s maps each (shape
+    of size s, row of entry s) to {mask: count}, and entry s + 1 goes into
+    each row that can take it, setting bit s when that row is lower.
+
+    >>> _shape_des_counts(3)
+    {(3,): {0: 1}, (2, 1): {4: 1, 2: 1}, (1, 1, 1): {6: 1}}
+    """
+    if n < 0:
+        raise ValueError(f"invalid n = {n}")
+    if bound is None:
+        bound = (n,) * n  # no shape of size below n reaches it
+    level: dict[tuple[Shape, int], dict[int, int]] = {((), n): {0: 1}}  # no row lies below row n
+    for s in range(n):
+        grown: dict[tuple[Shape, int], dict[int, int]] = {}
+        for (shape, r), masks in level.items():
+            rows = [row for row, part in enumerate(shape) if part < bound[row] and (not row or shape[row - 1] > part)]
+            if len(shape) < len(bound):
+                rows.append(len(shape))
+            for row in rows:
+                child = shape[:row] + (shape[row] + 1 if row < len(shape) else 1,) + shape[row + 1 :]
+                bit = 1 << s if row > r else 0
+                into = grown.setdefault((child, row), {})
+                for m, c in masks.items():
+                    into[m | bit] = into.get(m | bit, 0) + c
+        level = grown
+    out: dict[Shape, dict[int, int]] = {}
+    for (shape, _), masks in level.items():
+        into = out.setdefault(shape, {})
+        for m, c in masks.items():
+            into[m] = into.get(m, 0) + c
+    return out
 
 
 def enumerate_syt(shape: Shape) -> Iterator[StandardTableau]:

@@ -138,6 +138,13 @@ def test_iota_hat_and_h_map_refuse_a_non_involution(public_map):
             public_map(word)
 
 
+@pytest.mark.parametrize("public_map", [bj.res, bj.phi, bj.iota_hat, bj.h_map, bj.q_map_inverse, bj.iota_hat_inverse])
+def test_public_maps_refuse_a_letter_above_the_length(public_map):
+    # (3, 1) is no permutation of [2]; the involution test alone would index past its end
+    with pytest.raises(ValueError, match=r"^not an involution: \(3, 1\)$"):
+        public_map((3, 1))
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_h_map_bijection(n):
     for k in range(n % 2, n + 1, 2):

@@ -457,15 +457,19 @@ def test_verify_gessel_names_the_failing_pair(capsys, monkeypatch):
     ]
 
 
-def test_verify_main11_names_the_failing_class(capsys, monkeypatch):
-    real = symfun.verify_main11
+def _fails_at_k3(real):
+    """A stand-in for ``symfun._compared`` whose result fails exactly on class k = 3."""
 
-    def fails_at_k3(n, k):
-        result = real(n, k)
-        result.ok = k != 3
+    def compared(identity, params, lhs, rhs, counts):
+        result = real(identity, params, lhs, rhs, counts)
+        result.ok = params["k"] != 3
         return result
 
-    monkeypatch.setattr(symfun, "verify_main11", fails_at_k3)
+    return compared
+
+
+def test_verify_main11_names_the_failing_class(capsys, monkeypatch):
+    monkeypatch.setattr(symfun, "_compared", _fails_at_k3(symfun._compared))
     code, out, _ = run(capsys, "verify", "main11", "--n", "7")
     assert code == 1
     report = json.loads(out)
@@ -473,6 +477,46 @@ def test_verify_main11_names_the_failing_class(capsys, monkeypatch):
     assert report["failing"] == {"n": 7, "k": 3}
     assert report["classes"] == {"1": {"matchings": 105}, "3": {"matchings": 105}}
     assert report["counts"] == {"matchings": 210}
+
+
+def _per_class_report(capsys, identity, n):
+    """The report of ``verify identity --n n`` assembled from one ``--k`` run
+    per class, as a loop over the classes would: counts summed, each class's
+    counts under ``classes``, and the first failing class as the result."""
+    total, classes = {}, {}
+    for k in range(n % 2, n + 1, 2):
+        code, out, _ = run(capsys, "verify", identity, "--n", str(n), "--k", str(k))
+        report = json.loads(out)
+        for key, value in report["counts"].items():
+            total[key] = total.get(key, 0) + value
+        classes[str(k)] = report["counts"]
+        if code:
+            break
+    else:
+        report = {"ok": True, "witness_diff": []}
+    expected = {"identity": identity, "params": {"n": n, "k": None}, "ok": report["ok"]}
+    expected |= {"witness_diff": report["witness_diff"], "counts": total, "classes": classes}
+    if not report["ok"]:
+        expected["failing"] = report["failing"]
+    return code, expected
+
+
+@pytest.mark.parametrize("identity", ["main11", "main111"])
+@pytest.mark.parametrize("stand_in", [None, "kernel", "class"])
+def test_verify_all_classes_match_the_per_class_loop(capsys, monkeypatch, identity, stand_in):
+    # one search for every k gives the report of one --k run per class, on a
+    # pass and on failing stand-ins: MDes folded as the empty set in every
+    # class (k = n % 2 fails first), and a compare that fails only at k = 3
+    if stand_in == "kernel":
+        monkeypatch.setattr(mm, "_stat_counts", _no_geometric_descents)
+    elif stand_in == "class":
+        monkeypatch.setattr(symfun, "_compared", _fails_at_k3(symfun._compared))
+    for n in range(10):
+        expected_code, expected = _per_class_report(capsys, identity, n)
+        code, out, _ = run(capsys, "verify", identity, "--n", str(n))
+        report = json.loads(out)
+        del report["elapsed_ms"]
+        assert (code, report) == (expected_code, expected), n
 
 
 @pytest.mark.slow
@@ -543,8 +587,13 @@ _stat_counts = mm._stat_counts
 
 
 def _no_geometric_descents(n, k, fold):
-    """The matching-statistics kernel with every MDes folded as the empty set."""
-    _stat_counts(n, k, lambda cr, ne, mdes, des: fold(cr, ne, 0, des))
+    """The matching-statistics kernel with every MDes folded as the empty set,
+    for one class k, and for every class at once when k is None."""
+
+    def blind(class_fold):
+        return lambda cr, ne, mdes, des: class_fold(cr, ne, 0, des)
+
+    _stat_counts(n, k, blind(fold) if k is not None else lambda kk: blind(fold(kk)))
 
 
 def _no_cyclic_descents(word):

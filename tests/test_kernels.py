@@ -736,20 +736,63 @@ def test_stat_counts_match_per_word_path(n):
 @pytest.mark.parametrize("n", range(10))
 def test_kernel_counters_match_per_word_path(n):
     main0 = Counter()
-    for k in range(n % 2, n + 1, 2):
+    refined = list(symfun._cr_ne_counts(n, None))
+    coarse = list(symfun._cr_ne_counts(n, None, refined=False))
+    assert [k for k, _, _ in refined] == [k for k, _, _ in coarse] == list(range(n % 2, n + 1, 2))
+    for (k, lhs, rhs), (_, lhs2, rhs2) in zip(refined, coarse):
         stats = list(_per_word_stats(n, k))
-        lhs, rhs = symfun._cr_ne_counts(n, k)
         assert lhs == Counter((cr, ne, g) for cr, ne, g, _ in stats)
         assert rhs == Counter((ne, cr, d) for cr, ne, _, d in stats)
+        assert lhs2 == Counter((cr, g) for cr, _, g, _ in stats)
+        assert rhs2 == Counter((ne, d) for _, ne, _, d in stats)
+        assert list(symfun._cr_ne_counts(n, k)) == [(k, lhs, rhs)]
         main0.update((k, cr, g) for cr, _, g, _ in stats)
     assert symfun.lhs_main0(n) == main0
 
 
+@pytest.mark.parametrize("n", [*range(11), *(pytest.param(n, marks=pytest.mark.slow) for n in (11, 12))])
+def test_one_search_gives_every_class_its_folds(n):
+    # the search over every k at once folds, per class, exactly what the
+    # search over that class alone folds, in the same order
+    per_class = {}
+
+    def class_fold(k):
+        assert k not in per_class  # one fold per class
+        folded = per_class[k] = []
+        return lambda *stats: folded.append(stats)
+
+    mm._stat_counts(n, None, class_fold)
+    assert list(per_class) == list(range(n % 2, n + 1, 2))
+    for k, folded in per_class.items():
+        alone = []
+        mm._stat_counts(n, k, lambda *stats: alone.append(stats))
+        assert folded == alone, k
+
+
+def _appender(out, k):
+    """A fold that appends each matching's statistics to ``out``; for k None,
+    the class fold of every class, which puts the class first."""
+    if k is None:
+        return lambda kk: lambda *stats: out.append((kk, *stats))
+    return lambda *stats: out.append(stats)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_ne_ceiling_folds_exactly_the_matchings_below_it(n):
+    for k in (None, *range(n % 2, n + 1, 2)):
+        folded = []
+        mm._stat_counts(n, k, _appender(folded, k))
+        for ne_max in range(n // 2 + 1):
+            cut = []
+            mm._stat_counts(n, k, _appender(cut, k), ne_max=ne_max)
+            assert cut == [stats for stats in folded if stats[-3] <= ne_max], (k, ne_max)
+
+
 def test_stat_counts_refuses_invalid_classes():
     folded = []
-    for n, k in [(4, 1), (4, 6), (4, -2), (3, 0), (0, 1)]:
+    for n, k in [(4, 1), (4, 6), (4, -2), (3, 0), (0, 1), (-1, None)]:
         with pytest.raises(ValueError, match="invalid"):
-            mm._stat_counts(n, k, lambda *stats: folded.append(stats))
+            mm._stat_counts(n, k, _appender(folded, k))
     assert folded == []
 
 
@@ -818,6 +861,28 @@ def test_syt_kernel_matches_oracle(n):
         assert list(tableau.enumerate_syt(shape)) == expected
 
 
+@pytest.mark.parametrize("n", [*range(11), *(pytest.param(n, marks=pytest.mark.slow) for n in (11, 12))])
+def test_lattice_counts_match_syt_kernel(n):
+    # one forward pass over Young's lattice counts the Des masks of every
+    # shape as the tableau search lists them; bounded by a shape, it counts
+    # that shape alone, which is the Schur function's descent multiset
+    expected = {shape: Counter(d for _, d, _ in tableau._syt_des(shape)) for shape in tableau.partitions(n)}
+    assert tableau._shape_des_counts(n) == expected
+    for shape, masks in expected.items():
+        assert tableau._shape_des_counts(n, shape) == {shape: masks}
+        assert symfun.schur_descent_multiset(shape) == Counter({perm._members(d): c for d, c in masks.items()})
+    rhs = Counter()
+    for shape, masks in expected.items():
+        for d, c in masks.items():
+            rhs[tableau.odd_cols(shape), tableau.height(shape) // 2, perm._members(d)] += c
+    assert symfun.rhs_main0(n) == rhs
+
+
+def test_lattice_counts_refuse_a_negative_n():
+    with pytest.raises(ValueError, match="invalid n = -1"):
+        tableau._shape_des_counts(-1)
+
+
 ENUM_FAMILIES = ("matchings", "involutions", "syt")
 
 
@@ -869,12 +934,12 @@ def test_enum_streams_rows(monkeypatch, family, fmt, header_lines):
     if family == "matchings":
         real_stat_counts = mm._stat_counts
 
-        def source(n, k, fold, p):
+        def source(n, k, fold, *rest, **bounds):
             def recorded(*stats):
                 written.append(out.getvalue().count("\n"))
                 fold(*stats)
 
-            real_stat_counts(n, k, recorded, p)
+            real_stat_counts(n, k, recorded, *rest, **bounds)
 
         monkeypatch.setattr(mm, "_stat_counts", source)
         argv = ["enum", "matchings", "--n", "6", "--k", "0"]
