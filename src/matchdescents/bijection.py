@@ -107,10 +107,6 @@ def _phi(word: Word, iota: Callable[[Word], Word] | None = None) -> Word:
     return _emb(fixed, (iota or oscillating._iota)(core), len(word))
 
 
-def phi_inverse(t: ShuffleElement) -> Word:
-    return _phi_inverse(t.word, t.k)
-
-
 def _phi_inverse(word: Word, k: int) -> Word:
     """phi⁻¹ on a shuffle word with k large letters; its small letters, 1..n-k, are the core."""
     small_positions = [i for i, v in enumerate(word, start=1) if v <= len(word) - k]
@@ -128,12 +124,6 @@ def q_map(t: ShuffleElement) -> Word:
 def _q_map(word: Word) -> Word:
     q_rows = tableau._rs(word)[1]
     return tuple(tableau._reverse_rs(q_rows, q_rows))
-
-
-def q_map_inverse(word: Word) -> ShuffleElement:
-    """Invert the recording-tableau map on an involution with k fixed points."""
-    shuffle_word, k = _q_map_inverse(_involution(word))
-    return perm._trusted(ShuffleElement, word=shuffle_word, k=k)
 
 
 def _q_map_inverse(word: Word) -> tuple[Word, int]:
@@ -171,8 +161,3 @@ def _h_map(word: Word, iota: Callable[[Word], Word] | None = None) -> StandardTa
 def h_map_inverse(t: StandardTableau) -> Word:
     """phi⁻¹ of the shuffle whose recording tableau is t, k its odd columns."""
     return _phi_inverse(tableau.q_inverse_shuffle(t), tableau.odd_cols(t.shape))
-
-
-def shuffle_cr_ne(t: ShuffleElement) -> tuple[int, int]:
-    """Crossing and nesting numbers of the standardized small-letter core."""
-    return matching_mod._cr_ne(t.small_involution())

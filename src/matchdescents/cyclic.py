@@ -5,14 +5,15 @@ the classification of the Escherian classes.
 
 p = ι̂∘rot∘ι̂⁻¹ and ι̂ sends cr to ne, so the class checks walk forward from
 the matchings with cr = j, one ι̂ (or H) per element, Chen's ι once per
-fixed-point-free core and no inverse; the ``transport_*`` maps carry
-one object at a time.
+fixed-point-free core and no inverse.  ``transport_involution``, which
+``map p`` runs, and ``transport_syt`` carry one object at a time, through
+ι̂⁻¹ (H⁻¹) and then ι̂ (H).
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Hashable, Iterable, Sequence
+from typing import AbstractSet, Callable, Hashable, Sequence
 
 from . import bijection, matching as matching_mod, oscillating, perm, tableau
 from .perm import DescentSet, Word
@@ -72,25 +73,6 @@ class CdesReport:
         }
 
 
-def verify_cdes(ground_set: Iterable, des_fn: Callable, transport: Callable, set_id: str = "") -> CdesReport:
-    """
-    Check extension, equivariance and non-Escher for the pair (cDes(x),
-    p(x)) that ``transport`` gives for each x of the ground set, with Des(x)
-    = ``des_fn(x)`` (DescentSets), and report the orbit structure of p.
-    """
-    elements = list(ground_set)
-    if len(set(elements)) != len(elements):
-        raise ValueError("ground set contains duplicates")
-    # cDes of p(x) is read from p(x)'s own entry, computed from p(x) alone
-    transported = {x: transport(x) for x in elements}
-    p = {x: image for x, (_, image) in transported.items()}
-    if set(p.values()) != p.keys():
-        raise ValueError("p is not a bijection of the ground set")
-    n = transported[elements[0]][0].n if elements else 0
-    cdes = {x: cd.members for x, (cd, _) in transported.items()}
-    return _report(set_id, n, {x: des_fn(x).members for x in elements}, cdes, p)
-
-
 def _report(set_id: str, n: int, des: dict, cdes: dict, p: dict) -> CdesReport:
     """The axioms and orbits for the members of Des and cDes and the map p
     of each element of ``des``, in its order."""
@@ -136,21 +118,6 @@ def _cr_ne_classes(n: int, k: int) -> tuple[dict[int, list[Word]], dict[int, lis
 
     matching_mod._stat_counts(n, k, fold, p)
     return by_cr, by_ne
-
-
-def involutions_by_nesting(n: int, k: int) -> dict[int, list[Word]]:
-    """The classes I_{n,k,j} for every j, from one pass over M_{n,k}."""
-    return _cr_ne_classes(n, k)[1]
-
-
-def verify_cdes_involutions(n: int, k: int, j: int) -> CdesReport:
-    """Run the verifier on the involutions with k fixed points and
-    nesting number j."""
-    return _check_class(n, k, j, _cr_ne_classes(n, k))
-
-
-def verify_cdes_syt(n: int, k: int, j: int) -> CdesReport:
-    return _check_class(n, k, j, _cr_ne_classes(n, k), syt=True)
 
 
 def _check_class(n: int, k: int, j: int, classes: tuple[dict, dict], syt: bool = False) -> CdesReport:

@@ -35,9 +35,7 @@ words of ``_words``.
 """
 from __future__ import annotations
 
-import json
 import math
-import random
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -55,13 +53,14 @@ class Matching:
     arcs: tuple[Arc, ...]
 
     def __post_init__(self) -> None:
+        # an arc (a, a) repeats its endpoint, so it is refused before disjointness
+        if any(a == b for a, b in self.arcs):
+            raise ValueError("degenerate arc")
         endpoints = [e for arc in self.arcs for e in arc]
         if len(set(endpoints)) != len(endpoints):
             raise ValueError("arcs are not pairwise disjoint")
         if not all(1 <= e <= self.n for e in endpoints):
             raise ValueError(f"endpoint out of range [1,{self.n}]")
-        if any(a == b for a, b in self.arcs):
-            raise ValueError("degenerate arc")
         normalized = tuple(sorted((min(a, b), max(a, b)) for a, b in self.arcs))
         object.__setattr__(self, "arcs", normalized)
 
@@ -396,33 +395,9 @@ def _stat_counts(
     del node
 
 
-def random_matching(n: int, k: int, rng: random.Random) -> Matching:
-    """
-    A uniform element of M_{n,k}: the first k points of a uniform
-    shuffle are the unmatched set, and consecutive pairs of the rest form
-    a uniform perfect matching on it.
-    """
-    _check_nkj(n, k)
-    points = list(range(1, n + 1))
-    rng.shuffle(points)
-    rest = points[k:]
-    return Matching(n, tuple(zip(rest[::2], rest[1::2])))
-
-
 def enumerate_all_matchings(n: int) -> Iterator[Matching]:
     for k in range(n % 2, n + 1, 2):
         yield from enumerate_matchings(n, k)
-
-
-def enumerate_inkj(n: int, k: int, j: int) -> Iterator[Matching]:
-    """Matchings in M_{n,k} with nesting number j."""
-    return map(_matching, _inkj_words(n, k, j))
-
-
-def _inkj_words(n: int, k: int, j: int) -> Iterator[Word]:
-    """The words of ``_words(n, k)`` with nesting number j, in its order."""
-    _check_nkj(n, k, j)
-    return (w for w in _words(n, k) if _cr_ne(w)[1] == j)
 
 
 def count_matchings(n: int, k: int) -> int:
@@ -435,7 +410,7 @@ def count_matchings(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Codecs: '1-6,3-4,5-7' plus explicit n; JSON {"n":8,"arcs":[[1,6],...]}
+# Codec: '1-6,3-4,5-7' plus explicit n
 
 _ARC_RE = re.compile(r"^\d+-\d+$")
 
@@ -464,12 +439,3 @@ def format_matching(m: Matching) -> str:
 def _format_word(word: Word) -> str:
     """The arc list of the matching whose involution word is ``word``."""
     return ",".join(f"{i}-{v}" for i, v in enumerate(word, start=1) if v > i)
-
-
-def matching_to_json(m: Matching) -> str:
-    return json.dumps({"n": m.n, "arcs": [list(arc) for arc in m.arcs]})
-
-
-def matching_from_json(text: str) -> Matching:
-    data = json.loads(text)
-    return Matching(int(data["n"]), tuple((int(a), int(b)) for a, b in data["arcs"]))

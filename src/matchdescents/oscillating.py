@@ -184,31 +184,6 @@ def kim_des(o: OscillatingTableau) -> DescentSet:
     return perm._trusted(DescentSet, n=o.size, members=frozenset(members))
 
 
-def enumerate_oscillating(size: int) -> Iterator[OscillatingTableau]:
-    """All walks of the given (even) size from empty to empty."""
-    if size % 2 != 0:
-        raise ValueError("size must be even")
-
-    def neighbors(shape: Shape) -> Iterator[Shape]:
-        padded = shape + (0,)
-        for r in range(len(padded)):  # add a box
-            if not r or padded[r - 1] > padded[r]:
-                yield shape[:r] + (padded[r] + 1,) + shape[r + 1 :]
-        for r in range(len(shape)):  # remove a box
-            if shape[r] > padded[r + 1]:
-                yield shape[:r] + ((shape[r] - 1,) if shape[r] > 1 else ()) + shape[r + 1 :]
-
-    def gen(path: list[Shape]) -> Iterator[OscillatingTableau]:
-        left = size + 1 - len(path)  # the steps still to take
-        if not left:
-            yield OscillatingTableau(tuple(path))
-        for nxt in neighbors(path[-1]):
-            if sum(nxt) < left:  # must be able to return to empty
-                yield from gen(path + [nxt])
-
-    yield from gen([()])
-
-
 # ---------------------------------------------------------------------------
 # Codec: shapes joined by ';', each a comma list or '-' for empty
 

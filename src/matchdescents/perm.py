@@ -45,11 +45,6 @@ def identity(n: int) -> Word:
     return tuple(range(1, n + 1))
 
 
-def compose(a: Word, b: Word) -> Word:
-    """The permutation a∘b, mapping i to a(b(i))."""
-    return tuple(a[b[i] - 1] for i in range(len(b)))
-
-
 def _trusted(cls, **fields):
     """
     An instance of the frozen dataclass ``cls`` built from field values

@@ -28,13 +28,24 @@ _same_multiset = dict.__eq__
 
 
 def multiset_diff(lhs: Counter, rhs: Counter, cap: int = 20) -> list:
-    """Symmetric difference of two multisets, capped for reporting."""
+    """Symmetric difference of two multisets, capped for reporting.  Each
+    side is listed in the order of ``_canonical``, so the entries kept
+    depend on the multisets alone, not on the order they were counted in."""
     diff = []
-    for key in (lhs - rhs):
-        diff.append(("lhs-only", key, lhs[key] - rhs[key]))
-    for key in (rhs - lhs):
-        diff.append(("rhs-only", key, rhs[key] - lhs[key]))
+    for side, more, less in (("lhs-only", lhs, rhs), ("rhs-only", rhs, lhs)):
+        extra = more - less
+        diff.extend((side, key, extra[key]) for key in sorted(extra, key=_canonical))
     return diff[:cap]
+
+
+def _canonical(key):
+    """The sort key of a multiset key: a frozenset reads as its sorted
+    tuple, also inside a tuple."""
+    if isinstance(key, frozenset):
+        return tuple(sorted(key))
+    if isinstance(key, tuple):
+        return tuple(map(_canonical, key))
+    return key
 
 
 @dataclass
@@ -162,18 +173,10 @@ def _cr_ne_counts(n: int, k: int | None, refined: bool = True) -> Iterator[tuple
 
 
 def _main11_results(name: str, n: int, k: int | None) -> Iterator[VerifyResult]:
-    """``verify_main11`` (``verify_main111`` when ``name`` is main111) on
-    class k, or on every class in k order when k is None."""
+    """The results of identity main11 (main111 when ``name`` is main111)
+    on class k, or on every class in k order when k is None."""
     for kk, lhs, rhs in _cr_ne_counts(n, k, refined=name == "main111"):
         yield _compared(name, {"n": n, "k": kk}, lhs, rhs, {"matchings": lhs.total()})
-
-
-def verify_main11(n: int, k: int) -> VerifyResult:
-    return next(_main11_results("main11", n, k))
-
-
-def verify_main111(n: int, k: int) -> VerifyResult:
-    return next(_main11_results("main111", n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +224,10 @@ def _descent_counts(words: Iterable[Word]) -> Counter:
     return Counter(tuple(map(gt, w, w[1:])) for w in words)
 
 
-def _des_counts(pi: Word, sigma_word: tuple[int, ...], kernel: Placements) -> tuple[Counter, Counter]:
-    """The Des multisets, keyed by indicator tuples, of the split class
-    and of the shuffles of a checked pair."""
-    joined = (*pi, *sigma_word)
-    lhs = _descent_counts(_class_words(pi, sigma_word, kernel))
-    return lhs, _descent_counts(layout(joined) for _, layout in kernel)
-
-
 def _gessel_counts(pairs: Iterable[tuple[Word, Word]]) -> Iterator[tuple[Word, Word, Counter, Counter]]:
     """
-    Each checked pair with its ``_des_counts``.  The shuffles' multiset,
+    Each checked pair with the Des multisets, keyed by indicator tuples, of
+    its split class and of its shuffles.  The shuffles' multiset,
     F_{Des pi} F_{Des sigma}, depends only on the block (m, n) and Des(pi +
     sigma), which is Des pi and m + Des sigma: pi's letters lie below
     sigma's.  It is computed once per key, in a table cleared at each block.
@@ -264,13 +260,6 @@ def _member_sets(indicators: Counter) -> Counter:
     return Counter(
         {frozenset(itertools.compress(itertools.count(1), key)): c for key, c in indicators.items()}
     )
-
-
-def verify_gessel(pi: Word, sigma_word: tuple[int, ...]) -> VerifyResult:
-    """Des-multiset equality between the split class and the shuffles."""
-    _check_pair(pi, sigma_word)
-    kernel = perm.placements(len(pi), len(sigma_word))
-    return _gessel_result(pi, sigma_word, *_des_counts(pi, sigma_word, kernel))
 
 
 def _part_mask(word: Word) -> int:

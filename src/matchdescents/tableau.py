@@ -262,19 +262,7 @@ def _tableau(rows: Sequence[Sequence[int]]) -> StandardTableau:
 
 
 # ---------------------------------------------------------------------------
-# Robinson-Schensted and jeu de taquin on validated tableaux
-
-def rs_insert(t: StandardTableau, x: int) -> tuple[StandardTableau, Cell]:
-    """
-    Robinson-Schensted row insertion of x, returning the new tableau and
-    the cell added to the shape.
-    """
-    if x in t.entries():
-        raise ValueError(f"{x} already present")
-    rows = [list(row) for row in t.rows]
-    r = _insert(rows, x)
-    return _tableau(rows), (r + 1, len(rows[r]))
-
+# Robinson-Schensted on validated tableaux
 
 def reverse_rs_insert(t: StandardTableau, corner: Cell) -> tuple[StandardTableau, int]:
     """
@@ -315,42 +303,6 @@ def rs_inverse(p_tab: StandardTableau, q_tab: StandardTableau) -> Word:
         raise ValueError("recording tableau must hold 1..n")
     # a P tableau not on 1..n shows up as a word that is not a permutation
     return perm.check_perm(_reverse_rs([list(row) for row in p_tab.rows], q_tab.rows))
-
-
-def jdt_delete(t: StandardTableau, x: int) -> StandardTableau:
-    """
-    Remove the cell holding x and close the hole with forward
-    jeu-de-taquin slides (the smaller of the right/below neighbors moves
-    in; a lone neighbor moves unconditionally).
-    """
-    r, c = t.find(x)
-    rows = [list(row) for row in t.rows]
-    _slide_out(rows, r - 1, c - 1)
-    return _tableau(rows)
-
-
-def reverse_jdt_place(t: StandardTableau, x: int, corner: Cell) -> StandardTableau:
-    """
-    Inverse of jdt_delete: open a hole at the given outer corner, slide
-    it inward past larger entries, and write x into it.
-    """
-    r, c = corner
-    shape = t.shape
-    enlarged = list(shape)
-    if r == len(shape) + 1:
-        if c != 1:
-            raise ValueError(f"invalid corner {corner}")
-        enlarged.append(1)
-    elif 1 <= r <= len(shape) and c == shape[r - 1] + 1:
-        enlarged[r - 1] += 1
-        check_shape(enlarged)
-    else:
-        raise ValueError(f"invalid corner {corner}")
-    if x in t.entries():
-        raise ValueError(f"{x} already present")
-    rows = [list(row) for row in t.rows]
-    _slide_in(rows, x, r - 1, c - 1)
-    return _tableau(rows)
 
 
 def q_inverse_shuffle(q_tab: StandardTableau) -> Word:
@@ -502,33 +454,9 @@ def _syt_shapes(n: int, k: int | None = None, j: int | None = None) -> list[Shap
     ]
 
 
-def enumerate_syt_n(n: int) -> Iterator[StandardTableau]:
-    return (t for shape in _syt_shapes(n) for t in enumerate_syt(shape))
-
-
 def enumerate_syt_nk(n: int, k: int) -> Iterator[StandardTableau]:
     """Tableaux of size n with exactly k odd columns."""
     return (t for shape in _syt_shapes(n, k) for t in enumerate_syt(shape))
-
-
-def enumerate_syt_nkj(n: int, k: int, j: int) -> Iterator[StandardTableau]:
-    """Tableaux with k odd columns and height in {2j, 2j+1}."""
-    return (t for shape in _syt_shapes(n, k, j) for t in enumerate_syt(shape))
-
-
-def hook_length_count(shape: Shape) -> int:
-    """|SYT(shape)| via the hook length formula."""
-    shape = check_shape(shape)
-    cols = transpose_shape(shape)
-    n = sum(shape)
-    num = 1
-    for i in range(2, n + 1):
-        num *= i
-    den = 1
-    for r, row_len in enumerate(shape, start=1):
-        for c in range(1, row_len + 1):
-            den *= (row_len - c) + (cols[c - 1] - r) + 1
-    return num // den
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,45 @@
 """
-Brute-force crossing and nesting numbers over arc subsets, the ground
-truth that the one-sweep ``matching.crossing_nesting`` is checked against.
+Reference implementations that the tests check the package against.
+
+The brute-force crossing and nesting numbers over arc subsets are the
+ground truth for the one-sweep ``matching.crossing_nesting``.  The rest
+are the package's earlier per-object paths: the validated one-step RS
+and jeu-de-taquin wrappers, the per-element cDes verifier, the per-word
+nesting filter, the per-pair Gessel check and a few enumerators and
+codecs that no command uses.  Each still calls the package's kernels
+(``tableau._insert``, ``_slide_out``, ``_slide_in``, ``cyclic._check_class``,
+``_report``, ``bijection._phi_inverse``, ``_q_map_inverse``,
+``matching._cr_ne``, ``tableau._syt_shapes``, ``symfun._class_words``), so
+a test against one of them exercises the same code as before.
 """
+from __future__ import annotations
+
 import itertools
+import json
+import random
+from collections import Counter
+from typing import Callable, Iterable, Iterator
+
+from matchdescents import matching as matching_mod, perm
+from matchdescents.bijection import ShuffleElement, _involution, _phi_inverse, _q_map_inverse
+from matchdescents.cyclic import CdesReport, _check_class, _cr_ne_classes, _report
+from matchdescents.matching import Matching, _check_nkj, _cr_ne, _matching, _words
+from matchdescents.oscillating import OscillatingTableau
+from matchdescents.perm import Placements, Word
+from matchdescents.symfun import VerifyResult, _check_pair, _class_words, _descent_counts, _gessel_result
+from matchdescents.tableau import (
+    Cell,
+    Shape,
+    StandardTableau,
+    _insert,
+    _slide_in,
+    _slide_out,
+    _syt_shapes,
+    _tableau,
+    check_shape,
+    enumerate_syt,
+    transpose_shape,
+)
 
 
 def arcs_cross(a, b):
@@ -34,3 +71,218 @@ def _subset_oracle(m, related):
             if all(related(a, b) for a, b in itertools.combinations(subset, 2)):
                 return r
     return 0
+
+
+# ---------------------------------------------------------------------------
+# perm
+
+def compose(a: Word, b: Word) -> Word:
+    """The permutation a∘b, mapping i to a(b(i))."""
+    return tuple(a[b[i] - 1] for i in range(len(b)))
+
+
+# ---------------------------------------------------------------------------
+# matching
+
+def random_matching(n: int, k: int, rng: random.Random) -> Matching:
+    """
+    A uniform element of M_{n,k}: the first k points of a uniform
+    shuffle are the unmatched set, and consecutive pairs of the rest form
+    a uniform perfect matching on it.
+    """
+    _check_nkj(n, k)
+    points = list(range(1, n + 1))
+    rng.shuffle(points)
+    rest = points[k:]
+    return Matching(n, tuple(zip(rest[::2], rest[1::2])))
+
+
+def enumerate_inkj(n: int, k: int, j: int) -> Iterator[Matching]:
+    """Matchings in M_{n,k} with nesting number j."""
+    return map(_matching, _inkj_words(n, k, j))
+
+
+def _inkj_words(n: int, k: int, j: int) -> Iterator[Word]:
+    """The words of ``_words(n, k)`` with nesting number j, in its order."""
+    _check_nkj(n, k, j)
+    return (w for w in _words(n, k) if _cr_ne(w)[1] == j)
+
+
+def matching_to_json(m: Matching) -> str:
+    return json.dumps({"n": m.n, "arcs": [list(arc) for arc in m.arcs]})
+
+
+def matching_from_json(text: str) -> Matching:
+    data = json.loads(text)
+    return Matching(int(data["n"]), tuple((int(a), int(b)) for a, b in data["arcs"]))
+
+
+# ---------------------------------------------------------------------------
+# tableau
+
+def rs_insert(t: StandardTableau, x: int) -> tuple[StandardTableau, Cell]:
+    """
+    Robinson-Schensted row insertion of x, returning the new tableau and
+    the cell added to the shape.
+    """
+    if x in t.entries():
+        raise ValueError(f"{x} already present")
+    rows = [list(row) for row in t.rows]
+    r = _insert(rows, x)
+    return _tableau(rows), (r + 1, len(rows[r]))
+
+
+def jdt_delete(t: StandardTableau, x: int) -> StandardTableau:
+    """
+    Remove the cell holding x and close the hole with forward
+    jeu-de-taquin slides (the smaller of the right/below neighbors moves
+    in; a lone neighbor moves unconditionally).
+    """
+    r, c = t.find(x)
+    rows = [list(row) for row in t.rows]
+    _slide_out(rows, r - 1, c - 1)
+    return _tableau(rows)
+
+
+def reverse_jdt_place(t: StandardTableau, x: int, corner: Cell) -> StandardTableau:
+    """
+    Inverse of jdt_delete: open a hole at the given outer corner, slide
+    it inward past larger entries, and write x into it.
+    """
+    r, c = corner
+    shape = t.shape
+    enlarged = list(shape)
+    if r == len(shape) + 1:
+        if c != 1:
+            raise ValueError(f"invalid corner {corner}")
+        enlarged.append(1)
+    elif 1 <= r <= len(shape) and c == shape[r - 1] + 1:
+        enlarged[r - 1] += 1
+        check_shape(enlarged)
+    else:
+        raise ValueError(f"invalid corner {corner}")
+    if x in t.entries():
+        raise ValueError(f"{x} already present")
+    rows = [list(row) for row in t.rows]
+    _slide_in(rows, x, r - 1, c - 1)
+    return _tableau(rows)
+
+
+def enumerate_syt_n(n: int) -> Iterator[StandardTableau]:
+    return (t for shape in _syt_shapes(n) for t in enumerate_syt(shape))
+
+
+def enumerate_syt_nkj(n: int, k: int, j: int) -> Iterator[StandardTableau]:
+    """Tableaux with k odd columns and height in {2j, 2j+1}."""
+    return (t for shape in _syt_shapes(n, k, j) for t in enumerate_syt(shape))
+
+
+def hook_length_count(shape: Shape) -> int:
+    """|SYT(shape)| via the hook length formula."""
+    shape = check_shape(shape)
+    cols = transpose_shape(shape)
+    n = sum(shape)
+    num = 1
+    for i in range(2, n + 1):
+        num *= i
+    den = 1
+    for r, row_len in enumerate(shape, start=1):
+        for c in range(1, row_len + 1):
+            den *= (row_len - c) + (cols[c - 1] - r) + 1
+    return num // den
+
+
+# ---------------------------------------------------------------------------
+# oscillating
+
+def enumerate_oscillating(size: int) -> Iterator[OscillatingTableau]:
+    """All walks of the given (even) size from empty to empty."""
+    if size % 2 != 0:
+        raise ValueError("size must be even")
+
+    def neighbors(shape: Shape) -> Iterator[Shape]:
+        padded = shape + (0,)
+        for r in range(len(padded)):  # add a box
+            if not r or padded[r - 1] > padded[r]:
+                yield shape[:r] + (padded[r] + 1,) + shape[r + 1 :]
+        for r in range(len(shape)):  # remove a box
+            if shape[r] > padded[r + 1]:
+                yield shape[:r] + ((shape[r] - 1,) if shape[r] > 1 else ()) + shape[r + 1 :]
+
+    def gen(path: list[Shape]) -> Iterator[OscillatingTableau]:
+        left = size + 1 - len(path)  # the steps still to take
+        if not left:
+            yield OscillatingTableau(tuple(path))
+        for nxt in neighbors(path[-1]):
+            if sum(nxt) < left:  # must be able to return to empty
+                yield from gen(path + [nxt])
+
+    yield from gen([()])
+
+
+# ---------------------------------------------------------------------------
+# bijection
+
+def phi_inverse(t: ShuffleElement) -> Word:
+    return _phi_inverse(t.word, t.k)
+
+
+def q_map_inverse(word: Word) -> ShuffleElement:
+    """Invert the recording-tableau map on an involution with k fixed points."""
+    shuffle_word, k = _q_map_inverse(_involution(word))
+    return perm._trusted(ShuffleElement, word=shuffle_word, k=k)
+
+
+def shuffle_cr_ne(t: ShuffleElement) -> tuple[int, int]:
+    """Crossing and nesting numbers of the standardized small-letter core."""
+    return matching_mod._cr_ne(t.small_involution())
+
+
+# ---------------------------------------------------------------------------
+# cyclic
+
+def verify_cdes(ground_set: Iterable, des_fn: Callable, transport: Callable, set_id: str = "") -> CdesReport:
+    """
+    Check extension, equivariance and non-Escher for the pair (cDes(x),
+    p(x)) that ``transport`` gives for each x of the ground set, with Des(x)
+    = ``des_fn(x)`` (DescentSets), and report the orbit structure of p.
+    """
+    elements = list(ground_set)
+    if len(set(elements)) != len(elements):
+        raise ValueError("ground set contains duplicates")
+    # cDes of p(x) is read from p(x)'s own entry, computed from p(x) alone
+    transported = {x: transport(x) for x in elements}
+    p = {x: image for x, (_, image) in transported.items()}
+    if set(p.values()) != p.keys():
+        raise ValueError("p is not a bijection of the ground set")
+    n = transported[elements[0]][0].n if elements else 0
+    cdes = {x: cd.members for x, (cd, _) in transported.items()}
+    return _report(set_id, n, {x: des_fn(x).members for x in elements}, cdes, p)
+
+
+def verify_cdes_involutions(n: int, k: int, j: int) -> CdesReport:
+    """Run the verifier on the involutions with k fixed points and
+    nesting number j."""
+    return _check_class(n, k, j, _cr_ne_classes(n, k))
+
+
+def verify_cdes_syt(n: int, k: int, j: int) -> CdesReport:
+    return _check_class(n, k, j, _cr_ne_classes(n, k), syt=True)
+
+
+# ---------------------------------------------------------------------------
+# symfun
+
+def _des_counts(pi: Word, sigma_word: tuple[int, ...], kernel: Placements) -> tuple[Counter, Counter]:
+    """The Des multisets, keyed by indicator tuples, of the split class
+    and of the shuffles of a checked pair."""
+    joined = (*pi, *sigma_word)
+    lhs = _descent_counts(_class_words(pi, sigma_word, kernel))
+    return lhs, _descent_counts(layout(joined) for _, layout in kernel)
+
+
+def verify_gessel(pi: Word, sigma_word: tuple[int, ...]) -> VerifyResult:
+    """Des-multiset equality between the split class and the shuffles."""
+    _check_pair(pi, sigma_word)
+    kernel = perm.placements(len(pi), len(sigma_word))
+    return _gessel_result(pi, sigma_word, *_des_counts(pi, sigma_word, kernel))

@@ -1,6 +1,6 @@
 """
 The forward walk of ``verify cdes``/``cdes-syt`` against the per-element
-verifier: ``cyclic.verify_cdes`` with one ``transport_involution``
+verifier: ``oracles.verify_cdes`` with one ``transport_involution``
 (``transport_syt``) per element, which runs ι̂⁻¹ (H⁻¹) and then ι̂ (H).
 
 The walk reads p(ι̂ m) = ι̂(rot m) off the class of M_{n,k} with crossing
@@ -15,6 +15,8 @@ from matchdescents import matching as mm
 from matchdescents import oscillating as osc
 from matchdescents import perm, tableau
 
+from oracles import _inkj_words, enumerate_syt_nkj, verify_cdes, verify_cdes_involutions, verify_cdes_syt
+
 
 def classes(n):
     for k in range(n % 2, n + 1, 2):
@@ -23,21 +25,21 @@ def classes(n):
 
 
 def oracle_involutions(n, k, j):
-    elements = mm._inkj_words(n, k, j)
-    return cyclic.verify_cdes(elements, perm.des, cyclic.transport_involution, f"I_{{{n},{k},{j}}}")
+    elements = _inkj_words(n, k, j)
+    return verify_cdes(elements, perm.des, cyclic.transport_involution, f"I_{{{n},{k},{j}}}")
 
 
 def oracle_syt(n, k, j):
-    elements = tableau.enumerate_syt_nkj(n, k, j)
-    return cyclic.verify_cdes(elements, tableau.des, cyclic.transport_syt, f"SYT_{{{n},{k},{j}}}")
+    elements = enumerate_syt_nkj(n, k, j)
+    return verify_cdes(elements, tableau.des, cyclic.transport_syt, f"SYT_{{{n},{k},{j}}}")
 
 
 @pytest.mark.parametrize("n", [*range(10), pytest.param(10, marks=pytest.mark.slow)])
 def test_walk_matches_per_element_verifier(n):
     for k, j in classes(n):
         for walked, oracle in [
-            (cyclic.verify_cdes_involutions(n, k, j), oracle_involutions(n, k, j)),
-            (cyclic.verify_cdes_syt(n, k, j), oracle_syt(n, k, j)),
+            (verify_cdes_involutions(n, k, j), oracle_involutions(n, k, j)),
+            (verify_cdes_syt(n, k, j), oracle_syt(n, k, j)),
         ]:
             assert walked.to_dict() == oracle.to_dict()
             assert walked == oracle  # witnesses as objects, orbits in the class's order
@@ -61,7 +63,7 @@ def test_walk_runs_iota_once_per_core(monkeypatch):
 
     iota = osc._iota
     monkeypatch.setattr(osc, "_iota", counting_iota)
-    report = cyclic.verify_cdes_involutions(9, 3, 1)
+    report = verify_cdes_involutions(9, 3, 1)
     assert sum(report.orbit_sizes) == 420
     assert len(cores) == len(set(cores)) == 5
 
@@ -71,14 +73,14 @@ def test_walk_refuses_a_map_that_is_not_onto_the_class(monkeypatch):
     # matchings of 6 points, which are not the nonnesting ones
     monkeypatch.setattr(bj, "_iota_hat", lambda word, iota=None: word)
     with pytest.raises(ValueError, match="not a bijection"):
-        cyclic.verify_cdes_involutions(6, 0, 1)
+        verify_cdes_involutions(6, 0, 1)
 
 
 def test_walk_refuses_a_rotation_that_leaves_the_crossing_class(monkeypatch):
     # the identity word has cr = 0, outside the class cr = 1 of M_{6,0}
     monkeypatch.setattr(mm, "_rotate", lambda word: tuple(range(1, len(word) + 1)))
     with pytest.raises(ValueError, match="rotation leaves the crossing class"):
-        cyclic.verify_cdes_involutions(6, 0, 1)
+        verify_cdes_involutions(6, 0, 1)
 
 
 def test_verify_cdes_exits_3_when_iota_hat_is_not_injective(capsys, monkeypatch):
@@ -92,7 +94,7 @@ def test_verify_cdes_exits_3_when_iota_hat_is_not_injective(capsys, monkeypatch)
 def oracle_orbit_rows(n, k, j):
     """The rows of ``orbits`` from one ``transport_involution`` (ι̂⁻¹, then ι̂)
     per element."""
-    elements = list(mm._words(n, k) if j is None else mm._inkj_words(n, k, j))
+    elements = list(mm._words(n, k) if j is None else _inkj_words(n, k, j))
     transported = {w: cyclic.transport_involution(w) for w in elements}
     return [
         [orbit_id, len(orbit), perm.format_cycles(w), "{" + ",".join(map(str, sorted(transported[w][0].members))) + "}"]

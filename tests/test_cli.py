@@ -13,6 +13,8 @@ from matchdescents import cli, cyclic, perm, symfun, tableau
 from matchdescents import matching as mm
 from matchdescents import oscillating as osc
 
+from oracles import _inkj_words, enumerate_syt_n, enumerate_syt_nkj
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -75,6 +77,11 @@ def test_map_rotate(capsys):
 
 def test_map_p_refuses_a_non_involution(capsys):
     assert run(capsys, "map", "p", "[2,3,1]") == (2, "", "error: not an involution: (2, 3, 1)\n")
+
+
+@pytest.mark.parametrize("text", ["1-1", "1-2,3-3"])
+def test_stats_refuses_a_degenerate_arc(capsys, text):
+    assert run(capsys, "stats", "--matching", text, "--n", "4") == (2, "", "error: degenerate arc\n")
 
 
 def _q_of_the_one_split(word):
@@ -645,7 +652,7 @@ def test_every_registry_identity_passes_refuses_and_fails(capsys, monkeypatch, n
 @pytest.mark.parametrize("identity", ["cdes", "cdes-syt"])
 def test_verify_cdes_reports_class_sizes(capsys, identity):
     # 2620 = |I_9| = |SYT(9)|; the sizes sit outside counts
-    enumerate_class = tableau.enumerate_syt_nkj if identity == "cdes-syt" else mm._inkj_words
+    enumerate_class = enumerate_syt_nkj if identity == "cdes-syt" else _inkj_words
     code, out, _ = run(capsys, "verify", identity, "--n", "9")
     assert code == 0
     report = json.loads(out)
@@ -656,6 +663,6 @@ def test_verify_cdes_reports_class_sizes(capsys, identity):
         for k in range(1, 10, 2)
     }
     assert sum(sum(per_j.values()) for per_j in sizes.values()) == 2620
-    assert sum(1 for _ in tableau.enumerate_syt_n(9)) == 2620
+    assert sum(1 for _ in enumerate_syt_n(9)) == 2620
     code, out, _ = run(capsys, "verify", identity, "--n", "9", "--k", "3", "--j", "2")
     assert json.loads(out)["class_sizes"] == {"2": sizes["3"]["2"]}

@@ -7,6 +7,15 @@ from matchdescents import cyclic
 from matchdescents import matching as mm
 from matchdescents import perm, tableau
 
+from oracles import (
+    enumerate_inkj,
+    enumerate_syt_n,
+    enumerate_syt_nkj,
+    verify_cdes,
+    verify_cdes_involutions,
+    verify_cdes_syt,
+)
+
 
 def test_cdes_involution_examples():
     # ι̂ maps (1,4)(3,6) to [1,6,4,3,5,2], so the cyclic descents of the
@@ -52,13 +61,13 @@ def test_classify_escherian():
 
 
 def test_verify_cdes_i42():
-    report = cyclic.verify_cdes_involutions(4, 2, 1)
+    report = verify_cdes_involutions(4, 2, 1)
     assert report.all_axioms_ok
     assert all(size in (1, 2, 4) for size in report.orbit_sizes)
 
 
 def test_verify_cdes_i20_escherian():
-    report = cyclic.verify_cdes_involutions(2, 0, 1)
+    report = verify_cdes_involutions(2, 0, 1)
     assert report.extension_ok and report.equivariance_ok
     assert not report.non_escher_ok
     assert report.escher_witnesses == [(2, 1)]
@@ -88,7 +97,7 @@ S4_TRANSPOSITIONS_P = {
 
 def test_s4_transpositions_fixture():
     words = list(S4_TRANSPOSITIONS_CDES)
-    report = cyclic.verify_cdes(
+    report = verify_cdes(
         words,
         perm.des,
         lambda w: (perm.DescentSet(4, S4_TRANSPOSITIONS_CDES[w], cyclic=True), S4_TRANSPOSITIONS_P[w]),
@@ -99,7 +108,7 @@ def test_s4_transpositions_fixture():
 
 
 def test_report_json():
-    report = cyclic.verify_cdes_involutions(4, 2, 1)
+    report = verify_cdes_involutions(4, 2, 1)
     data = json.loads(json.dumps(report.to_dict()))
     assert data["set_id"] == "I_{4,2,1}"
     assert data["axioms"] == {"extension": True, "equivariance": True, "non_escher": True}
@@ -115,9 +124,9 @@ def all_nkj(max_n):
 
 @pytest.mark.parametrize("n,k,j", list(all_nkj(6)))
 def test_cdes_axioms_involutions(n, k, j):
-    if not any(True for _ in mm.enumerate_inkj(n, k, j)):
+    if not any(True for _ in enumerate_inkj(n, k, j)):
         return
-    report = cyclic.verify_cdes_involutions(n, k, j)
+    report = verify_cdes_involutions(n, k, j)
     assert report.extension_ok and report.equivariance_ok
     escherian = cyclic.classify_escherian(n, k, j) == "escherian"
     assert report.non_escher_ok == (not escherian)
@@ -126,9 +135,9 @@ def test_cdes_axioms_involutions(n, k, j):
 
 @pytest.mark.parametrize("n,k,j", list(all_nkj(6)))
 def test_cdes_axioms_syt(n, k, j):
-    if not list(tableau.enumerate_syt_nkj(n, k, j)):
+    if not list(enumerate_syt_nkj(n, k, j)):
         return
-    report = cyclic.verify_cdes_syt(n, k, j)
+    report = verify_cdes_syt(n, k, j)
     assert report.extension_ok and report.equivariance_ok
     escherian = cyclic.classify_escherian(n, k, j) == "escherian"
     assert report.non_escher_ok == (not escherian)
@@ -138,10 +147,10 @@ def test_cdes_axioms_syt(n, k, j):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_involutions_by_nesting(n):
     for k in range(n % 2, n + 1, 2):
-        classes = cyclic.involutions_by_nesting(n, k)
+        classes = cyclic._cr_ne_classes(n, k)[1]
         assert sorted(classes) == list(range((n - k) // 2 + 1))
         for j, words in classes.items():
-            assert words == [mm.to_involution(m) for m in mm.enumerate_inkj(n, k, j)]
+            assert words == [mm.to_involution(m) for m in enumerate_inkj(n, k, j)]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -156,7 +165,7 @@ def test_transport_shares_one_preimage(n):
             assert cyclic.transport_involution(image)[0] == cd.shifted()
             assert len(perm.fixed_points(image)) == k
             assert mm.nesting_number(mm.from_involution(image)) == mm.nesting_number(m)
-    for t in tableau.enumerate_syt_n(n):
+    for t in enumerate_syt_n(n):
         cd, image = cyclic.transport_syt(t)
         assert cyclic.transport_syt(image)[0] == cd.shifted()
         assert tableau.odd_cols(image.shape) == tableau.odd_cols(t.shape)
@@ -169,9 +178,9 @@ def test_cdes_exhaustive_n10():
     for k in range(0, n + 1, 2):
         for j in range((n - k) // 2 + 1):
             non_escherian = cyclic.classify_escherian(n, k, j) == "non_escherian"
-            reports = [cyclic.verify_cdes_involutions(n, k, j)]
-            if any(True for _ in tableau.enumerate_syt_nkj(n, k, j)):
-                reports.append(cyclic.verify_cdes_syt(n, k, j))
+            reports = [verify_cdes_involutions(n, k, j)]
+            if any(True for _ in enumerate_syt_nkj(n, k, j)):
+                reports.append(verify_cdes_syt(n, k, j))
             for report in reports:
                 assert report.extension_ok, report.set_id
                 assert report.equivariance_ok, report.set_id

@@ -31,7 +31,22 @@ from matchdescents import oscillating as osc
 from matchdescents import perm, symfun, tableau
 from matchdescents.tableau import EMPTY_TABLEAU, check_shape, from_rows
 
-from oracles import arcs_cross, crossing_number_oracle, nesting_number_oracle
+from oracles import (
+    _des_counts,
+    _inkj_words,
+    arcs_cross,
+    crossing_number_oracle,
+    enumerate_syt_n,
+    hook_length_count,
+    jdt_delete,
+    nesting_number_oracle,
+    phi_inverse,
+    q_map_inverse,
+    random_matching,
+    reverse_jdt_place,
+    rs_insert,
+    verify_gessel,
+)
 
 # ---------------------------------------------------------------------------
 # Oracle: the tableau operations as they were before the kernels, each step
@@ -574,7 +589,7 @@ def oracle_enum_rows(family, n, k, j):
     header = ["matching", "n", "k"] if matchings else ["cycles", "one_line"]
     header += ["des", "mdes", "cmdes", "cr", "ne", "um"]
     rows = []
-    for w in mm._words(n, k) if j is None else mm._inkj_words(n, k, j):
+    for w in mm._words(n, k) if j is None else _inkj_words(n, k, j):
         cr, ne = mm._cr_ne(w)
         first = [mm._format_word(w), n, k] if matchings else [perm.format_cycles(w), perm.format_one_line(w)]
         descents = (perm._descents(w), mm._geometric_descents(w, n - 1), mm._geometric_descents(w, n))
@@ -629,7 +644,7 @@ def doubled_tableaux(max_n):
     """Every SYT of size <= max_n with entries doubled, so that each odd
     letter can be inserted at any relative position."""
     for n in range(max_n + 1):
-        for t in tableau.enumerate_syt_n(n):
+        for t in enumerate_syt_n(n):
             yield from_rows(tuple(tuple(2 * e for e in row) for row in t.rows))
 
 
@@ -661,7 +676,7 @@ def test_sundaram_walks_revalidate(n2):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_q_map_inverse_revalidates(n):
     for word in involutions(n):
-        t = bj.q_map_inverse(word)
+        t = q_map_inverse(word)
         assert bj.ShuffleElement(t.word, t.k) == t
         assert t.k == len(perm.fixed_points(word))
 
@@ -805,18 +820,18 @@ def test_transport_matches_oracle(n):
         assert bj.h_map(word) == oracle_h_map(word)
         element = bj.phi(word)
         assert (element.word, element.k) == oracle_phi(word)
-        assert bj.phi_inverse(element) == oracle_phi_inverse(*oracle_phi(word)) == word
-        element = bj.q_map_inverse(word)
+        assert phi_inverse(element) == oracle_phi_inverse(*oracle_phi(word)) == word
+        element = q_map_inverse(word)
         assert (element.word, element.k) == oracle_q_map_inverse(word)
         assert bj.q_map(element) == oracle_q_map(element.word) == word
-    for t in tableau.enumerate_syt_n(n):
+    for t in enumerate_syt_n(n):
         assert cyclic.transport_syt(t) == oracle_transport_syt(t)
         assert bj.h_map_inverse(t) == oracle_h_map_inverse(t)
 
 
 @pytest.mark.parametrize("n", [*range(10), pytest.param(10, marks=pytest.mark.slow)])
 def test_q_inverse_shuffle_matches_oracle(n):
-    for t in tableau.enumerate_syt_n(n):
+    for t in enumerate_syt_n(n):
         assert tableau.q_inverse_shuffle(t) == oracle_q_inverse_shuffle(t)
 
 
@@ -843,7 +858,7 @@ def test_iota_matches_oracle(n2):
 def test_enumerate_syt_outputs_revalidate(n):
     for shape in tableau.partitions(n):
         syt = list(tableau.enumerate_syt(shape))
-        assert len(set(syt)) == tableau.hook_length_count(shape)
+        assert len(set(syt)) == hook_length_count(shape)
         for t in syt:
             revalidated(t)
             assert t.shape == shape
@@ -984,7 +999,7 @@ def _kernel_descent_sets(n):
         yield mm.cmdes(m)
         if not m.unmatched:
             yield osc.kim_des(osc.sundaram(mm.to_involution(m)))
-    for t in tableau.enumerate_syt_n(n):
+    for t in enumerate_syt_n(n):
         yield tableau.des(t)
 
 
@@ -1009,10 +1024,10 @@ def test_gessel_des_multisets_match_oracle():
     # every pair with m + n <= 7: 1074 pairs
     for pi, sigma_word in symfun.gessel_pairs(7):
         lhs, rhs = oracle_gessel_des_multisets(pi, sigma_word)
-        result = symfun.verify_gessel(pi, sigma_word)
+        result = verify_gessel(pi, sigma_word)
         assert result.ok and lhs == rhs
         kernel = perm.placements(len(pi), len(sigma_word))
-        new_lhs, new_rhs = symfun._des_counts(pi, sigma_word, kernel)
+        new_lhs, new_rhs = _des_counts(pi, sigma_word, kernel)
         assert symfun._member_sets(new_lhs) == lhs
         assert symfun._member_sets(new_rhs) == rhs
         assert result.counts == {"class": len(kernel), "shuffles": len(kernel)}
@@ -1025,7 +1040,7 @@ def test_gessel_inputs_keep_checks():
         with pytest.raises(ValueError):
             symfun.gessel_class(pi, sigma_word)
         with pytest.raises(ValueError):
-            symfun.verify_gessel(pi, sigma_word)
+            verify_gessel(pi, sigma_word)
     with pytest.raises(ValueError):
         perm.shuffles((1, 2), (2, 3))
 
@@ -1077,18 +1092,18 @@ def test_syt_des_keeps_entry_check():
 
 def test_random_matching_is_uniform():
     rng = random.Random(0)
-    draws = Counter(mm.random_matching(6, 2, rng) for _ in range(9000))
+    draws = Counter(random_matching(6, 2, rng) for _ in range(9000))
     assert set(draws) == set(mm.enumerate_matchings(6, 2))  # 45 matchings
     assert all(100 <= c <= 300 for c in draws.values())  # expected 200 each
     for n, k in [(5, 0), (4, 6), (3, -1)]:
         with pytest.raises(ValueError):
-            mm.random_matching(n, k, rng)
+            random_matching(n, k, rng)
 
 
 def test_rs_insert_matches_oracle():
     for t in doubled_tableaux(6):
         for x in range(1, 2 * t.size + 2, 2):
-            got = tableau.rs_insert(t, x)
+            got = rs_insert(t, x)
             assert got == oracle_rs_insert(t, x)
             revalidated(got[0])
 
@@ -1104,7 +1119,7 @@ def test_reverse_rs_insert_matches_oracle():
 def test_jdt_delete_matches_oracle():
     for t in doubled_tableaux(7):
         for x in t.entries():
-            got = tableau.jdt_delete(t, x)
+            got = jdt_delete(t, x)
             assert got == oracle_jdt_delete(t, x)
             revalidated(got)
 
@@ -1113,7 +1128,7 @@ def test_reverse_jdt_place_matches_oracle():
     for t in doubled_tableaux(6):
         for corner in addable_cells(t.shape):
             for x in range(1, 2 * t.size + 2, 2):
-                got = tableau.reverse_jdt_place(t, x, corner)
+                got = reverse_jdt_place(t, x, corner)
                 assert got == oracle_reverse_jdt_place(t, x, corner)
                 revalidated(got)
 
@@ -1121,15 +1136,15 @@ def test_reverse_jdt_place_matches_oracle():
 def test_wrappers_keep_input_checks():
     t = from_rows(((2, 4), (6,)))
     with pytest.raises(ValueError):
-        tableau.rs_insert(t, 4)
+        rs_insert(t, 4)
     with pytest.raises(ValueError):
         tableau.reverse_rs_insert(t, (1, 1))
     with pytest.raises(ValueError):
-        tableau.jdt_delete(t, 5)
+        jdt_delete(t, 5)
     with pytest.raises(ValueError):
-        tableau.reverse_jdt_place(t, 4, (1, 3))  # 4 already present
+        reverse_jdt_place(t, 4, (1, 3))  # 4 already present
     with pytest.raises(ValueError):
-        tableau.reverse_jdt_place(t, 5, (3, 2))  # not an addable cell
+        reverse_jdt_place(t, 5, (3, 2))  # not an addable cell
     with pytest.raises(ValueError):
         tableau.q_inverse_shuffle(t)
     with pytest.raises(ValueError):
@@ -1220,7 +1235,7 @@ def sampled_matchings(draw, min_n=12, max_n=32):
     the right parity drawn by hypothesis."""
     n = draw(st.integers(min_n, max_n))
     k = draw(st.sampled_from(range(n % 2, n + 1, 2)))
-    return mm.random_matching(n, k, draw(st.randoms(use_true_random=False)))
+    return random_matching(n, k, draw(st.randoms(use_true_random=False)))
 
 
 @settings(deadline=None, max_examples=30)
@@ -1236,7 +1251,7 @@ def test_statistics_match_oracles_above_the_exhaustive_range():
     for n in range(13, 21):
         for k in (n % 2, n % 2 + 2, n // 2 - (n // 2 - n) % 2, n - 2):
             for _ in range(8):
-                m = mm.random_matching(n, k, rng)
+                m = random_matching(n, k, rng)
                 word = mm.to_involution(m)
                 assert mm.crossing_nesting(m) == (crossing_number_oracle(m), nesting_number_oracle(m))
                 assert mm.mdes(m).members == mm._geometric_descents(word, n - 1) == oracle_mdes(m).members
@@ -1307,12 +1322,12 @@ def test_cached_shuffle_side_matches_verify_gessel_large(pair):
     (*_, seeded), (*_, lhs, rhs) = symfun._gessel_counts([seed, pair])
     assert rhs is seeded and rhs == fresh_shuffle_side(pi, sigma_word)
     try:
-        result = symfun.verify_gessel(pi, sigma_word)
+        result = verify_gessel(pi, sigma_word)
     except ValueError:  # the cycle types share a part
         return
     kernel = perm.placements(len(pi), len(sigma_word))
     assert result.ok and result.counts == {"class": len(kernel), "shuffles": len(kernel)}
-    assert (lhs, rhs) == symfun._des_counts(pi, sigma_word, kernel)
+    assert (lhs, rhs) == _des_counts(pi, sigma_word, kernel)
 
 
 @st.composite
@@ -1326,7 +1341,7 @@ def sampled_words(draw, min_n=20, max_n=40):
 def test_q_roundtrip_large(word):
     # q_inverse_shuffle far beyond the exhaustive range
     element = bj.phi(word)
-    assert bj.q_map_inverse(bj.q_map(element)) == element
+    assert q_map_inverse(bj.q_map(element)) == element
 
 
 @settings(deadline=None, max_examples=25)

@@ -3,7 +3,13 @@ import pytest
 from matchdescents import matching as mm
 from matchdescents import perm
 
-from oracles import crossing_number_oracle, nesting_number_oracle
+from oracles import (
+    crossing_number_oracle,
+    enumerate_inkj,
+    matching_from_json,
+    matching_to_json,
+    nesting_number_oracle,
+)
 
 FIG1 = mm.matching(8, (1, 6), (3, 4), (5, 7))
 
@@ -77,23 +83,38 @@ def test_counts():
 
 
 def test_enumerate_inkj():
-    for m in mm.enumerate_inkj(6, 2, 1):
+    for m in enumerate_inkj(6, 2, 1):
         assert m.unmatched == 2 and mm.nesting_number(m) == 1
-    sizes = [len(list(mm.enumerate_inkj(6, 0, j))) for j in range(4)]
+    sizes = [len(list(enumerate_inkj(6, 0, j))) for j in range(4)]
     assert sum(sizes) == mm.count_matchings(6, 0)
     with pytest.raises(ValueError):
-        list(mm.enumerate_inkj(6, 0, 4))
+        list(enumerate_inkj(6, 0, 4))
 
 
 def test_codecs():
     assert mm.parse_matching("1-6,3-4,5-7", 8) == FIG1
     assert mm.format_matching(FIG1) == "1-6,3-4,5-7"
     assert mm.parse_matching("", 3) == mm.matching(3)
-    assert mm.matching_from_json(mm.matching_to_json(FIG1)) == FIG1
+    assert matching_from_json(matching_to_json(FIG1)) == FIG1
     with pytest.raises(mm.ParseError):
         mm.parse_matching("1-2,2-3", 3)
     with pytest.raises(mm.ParseError):
         mm.parse_matching("1:2", 3)
+
+
+@pytest.mark.parametrize(
+    "arcs,message",
+    [
+        (((1, 1),), "degenerate arc"),
+        (((1, 2), (3, 3)), "degenerate arc"),
+        (((9, 9),), "degenerate arc"),
+        (((1, 2), (2, 3)), "arcs are not pairwise disjoint"),
+        (((1, 9),), r"endpoint out of range \[1,4\]"),
+    ],
+)
+def test_constructor_names_the_fault(arcs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mm.Matching(4, arcs)
 
 
 def test_unmatched():

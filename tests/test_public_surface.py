@@ -1,0 +1,96 @@
+"""
+The public surface of the package, pinned.
+
+Each module's public functions and classes must be exactly the names
+kept below, and the README's "Library API" section must list exactly
+those names for that module.  A name that only the tests use belongs in
+``tests/oracles.py``; a new public name is added here, to the README,
+and to a caller in the package, an acceptance criterion or the library
+example.
+"""
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import matchdescents
+
+PACKAGE = Path(matchdescents.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+KEPT = {
+    "perm": [
+        "ParseError", "is_perm", "check_perm", "identity", "DescentSet", "format_set", "des", "cellini_cdes",
+        "fixed_points", "cycles", "cycle_type", "is_involution", "conjugate_w0", "standardize", "picker",
+        "placements", "shuffles", "shuffle_sets", "enumerate_sn", "parse_one_line", "format_one_line",
+        "parse_cycles", "format_cycles",
+    ],
+    "matching": [
+        "Matching", "matching", "to_involution", "from_involution", "des", "mdes", "cmdes", "rotate",
+        "crossing_nesting", "crossing_number", "nesting_number", "enumerate_matchings", "enumerate_all_matchings",
+        "count_matchings", "parse_matching", "format_matching",
+    ],
+    "tableau": [
+        "check_shape", "height", "transpose_shape", "odd_cols", "partitions", "StandardTableau", "from_rows", "des",
+        "reverse_rs_insert", "rs_pair", "rs_pair_q", "rs_inverse", "q_inverse_shuffle", "enumerate_syt",
+        "enumerate_syt_nk", "parse_tableau", "format_tableau", "parse_shape", "format_shape",
+    ],
+    "oscillating": [
+        "OscillatingTableau", "validate_shapes", "sundaram", "sundaram_inverse", "transpose", "chen_iota",
+        "kim_des", "parse_oscillating", "format_oscillating",
+    ],
+    "bijection": [
+        "ShuffleElement", "res", "emb", "phi", "q_map", "iota_hat", "iota_hat_inverse", "h_map", "h_map_inverse",
+    ],
+    "cyclic": ["transport_involution", "transport_syt", "classify_escherian", "CdesReport", "orbits"],
+    "symfun": [
+        "multiset_diff", "VerifyResult", "schur_descent_multiset", "lhs_main0", "rhs_main0", "verify_main0",
+        "verify_lemma_main1", "gessel_class", "gessel_pairs", "verify_gessel_all", "verify_bijection",
+        "verify_cdes_k", "Identity", "resolve_params", "run_identity", "verify",
+    ],
+    "cli": [
+        "UsageError", "InternalError", "cmd_stats", "cmd_map", "cmd_enum", "cmd_orbits", "cmd_verify",
+        "build_parser", "main",
+    ],
+    "__init__": [],
+    "__main__": [],
+}
+
+
+def defined_public_names(name):
+    """The public functions and classes defined at the top level of the
+    module's source, read without importing it (``__main__`` runs the CLI)."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def readme_section(title):
+    text = README.read_text()
+    start = text.index(f"## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start : end if end != -1 else len(text)]
+
+
+def test_every_module_is_pinned():
+    assert sorted(path.stem for path in PACKAGE.glob("*.py")) == sorted(KEPT)
+
+
+@pytest.mark.parametrize("name", sorted(KEPT))
+def test_public_names_are_the_kept_ones(name):
+    assert defined_public_names(name) == KEPT[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n, kept in KEPT.items() if kept))
+def test_readme_lists_the_kept_names(name):
+    (line,) = re.findall(rf"^- `{name}`: (.*(?:\n  .*)*)", readme_section("Library API"), re.M)
+    assert sorted(re.findall(r"`(\w+)`", line)) == sorted(KEPT[name])
+
+
+def test_readme_library_example_runs():
+    (code,) = re.findall(r"```python\n(.*?)```", readme_section("Library example"), re.S)
+    exec(compile(code, "README.md", "exec"), {})

@@ -5,6 +5,8 @@ import pytest
 from matchdescents import matching as mm
 from matchdescents import perm, symfun, tableau
 
+from oracles import verify_gessel
+
 
 def fundamental_eval(n, d, num_vars):
     """
@@ -104,8 +106,8 @@ def all_nk(max_n):
 
 @pytest.mark.parametrize("n,k", all_nk(9))
 def test_main11_main111(n, k):
-    r1 = symfun.verify_main11(n, k)
-    r2 = symfun.verify_main111(n, k)
+    r1 = symfun.verify("main11", n=n, k=k)
+    r2 = symfun.verify("main111", n=n, k=k)
     assert r1.ok, r1.witness_diff
     assert r2.ok, r2.witness_diff
     assert r1.counts["matchings"] == mm.count_matchings(n, k)
@@ -118,9 +120,31 @@ def test_gessel_paper_example():
     assert Counter(perm.des(w).members for w in cls) == Counter(
         perm.des(w).members for w in shuf
     )
-    result = symfun.verify_gessel((3, 1, 2), (4,))
+    result = verify_gessel((3, 1, 2), (4,))
     assert result.ok
     assert result.counts == {"class": 4, "shuffles": 4}
+
+
+def test_multiset_diff_ignores_counting_order():
+    # 30 keys of the main11 form (cr, MDes), more than the cap of 20, so the
+    # cut decides which keys a report names
+    sets = [(), (1,), (2,), (1, 2), (3,), (1, 3), (2, 3), (1, 2, 3), (4,), (2, 4)]
+    keys = [(cr, frozenset(s)) for cr in range(3) for s in sets]
+    lhs_forward, lhs_backward = Counter(), Counter()
+    for key in keys:
+        lhs_forward[key] += 2
+    for key in reversed(keys):
+        lhs_backward[key] += 2
+    rhs_forward = Counter({key: 1 for key in keys[::3]})
+    rhs_backward = Counter({key: 1 for key in reversed(keys[::3])})
+    assert lhs_forward == lhs_backward and list(lhs_forward) != list(lhs_backward)
+    diff = symfun.multiset_diff(lhs_forward, rhs_forward)
+    assert diff == symfun.multiset_diff(lhs_backward, rhs_backward)
+    assert len(diff) == 20
+    named = [key for _, key, _ in diff]
+    assert named == sorted(keys, key=lambda k: (k[0], sorted(k[1])))[:20]
+    swapped = symfun.multiset_diff(rhs_backward, lhs_forward)
+    assert swapped == [("rhs-only", key, count) for _, key, count in diff]
 
 
 def test_gessel_rejects_shared_parts():
