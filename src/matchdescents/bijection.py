@@ -11,17 +11,19 @@ is RS⁻¹(H, H), and H⁻¹ reads the shuffle back off the tableau and undoes
 phi.  iota_hat carries the geometric descent set to the standard one
 and the crossing number to the nesting number.  The maps run as kernels
 on words and rows, and iota_hat⁻¹ inserts once, as Q = P for involutions.
-The forward kernels (_emb, _phi, _q_map, _iota_hat, _h_map) check
-nothing, as their callers pass words that are valid by construction;
-emb, phi, iota_hat and h_map check their input, and q_map its output.
-_phi, and through it _iota_hat and _h_map, takes an optional stand-in
-for the crossing/nesting involution on the core, so that a walk over a
-class can run it once per distinct core.
+
+The forward kernel ``_h_rows`` builds H without phi's word, by
+Schützenberger's symmetry Q(w) = P(w⁻¹): it relabels P(ι(core)) through
+the moved points and row-inserts the k fixed points, and it takes a
+table core -> P(ι(core)), so that a walk over a class runs ι and the
+core's insertion once per distinct core.  The kernels (_emb, _phi,
+_q_map, _h_rows, _iota_hat, _h_map) check nothing, as their callers pass
+words that are valid by construction; emb, phi, iota_hat and h_map
+check their input, and q_map its output.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from . import matching as matching_mod
 from . import oscillating, perm, tableau
@@ -101,10 +103,10 @@ def phi(word: Word) -> ShuffleElement:
     return perm._trusted(ShuffleElement, word=_phi(_involution(word)), k=len(perm.fixed_points(word)))
 
 
-def _phi(word: Word, iota: Callable[[Word], Word] | None = None) -> Word:
-    """phi of a word the package built, with ``iota`` (``oscillating._iota`` by default) on the core."""
+def _phi(word: Word) -> Word:
+    """phi of a word the package built."""
     fixed, core = _res(word)
-    return _emb(fixed, (iota or oscillating._iota)(core), len(word))
+    return _emb(fixed, oscillating._iota(core), len(word))
 
 
 def _phi_inverse(word: Word, k: int) -> Word:
@@ -138,8 +140,10 @@ def iota_hat(word: Word) -> Word:
     return perm.check_perm(_iota_hat(_involution(word)))
 
 
-def _iota_hat(word: Word, iota: Callable[[Word], Word] | None = None) -> Word:
-    return _q_map(_phi(word, iota))
+def _iota_hat(word: Word, table: dict[Word, list[list[int]]] | None = None) -> Word:
+    """iota_hat of an involution word the package built: RS⁻¹(H, H)."""
+    rows = _h_rows(word, table)
+    return tuple(tableau._reverse_rs(rows, rows))
 
 
 def iota_hat_inverse(word: Word) -> Word:
@@ -153,9 +157,38 @@ def h_map(word: Word) -> StandardTableau:
     return _h_map(_involution(word))
 
 
-def _h_map(word: Word, iota: Callable[[Word], Word] | None = None) -> StandardTableau:
+def _h_map(word: Word, table: dict[Word, list[list[int]]] | None = None) -> StandardTableau:
     """h_map of an involution word the package built."""
-    return tableau._tableau(tableau._rs(_phi(word, iota))[1])
+    return tableau._tableau(_h_rows(word, table))
+
+
+def _h_rows(word: Word, table: dict[Word, list[list[int]]] | None = None) -> list[list[int]]:
+    """
+    The rows of H(word) = Q(phi(word)), read as P(phi(word)⁻¹).  phi(word)
+    puts tau = ι(core) on the moved points s_1 < ... < s_{n-k} and the
+    large letters on the fixed points J_1 < ... < J_k, so its inverse is
+    the word s_{tau(1)} ... s_{tau(n-k)} J_1 ... J_k: P(tau) with each
+    entry v relabelled s_v, as s is increasing, then J_1, ..., J_k
+    row-inserted in that order.  ``table`` maps a core to the rows of
+    P(ι(core)), which it computes once and never changes.
+    """
+    moved, fixed = [0], []  # moved[v] = s_v
+    for i, v in enumerate(word, start=1):
+        (fixed if v == i else moved).append(i)
+    rank = [0] * (len(word) + 1)
+    for v, s in enumerate(moved):
+        rank[s] = v
+    core = tuple([rank[word[s - 1]] for s in moved[1:]])  # the moved letters are the moved points
+    if table is None:
+        table = {}
+    try:
+        p_rows = table[core]
+    except KeyError:
+        p_rows = table[core] = tableau._rs(oscillating._iota(core))[0]
+    rows = [[moved[v] for v in row] for row in p_rows]
+    for x in fixed:
+        tableau._insert(rows, x)
+    return rows
 
 
 def h_map_inverse(t: StandardTableau) -> Word:

@@ -223,16 +223,12 @@ def _push_matching_rows(push: Callable[[list], object], n: int, k: int, j: int |
     p: list[int] = []
     # the text of arc {i, q}, for i < q: an arc of the list, or a 2-cycle
     arc = [[f"{i}-{q}" if matchings else f"({i},{q})" for q in range(n + 1)] for i in range(n + 1)]
-    mask_str = _mask_str
+    mask_str, cmdes_mask = _mask_str, matching_mod._cmdes_mask
 
     def fold(cr, ne, mdes, des):
         if j is not None and ne != j:
             return
-        # cMDes is MDes and the bit at n, by _geometric_descents' test on n and its
-        # successor 1: n unmatched and 1 matched, the arc {n, 1}, or crossing arcs
-        last, first = p[n], p[1]
-        wraps = first != 1 if last == n else last == 1 or last < first < n
-        cmdes = mdes | wraps << n
+        cmdes = cmdes_mask(p, n, mdes)
         arcs = [arc[i][q] for i, q in enumerate(p) if q > i]  # p[0] = -1 and p[n + 1] = 0 add none
         if matchings:
             row = [",".join(arcs), n, k]
@@ -250,12 +246,12 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     with _row_sink(["orbit", "size", "element", "cdes"], args.format, args.output) as push:
         try:
             if j is None:
-                elements = preimages = list(matching_mod._words(n, k))
+                elements = preimages = cyclic._cmdes_masks(n, k)
             else:
                 # ι̂ sends cr to ne, so I_{n,k,j} is the image of the matchings with cr = j
                 by_cr, by_ne = cyclic._cr_ne_classes(n, k)
                 elements, preimages = by_ne[j], by_cr[j]
-            cdes, p = cyclic._walk(preimages, bijection._iota_hat, set(elements))
+            cdes, p = cyclic._walk(preimages, bijection._iota_hat, elements.keys())
             table = cyclic.orbits(elements, p.__getitem__)
         except Exception as exc:  # the flags were accepted, so this is a broken invariant
             params = {"n": n, "k": k} if j is None else {"n": n, "k": k, "j": j}

@@ -4,18 +4,20 @@ involutions and standard Young tableaux, the three-axiom verifier, and
 the classification of the Escherian classes.
 
 p = ι̂∘rot∘ι̂⁻¹ and ι̂ sends cr to ne, so the class checks walk forward from
-the matchings with cr = j, one ι̂ (or H) per element, Chen's ι once per
-fixed-point-free core and no inverse.  ``transport_involution``, which
-``map p`` runs, and ``transport_syt`` carry one object at a time, through
-ι̂⁻¹ (H⁻¹) and then ι̂ (H).
+the matchings with cr = j, one ι̂ (or H) per element and no inverse.  The
+walk's table holds P(ι(core)) for each fixed-point-free core, so Chen's ι
+and the core's insertion run once per core, and each element inserts only
+its fixed points.  The cMDes and Des of each word are bit masks from the
+same ``_stat_counts`` search that splits M_{n,k} by cr and ne.
+``transport_involution``, which ``map p`` runs, and ``transport_syt``
+carry one object at a time, through ι̂⁻¹ (H⁻¹) and then ι̂ (H).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Hashable, Sequence
+from typing import AbstractSet, Callable, Hashable, Iterable
 
-from . import bijection, matching as matching_mod, oscillating, perm, tableau
+from . import bijection, matching as matching_mod, perm, tableau
 from .perm import DescentSet, Word
 from .tableau import StandardTableau
 
@@ -87,7 +89,7 @@ def _report(set_id: str, n: int, des: dict, cdes: dict, p: dict) -> CdesReport:
     )
 
 
-def orbits(elements: Sequence[Hashable], step: Callable[[Hashable], Hashable]) -> list[list]:
+def orbits(elements: Iterable[Hashable], step: Callable[[Hashable], Hashable]) -> list[list]:
     """The orbits of the bijection ``step`` of the elements, each listed
     from its earliest element, in the order of the elements."""
     out = []
@@ -103,21 +105,37 @@ def orbits(elements: Sequence[Hashable], step: Callable[[Hashable], Hashable]) -
     return out
 
 
-def _cr_ne_classes(n: int, k: int) -> tuple[dict[int, list[Word]], dict[int, list[Word]]]:
-    """The words of M_{n,k} by crossing number and by nesting number, each
-    class in the order of ``_words(n, k)``: one ``_stat_counts`` search,
-    each word read off the partner list it fills."""
-    by_cr: dict[int, list[Word]] = {j: [] for j in range((n - k) // 2 + 1)}
-    by_ne: dict[int, list[Word]] = {j: [] for j in by_cr}
+def _cr_ne_classes(n: int, k: int) -> tuple[dict[int, dict[Word, int]], dict[int, dict[Word, int]]]:
+    """The words of M_{n,k} by crossing number, each with its cMDes mask,
+    and by nesting number, each with its Des mask, every class in the
+    order of ``_words(n, k)``: one ``_stat_counts`` search, each word read
+    off the partner list it fills."""
+    by_cr: dict[int, dict[Word, int]] = {j: {} for j in range((n - k) // 2 + 1)}
+    by_ne: dict[int, dict[Word, int]] = {j: {} for j in by_cr}
     p: list[int] = []
+    cmdes_mask = matching_mod._cmdes_mask
 
     def fold(cr, ne, mdes, des):
         word = tuple(p[1:-1])  # p[0] and p[n + 1] are the search's sentinels
-        by_cr[cr].append(word)
-        by_ne[ne].append(word)
+        by_cr[cr][word] = cmdes_mask(p, n, mdes)
+        by_ne[ne][word] = des
 
     matching_mod._stat_counts(n, k, fold, p)
     return by_cr, by_ne
+
+
+def _cmdes_masks(n: int, k: int) -> dict[Word, int]:
+    """The words of M_{n,k}, in the order of ``_words(n, k)``, each with its
+    cMDes mask: one ``_stat_counts`` search."""
+    masks: dict[Word, int] = {}
+    p: list[int] = []
+    cmdes_mask = matching_mod._cmdes_mask
+
+    def fold(cr, ne, mdes, des):
+        masks[tuple(p[1:-1])] = cmdes_mask(p, n, mdes)
+
+    matching_mod._stat_counts(n, k, fold, p)
+    return masks
 
 
 def _check_class(n: int, k: int, j: int, classes: tuple[dict, dict], syt: bool = False) -> CdesReport:
@@ -132,28 +150,28 @@ def _check_class(n: int, k: int, j: int, classes: tuple[dict, dict], syt: bool =
         }
         image_of, set_id = bijection._h_map, f"SYT_{{{n},{k},{j}}}"
     else:
-        des = {x: perm._descents(x) for x in classes[1][j]}
+        des = {x: perm._members(mask) for x, mask in classes[1][j].items()}
         image_of, set_id = bijection._iota_hat, f"I_{{{n},{k},{j}}}"
     return _report(set_id, n, des, *_walk(classes[0][j], image_of, des.keys()))
 
 
-def _walk(preimages: list[Word], image_of: Callable, ground: AbstractSet) -> tuple[dict, dict]:
+def _walk(preimages: dict[Word, int], image_of: Callable, ground: AbstractSet) -> tuple[dict, dict]:
     """The members of cDes and the map p of each element of ``ground``, read
-    forward from the matchings that ``image_of`` (ι̂ or H) maps onto it:
-    cDes(ι̂ m) = cMDes(m) and p(ι̂ m) = ι̂(rot m).  A class is every choice
-    of fixed points times a few fixed-point-free cores, so ``image_of``
-    gets a table of ``oscillating._iota`` that lives for this walk and runs
-    ι once per core.  ι̂'s kernels re-check nothing; this walk raises unless
-    the map is a bijection onto ``ground`` and rotation keeps the
-    preimages."""
-    iota = functools.cache(oscillating._iota)
-    image = {m: image_of(m, iota) for m in preimages}
+    forward from the matchings, each with its cMDes mask, that ``image_of``
+    (ι̂ or H) maps onto it: cDes(ι̂ m) = cMDes(m) and p(ι̂ m) = ι̂(rot m).  A
+    class is every choice of fixed points times a few fixed-point-free
+    cores, so ``image_of`` gets a table core -> P(ι(core)) that lives for
+    this walk and runs ι once per core.  ι̂'s kernels re-check nothing;
+    this walk raises unless the map is a bijection onto ``ground`` and
+    rotation keeps the preimages."""
+    table: dict = {}
+    image = {m: image_of(m, table) for m in preimages}
     if len(preimages) != len(ground) or ground != set(image.values()):
         raise ValueError("p is not a bijection of the ground set")
     cdes, p = {}, {}
-    for m, x in image.items():
+    for (m, x), mask in zip(image.items(), preimages.values()):
         r = matching_mod._rotate(m)
         if r not in image:
             raise ValueError("rotation leaves the crossing class: p is not a bijection of the ground set")
-        cdes[x], p[x] = matching_mod._cmdes(m).members, image[r]
+        cdes[x], p[x] = perm._members(mask), image[r]
     return cdes, p

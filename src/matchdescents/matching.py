@@ -28,10 +28,10 @@ increasing and decreasing subsequences, so a table that lives for one
 search computes that pair once per distinct tuple.  One search covers
 every class M_{n,k} at once for ``main0``, and for ``main11``/``main111``
 without ``--k``.  ``enum`` reads each matching off the partner list that
-the search fills, and cuts the branches whose ne passes ``--j``; the
-cr/ne class split of ``verify cdes`` and ``orbits --j`` reads that list too.
-``orbits`` without ``--j``, ``chen`` and the oracles still read the
-words of ``_words``.
+the search fills, and cuts the branches whose ne passes ``--j``.
+``verify cdes`` and ``orbits`` read that list too, with each word's Des
+and cMDes masks (``_cmdes_mask``).  ``chen``, ``enumerate_matchings``
+and the oracles still read the words of ``_words``.
 """
 from __future__ import annotations
 
@@ -159,6 +159,17 @@ def cmdes(m: Matching) -> DescentSet:
 def _cmdes(word: Word) -> DescentSet:
     """cMDes of the matching whose involution word is ``word``."""
     return perm._trusted(DescentSet, n=len(word), members=_geometric_descents(word, len(word)), cyclic=True)
+
+
+def _cmdes_mask(p: list[int], n: int, mdes: int) -> int:
+    """
+    The cMDes mask of the matching whose partner list ``p`` is as
+    ``_stat_counts`` fills it, given its MDes mask: MDes and the bit at n,
+    by ``_geometric_descents``' test on n and its successor 1: n unmatched
+    and 1 matched, the arc {n, 1}, or crossing arcs.
+    """
+    last, first = p[n], p[1]
+    return mdes | (first != 1 if last == n else last == 1 or last < first < n) << n
 
 
 def rotate(m: Matching) -> Matching:

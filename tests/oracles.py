@@ -10,7 +10,9 @@ codecs that no command uses.  Each still calls the package's kernels
 (``tableau._insert``, ``_slide_out``, ``_slide_in``, ``cyclic._check_class``,
 ``_report``, ``bijection._phi_inverse``, ``_q_map_inverse``,
 ``matching._cr_ne``, ``tableau._syt_shapes``, ``symfun._class_words``), so
-a test against one of them exercises the same code as before.
+a test against one of them exercises the same code as before.  ι̂ and H
+by composition, RS of the word φ(w) itself, are the oracle for the
+kernel that reads H as P(φ(w)⁻¹).
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from collections import Counter
 from typing import Callable, Iterable, Iterator
 
 from matchdescents import matching as matching_mod, perm
-from matchdescents.bijection import ShuffleElement, _involution, _phi_inverse, _q_map_inverse
+from matchdescents.bijection import ShuffleElement, _involution, _phi, _phi_inverse, _q_map, _q_map_inverse
 from matchdescents.cyclic import CdesReport, _check_class, _cr_ne_classes, _report
 from matchdescents.matching import Matching, _check_nkj, _cr_ne, _matching, _words
 from matchdescents.oscillating import OscillatingTableau
@@ -32,6 +34,7 @@ from matchdescents.tableau import (
     Shape,
     StandardTableau,
     _insert,
+    _rs,
     _slide_in,
     _slide_out,
     _syt_shapes,
@@ -231,6 +234,17 @@ def q_map_inverse(word: Word) -> ShuffleElement:
     """Invert the recording-tableau map on an involution with k fixed points."""
     shuffle_word, k = _q_map_inverse(_involution(word))
     return perm._trusted(ShuffleElement, word=shuffle_word, k=k)
+
+
+def iota_hat_by_composition(word: Word) -> Word:
+    """ι̂ of an involution as RS⁻¹(Q, Q), with Q the recording tableau of
+    the word φ(word), inserted letter by letter."""
+    return _q_map(_phi(word))
+
+
+def h_map_by_composition(word: Word) -> StandardTableau:
+    """H of an involution as the recording tableau of the word φ(word)."""
+    return _tableau(_rs(_phi(word))[1])
 
 
 def shuffle_cr_ne(t: ShuffleElement) -> tuple[int, int]:

@@ -603,8 +603,9 @@ def _no_geometric_descents(n, k, fold):
     _stat_counts(n, k, blind(fold) if k is not None else lambda kk: blind(fold(kk)))
 
 
-def _no_cyclic_descents(word):
-    return perm.DescentSet(len(word), frozenset(), cyclic=True)
+def _no_cyclic_descents(p, n, mdes):
+    """cMDes folded as the empty set, where the class split reads it."""
+    return 0
 
 
 def _identity_class_words(pi, sigma_word, kernel):
@@ -618,8 +619,8 @@ REGISTRY_CASES = {
     "main11": (("--n", "4"), (mm, "_stat_counts", _no_geometric_descents)),
     "main111": (("--n", "4"), (mm, "_stat_counts", _no_geometric_descents)),
     "main0": (("--n", "4"), (mm, "_stat_counts", _no_geometric_descents)),
-    "cdes": (("--n", "4"), (mm, "_cmdes", _no_cyclic_descents)),
-    "cdes-syt": (("--n", "4"), (mm, "_cmdes", _no_cyclic_descents)),
+    "cdes": (("--n", "4"), (mm, "_cmdes_mask", _no_cyclic_descents)),
+    "cdes-syt": (("--n", "4"), (mm, "_cmdes_mask", _no_cyclic_descents)),
     "gessel": (("--max", "4"), (symfun, "_class_words", _identity_class_words)),
     "chen": (("--n", "6"), (osc, "_iota", lambda w: w)),
     "sundaram-roundtrip": (("--n", "6"), (osc, "sundaram_inverse", lambda o: perm.identity(o.size))),

@@ -150,7 +150,7 @@ def test_involutions_by_nesting(n):
         classes = cyclic._cr_ne_classes(n, k)[1]
         assert sorted(classes) == list(range((n - k) // 2 + 1))
         for j, words in classes.items():
-            assert words == [mm.to_involution(m) for m in enumerate_inkj(n, k, j)]
+            assert list(words) == [mm.to_involution(m) for m in enumerate_inkj(n, k, j)]
 
 
 @pytest.mark.parametrize("n", range(1, 7))

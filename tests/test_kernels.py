@@ -37,7 +37,9 @@ from oracles import (
     arcs_cross,
     crossing_number_oracle,
     enumerate_syt_n,
+    h_map_by_composition,
     hook_length_count,
+    iota_hat_by_composition,
     jdt_delete,
     nesting_number_oracle,
     phi_inverse,
@@ -729,7 +731,8 @@ def test_cr_ne_classes_match_per_word_split(n):
             cr, ne = mm._cr_ne(w)
             by_cr[cr].append(w)
             by_ne[ne].append(w)
-        assert cyclic._cr_ne_classes(n, k) == (by_cr, by_ne)
+        split = cyclic._cr_ne_classes(n, k)
+        assert tuple({j: list(words) for j, words in classes.items()} for classes in split) == (by_cr, by_ne)
 
 
 def _per_word_stats(n, k):
@@ -827,6 +830,48 @@ def test_transport_matches_oracle(n):
     for t in enumerate_syt_n(n):
         assert cyclic.transport_syt(t) == oracle_transport_syt(t)
         assert bj.h_map_inverse(t) == oracle_h_map_inverse(t)
+
+
+@pytest.mark.parametrize("n", [*range(11), pytest.param(11, marks=pytest.mark.slow)])
+def test_h_rows_match_the_composition(n):
+    # every involution: 13,232 for n <= 10 and 35,696 at n = 11.  One table
+    # serves every class of n, as P(ι(core)) is a function of the core alone
+    table = {}
+    for k in range(n % 2, n + 1, 2):
+        for word in mm._words(n, k):
+            assert bj._h_map(word, table) == h_map_by_composition(word)
+            assert bj._iota_hat(word, table) == iota_hat_by_composition(word)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_cmdes_mask_matches_the_geometric_test(n):
+    # the wrap bit at n, read off the partner list, on every matching with n <= 10
+    for k in range(n % 2, n + 1, 2):
+        p, seen = [], []
+
+        def fold(cr, ne, mdes, des):
+            word = tuple(p[1:-1])
+            seen.append(word)
+            assert mm._cmdes_mask(p, n, mdes) == sum(1 << i for i in mm._geometric_descents(word, n))
+
+        mm._stat_counts(n, k, fold, p)
+        assert len(seen) == mm.count_matchings(n, k)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_class_masks_match_the_per_word_sets(n):
+    # the cMDes and Des masks that the walk and the class check read, on all of M_{n,k}
+    for k in range(n % 2, n + 1, 2):
+        by_cr, by_ne = cyclic._cr_ne_classes(n, k)
+        for words in by_cr.values():
+            for word, mask in words.items():
+                assert perm._members(mask) == mm._cmdes(word).members
+        for words in by_ne.values():
+            for word, mask in words.items():
+                assert perm._members(mask) == perm._descents(word)
+        masks = cyclic._cmdes_masks(n, k)  # orbits without --j
+        assert list(masks) == list(mm._words(n, k))
+        assert all(perm._members(mask) == mm._cmdes(word).members for word, mask in masks.items())
 
 
 @pytest.mark.parametrize("n", [*range(10), pytest.param(10, marks=pytest.mark.slow)])
@@ -1202,6 +1247,13 @@ def test_iota_hat_roundtrip_large(word):
     image = bj.iota_hat(word)
     assert len(perm.fixed_points(image)) == len(perm.fixed_points(word))
     assert bj.iota_hat_inverse(image) == word
+
+
+@settings(deadline=None, max_examples=50)
+@given(random_involutions())
+def test_iota_hat_and_h_map_match_the_composition_large(word):
+    assert bj.iota_hat(word) == iota_hat_by_composition(word)
+    assert bj.h_map(word) == h_map_by_composition(word)
 
 
 @settings(deadline=None, max_examples=50)
