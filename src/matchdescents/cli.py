@@ -5,7 +5,8 @@ tables, orbit tables and the verification suite.
 Exit codes: 0 on success; 1 when a verified identity fails, with a
 witness; 2 on usage or parse errors, refused before any work starts; 3
 on an internal error, an exception raised inside a ``verify`` run or an
-``orbits`` walk after its parameters were accepted.
+``orbits`` walk after its parameters were accepted.  A stdout closed
+early ends a command quietly, with the code it would have had anyway.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import contextlib
 import csv
 import functools
 import json
+import os
 import sys
 import time
 from typing import Callable, Iterator, Sequence
@@ -22,6 +24,7 @@ from . import bijection, cyclic, matching as matching_mod, oscillating, perm, sy
 
 MAX_N_WITHOUT_FORCE = 12
 MAX_GESSEL_TOTAL_WITHOUT_FORCE = 9  # 52,328 pairs; 444,012 at 10
+MAX_OBJECT_N = 10_000  # the --n of stats and map: one object, under a second at this size
 
 class UsageError(Exception):
     pass
@@ -54,6 +57,7 @@ def _format_involution(word: tuple[int, ...], codec: str) -> str:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    _refuse_over_guard("n", args.n, MAX_OBJECT_N)
     word = None
     if args.perm:
         word = perm.parse_one_line(args.perm)
@@ -137,6 +141,7 @@ MAPS: dict[str, tuple[bool, Callable]] = {
 
 
 def cmd_map(args: argparse.Namespace) -> int:
+    _refuse_over_guard("n", args.n, MAX_OBJECT_N)
     takes_walk, image = MAPS[args.name]
     if takes_walk or ";" in args.object:
         obj, codec = oscillating.parse_oscillating(args.object), None
@@ -178,9 +183,10 @@ def _row_sink(header: list[str], fmt: str, output: str | None) -> Iterator[Calla
             fh.write("\n".join(lines) + "\n")
 
 
-def _refuse_over_guard(flag: str, value: int, bound: int, force: bool) -> None:
-    if value > bound and not force:
-        raise UsageError(f"{flag}={value} exceeds the guard ({bound}); pass --force to run anyway")
+def _refuse_over_guard(flag: str, value: int | None, bound: int, force: bool | None = None) -> None:
+    if value is not None and value > bound and not force:
+        hint = "" if force is None else "; pass --force to run anyway"  # None: the command has no --force
+        raise UsageError(f"{flag}={value} exceeds the guard ({bound}){hint}")
 
 
 @functools.cache
@@ -215,8 +221,8 @@ def cmd_enum(args: argparse.Namespace) -> int:
 def _push_matching_rows(push: Callable[[list], object], n: int, k: int, j: int | None, matchings: bool) -> None:
     """
     Push the ``enum matchings`` (or ``involutions``) row of each matching
-    of M_{n,k}, or of I_{n,k,j} when j is given, in the order of
-    ``_words``.  The statistics come from ``_stat_counts``, which cuts every
+    of M_{n,k}, or of I_{n,k,j} when j is given, in increasing order of
+    words.  The statistics come from ``_stat_counts``, which cuts every
     branch whose ne passes j, and the matching from the partner list ``p``
     that it fills.
     """
@@ -245,13 +251,12 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     matching_mod._check_nkj(n, k, j)
     with _row_sink(["orbit", "size", "element", "cdes"], args.format, args.output) as push:
         try:
-            if j is None:
-                elements = preimages = cyclic._cmdes_masks(n, k)
-            else:
-                # ι̂ sends cr to ne, so I_{n,k,j} is the image of the matchings with cr = j
-                by_cr, by_ne = cyclic._cr_ne_classes(n, k)
-                elements, preimages = by_ne[j], by_cr[j]
-            cdes, p = cyclic._walk(preimages, bijection._iota_hat, elements.keys())
+            # ι̂ sends cr to ne, so I_{n,k,j} is the image of the matchings with cr = j
+            by_cr, by_ne = cyclic._cr_ne_classes(n, k)
+            js = by_cr if j is None else [j]
+            preimages = {w: mask for jj in js for w, mask in by_cr[jj].items()}
+            elements = sorted(w for jj in js for w in by_ne[jj])  # in increasing order of words, as M_{n,k}
+            cdes, p = cyclic._walk(preimages, bijection._iota_hat, set(elements))
             table = cyclic.orbits(elements, p.__getitem__)
         except Exception as exc:  # the flags were accepted, so this is a broken invariant
             params = {"n": n, "k": k} if j is None else {"n": n, "k": k, "j": j}
@@ -283,13 +288,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not res.ok:
         report["failing"] = res.params  # the class, or for gessel the pair, that failed
     report["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
-    print(json.dumps(report, default=_json_default))
+    with _until_stdout_closes():  # the verdict stands if no one reads it
+        print(json.dumps(report, default=_json_default))
     return 0 if res.ok else 1
 
 
 def _json_default(value):
     """Descent sets in a witness print as sorted lists, anything else as its str."""
     return sorted(value) if isinstance(value, frozenset) else str(value)
+
+
+@contextlib.contextmanager
+def _until_stdout_closes() -> Iterator[None]:
+    """Run the block and flush stdout; if its reader has closed it, stop
+    quietly and send the rest, and the flush at exit, to the null device."""
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,7 +364,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _until_stdout_closes():
+            return args.func(args)
+        return 0  # stdout closed before the command finished its output
     except (UsageError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

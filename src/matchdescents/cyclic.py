@@ -107,8 +107,8 @@ def orbits(elements: Iterable[Hashable], step: Callable[[Hashable], Hashable]) -
 
 def _cr_ne_classes(n: int, k: int) -> tuple[dict[int, dict[Word, int]], dict[int, dict[Word, int]]]:
     """The words of M_{n,k} by crossing number, each with its cMDes mask,
-    and by nesting number, each with its Des mask, every class in the
-    order of ``_words(n, k)``: one ``_stat_counts`` search, each word read
+    and by nesting number, each with its Des mask, every class in
+    increasing order of words: one ``_stat_counts`` search, each word read
     off the partner list it fills."""
     by_cr: dict[int, dict[Word, int]] = {j: {} for j in range((n - k) // 2 + 1)}
     by_ne: dict[int, dict[Word, int]] = {j: {} for j in by_cr}
@@ -122,20 +122,6 @@ def _cr_ne_classes(n: int, k: int) -> tuple[dict[int, dict[Word, int]], dict[int
 
     matching_mod._stat_counts(n, k, fold, p)
     return by_cr, by_ne
-
-
-def _cmdes_masks(n: int, k: int) -> dict[Word, int]:
-    """The words of M_{n,k}, in the order of ``_words(n, k)``, each with its
-    cMDes mask: one ``_stat_counts`` search."""
-    masks: dict[Word, int] = {}
-    p: list[int] = []
-    cmdes_mask = matching_mod._cmdes_mask
-
-    def fold(cr, ne, mdes, des):
-        masks[tuple(p[1:-1])] = cmdes_mask(p, n, mdes)
-
-    matching_mod._stat_counts(n, k, fold, p)
-    return masks
 
 
 def _check_class(n: int, k: int, j: int, classes: tuple[dict, dict], syt: bool = False) -> CdesReport:

@@ -8,30 +8,25 @@ crossing and nesting numbers) are defined on the arc diagram, drawn on a
 line for the linear statistics and on a circle for the cyclic one.
 
 The working representation is the involution word: ``word[i-1]`` is the
-partner of i, or i itself when i is unmatched.  The statistics, the
-rotation and the enumerator ``_words`` work on words; ``Matching`` is
-the type of the parsers, the codecs and the public functions, which
-convert once and keep every input check.  A ``Matching`` built through
-its constructor, ``from_involution`` or the parsers is checked in full;
-one that wraps a word the package built is not.  One left-to-right sweep
-gives both the crossing and the nesting number, and the descent sets are
-in range by construction and wrapped without the ``DescentSet`` check.
+partner of i, or i itself when i is unmatched.  The statistics and the
+rotation work on words, and the enumerator ``_stat_counts`` on a partner
+list that holds one; ``Matching`` is the type of the parsers, the
+codecs and the public functions, which convert once and keep every input
+check.  A ``Matching`` built through its constructor, ``from_involution``
+or the parsers is checked in full; one that wraps a word the package
+built is not.  One left-to-right sweep gives both the crossing and the
+nesting number, and the descent sets are in range by construction and
+wrapped without the ``DescentSet`` check.
 
-The identities that only count statistics over a class M_{n,k} (the
-``verify`` loops of main1, main11, main111 and main0) and ``enum
-matchings|involutions`` build no words: ``_stat_counts`` is one
-depth-first search in the order of ``_words`` that carries the sweep
-state (cr, ne, the open right endpoints as a tuple, and Des and MDes as
-bit masks) down the search, so each prefix is swept once for every leaf
-below it.  cr and ne are running maxima of the tuple's longest
-increasing and decreasing subsequences, so a table that lives for one
-search computes that pair once per distinct tuple.  One search covers
-every class M_{n,k} at once for ``main0``, and for ``main11``/``main111``
-without ``--k``.  ``enum`` reads each matching off the partner list that
-the search fills, and cuts the branches whose ne passes ``--j``.
-``verify cdes`` and ``orbits`` read that list too, with each word's Des
-and cMDes masks (``_cmdes_mask``).  ``chen``, ``enumerate_matchings``
-and the oracles still read the words of ``_words``.
+Every loop over a class M_{n,k} runs on ``_stat_counts``, one
+depth-first search in increasing order of words that carries the sweep
+state (cr, ne, and Des and MDes as bit masks) down the search, so each
+prefix is swept once for every leaf below it.  ``main0``, and
+``main11``/``main111`` without ``--k``, search every class at once.  The
+other callers read each matching off the partner list that the search
+fills: ``enum``, which cuts the branches whose ne passes ``--j``, the
+cyclic class split (with ``_cmdes_mask``), the bijection identities and
+``enumerate_matchings``.
 """
 from __future__ import annotations
 
@@ -256,50 +251,28 @@ def _check_nkj(n: int, k: int, j: int | None = None) -> None:
 
 
 def enumerate_matchings(n: int, k: int) -> Iterator[Matching]:
-    """All matchings on n points with k unmatched, in the order of ``_words``."""
-    return map(_matching, _words(n, k))
+    """All matchings on n points with k unmatched, in increasing order of
+    their involution words, read off one ``_stat_counts`` search.
 
-
-def _words(n: int, k: int) -> Iterator[Word]:
-    """
-    The involution words of the matchings on n points with k unmatched,
-    by smallest-undecided-first recursion: that point is left unmatched
-    first, then paired with each larger undecided point in turn.  Pairs
-    are made in one list and undone on return.
-
-    >>> list(_words(4, 2))
+    >>> [to_involution(m) for m in enumerate_matchings(4, 2)]
     [(1, 2, 4, 3), (1, 3, 2, 4), (1, 4, 3, 2), (2, 1, 3, 4), (3, 2, 1, 4), (4, 2, 3, 1)]
     """
-    _check_nkj(n, k)
-    return _words_below(list(range(1, n + 1)), tuple(range(1, n + 1)), k)
-
-
-def _words_below(word: list[int], points: tuple[int, ...], free: int) -> Iterator[Word]:
-    """``_words``' recursion over the undecided ``points``, ``free`` of them
-    left unmatched; a module-level generator, so a search leaves no cycle."""
-    # len(points) - free stays even and >= 0, so no branch is dead
-    if len(points) == free:
-        yield tuple(word)
-        return
-    first, rest = points[0], points[1:]
-    if free > 0:
-        yield from _words_below(word, rest, free - 1)
-    for i, q in enumerate(rest):
-        word[first - 1], word[q - 1] = q, first
-        yield from _words_below(word, rest[:i] + rest[i + 1 :], free)
-        word[first - 1], word[q - 1] = first, q
+    p: list[int] = []
+    words: list[Word] = []
+    _stat_counts(n, k, lambda cr, ne, mdes, des: words.append(tuple(p[1:-1])), p)
+    return map(_matching, words)
 
 
 def _stat_counts(
     n: int, k: int | None, fold: Callable[..., object], p: list[int] | None = None, ne_max: int | None = None
 ) -> None:
     """
-    Call ``fold(cr, ne, mdes, des)`` once per matching of ``_words(n, k)``,
-    in its order, with the descent sets as masks (bit i for position i).
-    When k is None, one search runs over every class M_{n,k} at once:
-    ``fold(k)`` is called once per class, in k order, and returns the fold
-    of that class, which gets its matchings in the order of ``_words(n,
-    k)``.  With ``ne_max``, only the matchings with ne <= ne_max are folded.
+    Call ``fold(cr, ne, mdes, des)`` once per matching of M_{n,k}, in
+    increasing order of involution words, with the descent sets as masks
+    (bit i for position i).  When k is None, one search runs over every
+    class M_{n,k} at once, still in increasing order of words: ``fold(k)``
+    is called once per class, in k order, and returns the fold of that
+    class.  With ``ne_max``, only the matchings with ne <= ne_max are folded.
 
     One depth-first search decides the smallest undecided point at each
     node, so the points below it are all decided: each node sweeps them

@@ -297,39 +297,45 @@ def verify_gessel_all(max_total: int) -> VerifyResult:
 # ---------------------------------------------------------------------------
 # The bijection identities, checked one perfect matching at a time
 
-def _chen_holds(w: Word) -> bool:
+def _chen_holds(w: Word, cr: int, ne: int, mdes: int, des: int) -> bool:
     """chen_iota is an involution taking MDes to Des and (cr, ne) to (ne, cr)."""
     image = oscillating._iota(w)
-    cr, ne = matching_mod._cr_ne(w)
     return (
         oscillating._iota(image) == w
-        and perm._descents(image) == matching_mod._geometric_descents(w, len(w) - 1)
+        and perm._descents(image) == perm._members(mdes)
         and matching_mod._cr_ne(image) == (ne, cr)
     )
 
 
-def _sundaram_roundtrip_holds(w: Word) -> bool:
+def _sundaram_roundtrip_holds(w: Word, *stats: int) -> bool:
     """sundaram_inverse undoes sundaram."""
     return oscillating.sundaram_inverse(oscillating.sundaram(w)) == w
 
 
-def _kim_holds(w: Word) -> bool:
+def _kim_holds(w: Word, cr: int, ne: int, mdes: int, des: int) -> bool:
     """Kim's descent set of the oscillating tableau is Des of the involution."""
-    return oscillating.kim_des(oscillating.sundaram(w)).members == perm._descents(w)
+    return oscillating.kim_des(oscillating.sundaram(w)).members == perm._members(des)
 
 
-def _roby_holds(w: Word) -> bool:
+def _roby_holds(w: Word, *stats: int) -> bool:
     """Conjugating by w0 reverses the oscillating tableau."""
     return oscillating.sundaram(perm.conjugate_w0(w)).shapes == oscillating.sundaram(w).shapes[::-1]
 
 
-def verify_bijection(name: str, holds: Callable[[Word], bool], n: int) -> VerifyResult:
-    """The bijection identity ``name``, which ``holds`` checks on the
-    involution word of one matching, on every perfect matching on n points."""
-    witness, checked = [], 0
-    for checked, w in enumerate(matching_mod._words(n, 0), start=1):
-        if not holds(w):
+def verify_bijection(name: str, holds: Callable[..., bool], n: int) -> VerifyResult:
+    """The bijection identity ``name`` on every perfect matching on n points,
+    in increasing order of words: ``holds(w, cr, ne, mdes, des)`` checks it
+    on the involution word w, with the statistics (masks) of ``_stat_counts``."""
+    witness, p, checked = [], [], 0
+
+    def fold(*stats):
+        nonlocal checked
+        checked += 1
+        w = tuple(p[1:-1])  # p[0] and p[n + 1] are the search's sentinels
+        if not holds(w, *stats):
             witness.append(matching_mod._format_word(w))
+
+    matching_mod._stat_counts(n, 0, fold, p)
     return VerifyResult(name, {"n": n}, not witness, witness, {"matchings": checked})
 
 

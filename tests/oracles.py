@@ -12,7 +12,9 @@ codecs that no command uses.  Each still calls the package's kernels
 ``matching._cr_ne``, ``tableau._syt_shapes``, ``symfun._class_words``), so
 a test against one of them exercises the same code as before.  ι̂ and H
 by composition, RS of the word φ(w) itself, are the oracle for the
-kernel that reads H as P(φ(w)⁻¹).
+kernel that reads H as P(φ(w)⁻¹).  ``oracle_enumerate_matchings``, a
+recursion through the checked ``Matching`` constructor, is the reference
+for ``matching._stat_counts``, the package's one enumerator of matchings.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from typing import Callable, Iterable, Iterator
 from matchdescents import matching as matching_mod, perm
 from matchdescents.bijection import ShuffleElement, _involution, _phi, _phi_inverse, _q_map, _q_map_inverse
 from matchdescents.cyclic import CdesReport, _check_class, _cr_ne_classes, _report
-from matchdescents.matching import Matching, _check_nkj, _cr_ne, _matching, _words
+from matchdescents.matching import Matching, _check_nkj, _cr_ne, _matching, to_involution
 from matchdescents.oscillating import OscillatingTableau
 from matchdescents.perm import Placements, Word
 from matchdescents.symfun import VerifyResult, _check_pair, _class_words, _descent_counts, _gessel_result
@@ -100,15 +102,43 @@ def random_matching(n: int, k: int, rng: random.Random) -> Matching:
     return Matching(n, tuple(zip(rest[::2], rest[1::2])))
 
 
+def oracle_enumerate_matchings(n: int, k: int) -> Iterator[Matching]:
+    """
+    The matchings of M_{n,k} by smallest-undecided-first recursion through
+    the checked ``Matching`` constructor: that point is left unmatched
+    first, then paired with each larger undecided point in turn, which
+    lists them in increasing order of involution words.
+    """
+    if (n - k) % 2 != 0 or not 0 <= k <= n:
+        raise ValueError(f"invalid (n, k) = ({n}, {k})")
+
+    def gen(points, arcs, free):
+        if len(points) == free:
+            yield Matching(n, arcs)
+            return
+        first, rest = points[0], points[1:]
+        if free > 0:
+            yield from gen(rest, arcs, free - 1)
+        for i, q in enumerate(rest):
+            yield from gen(rest[:i] + rest[i + 1 :], arcs + ((first, q),), free)
+
+    yield from gen(tuple(range(1, n + 1)), (), k)
+
+
+def oracle_words(n: int, k: int) -> Iterator[Word]:
+    """The involution words of ``oracle_enumerate_matchings(n, k)``, in its order."""
+    return map(to_involution, oracle_enumerate_matchings(n, k))
+
+
 def enumerate_inkj(n: int, k: int, j: int) -> Iterator[Matching]:
     """Matchings in M_{n,k} with nesting number j."""
     return map(_matching, _inkj_words(n, k, j))
 
 
 def _inkj_words(n: int, k: int, j: int) -> Iterator[Word]:
-    """The words of ``_words(n, k)`` with nesting number j, in its order."""
+    """The words of ``oracle_words(n, k)`` with nesting number j, in its order."""
     _check_nkj(n, k, j)
-    return (w for w in _words(n, k) if _cr_ne(w)[1] == j)
+    return (w for w in oracle_words(n, k) if _cr_ne(w)[1] == j)
 
 
 def matching_to_json(m: Matching) -> str:

@@ -15,7 +15,14 @@ from matchdescents import matching as mm
 from matchdescents import oscillating as osc
 from matchdescents import perm, tableau
 
-from oracles import _inkj_words, enumerate_syt_nkj, verify_cdes, verify_cdes_involutions, verify_cdes_syt
+from oracles import (
+    _inkj_words,
+    enumerate_syt_nkj,
+    oracle_words,
+    verify_cdes,
+    verify_cdes_involutions,
+    verify_cdes_syt,
+)
 
 
 def classes(n):
@@ -48,7 +55,7 @@ def test_walk_matches_per_element_verifier(n):
 @pytest.mark.parametrize("n", range(11))
 def test_rotation_keeps_the_crossing_number(n):
     for k in range(n % 2, n + 1, 2):
-        for word in mm._words(n, k):
+        for word in oracle_words(n, k):
             assert mm._cr_ne(mm._rotate(word))[0] == mm._cr_ne(word)[0]
 
 
@@ -94,7 +101,7 @@ def test_verify_cdes_exits_3_when_iota_hat_is_not_injective(capsys, monkeypatch)
 def oracle_orbit_rows(n, k, j):
     """The rows of ``orbits`` from one ``transport_involution`` (ι̂⁻¹, then ι̂)
     per element."""
-    elements = list(mm._words(n, k) if j is None else _inkj_words(n, k, j))
+    elements = list(oracle_words(n, k) if j is None else _inkj_words(n, k, j))
     transported = {w: cyclic.transport_involution(w) for w in elements}
     return [
         [orbit_id, len(orbit), perm.format_cycles(w), "{" + ",".join(map(str, sorted(transported[w][0].members))) + "}"]

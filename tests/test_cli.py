@@ -141,19 +141,67 @@ def test_map_matches_the_library(capsys, name):
         assert code == 0 or err.startswith("error: "), (name, text)
 
 
+def _source_env():
+    """The environment of a child Python that imports this source tree."""
+    src = str(Path(matchdescents.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_python_dash_m_runs_the_cli():
     # the package runs as a module from a source tree, where no console script is installed
-    src = str(Path(matchdescents.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, "-m", "matchdescents", "verify", "main0", "--n", "4"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_source_env(),
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["ok"] is True
+
+
+_FAILING_KIM = (
+    "-c",
+    "import sys; from matchdescents import cli, symfun; symfun._kim_holds = lambda *stats: False; "
+    "sys.exit(cli.main(['verify', 'kim', '--n', '4']))",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, lines, expected",
+    [
+        # about 600 kB of rows, far past a pipe's buffer, after the reader takes one line
+        (("-m", "matchdescents", "enum", "matchings", "--n", "12", "--k", "0", "--format", "csv"), 1, 0),
+        (("-m", "matchdescents", "orbits", "--n", "9", "--k", "1", "--format", "csv"), 1, 0),
+        (("-m", "matchdescents", "stats", "--matching", "1-2", "--n", "4"), 0, 0),
+        (("-m", "matchdescents", "map", "iota-hat", "1-2", "--n", "4"), 0, 0),
+        (("-m", "matchdescents", "verify", "main0", "--n", "4"), 0, 0),
+        (_FAILING_KIM, 0, 1),  # a failed identity keeps its verdict
+    ],
+    ids=["enum", "orbits", "stats", "map", "verify", "verify-failing"],
+)
+def test_a_closed_stdout_ends_the_command_quietly(argv, lines, expected):
+    proc = subprocess.Popen(
+        [sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_source_env()
+    )
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == expected
+    assert err == b""
+
+
+@pytest.mark.parametrize("argv", [("stats", "--matching", "1-2"), ("stats", "--cycles", "(1,2)"), ("map", "p", "1-2")])
+def test_stats_and_map_refuse_a_huge_n(capsys, argv):
+    # refused before any word is built: the 20-digit n overflowed list() before
+    for n in ("99999999999999999999", str(cli.MAX_OBJECT_N + 1)):
+        code, out, err = run(capsys, *argv, "--n", n)
+        assert (code, out) == (2, "")
+        assert err == f"error: n={n} exceeds the guard ({cli.MAX_OBJECT_N})\n"
+    code, out, err = run(capsys, *argv, "--n", str(cli.MAX_OBJECT_N))
+    assert code == 0 and out and err == ""
 
 
 def test_enum_matchings_csv(capsys):

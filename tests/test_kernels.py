@@ -42,6 +42,7 @@ from oracles import (
     iota_hat_by_composition,
     jdt_delete,
     nesting_number_oracle,
+    oracle_words,
     phi_inverse,
     q_map_inverse,
     random_matching,
@@ -305,32 +306,15 @@ def oracle_matching_des(m):
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the matching enumerator and the cyclic transport as they were
-# before the word kernels, going through Matching at every step.  The
-# transport runs the composite and H the way they were before H became
-# its primitive: phi and its inverse on the oracle iota, H as Q of the
-# composite image, and H inverse through RS inverse of (t, t).  Its steps
-# are the maps as they were before they ran on row lists: res and emb
-# with their checks, the core standardized, Q and its inverse through
-# full tableaux, and the shuffle read off Q with the column lengths
-# recomputed for every large letter.  A shuffle is a pair (word, k).
-
-
-def oracle_enumerate_matchings(n, k):
-    if (n - k) % 2 != 0 or not 0 <= k <= n:
-        raise ValueError(f"invalid (n, k) = ({n}, {k})")
-
-    def gen(points, arcs, free):
-        if len(points) == free:
-            yield mm.Matching(n, arcs)
-            return
-        first, rest = points[0], points[1:]
-        if free > 0:
-            yield from gen(rest, arcs, free - 1)
-        for i, q in enumerate(rest):
-            yield from gen(rest[:i] + rest[i + 1 :], arcs + ((first, q),), free)
-
-    yield from gen(tuple(range(1, n + 1)), (), k)
+# Oracle: the cyclic transport as it was before the word kernels, going
+# through Matching at every step.  The transport runs the composite and H
+# the way they were before H became its primitive: phi and its inverse on
+# the oracle iota, H as Q of the composite image, and H inverse through RS
+# inverse of (t, t).  Its steps are the maps as they were before they ran
+# on row lists: res and emb with their checks, the core standardized, Q
+# and its inverse through full tableaux, and the shuffle read off Q with
+# the column lengths recomputed for every large letter.  A shuffle is a
+# pair (word, k).
 
 
 def oracle_rotate(m):
@@ -591,7 +575,7 @@ def oracle_enum_rows(family, n, k, j):
     header = ["matching", "n", "k"] if matchings else ["cycles", "one_line"]
     header += ["des", "mdes", "cmdes", "cr", "ne", "um"]
     rows = []
-    for w in mm._words(n, k) if j is None else _inkj_words(n, k, j):
+    for w in oracle_words(n, k) if j is None else _inkj_words(n, k, j):
         cr, ne = mm._cr_ne(w)
         first = [mm._format_word(w), n, k] if matchings else [perm.format_cycles(w), perm.format_one_line(w)]
         descents = (perm._descents(w), mm._geometric_descents(w, n - 1), mm._geometric_descents(w, n))
@@ -702,12 +686,30 @@ def test_matching_statistics_match_oracle(n):
 @pytest.mark.parametrize("n", range(11))
 def test_word_enumerator_matches_oracle(n):
     for k in range(n % 2, n + 1, 2):
-        expected = [mm.to_involution(m) for m in oracle_enumerate_matchings(n, k)]
-        assert list(mm._words(n, k)) == expected
+        expected = list(oracle_words(n, k))
         assert [mm.to_involution(m) for m in mm.enumerate_matchings(n, k)] == expected
     for k in [n + 1, n + 2, -2]:
         with pytest.raises(ValueError):
-            mm._words(n, k)
+            mm.enumerate_matchings(n, k)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_kernel_leaves_arrive_in_increasing_word_order(n):
+    # the order that enumerate_matchings, orbits and the bijection identities promise
+    p = []
+
+    def recorder(seen):
+        return lambda cr, ne, mdes, des: seen.append(tuple(p[1:-1]))
+
+    every = []
+    mm._stat_counts(n, None, lambda k: recorder(every), p)  # every class in one search
+    assert all(a < b for a, b in zip(every, every[1:]))
+    assert every == sorted(w for k in range(n % 2, n + 1, 2) for w in oracle_words(n, k))
+    for k in range(n % 2, n + 1, 2):
+        seen = []
+        mm._stat_counts(n, k, recorder(seen), p)
+        assert all(a < b for a, b in zip(seen, seen[1:]))
+        assert seen == sorted(oracle_words(n, k))
 
 
 def test_words_leaves_no_reference_cycle():
@@ -715,7 +717,7 @@ def test_words_leaves_no_reference_cycle():
     gc.disable()
     try:
         gc.collect()
-        assert len(list(mm._words(10, 0))) == 945
+        assert len(list(mm.enumerate_matchings(10, 0))) == 945
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -727,7 +729,7 @@ def test_cr_ne_classes_match_per_word_split(n):
     for k in range(n % 2, n + 1, 2):
         by_cr = {j: [] for j in range((n - k) // 2 + 1)}
         by_ne = {j: [] for j in by_cr}
-        for w in mm._words(n, k):
+        for w in oracle_words(n, k):
             cr, ne = mm._cr_ne(w)
             by_cr[cr].append(w)
             by_ne[ne].append(w)
@@ -737,12 +739,12 @@ def test_cr_ne_classes_match_per_word_split(n):
 
 def _per_word_stats(n, k):
     """(cr, ne, MDes, Des) of each matching of M_{n,k}, one sweep per word."""
-    return ((*mm._cr_ne(w), mm._geometric_descents(w, n - 1), perm._descents(w)) for w in mm._words(n, k))
+    return ((*mm._cr_ne(w), mm._geometric_descents(w, n - 1), perm._descents(w)) for w in oracle_words(n, k))
 
 
 @pytest.mark.parametrize("n", [*range(11), *(pytest.param(n, marks=pytest.mark.slow) for n in (11, 12))])
 def test_stat_counts_match_per_word_path(n):
-    # n <= 10: all 13,232 matchings, in _words' order; n = 11, 12 add 35,696 + 140,152
+    # n <= 10: all 13,232 matchings, in increasing order of words; n = 11, 12 add 35,696 + 140,152
     for k in range(n % 2, n + 1, 2):
         folded = []
         mm._stat_counts(n, k, lambda *stats: folded.append(stats))
@@ -838,7 +840,7 @@ def test_h_rows_match_the_composition(n):
     # serves every class of n, as P(ι(core)) is a function of the core alone
     table = {}
     for k in range(n % 2, n + 1, 2):
-        for word in mm._words(n, k):
+        for word in oracle_words(n, k):
             assert bj._h_map(word, table) == h_map_by_composition(word)
             assert bj._iota_hat(word, table) == iota_hat_by_composition(word)
 
@@ -869,9 +871,6 @@ def test_class_masks_match_the_per_word_sets(n):
         for words in by_ne.values():
             for word, mask in words.items():
                 assert perm._members(mask) == perm._descents(word)
-        masks = cyclic._cmdes_masks(n, k)  # orbits without --j
-        assert list(masks) == list(mm._words(n, k))
-        assert all(perm._members(mask) == mm._cmdes(word).members for word, mask in masks.items())
 
 
 @pytest.mark.parametrize("n", [*range(10), pytest.param(10, marks=pytest.mark.slow)])
@@ -894,7 +893,7 @@ def test_transport_wrappers_keep_input_checks():
 @pytest.mark.parametrize("n2", [0, 2, 4, 6, 8, 10, pytest.param(12, marks=pytest.mark.slow)])
 def test_iota_matches_oracle(n2):
     # n2 <= 10: all 1,069 perfect matchings; n2 = 12 adds 10,395 more
-    for word in mm._words(n2, 0):
+    for word in oracle_words(n2, 0):
         assert osc._iota(word) == oracle_iota(word)
         assert mm.to_involution(osc.chen_iota(mm._matching(word))) == oracle_iota(word)
 
