@@ -105,12 +105,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _matching_stats(m: matching_mod.Matching) -> dict:
+    word = matching_mod.to_involution(m)
+    cr, ne, mdes, des = matching_mod._sweep(word)  # one sweep for every statistic
+    cmdes = matching_mod._cmdes_mask([-1, *word, 0], m.n, mdes)
     return {
-        "Des": sorted(matching_mod.des(m).members),
-        "MDes": sorted(matching_mod.mdes(m).members),
-        "cMDes": sorted(matching_mod.cmdes(m).members),
-        "cr": matching_mod.crossing_number(m),
-        "ne": matching_mod.nesting_number(m),
+        "Des": sorted(perm._members(des)),
+        "MDes": sorted(perm._members(mdes)),
+        "cMDes": sorted(perm._members(cmdes)),
+        "cr": cr,
+        "ne": ne,
         "um": m.unmatched,
     }
 

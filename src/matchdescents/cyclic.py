@@ -128,17 +128,22 @@ def _check_class(n: int, k: int, j: int, classes: tuple[dict, dict], syt: bool =
     """The report on I_{n,k,j} (SYT_{n,k,j} when syt) from the class cr = j
     of ``_cr_ne_classes(n, k)``: cDes(ι̂ m) = cMDes(m), p(ι̂ m) = ι̂(rot m)."""
     if syt:
-        # each tableau with its Des, both from the enumeration kernel, in its order
+        # each tableau's rows, the walk's key, and Des from the kernel, in its order
         des = {
-            tableau._tableau(rows): perm._members(d)
+            tuple(map(tuple, rows)): perm._members(d)
             for shape in tableau._syt_shapes(n, k, j)
             for rows, d, _ in tableau._syt_des(shape)
         }
-        image_of, set_id = bijection._h_map, f"SYT_{{{n},{k},{j}}}"
-    else:
-        des = {x: perm._members(mask) for x, mask in classes[1][j].items()}
-        image_of, set_id = bijection._iota_hat, f"I_{{{n},{k},{j}}}"
-    return _report(set_id, n, des, *_walk(classes[0][j], image_of, des.keys()))
+        report = _report(f"SYT_{{{n},{k},{j}}}", n, des, *_walk(classes[0][j], _h_key, des.keys()))
+        report.escher_witnesses = list(map(tableau._tableau, report.escher_witnesses))
+        return report
+    des = {x: perm._members(mask) for x, mask in classes[1][j].items()}
+    return _report(f"I_{{{n},{k},{j}}}", n, des, *_walk(classes[0][j], bijection._iota_hat, des.keys()))
+
+
+def _h_key(word: Word, table: dict) -> tuple[tuple[int, ...], ...]:
+    """The rows of H(word) as a tuple of tuples, the key of a tableau in the walk."""
+    return tuple(map(tuple, bijection._h_rows(word, table)))
 
 
 def _walk(preimages: dict[Word, int], image_of: Callable, ground: AbstractSet) -> tuple[dict, dict]:

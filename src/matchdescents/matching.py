@@ -8,25 +8,19 @@ crossing and nesting numbers) are defined on the arc diagram, drawn on a
 line for the linear statistics and on a circle for the cyclic one.
 
 The working representation is the involution word: ``word[i-1]`` is the
-partner of i, or i itself when i is unmatched.  The statistics and the
-rotation work on words, and the enumerator ``_stat_counts`` on a partner
-list that holds one; ``Matching`` is the type of the parsers, the
-codecs and the public functions, which convert once and keep every input
-check.  A ``Matching`` built through its constructor, ``from_involution``
-or the parsers is checked in full; one that wraps a word the package
-built is not.  One left-to-right sweep gives both the crossing and the
-nesting number, and the descent sets are in range by construction and
-wrapped without the ``DescentSet`` check.
+partner of i, or i itself when i is unmatched.  ``Matching`` is the type
+of the parsers, the codecs and the public functions, which convert once
+and keep every input check; one that wraps a word the package built is
+not checked.
 
-Every loop over a class M_{n,k} runs on ``_stat_counts``, one
+MDes, cr and ne have one home, the left-to-right sweep of ``_search``, a
 depth-first search in increasing order of words that carries the sweep
-state (cr, ne, and Des and MDes as bit masks) down the search, so each
-prefix is swept once for every leaf below it.  ``main0``, and
-``main11``/``main111`` without ``--k``, search every class at once.  The
-other callers read each matching off the partner list that the search
-fills: ``enum``, which cuts the branches whose ne passes ``--j``, the
-cyclic class split (with ``_cmdes_mask``), the bijection identities and
-``enumerate_matchings``.
+state (cr, ne, and Des and MDes as bit masks) down to every leaf.
+``_stat_counts`` runs it over M_{n,k}, or every class at once; ``_sweep``
+on one word, for ``mdes``, ``cmdes`` (MDes and the bit at n,
+``_cmdes_mask``) and ``crossing_nesting``.  The loops over a class read
+each matching off the partner list that the search fills: ``enum``, the
+cyclic class split, the bijection identities and ``enumerate_matchings``.
 """
 from __future__ import annotations
 
@@ -48,6 +42,8 @@ class Matching:
     arcs: tuple[Arc, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"invalid n = {self.n}")
         # an arc (a, a) repeats its endpoint, so it is refused before disjointness
         if any(a == b for a, b in self.arcs):
             raise ValueError("degenerate arc")
@@ -110,39 +106,13 @@ def des(m: Matching) -> DescentSet:
     return perm.des(to_involution(m))
 
 
-def _geometric_descents(word: Word, last: int) -> frozenset[int]:
-    """
-    The positions i in 1..last that pass the geometric descent test on
-    the involution word of a matching on n points, with successor
-    i % n + 1: {i, succ} is an arc, the arcs through i and succ cross,
-    or i is unmatched while succ is matched.  Two disjoint arcs cross, on
-    the line and on the circle alike, iff exactly one endpoint of the one
-    lies strictly between the endpoints of the other.  MDes reads
-    last = n - 1 and cMDes last = n.
-    """
-    n = len(word)
-    members = set()  # frozenset(set) sizes its table to fit; from a list it does not
-    for i in range(1, last + 1):
-        succ = i % n + 1
-        pi, ps = word[i - 1], word[succ - 1]
-        if pi == i:
-            if ps != succ:
-                members.add(i)
-        elif pi == succ:
-            members.add(i)
-        elif ps != succ:
-            lo, hi = (i, pi) if i < pi else (pi, i)
-            if (lo < succ < hi) != (lo < ps < hi):
-                members.add(i)
-    return frozenset(members)
-
-
 def mdes(m: Matching) -> DescentSet:
     """
-    Geometric descent set: i is a descent iff {i, i+1} is an arc, the
-    arcs through i and i+1 cross, or i is unmatched while i+1 is matched.
+    Geometric descent set: i is a descent iff {i, i+1} is an arc, the arcs
+    through i and i+1 cross (exactly one endpoint of the one lies strictly
+    between those of the other), or i is unmatched while i+1 is matched.
     """
-    return perm._trusted(DescentSet, n=m.n, members=_geometric_descents(to_involution(m), m.n - 1))
+    return perm._trusted(DescentSet, n=m.n, members=perm._members(_sweep(to_involution(m))[2]))
 
 
 def cmdes(m: Matching) -> DescentSet:
@@ -153,16 +123,15 @@ def cmdes(m: Matching) -> DescentSet:
 
 def _cmdes(word: Word) -> DescentSet:
     """cMDes of the matching whose involution word is ``word``."""
-    return perm._trusted(DescentSet, n=len(word), members=_geometric_descents(word, len(word)), cyclic=True)
+    mask = _cmdes_mask([-1, *word, 0], len(word), _sweep(word)[2])
+    return perm._trusted(DescentSet, n=len(word), members=perm._members(mask), cyclic=True)
 
 
 def _cmdes_mask(p: list[int], n: int, mdes: int) -> int:
-    """
-    The cMDes mask of the matching whose partner list ``p`` is as
-    ``_stat_counts`` fills it, given its MDes mask: MDes and the bit at n,
-    by ``_geometric_descents``' test on n and its successor 1: n unmatched
-    and 1 matched, the arc {n, 1}, or crossing arcs.
-    """
+    """The cMDes mask of the matching whose partner list ``p`` is as
+    ``_search`` fills it, given its MDes mask: the bit at n is MDes's test on
+    n and its successor 1 (n unmatched and 1 matched, the arc {n, 1}, or
+    crossing chords)."""
     last, first = p[n], p[1]
     return mdes | (first != 1 if last == n else last == 1 or last < first < n) << n
 
@@ -185,7 +154,7 @@ def _rotate(word: Word) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# Crossing and nesting numbers
+# Crossing and nesting numbers, and the sweep of one word
 
 def _longest_increasing(seq: Iterable[int]) -> int:
     tails: list[int] = []
@@ -209,25 +178,7 @@ def crossing_nesting(m: Matching) -> tuple[int, int]:
     an arc has opened since the last read, because every other gap's
     spanning set is contained in one read there.
     """
-    return _cr_ne(to_involution(m))
-
-
-def _cr_ne(word: Word) -> tuple[int, int]:
-    """crossing_nesting of the matching whose involution word is ``word``."""
-    rights: list[int] = []
-    grown = False
-    cr = ne = 0
-    for t, q in enumerate(word, start=1):
-        if q > t:
-            rights.append(q)
-            grown = True
-        elif q < t:
-            if grown:
-                cr = max(cr, _longest_increasing(rights))
-                ne = max(ne, _longest_increasing(reversed(rights)))
-                grown = False
-            rights.remove(t)
-    return cr, ne
+    return _sweep(to_involution(m))[:2]
 
 
 def crossing_number(m: Matching) -> int:
@@ -236,6 +187,18 @@ def crossing_number(m: Matching) -> int:
 
 def nesting_number(m: Matching) -> int:
     return crossing_nesting(m)[1]
+
+
+def _sweep(word: Word) -> tuple[int, int, int, int]:
+    """(cr, ne, MDes, Des) of the matching whose involution word is ``word``,
+    the descent sets as masks: the search's own sweep, every point decided.
+
+    >>> _sweep((4, 2, 6, 1, 5, 3))  # MDes {2,3,5}, Des {1,3,5}
+    (2, 1, 44, 42)
+    """
+    stats: list[tuple[int, int, int, int]] = []
+    _search(len(word), [-1, *word, 0], 0, 0, [lambda *leaf: stats.append(leaf)], len(word))
+    return stats[0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +237,9 @@ def _stat_counts(
     is called once per class, in k order, and returns the fold of that
     class.  With ``ne_max``, only the matchings with ne <= ne_max are folded.
 
-    One depth-first search decides the smallest undecided point at each
-    node, so the points below it are all decided: each node sweeps them
-    once, as ``_cr_ne``, ``_geometric_descents`` and ``perm._descents``
-    would, and every leaf below it shares that sweep state.  The open
-    right endpoints go down the search as a tuple, which a node extends
-    at an opener and rebuilds without s at a closer, so no node restores
-    anything on return.  cr and ne are running maxima of the LIS and LDS
-    of that tuple (Chen-Deng-Du-Stanley-Yan), so one table that lives
-    only in this call computes that pair once per distinct tuple, and a
-    node whose ne passes ``ne_max`` returns before its children.  A
-    caller that passes a list ``p`` reads the matching of each call off
+    A caller that passes a list ``p`` reads the matching of each call off
     it: ``p[i]`` is the partner of i, or i itself when unmatched, for
-    1 <= i <= n.
+    1 <= i <= n.  The search is ``_search``.
 
     >>> _stat_counts(4, 2, lambda cr, ne, mdes, des: print(cr, ne, bin(mdes), bin(des)))
     1 1 0b1100 0b1000
@@ -312,17 +265,35 @@ def _stat_counts(
         ne_max = n
     # p[i] is the partner of i, i itself when unmatched, 0 while undecided;
     # p[n + 1] = 0 ends every sweep, and p[0] = -1 sets no bit at position 0
-    if p is None:
-        p = []
+    p = [] if p is None else p
     p[:] = [-1] + [0] * (n + 1)
+    _search(n, p, pairs, free, folds, ne_max)
+
+
+def _search(n: int, p: list[int], pairs: int, free: int, folds: list, ne_max: int) -> None:
+    """
+    Complete the partner list ``p`` in every way that places ``pairs``
+    more arcs and ``free`` more unmatched points, in increasing order of
+    words, and call ``folds[f](cr, ne, mdes, des)`` on each completion
+    with ne <= ``ne_max``, f the unmatched points left unused.
+
+    Each node decides the smallest undecided point and sweeps the points
+    below it once, by the rules of ``des``, ``mdes`` and
+    ``crossing_nesting``, for every leaf below it.  The open right
+    endpoints go down as a tuple, extended at an opener and rebuilt
+    without s at a closer, so no node restores anything on return.  cr
+    and ne are running maxima of its LIS and LDS (Chen-Deng-Du-Stanley-
+    Yan): a table that lives for this call computes that pair once per
+    distinct tuple, and a node whose ne passes ``ne_max`` returns early.
+    """
     table: dict[tuple[int, ...], tuple[int, int]] = {}  # open right endpoints -> (LIS, LDS)
     # the table's values, one shared object per (LIS, LDS), so that no entry holds a pair of its own
-    lis_lds = [[(a, b) for b in range(n + 1)] for a in range(n + 1)]
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
 
     def node(s, pairs, free, rights, cr, ne, grown, des, mdes):
         # s: the first point not yet swept; pairs, free: arcs and unmatched
         # points still to place; the rest is the sweep state up to s - 1,
-        # with rights the open right endpoints in opener order, as in _cr_ne
+        # with rights the open right endpoints in opener order
         q = p[s]
         while q:
             i = s - 1
@@ -347,7 +318,7 @@ def _stat_counts(
                         lis, lds = table[rights]
                     except KeyError:
                         lis, lds = _longest_increasing(rights), _longest_increasing(reversed(rights))
-                        table[rights] = lis_lds[lis][lds]
+                        table[rights] = shared.setdefault((lis, lds), (lis, lds))
                     if lis > cr:
                         cr = lis
                     if lds > ne:

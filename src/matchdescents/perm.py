@@ -115,7 +115,7 @@ def _descents(word: Word) -> frozenset[int]:
     return frozenset({i for i in range(1, len(word)) if word[i - 1] > word[i]})
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1 << 16)  # every mask of a class up to n = 16; one-object calls do not pile up
 def _members(mask: int) -> frozenset[int]:
     """The descent set whose mask is ``mask``: bit i for position i."""
     return frozenset({i for i in range(1, mask.bit_length()) if mask >> i & 1})
@@ -284,6 +284,8 @@ def parse_cycles(text: str, n: int) -> Word:
     >>> parse_cycles("(1,6)(3,4)(5,7)", 8)
     (6, 2, 4, 3, 7, 1, 5, 8)
     """
+    if n < 0:
+        raise ParseError(f"invalid n = {n}")
     text = "".join(text.split())
     if text == "()":
         text = ""

@@ -300,11 +300,10 @@ def verify_gessel_all(max_total: int) -> VerifyResult:
 def _chen_holds(w: Word, cr: int, ne: int, mdes: int, des: int) -> bool:
     """chen_iota is an involution taking MDes to Des and (cr, ne) to (ne, cr)."""
     image = oscillating._iota(w)
-    return (
-        oscillating._iota(image) == w
-        and perm._descents(image) == perm._members(mdes)
-        and matching_mod._cr_ne(image) == (ne, cr)
-    )
+    if oscillating._iota(image) != w:
+        return False
+    image_cr, image_ne, _, image_des = matching_mod._sweep(image)
+    return image_des == mdes and (image_cr, image_ne) == (ne, cr)
 
 
 def _sundaram_roundtrip_holds(w: Word, *stats: int) -> bool:

@@ -2,19 +2,22 @@
 Reference implementations that the tests check the package against.
 
 The brute-force crossing and nesting numbers over arc subsets are the
-ground truth for the one-sweep ``matching.crossing_nesting``.  The rest
-are the package's earlier per-object paths: the validated one-step RS
-and jeu-de-taquin wrappers, the per-element cDes verifier, the per-word
+ground truth for the one-sweep ``matching.crossing_nesting``.
+``oracle_geometric_descents`` and ``oracle_cr_ne`` are the package's
+earlier per-word sweeps, which ``matching._search`` replaced: the
+reference for the one home of MDes, cMDes, cr and ne.  The rest are the
+package's earlier per-object paths: the validated one-step RS and
+jeu-de-taquin wrappers, the per-element cDes verifier, the per-word
 nesting filter, the per-pair Gessel check and a few enumerators and
 codecs that no command uses.  Each still calls the package's kernels
 (``tableau._insert``, ``_slide_out``, ``_slide_in``, ``cyclic._check_class``,
 ``_report``, ``bijection._phi_inverse``, ``_q_map_inverse``,
-``matching._cr_ne``, ``tableau._syt_shapes``, ``symfun._class_words``), so
-a test against one of them exercises the same code as before.  ι̂ and H
-by composition, RS of the word φ(w) itself, are the oracle for the
-kernel that reads H as P(φ(w)⁻¹).  ``oracle_enumerate_matchings``, a
-recursion through the checked ``Matching`` constructor, is the reference
-for ``matching._stat_counts``, the package's one enumerator of matchings.
+``tableau._syt_shapes``, ``symfun._class_words``), so a test against one
+of them exercises the same code as before.  ι̂ and H by composition, RS
+of the word φ(w) itself, are the oracle for the kernel that reads H as
+P(φ(w)⁻¹).  ``oracle_enumerate_matchings``, a recursion through the
+checked ``Matching`` constructor, is the reference for
+``matching._stat_counts``, the package's one enumerator of matchings.
 """
 from __future__ import annotations
 
@@ -24,10 +27,10 @@ import random
 from collections import Counter
 from typing import Callable, Iterable, Iterator
 
-from matchdescents import matching as matching_mod, perm
+from matchdescents import perm
 from matchdescents.bijection import ShuffleElement, _involution, _phi, _phi_inverse, _q_map, _q_map_inverse
 from matchdescents.cyclic import CdesReport, _check_class, _cr_ne_classes, _report
-from matchdescents.matching import Matching, _check_nkj, _cr_ne, _matching, to_involution
+from matchdescents.matching import Matching, _check_nkj, _longest_increasing, _matching, to_involution
 from matchdescents.oscillating import OscillatingTableau
 from matchdescents.perm import Placements, Word
 from matchdescents.symfun import VerifyResult, _check_pair, _class_words, _descent_counts, _gessel_result
@@ -138,7 +141,53 @@ def enumerate_inkj(n: int, k: int, j: int) -> Iterator[Matching]:
 def _inkj_words(n: int, k: int, j: int) -> Iterator[Word]:
     """The words of ``oracle_words(n, k)`` with nesting number j, in its order."""
     _check_nkj(n, k, j)
-    return (w for w in oracle_words(n, k) if _cr_ne(w)[1] == j)
+    return (w for w in oracle_words(n, k) if oracle_cr_ne(w)[1] == j)
+
+
+def oracle_geometric_descents(word: Word, last: int) -> frozenset[int]:
+    """
+    The positions i in 1..last that pass the geometric descent test on
+    the involution word of a matching on n points, with successor
+    i % n + 1: {i, succ} is an arc, the arcs through i and succ cross,
+    or i is unmatched while succ is matched.  Two disjoint arcs cross, on
+    the line and on the circle alike, iff exactly one endpoint of the one
+    lies strictly between the endpoints of the other.  MDes reads
+    last = n - 1 and cMDes last = n.
+    """
+    n = len(word)
+    members = set()  # frozenset(set) sizes its table to fit; from a list it does not
+    for i in range(1, last + 1):
+        succ = i % n + 1
+        pi, ps = word[i - 1], word[succ - 1]
+        if pi == i:
+            if ps != succ:
+                members.add(i)
+        elif pi == succ:
+            members.add(i)
+        elif ps != succ:
+            lo, hi = (i, pi) if i < pi else (pi, i)
+            if (lo < succ < hi) != (lo < ps < hi):
+                members.add(i)
+    return frozenset(members)
+
+
+def oracle_cr_ne(word: Word) -> tuple[int, int]:
+    """crossing_nesting of the matching whose involution word is ``word``,
+    by a sweep of its own over the word."""
+    rights: list[int] = []
+    grown = False
+    cr = ne = 0
+    for t, q in enumerate(word, start=1):
+        if q > t:
+            rights.append(q)
+            grown = True
+        elif q < t:
+            if grown:
+                cr = max(cr, _longest_increasing(rights))
+                ne = max(ne, _longest_increasing(reversed(rights)))
+                grown = False
+            rights.remove(t)
+    return cr, ne
 
 
 def matching_to_json(m: Matching) -> str:
@@ -279,7 +328,7 @@ def h_map_by_composition(word: Word) -> StandardTableau:
 
 def shuffle_cr_ne(t: ShuffleElement) -> tuple[int, int]:
     """Crossing and nesting numbers of the standardized small-letter core."""
-    return matching_mod._cr_ne(t.small_involution())
+    return oracle_cr_ne(t.small_involution())
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,24 @@ def test_stats_and_map_refuse_a_huge_n(capsys, argv):
     assert code == 0 and out and err == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stats", "--matching", "", "--n", "-3"),
+        ("stats", "--matching", "", "--n", "-5"),
+        ("stats", "--matching", "", "--n", "-3", "--format", "json"),
+        ("stats", "--cycles", "()", "--n", "-2"),
+        ("map", "rotate", "", "--n", "-1"),
+    ],
+)
+def test_stats_and_map_refuse_a_negative_n(capsys, argv):
+    # these answered as if for a matching on n (or 0) points, with exit 0
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    n = argv[argv.index("--n") + 1]
+    assert err == f"error: invalid n = {n}\n"
+
+
 def test_enum_matchings_csv(capsys):
     code, out, _ = run(capsys, "enum", "matchings", "--n", "4", "--k", "0", "--format", "csv")
     assert code == 0

@@ -11,6 +11,7 @@ kernel-backed operation with the earlier implementation (kept below as
 an oracle), and check the round trips, the input checks and the
 statistics' properties at sizes beyond the exhaustive range.
 """
+import ast
 import bisect
 import csv
 import gc
@@ -19,7 +20,9 @@ import itertools
 import json
 import random
 import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +45,8 @@ from oracles import (
     iota_hat_by_composition,
     jdt_delete,
     nesting_number_oracle,
+    oracle_cr_ne,
+    oracle_geometric_descents,
     oracle_words,
     phi_inverse,
     q_map_inverse,
@@ -576,9 +581,9 @@ def oracle_enum_rows(family, n, k, j):
     header += ["des", "mdes", "cmdes", "cr", "ne", "um"]
     rows = []
     for w in oracle_words(n, k) if j is None else _inkj_words(n, k, j):
-        cr, ne = mm._cr_ne(w)
+        cr, ne = oracle_cr_ne(w)
         first = [mm._format_word(w), n, k] if matchings else [perm.format_cycles(w), perm.format_one_line(w)]
-        descents = (perm._descents(w), mm._geometric_descents(w, n - 1), mm._geometric_descents(w, n))
+        descents = (perm._descents(w), oracle_geometric_descents(w, n - 1), oracle_geometric_descents(w, n))
         rows.append([*first, *map(_oracle_set_str, descents), cr, ne, k])
     return header, rows
 
@@ -730,7 +735,7 @@ def test_cr_ne_classes_match_per_word_split(n):
         by_cr = {j: [] for j in range((n - k) // 2 + 1)}
         by_ne = {j: [] for j in by_cr}
         for w in oracle_words(n, k):
-            cr, ne = mm._cr_ne(w)
+            cr, ne = oracle_cr_ne(w)
             by_cr[cr].append(w)
             by_ne[ne].append(w)
         split = cyclic._cr_ne_classes(n, k)
@@ -739,7 +744,7 @@ def test_cr_ne_classes_match_per_word_split(n):
 
 def _per_word_stats(n, k):
     """(cr, ne, MDes, Des) of each matching of M_{n,k}, one sweep per word."""
-    return ((*mm._cr_ne(w), mm._geometric_descents(w, n - 1), perm._descents(w)) for w in oracle_words(n, k))
+    return ((*oracle_cr_ne(w), oracle_geometric_descents(w, n - 1), perm._descents(w)) for w in oracle_words(n, k))
 
 
 @pytest.mark.parametrize("n", [*range(11), *(pytest.param(n, marks=pytest.mark.slow) for n in (11, 12))])
@@ -845,6 +850,41 @@ def test_h_rows_match_the_composition(n):
             assert bj._iota_hat(word, table) == iota_hat_by_composition(word)
 
 
+def test_sweep_of_a_long_nested_word_stays_small():
+    # 1-400, 2-399, ..., 200-201; an eager grid of every (LIS, LDS) pair
+    # would hold 401 * 401 = 160,801 tuples, about 9 MB
+    n = 400
+    word = tuple(range(n, 0, -1))
+    tracemalloc.start()
+    try:
+        cr, ne, mdes, des = mm._sweep(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cr, ne, mdes, des) == (1, n // 2, 1 << n // 2, (1 << n) - 2)  # MDes {200}, Des {1..399}
+    assert peak < 1_000_000
+
+
+def test_mask_sets_stay_bounded_under_one_object_calls():
+    # mdes, cmdes and stats read their sets through perm._members; an unbounded
+    # cache would keep one entry per distinct mask a process ever reads
+    m = mm.matching(40, *((i, i + 20) for i in range(1, 21)))
+    assert mm.mdes(m).members == frozenset(range(1, 40))  # every pair of neighbours crosses
+    assert perm._members.cache_info().maxsize == 1 << 16
+
+
+def test_lis_and_lds_are_read_only_inside_the_search():
+    # one home per rule: a second cr/ne sweep in the package would need the LIS
+    readers = set()
+    for path in sorted(Path(mm.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name == "_longest_increasing":
+                    readers.add((path.name, getattr(top, "name", None)))
+    assert readers == {("matching.py", "_search")}
+
+
 @pytest.mark.parametrize("n", range(11))
 def test_cmdes_mask_matches_the_geometric_test(n):
     # the wrap bit at n, read off the partner list, on every matching with n <= 10
@@ -854,7 +894,7 @@ def test_cmdes_mask_matches_the_geometric_test(n):
         def fold(cr, ne, mdes, des):
             word = tuple(p[1:-1])
             seen.append(word)
-            assert mm._cmdes_mask(p, n, mdes) == sum(1 << i for i in mm._geometric_descents(word, n))
+            assert mm._cmdes_mask(p, n, mdes) == sum(1 << i for i in oracle_geometric_descents(word, n))
 
         mm._stat_counts(n, k, fold, p)
         assert len(seen) == mm.count_matchings(n, k)
@@ -1305,7 +1345,7 @@ def test_statistics_match_oracles_above_the_exhaustive_range():
                 m = random_matching(n, k, rng)
                 word = mm.to_involution(m)
                 assert mm.crossing_nesting(m) == (crossing_number_oracle(m), nesting_number_oracle(m))
-                assert mm.mdes(m).members == mm._geometric_descents(word, n - 1) == oracle_mdes(m).members
+                assert mm.mdes(m).members == oracle_geometric_descents(word, n - 1) == oracle_mdes(m).members
                 assert mm.cmdes(m).members == oracle_cmdes(m).members
 
 
@@ -1399,8 +1439,8 @@ def test_q_roundtrip_large(word):
 @given(sampled_words())
 def test_iota_hat_transports_mdes_and_cr_large(word):
     image = bj.iota_hat(word)
-    assert perm._descents(image) == mm._geometric_descents(word, len(word) - 1)
-    assert mm._cr_ne(image)[1] == mm._cr_ne(word)[0]
+    assert perm._descents(image) == oracle_geometric_descents(word, len(word) - 1)
+    assert oracle_cr_ne(image)[1] == oracle_cr_ne(word)[0]
 
 
 @settings(deadline=None, max_examples=25)
@@ -1410,5 +1450,5 @@ def test_cyclic_transport_large(word):
     assert cd.restrict_linear().members == perm.des(word).members
     assert cyclic.transport_involution(image)[0] == cd.shifted()
     assert len(perm.fixed_points(image)) == len(perm.fixed_points(word))
-    assert mm._cr_ne(image)[1] == mm._cr_ne(word)[1]
+    assert oracle_cr_ne(image)[1] == oracle_cr_ne(word)[1]
     assert bj.h_map_inverse(bj.h_map(word)) == word

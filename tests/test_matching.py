@@ -117,6 +117,13 @@ def test_constructor_names_the_fault(arcs, message):
         mm.Matching(4, arcs)
 
 
+def test_constructor_refuses_a_negative_n():
+    for n, arcs in ((-1, ()), (-5, ()), (-3, ((1, 2),))):
+        with pytest.raises(ValueError, match=f"^invalid n = {n}$"):
+            mm.Matching(n, arcs)
+    assert mm.Matching(0, ()).unmatched == 0
+
+
 def test_unmatched():
     assert FIG1.unmatched == 2
     assert FIG1.unmatched_points() == frozenset({2, 8})

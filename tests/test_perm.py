@@ -123,6 +123,10 @@ def test_codecs():
         perm.parse_cycles("(1,9)", 3)
     with pytest.raises(perm.ParseError):
         perm.parse_cycles("(1,2", 3)
+    for text in ("", "()"):
+        with pytest.raises(perm.ParseError, match="^invalid n = -2$"):
+            perm.parse_cycles(text, -2)
+    assert perm.parse_cycles("()", 0) == ()
     assert perm.format_cycles((6, 2, 4, 3, 7, 1, 5, 8)) == "(1,6)(3,4)(5,7)"
     assert perm.parse_one_line("[6,2,4,3,7,1,5,8]") == (6, 2, 4, 3, 7, 1, 5, 8)
     with pytest.raises(perm.ParseError):
