@@ -266,7 +266,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
             raise InternalError(f"orbits {json.dumps(params)}") from exc
         for orbit_id, orbit in enumerate(table):
             for w in orbit:
-                push([orbit_id, len(orbit), perm.format_cycles(w), perm.format_set(cdes[w])])
+                push([orbit_id, len(orbit), perm.format_cycles(w), _mask_str(cdes[w])])
     return 0
 
 

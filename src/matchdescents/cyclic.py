@@ -8,7 +8,8 @@ the matchings with cr = j, one ι̂ (or H) per element and no inverse.  The
 walk's table holds P(ι(core)) for each fixed-point-free core, so Chen's ι
 and the core's insertion run once per core, and each element inserts only
 its fixed points.  The cMDes and Des of each word are bit masks from the
-same ``_stat_counts`` search that splits M_{n,k} by cr and ne.
+same ``_stat_counts`` search that splits M_{n,k} by cr and ne, and
+``_report`` checks the axioms on those masks.
 ``transport_involution``, which ``map p`` runs, and ``transport_syt``
 carry one object at a time, through ι̂⁻¹ (H⁻¹) and then ι̂ (H).
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Hashable, Iterable
 
-from . import bijection, matching as matching_mod, perm, tableau
+from . import bijection, matching as matching_mod, tableau
 from .perm import DescentSet, Word
 from .tableau import StandardTableau
 
@@ -76,13 +77,16 @@ class CdesReport:
 
 
 def _report(set_id: str, n: int, des: dict, cdes: dict, p: dict) -> CdesReport:
-    """The axioms and orbits for the members of Des and cDes and the map p
-    of each element of ``des``, in its order."""
-    witnesses = [x for x in des if not cdes[x] or len(cdes[x]) == n]  # a cyclic descent set lies in [n]
+    """The axioms and orbits for the Des and cDes masks (bit i for position
+    i) and the map p of each element of ``des``, in its order."""
+    top = 1 << n
+    full = 2 * top - 2  # [n], bits 1..n
+    witnesses = [x for x in des if cdes[x] in (0, full)]
     return CdesReport(
         set_id=set_id,
-        extension_ok=all(cdes[x] - {n} == members for x, members in des.items()),
-        equivariance_ok=all(cdes[p[x]] == {i % n + 1 for i in members} for x, members in cdes.items()),
+        extension_ok=all(cdes[x] & ~top == d for x, d in des.items()),
+        # i -> i + 1, and n -> 1
+        equivariance_ok=all(cdes[p[x]] == (c << 1 & full) | (c >> n & 1) << 1 for x, c in cdes.items()),
         non_escher_ok=not witnesses,
         escher_witnesses=witnesses,
         orbit_sizes=[len(orbit) for orbit in orbits(list(des), p.__getitem__)],
@@ -128,16 +132,16 @@ def _check_class(n: int, k: int, j: int, classes: tuple[dict, dict], syt: bool =
     """The report on I_{n,k,j} (SYT_{n,k,j} when syt) from the class cr = j
     of ``_cr_ne_classes(n, k)``: cDes(ι̂ m) = cMDes(m), p(ι̂ m) = ι̂(rot m)."""
     if syt:
-        # each tableau's rows, the walk's key, and Des from the kernel, in its order
+        # each tableau's rows, the walk's key, and its Des mask from the kernel, in its order
         des = {
-            tuple(map(tuple, rows)): perm._members(d)
+            tuple(map(tuple, rows)): d
             for shape in tableau._syt_shapes(n, k, j)
             for rows, d, _ in tableau._syt_des(shape)
         }
         report = _report(f"SYT_{{{n},{k},{j}}}", n, des, *_walk(classes[0][j], _h_key, des.keys()))
         report.escher_witnesses = list(map(tableau._tableau, report.escher_witnesses))
         return report
-    des = {x: perm._members(mask) for x, mask in classes[1][j].items()}
+    des = classes[1][j]
     return _report(f"I_{{{n},{k},{j}}}", n, des, *_walk(classes[0][j], bijection._iota_hat, des.keys()))
 
 
@@ -147,7 +151,7 @@ def _h_key(word: Word, table: dict) -> tuple[tuple[int, ...], ...]:
 
 
 def _walk(preimages: dict[Word, int], image_of: Callable, ground: AbstractSet) -> tuple[dict, dict]:
-    """The members of cDes and the map p of each element of ``ground``, read
+    """The cDes mask and the map p of each element of ``ground``, read
     forward from the matchings, each with its cMDes mask, that ``image_of``
     (ι̂ or H) maps onto it: cDes(ι̂ m) = cMDes(m) and p(ι̂ m) = ι̂(rot m).  A
     class is every choice of fixed points times a few fixed-point-free
@@ -164,5 +168,5 @@ def _walk(preimages: dict[Word, int], image_of: Callable, ground: AbstractSet) -
         r = matching_mod._rotate(m)
         if r not in image:
             raise ValueError("rotation leaves the crossing class: p is not a bijection of the ground set")
-        cdes[x], p[x] = perm._members(mask), image[r]
+        cdes[x], p[x] = mask, image[r]
     return cdes, p

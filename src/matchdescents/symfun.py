@@ -21,9 +21,10 @@ from . import cyclic, matching as matching_mod, oscillating, perm, tableau
 from .perm import Placements, Word
 from .tableau import Shape
 
-# Counters built only by counting hold positive counts, so two of them are
-# the same multiset exactly when they are equal as dicts; dict equality runs
-# in C, while Counter.__eq__ is a Python-level generator.
+# Both sides of a comparison are built only by counting, so they hold
+# positive counts, and two of them are the same multiset exactly when they
+# are equal as dicts; dict equality runs in C, while Counter.__eq__ is a
+# Python-level generator.
 _same_multiset = dict.__eq__
 
 
@@ -58,9 +59,9 @@ class VerifyResult:
     extra: dict = field(default_factory=dict)  # further report fields
 
 
-def _compared(identity: str, params: dict, lhs: Counter, rhs: Counter, counts: dict) -> VerifyResult:
+def _compared(identity: str, params: dict, lhs: dict, rhs: dict, counts: dict) -> VerifyResult:
     ok = _same_multiset(lhs, rhs)
-    return VerifyResult(identity, params, ok, [] if ok else multiset_diff(lhs, rhs), counts)
+    return VerifyResult(identity, params, ok, [] if ok else _witness_diff(identity, lhs, rhs), counts)
 
 
 def schur_descent_multiset(shape: Shape) -> Counter:
@@ -72,50 +73,81 @@ def schur_descent_multiset(shape: Shape) -> Counter:
 
 
 # ---------------------------------------------------------------------------
-# The matching and tableau identities count the descent masks of
-# ``matching._stat_counts`` and ``tableau._shape_des_counts``, and read the
-# masks as sets once, at the end, for the comparison and the witness,
-# through the cache of ``perm._members``, which holds at most 2^(n-1) sets
-# for the largest n checked.
+# The matching and tableau identities count the descent masks (bit i for
+# position i) of ``matching._stat_counts`` and ``tableau._shape_des_counts``
+# in plain dicts, keyed by tuples that hold the masks, and compare those
+# dicts.  The masks are read as sets, through the cache of ``perm._members``,
+# only where someone reads them: in a failed comparison's witness and in the
+# public multisets ``lhs_main0`` and ``rhs_main0``.
 
-def _mask_last(counts: Counter) -> Counter:
+def _mask_last(counts: dict) -> Counter:
     """``counts``, keyed by tuples, with the descent mask that ends each key
     read as its set."""
     return Counter({(*key, perm._members(mask)): c for (*key, mask), c in counts.items()})
 
 
+def _witness_diff(identity: str, lhs: dict, rhs: dict) -> list:
+    """``multiset_diff`` of the two sides of a failed comparison, with the
+    descent masks read as sets: the first two entries of a main1 key and
+    the last entry of a main0, main11 or main111 key.  Gessel's keys are
+    sets already."""
+    if identity == "gessel":
+        return multiset_diff(lhs, rhs)
+    if identity == "main1":
+
+        def read(counts):
+            return Counter({(perm._members(g), perm._members(d), *rest): c for (g, d, *rest), c in counts.items()})
+
+    else:
+        read = _mask_last
+    return multiset_diff(read(lhs), read(rhs))
+
+
 # ---------------------------------------------------------------------------
 # The Schur-positivity identity over all matchings on n points
 
-def lhs_main0(n: int) -> Counter:
-    """The multiset of (um, cr, MDes), one term per matching on n points."""
-    terms: Counter = Counter()
+def _lhs_main0_masks(n: int) -> dict:
+    """{(um, cr, MDes mask): number of matchings on n points}."""
+    terms: dict = {}
+    get = terms.get
 
     def class_fold(k):
         def fold(cr, ne, mdes, des):
-            terms[k, cr, mdes] += 1
+            key = k, cr, mdes
+            terms[key] = get(key, 0) + 1
 
         return fold
 
     matching_mod._stat_counts(n, None, class_fold)
-    return _mask_last(terms)
+    return terms
+
+
+def _rhs_main0_masks(n: int) -> dict:
+    """{(odd columns, floor(height/2), Des mask): number of SYT of size n}."""
+    terms: dict = {}
+    for shape, masks in tableau._shape_des_counts(n).items():
+        a = tableau.odd_cols(shape)
+        b = tableau.height(shape) // 2
+        for d, c in masks.items():
+            key = a, b, d
+            terms[key] = terms.get(key, 0) + c
+    return terms
+
+
+def lhs_main0(n: int) -> Counter:
+    """The multiset of (um, cr, MDes), one term per matching on n points."""
+    return _mask_last(_lhs_main0_masks(n))
 
 
 def rhs_main0(n: int) -> Counter:
     """The multiset of (odd columns, floor(height/2), Des(T)), one term per
     SYT of size n."""
-    terms: Counter = Counter()
-    for shape, masks in tableau._shape_des_counts(n).items():
-        a = tableau.odd_cols(shape)
-        b = tableau.height(shape) // 2
-        for d, c in masks.items():
-            terms[a, b, d] += c
-    return _mask_last(terms)
+    return _mask_last(_rhs_main0_masks(n))
 
 
 def verify_main0(n: int) -> VerifyResult:
-    lhs, rhs = lhs_main0(n), rhs_main0(n)
-    return _compared("main0", {"n": n}, lhs, rhs, {"lhs": lhs.total(), "rhs": rhs.total()})
+    lhs, rhs = _lhs_main0_masks(n), _rhs_main0_masks(n)
+    return _compared("main0", {"n": n}, lhs, rhs, {"lhs": sum(lhs.values()), "rhs": sum(rhs.values())})
 
 
 # ---------------------------------------------------------------------------
@@ -125,58 +157,62 @@ def verify_lemma_main1(n2: int) -> VerifyResult:
     """(MDes, Des, cr, ne) and (Des, MDes, ne, cr) have one distribution;
     projecting both onto their first two entries gives the symmetry of
     (Des, MDes).  An odd n2 raises ValueError from the enumerator."""
-    refined: Counter = Counter()
+    refined: dict = {}
+    get = refined.get
 
     def fold(cr, ne, mdes, des):
-        refined[mdes, des, cr, ne] += 1
+        key = mdes, des, cr, ne
+        refined[key] = get(key, 0) + 1
 
     matching_mod._stat_counts(n2, 0, fold)
-    refined = Counter({(perm._members(g), perm._members(d), cr, ne): c for (g, d, cr, ne), c in refined.items()})
-    swapped = Counter({(d, g, ne, cr): c for (g, d, cr, ne), c in refined.items()})
-    return _compared("main1", {"n": n2}, refined, swapped, {"matchings": refined.total()})
+    swapped = {(d, g, ne, cr): c for (g, d, cr, ne), c in refined.items()}
+    return _compared("main1", {"n": n2}, refined, swapped, {"matchings": sum(refined.values())})
 
 
 # ---------------------------------------------------------------------------
 # Equidistribution of (cr, MDes) with (ne, Des) over M_{n,k}, and the
 # two-variable multiset refinement
 
-def _cr_ne_counts(n: int, k: int | None, refined: bool = True) -> Iterator[tuple[int, Counter, Counter]]:
+def _cr_ne_counts(n: int, k: int | None, refined: bool = True) -> Iterator[tuple[int, dict, dict]]:
     """
     (k, lhs, rhs) per class M_{n,k}, for class k, or for every class in k
-    order from one search when k is None: lhs and rhs are the multisets of
-    (cr, ne, MDes) and of (ne, cr, Des), or of (cr, MDes) and of (ne, Des)
-    when not ``refined``.  Each class reads its masks as sets only when its
-    turn comes, and drops its mask counts then.
+    order from one search when k is None: lhs and rhs count (cr, ne, MDes
+    mask) and (ne, cr, Des mask), or (cr, MDes mask) and (ne, Des mask)
+    when not ``refined``.
     """
-    classes = {kk: (Counter(), Counter()) for kk in (range(n % 2, n + 1, 2) if k is None else [k])}
+    classes = {kk: ({}, {}) for kk in (range(n % 2, n + 1, 2) if k is None else [k])}
 
     def class_fold(kk):
         lhs, rhs = classes[kk]
+        lhs_get, rhs_get = lhs.get, rhs.get
         if refined:
 
             def fold(cr, ne, mdes, des):
-                lhs[cr, ne, mdes] += 1
-                rhs[ne, cr, des] += 1
+                key = cr, ne, mdes
+                lhs[key] = lhs_get(key, 0) + 1
+                key = ne, cr, des
+                rhs[key] = rhs_get(key, 0) + 1
 
         else:
 
             def fold(cr, ne, mdes, des):
-                lhs[cr, mdes] += 1
-                rhs[ne, des] += 1
+                key = cr, mdes
+                lhs[key] = lhs_get(key, 0) + 1
+                key = ne, des
+                rhs[key] = rhs_get(key, 0) + 1
 
         return fold
 
     matching_mod._stat_counts(n, k, class_fold if k is None else class_fold(k))
-    for kk in list(classes):
-        lhs, rhs = classes.pop(kk)
-        yield kk, _mask_last(lhs), _mask_last(rhs)
+    for kk, (lhs, rhs) in classes.items():
+        yield kk, lhs, rhs
 
 
 def _main11_results(name: str, n: int, k: int | None) -> Iterator[VerifyResult]:
     """The results of identity main11 (main111 when ``name`` is main111)
     on class k, or on every class in k order when k is None."""
     for kk, lhs, rhs in _cr_ne_counts(n, k, refined=name == "main111"):
-        yield _compared(name, {"n": n, "k": kk}, lhs, rhs, {"matchings": lhs.total()})
+        yield _compared(name, {"n": n, "k": kk}, lhs, rhs, {"matchings": sum(lhs.values())})
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +349,7 @@ def _sundaram_roundtrip_holds(w: Word, *stats: int) -> bool:
 
 def _kim_holds(w: Word, cr: int, ne: int, mdes: int, des: int) -> bool:
     """Kim's descent set of the oscillating tableau is Des of the involution."""
-    return oscillating.kim_des(oscillating.sundaram(w)).members == perm._members(des)
+    return sum(1 << i for i in oscillating.kim_des(oscillating.sundaram(w)).members) == des
 
 
 def _roby_holds(w: Word, *stats: int) -> bool:

@@ -11,11 +11,14 @@ jeu-de-taquin wrappers, the per-element cDes verifier, the per-word
 nesting filter, the per-pair Gessel check and a few enumerators and
 codecs that no command uses.  Each still calls the package's kernels
 (``tableau._insert``, ``_slide_out``, ``_slide_in``, ``cyclic._check_class``,
-``_report``, ``bijection._phi_inverse``, ``_q_map_inverse``,
-``tableau._syt_shapes``, ``symfun._class_words``), so a test against one
-of them exercises the same code as before.  ι̂ and H by composition, RS
-of the word φ(w) itself, are the oracle for the kernel that reads H as
-P(φ(w)⁻¹).  ``oracle_enumerate_matchings``, a recursion through the
+``bijection._phi_inverse``, ``_q_map_inverse``, ``tableau._syt_shapes``,
+``symfun._class_words``), so a test against one of them exercises the
+same code as before.  The package compares descent sets as bit masks
+(``mask_of``); ``oracle_report``, ``oracle_class_sides`` and
+``oracle_main0_sides`` are its earlier set-keyed cyclic axioms and
+multisets, the reference for the mask comparisons and for the witnesses
+that a failing check prints.  ι̂ and H by composition, RS of the word
+φ(w) itself, are the oracle for the kernel that reads H as P(φ(w)⁻¹).  ``oracle_enumerate_matchings``, a recursion through the
 checked ``Matching`` constructor, is the reference for
 ``matching._stat_counts``, the package's one enumerator of matchings.
 """
@@ -27,9 +30,9 @@ import random
 from collections import Counter
 from typing import Callable, Iterable, Iterator
 
-from matchdescents import perm
+from matchdescents import perm, tableau
 from matchdescents.bijection import ShuffleElement, _involution, _phi, _phi_inverse, _q_map, _q_map_inverse
-from matchdescents.cyclic import CdesReport, _check_class, _cr_ne_classes, _report
+from matchdescents.cyclic import CdesReport, _check_class, _cr_ne_classes, orbits
 from matchdescents.matching import Matching, _check_nkj, _longest_increasing, _matching, to_involution
 from matchdescents.oscillating import OscillatingTableau
 from matchdescents.perm import Placements, Word
@@ -83,6 +86,11 @@ def _subset_oracle(m, related):
 
 # ---------------------------------------------------------------------------
 # perm
+
+def mask_of(members: Iterable[int]) -> int:
+    """The mask of a set of positions: bit i for position i."""
+    return sum(1 << i for i in members)
+
 
 def compose(a: Word, b: Word) -> Word:
     """The permutation a∘b, mapping i to a(b(i))."""
@@ -350,7 +358,21 @@ def verify_cdes(ground_set: Iterable, des_fn: Callable, transport: Callable, set
         raise ValueError("p is not a bijection of the ground set")
     n = transported[elements[0]][0].n if elements else 0
     cdes = {x: cd.members for x, (cd, _) in transported.items()}
-    return _report(set_id, n, {x: des_fn(x).members for x in elements}, cdes, p)
+    return oracle_report(set_id, n, {x: des_fn(x).members for x in elements}, cdes, p)
+
+
+def oracle_report(set_id: str, n: int, des: dict, cdes: dict, p: dict) -> CdesReport:
+    """``cyclic._report`` on the members of Des and cDes, as sets, of each
+    element of ``des``, in its order."""
+    witnesses = [x for x in des if not cdes[x] or len(cdes[x]) == n]  # a cyclic descent set lies in [n]
+    return CdesReport(
+        set_id=set_id,
+        extension_ok=all(cdes[x] - {n} == members for x, members in des.items()),
+        equivariance_ok=all(cdes[p[x]] == {i % n + 1 for i in members} for x, members in cdes.items()),
+        non_escher_ok=not witnesses,
+        escher_witnesses=witnesses,
+        orbit_sizes=[len(orbit) for orbit in orbits(list(des), p.__getitem__)],
+    )
 
 
 def verify_cdes_involutions(n: int, k: int, j: int) -> CdesReport:
@@ -365,6 +387,35 @@ def verify_cdes_syt(n: int, k: int, j: int) -> CdesReport:
 
 # ---------------------------------------------------------------------------
 # symfun
+
+def per_word_stats(n: int, k: int) -> Iterator[tuple[int, int, frozenset[int], frozenset[int]]]:
+    """(cr, ne, MDes, Des) of each matching of M_{n,k}, one sweep per word,
+    in increasing order of words."""
+    return ((*oracle_cr_ne(w), oracle_geometric_descents(w, n - 1), perm._descents(w)) for w in oracle_words(n, k))
+
+
+def oracle_class_sides(identity: str, stats: Iterable[tuple]) -> tuple[Counter, Counter]:
+    """The multisets, keyed by sets, that main1, main11 or main111 compares
+    on one class, from the (cr, ne, MDes, Des) of each of its matchings."""
+    stats = list(stats)
+    if identity == "main1":
+        lhs = Counter((g, d, cr, ne) for cr, ne, g, d in stats)
+        return lhs, Counter({(d, g, ne, cr): c for (g, d, cr, ne), c in lhs.items()})
+    if identity == "main111":
+        return Counter((cr, ne, g) for cr, ne, g, _ in stats), Counter((ne, cr, d) for cr, ne, _, d in stats)
+    return Counter((cr, g) for cr, _, g, _ in stats), Counter((ne, d) for _, ne, _, d in stats)
+
+
+def oracle_main0_sides(n: int, stats: dict[int, Iterable[tuple]]) -> tuple[Counter, Counter]:
+    """The multisets, keyed by sets, that main0 compares: (um, cr, MDes) from
+    the (cr, ne, MDes, Des) of each matching of each class k in ``stats``,
+    and (odd columns, floor(height/2), Des) of every SYT of size n."""
+    lhs = Counter((k, cr, g) for k, class_stats in stats.items() for cr, _, g, _ in class_stats)
+    rhs = Counter(
+        (tableau.odd_cols(t.shape), tableau.height(t.shape) // 2, tableau.des(t).members) for t in enumerate_syt_n(n)
+    )
+    return lhs, rhs
+
 
 def _des_counts(pi: Word, sigma_word: tuple[int, ...], kernel: Placements) -> tuple[Counter, Counter]:
     """The Des multisets, keyed by indicator tuples, of the split class

@@ -13,7 +13,17 @@ from matchdescents import cli, cyclic, perm, symfun, tableau
 from matchdescents import matching as mm
 from matchdescents import oscillating as osc
 
-from oracles import _inkj_words, enumerate_syt_n, enumerate_syt_nkj
+from oracles import (
+    _inkj_words,
+    enumerate_syt_n,
+    enumerate_syt_nkj,
+    oracle_class_sides,
+    oracle_cr_ne,
+    oracle_main0_sides,
+    oracle_words,
+    per_word_stats,
+    verify_cdes,
+)
 
 
 def run(capsys, *argv):
@@ -714,6 +724,86 @@ def test_every_registry_identity_passes_refuses_and_fails(capsys, monkeypatch, n
     assert report["ok"] is False
     assert report["witness_diff"]
     assert report["failing"]
+
+
+def _first_mdes_flipped(n, k, fold, *rest):
+    """The matching-statistics kernel with bit 1 of the first MDes mask of
+    each class flipped: one matching counted under a wrong key."""
+
+    def flip_first(class_fold):
+        first = [True]
+
+        def flipped(cr, ne, mdes, des):
+            if first:
+                first.clear()
+                mdes ^= 2
+            class_fold(cr, ne, mdes, des)
+
+        return flipped
+
+    _stat_counts(n, k, flip_first(fold) if k is not None else lambda kk: flip_first(fold(kk)), *rest)
+
+
+def _as_printed(value):
+    """``value`` as the JSON report prints it: sets as sorted lists."""
+    return json.loads(json.dumps(value, default=cli._json_default))
+
+
+def _set_keyed_failure(identity, n):
+    """The failing class and the witness of ``verify identity --n n`` under
+    ``_first_mdes_flipped``, from the set-keyed multisets of the oracles."""
+    stats = {}
+    for k in [0] if identity == "main1" else range(n % 2, n + 1, 2):
+        (cr, ne, g, d), *rest = per_word_stats(n, k)  # words in increasing order, as the kernel folds them
+        stats[k] = [(cr, ne, g ^ {1}, d), *rest]
+    if identity == "main0":
+        return {"n": n}, symfun.multiset_diff(*oracle_main0_sides(n, stats))
+    for k, class_stats in stats.items():
+        lhs, rhs = oracle_class_sides(identity, class_stats)
+        if lhs != rhs:
+            return ({"n": n} if identity == "main1" else {"n": n, "k": k}), symfun.multiset_diff(lhs, rhs)
+    raise AssertionError("the stand-in leaves every class passing")
+
+
+@pytest.mark.parametrize(
+    "identity,n",
+    [(i, n) for i in ("main0", "main1", "main11", "main111") for n in (4, 6, 7) if i != "main1" or n % 2 == 0],
+)
+def test_a_failing_multiset_report_names_the_set_keyed_witness(capsys, monkeypatch, identity, n):
+    # the masks are read as sets only for the witness, which lists them as
+    # the set-keyed multisets do, in the same order
+    failing, diff = _set_keyed_failure(identity, n)
+    monkeypatch.setattr(mm, "_stat_counts", _first_mdes_flipped)
+    code, out, _ = run(capsys, "verify", identity, "--n", str(n))
+    report = json.loads(out)
+    assert code == 1 and report["ok"] is False
+    assert report["failing"] == failing
+    assert diff and report["witness_diff"] == _as_printed(diff)
+
+
+@pytest.mark.parametrize("identity", ["cdes", "cdes-syt"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_a_failing_cdes_report_matches_the_set_keyed_report(capsys, monkeypatch, identity, n):
+    # bit 1 of one matching's cMDes mask flipped: its class fails, and its
+    # report is the one that the per-element verifier gives on sets
+    k = n % 2
+    words = list(oracle_words(n, k))
+    target = words[len(words) // 2]
+    j = oracle_cr_ne(target)[0]  # ι̂ carries the matchings with cr = j onto the class ne = j
+    cmdes_mask = mm._cmdes_mask
+    monkeypatch.setattr(
+        mm, "_cmdes_mask", lambda p, n, mdes: cmdes_mask(p, n, mdes) ^ (2 if tuple(p[1 : n + 1]) == target else 0)
+    )
+    if identity == "cdes":
+        expected = verify_cdes(_inkj_words(n, k, j), perm.des, cyclic.transport_involution, f"I_{{{n},{k},{j}}}")
+    else:
+        expected = verify_cdes(enumerate_syt_nkj(n, k, j), tableau.des, cyclic.transport_syt, f"SYT_{{{n},{k},{j}}}")
+    assert not expected.extension_ok
+    code, out, _ = run(capsys, "verify", identity, "--n", str(n))
+    report = json.loads(out)
+    assert code == 1
+    assert report["failing"] == {"n": n, "k": k, "j": j}
+    assert report["witness_diff"] == _as_printed([{"set": expected.set_id, "report": expected.to_dict()}])
 
 
 @pytest.mark.parametrize("identity", ["cdes", "cdes-syt"])

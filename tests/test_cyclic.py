@@ -1,9 +1,10 @@
+import itertools
 import json
 
 import pytest
 
 from matchdescents import bijection as bj
-from matchdescents import cyclic
+from matchdescents import cli, cyclic
 from matchdescents import matching as mm
 from matchdescents import perm, tableau
 
@@ -11,6 +12,8 @@ from oracles import (
     enumerate_inkj,
     enumerate_syt_n,
     enumerate_syt_nkj,
+    mask_of,
+    oracle_report,
     verify_cdes,
     verify_cdes_involutions,
     verify_cdes_syt,
@@ -97,14 +100,72 @@ S4_TRANSPOSITIONS_P = {
 
 def test_s4_transpositions_fixture():
     words = list(S4_TRANSPOSITIONS_CDES)
-    report = verify_cdes(
+    des = {w: mask_of(perm.des(w).members) for w in words}
+    cdes = {w: mask_of(S4_TRANSPOSITIONS_CDES[w]) for w in words}
+    report = cyclic._report("S4-transpositions", 4, des, cdes, S4_TRANSPOSITIONS_P)
+    assert report.all_axioms_ok
+    assert sorted(report.orbit_sizes) == [2, 4]
+    assert report == verify_cdes(
         words,
         perm.des,
         lambda w: (perm.DescentSet(4, S4_TRANSPOSITIONS_CDES[w], cyclic=True), S4_TRANSPOSITIONS_P[w]),
         set_id="S4-transpositions",
     )
-    assert report.all_axioms_ok
-    assert sorted(report.orbit_sizes) == [2, 4]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_report_wraps_bit_n_to_bit_1(n):
+    # one orbit of n elements, element i with cDes {i}: p sends {n} to {1}
+    cdes = {i: 1 << i for i in range(1, n + 1)}
+    p = {i: i % n + 1 for i in cdes}
+    des = {i: c & ~(1 << n) for i, c in cdes.items()}
+    report = cyclic._report("wrap", n, des, cdes, p)
+    assert report.extension_ok and report.equivariance_ok
+    assert report.orbit_sizes == [n]
+    for wrong in (1, 1 << n + 1):  # {n} sent to position 0 or n + 1
+        assert not cyclic._report("wrap", n, des, {**cdes, 1: wrong}, p).equivariance_ok
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_report_extension_clears_bit_n(n):
+    for c in range(0, 1 << n + 1, 2):  # every subset of [n]
+        d = c & ~(1 << n)
+        assert cyclic._report("ext", n, {0: d}, {0: c}, {0: 0}).extension_ok
+        assert cyclic._report("ext", n, {0: c}, {0: c}, {0: 0}).extension_ok == (d == c)
+        for i in range(1, n):  # a Des that differs below n
+            assert not cyclic._report("ext", n, {0: d ^ 1 << i}, {0: c}, {0: 0}).extension_ok
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_report_escher_masks(n):
+    # the empty set and [n] are the Escher witnesses, and nothing else
+    full = (1 << n + 1) - 2
+    cdes = {c: c for c in range(0, full + 1, 2)}
+    report = cyclic._report("escher", n, {c: c & ~(1 << n) for c in cdes}, cdes, {c: c for c in cdes})
+    assert report.escher_witnesses == [0, full]
+    assert not report.non_escher_ok
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_report_on_masks_matches_the_set_rules(n):
+    # every pair of cyclic descent sets a, b on two elements swapped by p,
+    # the second with n left in its Des: the mask axioms against the set rules
+    subsets = [frozenset(s) for r in range(n + 1) for s in itertools.combinations(range(1, n + 1), r)]
+    p = {0: 1, 1: 0}
+    for a in subsets:
+        for b in subsets:
+            des, cdes = {0: a - {n}, 1: b}, {0: a, 1: b}
+            masks = ({x: mask_of(s) for x, s in des.items()}, {x: mask_of(s) for x, s in cdes.items()})
+            assert cyclic._report("pair", n, *masks, p) == oracle_report("pair", n, des, cdes, p)
+
+
+def test_a_backward_rotation_fails_equivariance(capsys, monkeypatch):
+    # rotation turned the other way keeps cr, so the walk runs, but cDes
+    # shifts by -1 along p
+    monkeypatch.setattr(mm, "_rotate", lambda word: tuple((v - 2) % len(word) + 1 for v in word[1:] + word[:1]))
+    assert cli.main(["verify", "cdes", "--n", "6"]) == 1
+    (witness,) = json.loads(capsys.readouterr().out)["witness_diff"]
+    assert witness["report"]["axioms"]["equivariance"] is False
 
 
 def test_report_json():

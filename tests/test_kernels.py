@@ -44,10 +44,12 @@ from oracles import (
     hook_length_count,
     iota_hat_by_composition,
     jdt_delete,
+    mask_of,
     nesting_number_oracle,
     oracle_cr_ne,
     oracle_geometric_descents,
     oracle_words,
+    per_word_stats,
     phi_inverse,
     q_map_inverse,
     random_matching,
@@ -742,37 +744,37 @@ def test_cr_ne_classes_match_per_word_split(n):
         assert tuple({j: list(words) for j, words in classes.items()} for classes in split) == (by_cr, by_ne)
 
 
-def _per_word_stats(n, k):
-    """(cr, ne, MDes, Des) of each matching of M_{n,k}, one sweep per word."""
-    return ((*oracle_cr_ne(w), oracle_geometric_descents(w, n - 1), perm._descents(w)) for w in oracle_words(n, k))
-
-
 @pytest.mark.parametrize("n", [*range(11), *(pytest.param(n, marks=pytest.mark.slow) for n in (11, 12))])
 def test_stat_counts_match_per_word_path(n):
     # n <= 10: all 13,232 matchings, in increasing order of words; n = 11, 12 add 35,696 + 140,152
     for k in range(n % 2, n + 1, 2):
         folded = []
         mm._stat_counts(n, k, lambda *stats: folded.append(stats))
-        per_word = _per_word_stats(n, k)
-        assert folded == [(cr, ne, sum(1 << i for i in g), sum(1 << i for i in d)) for cr, ne, g, d in per_word]
+        per_word = per_word_stats(n, k)
+        assert folded == [(cr, ne, mask_of(g), mask_of(d)) for cr, ne, g, d in per_word]
         assert len(folded) == mm.count_matchings(n, k)
 
 
-@pytest.mark.parametrize("n", range(10))
+@pytest.mark.parametrize("n", [*range(11), pytest.param(11, marks=pytest.mark.slow)])
 def test_kernel_counters_match_per_word_path(n):
-    main0 = Counter()
+    # the mask counts that main11, main111 and main0 compare, against the
+    # masks of the per-word sets; the public main0 multiset against the sets
+    main0, main0_sets = Counter(), Counter()
     refined = list(symfun._cr_ne_counts(n, None))
     coarse = list(symfun._cr_ne_counts(n, None, refined=False))
     assert [k for k, _, _ in refined] == [k for k, _, _ in coarse] == list(range(n % 2, n + 1, 2))
     for (k, lhs, rhs), (_, lhs2, rhs2) in zip(refined, coarse):
-        stats = list(_per_word_stats(n, k))
+        set_stats = list(per_word_stats(n, k))
+        stats = [(cr, ne, mask_of(g), mask_of(d)) for cr, ne, g, d in set_stats]
         assert lhs == Counter((cr, ne, g) for cr, ne, g, _ in stats)
         assert rhs == Counter((ne, cr, d) for cr, ne, _, d in stats)
         assert lhs2 == Counter((cr, g) for cr, _, g, _ in stats)
         assert rhs2 == Counter((ne, d) for _, ne, _, d in stats)
         assert list(symfun._cr_ne_counts(n, k)) == [(k, lhs, rhs)]
         main0.update((k, cr, g) for cr, _, g, _ in stats)
-    assert symfun.lhs_main0(n) == main0
+        main0_sets.update((k, cr, g) for cr, _, g, _ in set_stats)
+    assert symfun._lhs_main0_masks(n) == main0
+    assert symfun.lhs_main0(n) == main0_sets
 
 
 @pytest.mark.parametrize("n", [*range(11), *(pytest.param(n, marks=pytest.mark.slow) for n in (11, 12))])
@@ -883,6 +885,21 @@ def test_lis_and_lds_are_read_only_inside_the_search():
                 if name == "_longest_increasing":
                     readers.add((path.name, getattr(top, "name", None)))
     assert readers == {("matching.py", "_search")}
+
+
+def test_descent_sets_are_read_only_for_witnesses_and_public_multisets():
+    # symfun and cyclic compare descent masks; a mask becomes a set only in a
+    # failed comparison's witness and in the public frozenset-keyed multisets
+    readers = set()
+    for module in (symfun, cyclic):
+        path = Path(module.__file__)
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name in ("_members", "_mask_last"):
+                    readers.add((path.name, getattr(top, "name", None)))
+    public = ("lhs_main0", "rhs_main0", "schur_descent_multiset")
+    assert readers == {("symfun.py", name) for name in ("_mask_last", "_witness_diff", *public)}
 
 
 @pytest.mark.parametrize("n", range(11))
