@@ -25,6 +25,8 @@ from . import bijection, cyclic, matching as matching_mod, oscillating, perm, sy
 MAX_N_WITHOUT_FORCE = 12
 MAX_GESSEL_TOTAL_WITHOUT_FORCE = 9  # 52,328 pairs; 444,012 at 10
 MAX_OBJECT_N = 10_000  # the --n of stats and map: one object, under a second at this size
+# the integer flags of verify: those of every registry entry, in first-seen order
+_VERIFY_FLAGS = tuple(dict.fromkeys(flag for entry in symfun.REGISTRY.values() for flag in entry.flags))
 
 class UsageError(Exception):
     pass
@@ -38,7 +40,9 @@ def _parse_involution(text: str, n: int | None) -> tuple[tuple[int, ...], str]:
     """Accept cycles, one-line or matching codec; return (word, codec)."""
     text = text.strip()
     if text.startswith("["):
-        return perm.parse_one_line(text), "one-line"
+        word = perm.parse_one_line(text)
+        _refuse_other_n(n, len(word), "the length of the word")
+        return word, "one-line"
     if text.startswith("(") or text == "":
         if n is None:
             raise UsageError("cycle notation requires --n")
@@ -46,6 +50,11 @@ def _parse_involution(text: str, n: int | None) -> tuple[tuple[int, ...], str]:
     if n is None:
         raise UsageError("matching notation requires --n")
     return matching_mod.to_involution(matching_mod.parse_matching(text, n)), "matching"
+
+
+def _refuse_other_n(n: int | None, size: int, what: str) -> None:
+    if n is not None and n != size:
+        raise UsageError(f"n={n} disagrees with {what} ({size})")
 
 
 def _format_involution(word: tuple[int, ...], codec: str) -> str:
@@ -58,14 +67,14 @@ def _format_involution(word: tuple[int, ...], codec: str) -> str:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     _refuse_over_guard("n", args.n, MAX_OBJECT_N)
-    word = None
-    if args.perm:
-        word = perm.parse_one_line(args.perm)
-    elif args.cycles is not None and args.matching is None and not args.syt:
-        if args.n is None:
+    if args.perm is not None or args.cycles is not None:  # the parser admits exactly one object
+        if args.perm is not None:
+            word = perm.parse_one_line(args.perm)
+        elif args.n is None:
             raise UsageError("--cycles requires --n")
-        word = perm.parse_cycles(args.cycles, args.n)
-    if word is not None:
+        else:
+            word = perm.parse_cycles(args.cycles, args.n)
+        _refuse_other_n(args.n, len(word), "the length of the word")
         record = {
             "object": perm.format_one_line(word),
             "n": len(word),
@@ -84,8 +93,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         m = matching_mod.parse_matching(args.matching, args.n)
         record = {"object": matching_mod.format_matching(m), "n": m.n}
         record.update(_matching_stats(m))
-    elif args.syt:
+    else:
         t = tableau.parse_tableau(args.syt)
+        _refuse_other_n(args.n, sum(t.shape), "the size of the tableau")
         record = {
             "object": tableau.format_tableau(t),
             "shape": list(t.shape),
@@ -93,8 +103,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             "odd_cols": tableau.odd_cols(t.shape),
             "Des": sorted(tableau.des(t).members),
         }
-    else:
-        raise UsageError("one of --perm, --matching, --syt, --cycles is required")
 
     if args.format == "json":
         print(json.dumps(record))
@@ -150,6 +158,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         obj, codec = oscillating.parse_oscillating(args.object), None
         if not takes_walk:
             raise UsageError(f"map {args.name} does not accept an oscillating tableau")
+        _refuse_other_n(args.n, obj.size, "the length of the oscillating tableau")
     else:
         obj, codec = _parse_involution(args.object, args.n)
     print(image(obj, codec))
@@ -195,8 +204,9 @@ def _refuse_over_guard(flag: str, value: int | None, bound: int, force: bool | N
 @functools.cache
 def _mask_str(mask: int) -> str:
     """The text of the descent set whose mask is ``mask``: bit i for position i.
-    The cache holds the texts alone, a few bytes for each mask seen."""
-    return perm.format_set([i for i in range(1, mask.bit_length()) if mask >> i & 1])
+    The cache holds the texts alone, a few bytes for each mask seen: the set
+    comes from the body of ``perm._members``, past its cache of sets."""
+    return perm.format_set(perm._members.__wrapped__(mask))
 
 
 def cmd_enum(args: argparse.Namespace) -> int:
@@ -272,7 +282,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     name = args.identity
-    params = symfun.resolve_params(name, {flag: getattr(args, flag) for flag in ("n", "k", "j", "max")})
+    params = symfun.resolve_params(name, {flag: getattr(args, flag) for flag in _VERIFY_FLAGS})
     for flag, bound in (("n", MAX_N_WITHOUT_FORCE), ("max", MAX_GESSEL_TOTAL_WITHOUT_FORCE)):
         _refuse_over_guard(flag, params.get(flag, 0), bound, args.force)
     start = time.perf_counter()
@@ -319,10 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_stats = sub.add_parser("stats", help="all statistics of one object")
-    p_stats.add_argument("--perm", help="one-line notation, e.g. [6,2,4,3,7,1,5,8]")
-    p_stats.add_argument("--matching", help="arc list, e.g. 1-6,3-4,5-7")
-    p_stats.add_argument("--syt", help="tableau codec, e.g. 1,3,5,9/2,4,6/7,8")
-    p_stats.add_argument("--cycles", help="cycle notation, e.g. (1,6)(3,4)(5,7)")
+    objects = p_stats.add_mutually_exclusive_group(required=True)
+    objects.add_argument("--perm", help="one-line notation, e.g. [6,2,4,3,7,1,5,8]")
+    objects.add_argument("--matching", help="arc list, e.g. 1-6,3-4,5-7")
+    objects.add_argument("--syt", help="tableau codec, e.g. 1,3,5,9/2,4,6/7,8")
+    objects.add_argument("--cycles", help="cycle notation, e.g. (1,6)(3,4)(5,7)")
     p_stats.add_argument("--n", type=int)
     p_stats.add_argument("--format", choices=["json", "plain"], default="plain")
     p_stats.set_defaults(func=cmd_stats)
@@ -353,10 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run one verification identity")
     p_verify.add_argument("identity", choices=list(symfun.REGISTRY))
-    p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--k", type=int)
-    p_verify.add_argument("--j", type=int)
-    p_verify.add_argument("--max", type=int)
+    for flag in _VERIFY_FLAGS:
+        p_verify.add_argument(f"--{flag}", type=int)
     p_verify.add_argument("--force", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

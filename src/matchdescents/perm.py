@@ -130,10 +130,10 @@ def cellini_cdes(word: Word) -> DescentSet:
     '{1,2,4}'
     """
     n = len(word)
-    members = {i for i in range(1, n) if word[i - 1] > word[i]}
+    members = _descents(word)
     if n >= 1 and word[n - 1] > word[0]:
-        members.add(n)
-    return _trusted(DescentSet, n=n, members=frozenset(members), cyclic=True)
+        members |= {n}
+    return _trusted(DescentSet, n=n, members=members, cyclic=True)
 
 
 def fixed_points(word: Word) -> frozenset[int]:

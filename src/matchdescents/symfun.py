@@ -11,11 +11,11 @@ sums are equal iff the multisets agree.
 from __future__ import annotations
 
 import contextlib
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import gt
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import cyclic, matching as matching_mod, oscillating, perm, tableau
 from .perm import Placements, Word
@@ -73,12 +73,13 @@ def schur_descent_multiset(shape: Shape) -> Counter:
 
 
 # ---------------------------------------------------------------------------
-# The matching and tableau identities count the descent masks (bit i for
-# position i) of ``matching._stat_counts`` and ``tableau._shape_des_counts``
-# in plain dicts, keyed by tuples that hold the masks, and compare those
-# dicts.  The masks are read as sets, through the cache of ``perm._members``,
-# only where someone reads them: in a failed comparison's witness and in the
-# public multisets ``lhs_main0`` and ``rhs_main0``.
+# The multiset identities count descent masks (bit i for position i) and
+# compare the counts as dicts: main0, main1, main11 and main111 key plain
+# dicts by tuples that hold the masks of ``matching._stat_counts`` and
+# ``tableau._shape_des_counts``, and gessel keys Counters by bare masks.  The
+# masks are read as sets, through the cache of ``perm._members``, only where
+# someone reads them: in a failed comparison's witness and in the public
+# multisets ``lhs_main0`` and ``rhs_main0``.
 
 def _mask_last(counts: dict) -> Counter:
     """``counts``, keyed by tuples, with the descent mask that ends each key
@@ -88,19 +89,19 @@ def _mask_last(counts: dict) -> Counter:
 
 def _witness_diff(identity: str, lhs: dict, rhs: dict) -> list:
     """``multiset_diff`` of the two sides of a failed comparison, with the
-    descent masks read as sets: the first two entries of a main1 key and
-    the last entry of a main0, main11 or main111 key.  Gessel's keys are
-    sets already."""
+    descent masks read as sets: a gessel key, the first two entries of a
+    main1 key and the last entry of a main0, main11 or main111 key."""
     if identity == "gessel":
-        return multiset_diff(lhs, rhs)
-    if identity == "main1":
+        read = perm._members
+    elif identity == "main1":
 
-        def read(counts):
-            return Counter({(perm._members(g), perm._members(d), *rest): c for (g, d, *rest), c in counts.items()})
+        def read(key):
+            g, d, *rest = key
+            return perm._members(g), perm._members(d), *rest
 
     else:
-        read = _mask_last
-    return multiset_diff(read(lhs), read(rhs))
+        return multiset_diff(_mask_last(lhs), _mask_last(rhs))
+    return multiset_diff(*(Counter({read(key): c for key, c in counts.items()}) for counts in (lhs, rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +222,9 @@ def _main11_results(name: str, n: int, k: int | None) -> Iterator[VerifyResult]:
 # A class word is a shuffle: for the support S it places sup∘pi on the
 # positions in S and rest∘sigma on the rest, where sup and rest list S and
 # its complement in increasing order.  Both sides therefore lay out words
-# through one table of placements per (m, n), and the verifier counts
-# descent sets as indicator tuples (True at each descent position).  Pairs
-# are checked where they enter: ``gessel_pairs`` builds only valid ones.
+# through one table of placements per (m, n), and the verifier counts their
+# descent masks, summing the bit of each descent position.  Pairs are
+# checked where they enter: ``gessel_pairs`` builds only valid ones.
 
 def _check_pair(pi: Word, sigma_word: tuple[int, ...]) -> None:
     """Raise unless pi permutes [m], sigma m+1..m+n, with no shared cycle-type part."""
@@ -255,59 +256,47 @@ def gessel_class(pi: Word, sigma_word: tuple[int, ...]) -> list[Word]:
     return _class_words(pi, sigma_word, perm.placements(len(pi), len(sigma_word)))
 
 
-def _descent_counts(words: Iterable[Word]) -> Counter:
-    """The Des multiset of the words, keyed by indicator tuples."""
-    return Counter(tuple(map(gt, w, w[1:])) for w in words)
+def _descent_counts(words: Iterable[Word], bits: Sequence[int]) -> Counter:
+    """The Des multiset of the words, keyed by masks; ``bits`` holds 1 << i
+    for each position i = 1, ..., n - 1 of words of length n."""
+    return Counter(sum(compress(bits, map(gt, w, w[1:]))) for w in words)
 
 
 def _gessel_counts(pairs: Iterable[tuple[Word, Word]]) -> Iterator[tuple[Word, Word, Counter, Counter]]:
     """
-    Each checked pair with the Des multisets, keyed by indicator tuples, of
-    its split class and of its shuffles.  The shuffles' multiset,
-    F_{Des pi} F_{Des sigma}, depends only on the block (m, n) and Des(pi +
-    sigma), which is Des pi and m + Des sigma: pi's letters lie below
-    sigma's.  It is computed once per key, in a table cleared at each block.
+    Each checked pair with the Des multisets, keyed by masks, of its split
+    class and of its shuffles.  The shuffles' multiset, F_{Des pi}
+    F_{Des sigma}, depends only on the block (m, n) and Des(pi + sigma),
+    which is Des pi and m + Des sigma: pi's letters lie below sigma's.  It
+    is computed once per key, in a table cleared at each block.
     """
     block = None
     for pi, sigma_word in pairs:
         if block != (len(pi), len(sigma_word)):
             block = (len(pi), len(sigma_word))
             kernel = perm.placements(*block)
-            shuffle_side: dict[tuple[bool, ...], Counter] = {}
-            shared: dict[tuple[bool, ...], tuple[bool, ...]] = {}
+            bits = [1 << i for i in range(1, sum(block))]  # sized to the block: compress drops what it lacks
+            shuffle_side: dict[int, Counter] = {}
         joined = (*pi, *sigma_word)
-        key = tuple(map(gt, joined, joined[1:]))
-        rhs = shuffle_side.get(key)
-        if rhs is None:
-            # one indicator tuple per Des set in the block's table, not one per entry
-            counts = _descent_counts(layout(joined) for _, layout in kernel)
-            rhs = shuffle_side[key] = Counter({shared.setdefault(d, d): c for d, c in counts.items()})
-        yield pi, sigma_word, _descent_counts(_class_words(pi, sigma_word, kernel)), rhs
+        key = sum(compress(bits, map(gt, joined, joined[1:])))
+        if key not in shuffle_side:
+            shuffle_side[key] = _descent_counts((layout(joined) for _, layout in kernel), bits)
+        yield pi, sigma_word, _descent_counts(_class_words(pi, sigma_word, kernel), bits), shuffle_side[key]
 
 
 def _gessel_result(pi: Word, sigma_word: tuple[int, ...], lhs: Counter, rhs: Counter) -> VerifyResult:
     params = {"pi": list(pi), "sigma": list(sigma_word)}
     counts = {"class": lhs.total(), "shuffles": rhs.total()}
-    return _compared("gessel", params, _member_sets(lhs), _member_sets(rhs), counts)
-
-
-def _member_sets(indicators: Counter) -> Counter:
-    """The multiset re-keyed by the descent positions of each indicator tuple."""
-    return Counter(
-        {frozenset(itertools.compress(itertools.count(1), key)): c for key, c in indicators.items()}
-    )
-
-
-def _part_mask(word: Word) -> int:
-    """The cycle lengths of a permutation as bits of an int."""
-    return sum(1 << p for p in set(perm.cycle_type(word)))
+    return _compared("gessel", params, lhs, rhs, counts)
 
 
 def gessel_pairs(max_total: int):
     """All valid (pi, sigma) pairs with disjoint interval supports,
     coprime cycle-type part sets and total size up to the bound."""
-    # each size's masks once, in enumerate_sn order
-    masks = {n: list(map(_part_mask, perm.enumerate_sn(n))) for n in range(1, max_total)}
+    # each size's cycle lengths once, as bits of an int, in enumerate_sn order
+    masks = {
+        n: [sum(1 << p for p in set(perm.cycle_type(w))) for w in perm.enumerate_sn(n)] for n in range(1, max_total)
+    }
     for total in range(2, max_total + 1):
         for m in range(1, total):
             n = total - m

@@ -14,10 +14,10 @@ codecs that no command uses.  Each still calls the package's kernels
 ``bijection._phi_inverse``, ``_q_map_inverse``, ``tableau._syt_shapes``,
 ``symfun._class_words``), so a test against one of them exercises the
 same code as before.  The package compares descent sets as bit masks
-(``mask_of``); ``oracle_report``, ``oracle_class_sides`` and
-``oracle_main0_sides`` are its earlier set-keyed cyclic axioms and
-multisets, the reference for the mask comparisons and for the witnesses
-that a failing check prints.  ι̂ and H by composition, RS of the word
+(``mask_of``, read back as sets by ``member_sets``); ``oracle_report``,
+``oracle_class_sides`` and ``oracle_main0_sides`` are its earlier
+set-keyed cyclic axioms and multisets, the reference for the mask
+comparisons and for the witnesses that a failing check prints.  ι̂ and H by composition, RS of the word
 φ(w) itself, are the oracle for the kernel that reads H as P(φ(w)⁻¹).  ``oracle_enumerate_matchings``, a recursion through the
 checked ``Matching`` constructor, is the reference for
 ``matching._stat_counts``, the package's one enumerator of matchings.
@@ -90,6 +90,11 @@ def _subset_oracle(m, related):
 def mask_of(members: Iterable[int]) -> int:
     """The mask of a set of positions: bit i for position i."""
     return sum(1 << i for i in members)
+
+
+def member_sets(counts: Counter) -> Counter:
+    """A multiset keyed by masks, re-keyed by the set of positions of each."""
+    return Counter({frozenset(i for i in range(mask.bit_length()) if mask >> i & 1): c for mask, c in counts.items()})
 
 
 def compose(a: Word, b: Word) -> Word:
@@ -418,11 +423,12 @@ def oracle_main0_sides(n: int, stats: dict[int, Iterable[tuple]]) -> tuple[Count
 
 
 def _des_counts(pi: Word, sigma_word: tuple[int, ...], kernel: Placements) -> tuple[Counter, Counter]:
-    """The Des multisets, keyed by indicator tuples, of the split class
-    and of the shuffles of a checked pair."""
+    """The Des multisets, keyed by masks, of the split class and of the
+    shuffles of a checked pair."""
     joined = (*pi, *sigma_word)
-    lhs = _descent_counts(_class_words(pi, sigma_word, kernel))
-    return lhs, _descent_counts(layout(joined) for _, layout in kernel)
+    bits = [1 << i for i in range(1, len(joined))]
+    lhs = _descent_counts(_class_words(pi, sigma_word, kernel), bits)
+    return lhs, _descent_counts((layout(joined) for _, layout in kernel), bits)
 
 
 def verify_gessel(pi: Word, sigma_word: tuple[int, ...]) -> VerifyResult:

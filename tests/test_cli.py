@@ -1,8 +1,10 @@
+import argparse
 import itertools
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -230,6 +232,58 @@ def test_stats_and_map_refuse_a_negative_n(capsys, argv):
     assert (code, out) == (2, "")
     n = argv[argv.index("--n") + 1]
     assert err == f"error: invalid n = {n}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, conflict",
+    [
+        (
+            ("stats", "--perm", "[2,1,3]", "--matching", "1-3", "--n", "3"),
+            "argument --matching: not allowed with argument --perm",
+        ),
+        (
+            ("stats", "--cycles", "(1,2)", "--syt", "1,2/3", "--n", "3"),
+            "argument --syt: not allowed with argument --cycles",
+        ),
+        (("stats", "--n", "3"), "one of the arguments --perm --matching --syt --cycles is required"),
+    ],
+)
+def test_stats_takes_exactly_one_object(capsys, argv, conflict):
+    # the first two answered for one of the objects, with exit 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"error: {conflict}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, what, size",
+    [
+        (("stats", "--perm", "[2,1,3]"), "the length of the word", 3),
+        (("map", "rotate", "[2,1,3]"), "the length of the word", 3),
+        (("stats", "--syt", "1,2/3"), "the size of the tableau", 3),
+        (("map", "transpose", "--", "-;1;-"), "the length of the oscillating tableau", 2),
+    ],
+)
+def test_stats_and_map_refuse_an_n_that_differs_from_the_object(capsys, argv, what, size):
+    # these answered for the object's own size, with exit 0
+    verb, *rest = argv
+    for n in (size + 4, size - 1):
+        expected = (2, "", f"error: n={n} disagrees with {what} ({size})\n")
+        assert run(capsys, verb, "--n", str(n), *rest) == expected
+    code, out, err = run(capsys, verb, "--n", str(size), *rest)
+    assert code == 0 and out and err == ""
+    assert run(capsys, *argv) == (0, out, "")
+
+
+def test_verify_takes_the_flags_of_the_registry():
+    # every integer option of the verify subparser is a registry flag, in first-seen order
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [a.option_strings for a in subparsers.choices["verify"]._actions if a.type is int]
+    flags = dict.fromkeys(flag for entry in symfun.REGISTRY.values() for flag in entry.flags)
+    assert options == [[f"--{flag}"] for flag in flags]
+    assert list(flags) == ["n", "k", "j", "max"]
 
 
 def test_enum_matchings_csv(capsys):
@@ -538,6 +592,41 @@ def test_verify_gessel_names_the_failing_pair(capsys, monkeypatch):
         ["rhs-only", [1, 2], 1],
         ["rhs-only", [2], 1],
     ]
+
+
+def _gessel_stand_ins(max_total):
+    """Stand-ins for ``symfun._class_words``: identity words on every pair, and
+    the reversed class words on the pairs of the last block, m + n = max_total."""
+    real = symfun._class_words
+
+    def identity_words(pi, sigma_word, kernel):
+        return [perm.identity(len(pi) + len(sigma_word))] * len(kernel)
+
+    def reversed_last_block(pi, sigma_word, kernel):
+        words = real(pi, sigma_word, kernel)
+        return [w[::-1] for w in words] if len(pi) + len(sigma_word) == max_total else words
+
+    return {"identity": identity_words, "reversed-last-block": reversed_last_block}
+
+
+@pytest.mark.parametrize("stand_in", ["identity", "reversed-last-block"])
+@pytest.mark.parametrize("max_total", [5, 6])
+def test_a_failing_gessel_report_names_the_set_keyed_witness(capsys, monkeypatch, stand_in, max_total):
+    # witness_diff, entry by entry and in order, against multiset_diff of the
+    # frozenset-keyed Des multisets of the same class words and of the shuffles
+    class_words = _gessel_stand_ins(max_total)[stand_in]
+    monkeypatch.setattr(symfun, "_class_words", class_words)
+    code, out, _ = run(capsys, "verify", "gessel", "--max", str(max_total))
+    assert code == 1
+    report = json.loads(out)
+    pi, sigma_word = tuple(report["failing"]["pi"]), tuple(report["failing"]["sigma"])
+    if stand_in == "reversed-last-block":
+        assert len(pi) + len(sigma_word) == max_total
+    kernel = perm.placements(len(pi), len(sigma_word))
+    lhs = Counter(perm.des(w).members for w in class_words(pi, sigma_word, kernel))
+    rhs = Counter(perm.des(w).members for w in perm.shuffles(pi, sigma_word))
+    expected = [[side, sorted(d), c] for side, d, c in symfun.multiset_diff(lhs, rhs)]
+    assert len(expected) > 1 and report["witness_diff"] == expected
 
 
 def _fails_at_k3(real):

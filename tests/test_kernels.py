@@ -45,6 +45,7 @@ from oracles import (
     iota_hat_by_composition,
     jdt_delete,
     mask_of,
+    member_sets,
     nesting_number_oracle,
     oracle_cr_ne,
     oracle_geometric_descents,
@@ -1129,8 +1130,8 @@ def test_gessel_des_multisets_match_oracle():
         assert result.ok and lhs == rhs
         kernel = perm.placements(len(pi), len(sigma_word))
         new_lhs, new_rhs = _des_counts(pi, sigma_word, kernel)
-        assert symfun._member_sets(new_lhs) == lhs
-        assert symfun._member_sets(new_rhs) == rhs
+        assert member_sets(new_lhs) == lhs
+        assert member_sets(new_rhs) == rhs
         assert result.counts == {"class": len(kernel), "shuffles": len(kernel)}
 
 
@@ -1147,10 +1148,8 @@ def test_gessel_inputs_keep_checks():
 
 
 def fresh_shuffle_side(pi, sigma_word):
-    """The Des multiset of the shuffles of the pair, keyed by indicator tuples."""
-    n = len(pi) + len(sigma_word)
-    descents = (perm.des(w).members for w in perm.shuffles(pi, sigma_word))
-    return Counter(tuple(i in d for i in range(1, n)) for d in descents)
+    """The Des multiset of the shuffles of the pair, keyed by masks."""
+    return Counter(mask_of(perm.des(w).members) for w in perm.shuffles(pi, sigma_word))
 
 
 @pytest.mark.parametrize("max_total", [7, pytest.param(9, marks=pytest.mark.slow)])
@@ -1180,7 +1179,17 @@ def test_gessel_all_matches_oracle_per_pair(monkeypatch):
     assert result.ok and result.counts == {"pairs_checked": 1074}
     assert [(pi, sigma_word) for pi, sigma_word, _, _ in seen] == list(oracle_gessel_pairs(7))
     for pi, sigma_word, lhs, rhs in seen:
-        assert (symfun._member_sets(lhs), symfun._member_sets(rhs)) == oracle_gessel_des_multisets(pi, sigma_word)
+        assert (member_sets(lhs), member_sets(rhs)) == oracle_gessel_des_multisets(pi, sigma_word)
+
+
+def test_gessel_counts_read_every_position_of_a_twelve_letter_block():
+    # m + n = 12: a bits table shorter than the words would drop their late descents
+    pi, sigma_word = (2, 3, 4, 5, 1), (7, 8, 9, 10, 11, 12, 6)  # cycle types (5) and (7)
+    ((_, _, lhs, rhs),) = symfun._gessel_counts([(pi, sigma_word)])
+    assert lhs == Counter(mask_of(perm.des(w).members) for w in symfun.gessel_class(pi, sigma_word))
+    assert rhs == Counter(mask_of(perm.des(w).members) for w in perm.shuffles(pi, sigma_word))
+    assert lhs.total() == 792
+    assert any(mask >> 11 & 1 for mask in lhs) and any(mask >> 11 & 1 for mask in rhs)
 
 
 def test_syt_des_keeps_entry_check():
