@@ -85,14 +85,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
             "is_involution": perm.is_involution(word),
         }
         if perm.is_involution(word):
-            m = matching_mod.from_involution(word)
-            record.update(_matching_stats(m))
+            record.update(_matching_stats(word))
     elif args.matching is not None:
         if args.n is None:
             raise UsageError("--matching requires --n")
-        m = matching_mod.parse_matching(args.matching, args.n)
-        record = {"object": matching_mod.format_matching(m), "n": m.n}
-        record.update(_matching_stats(m))
+        word = matching_mod.to_involution(matching_mod.parse_matching(args.matching, args.n))
+        record = {"object": matching_mod._format_word(word), "n": len(word)}
+        record.update(_matching_stats(word))
     else:
         t = tableau.parse_tableau(args.syt)
         _refuse_other_n(args.n, sum(t.shape), "the size of the tableau")
@@ -112,17 +111,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _matching_stats(m: matching_mod.Matching) -> dict:
-    word = matching_mod.to_involution(m)
+def _matching_stats(word: tuple[int, ...]) -> dict:
+    """The matching statistics of the involution word ``word``."""
     cr, ne, mdes, des = matching_mod._sweep(word)  # one sweep for every statistic
-    cmdes = matching_mod._cmdes_mask([-1, *word, 0], m.n, mdes)
     return {
         "Des": sorted(perm._members(des)),
         "MDes": sorted(perm._members(mdes)),
-        "cMDes": sorted(perm._members(cmdes)),
+        "cMDes": sorted(perm._members(matching_mod._cmdes_mask(word, mdes))),
         "cr": cr,
         "ne": ne,
-        "um": m.unmatched,
+        "um": len(perm.fixed_points(word)),
     }
 
 
@@ -235,27 +233,24 @@ def _push_matching_rows(push: Callable[[list], object], n: int, k: int, j: int |
     """
     Push the ``enum matchings`` (or ``involutions``) row of each matching
     of M_{n,k}, or of I_{n,k,j} when j is given, in increasing order of
-    words.  The statistics come from ``_stat_counts``, which cuts every
-    branch whose ne passes j, and the matching from the partner list ``p``
-    that it fills.
+    words.  The statistics and the word come from ``_stat_counts``, which
+    cuts every branch whose ne passes j.
     """
-    p: list[int] = []
     # the text of arc {i, q}, for i < q: an arc of the list, or a 2-cycle
     arc = [[f"{i}-{q}" if matchings else f"({i},{q})" for q in range(n + 1)] for i in range(n + 1)]
     mask_str, cmdes_mask = _mask_str, matching_mod._cmdes_mask
 
-    def fold(cr, ne, mdes, des):
+    def fold(cr, ne, mdes, des, word):
         if j is not None and ne != j:
             return
-        cmdes = cmdes_mask(p, n, mdes)
-        arcs = [arc[i][q] for i, q in enumerate(p) if q > i]  # p[0] = -1 and p[n + 1] = 0 add none
+        arcs = [arc[i][q] for i, q in enumerate(word, 1) if q > i]
         if matchings:
             row = [",".join(arcs), n, k]
         else:
-            row = ["".join(arcs) or "()", "[" + ",".join(map(str, p[1 : n + 1])) + "]"]
-        push([*row, mask_str(des), mask_str(mdes), mask_str(cmdes), cr, ne, k])
+            row = ["".join(arcs) or "()", "[" + ",".join(map(str, word)) + "]"]
+        push([*row, mask_str(des), mask_str(mdes), mask_str(cmdes_mask(word, mdes)), cr, ne, k])
 
-    matching_mod._stat_counts(n, k, fold, p, ne_max=j)
+    matching_mod._stat_counts(n, k, fold, ne_max=j, words=True)
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:

@@ -112,19 +112,17 @@ def orbits(elements: Iterable[Hashable], step: Callable[[Hashable], Hashable]) -
 def _cr_ne_classes(n: int, k: int) -> tuple[dict[int, dict[Word, int]], dict[int, dict[Word, int]]]:
     """The words of M_{n,k} by crossing number, each with its cMDes mask,
     and by nesting number, each with its Des mask, every class in
-    increasing order of words: one ``_stat_counts`` search, each word read
-    off the partner list it fills."""
+    increasing order of words: one ``_stat_counts`` search that hands each
+    fold its word."""
     by_cr: dict[int, dict[Word, int]] = {j: {} for j in range((n - k) // 2 + 1)}
     by_ne: dict[int, dict[Word, int]] = {j: {} for j in by_cr}
-    p: list[int] = []
     cmdes_mask = matching_mod._cmdes_mask
 
-    def fold(cr, ne, mdes, des):
-        word = tuple(p[1:-1])  # p[0] and p[n + 1] are the search's sentinels
-        by_cr[cr][word] = cmdes_mask(p, n, mdes)
+    def fold(cr, ne, mdes, des, word):
+        by_cr[cr][word] = cmdes_mask(word, mdes)
         by_ne[ne][word] = des
 
-    matching_mod._stat_counts(n, k, fold, p)
+    matching_mod._stat_counts(n, k, fold, words=True)
     return by_cr, by_ne
 
 

@@ -18,9 +18,10 @@ depth-first search in increasing order of words that carries the sweep
 state (cr, ne, and Des and MDes as bit masks) down to every leaf.
 ``_stat_counts`` runs it over M_{n,k}, or every class at once; ``_sweep``
 on one word, for ``mdes``, ``cmdes`` (MDes and the bit at n,
-``_cmdes_mask``) and ``crossing_nesting``.  The loops over a class read
-each matching off the partner list that the search fills: ``enum``, the
-cyclic class split, the bijection identities and ``enumerate_matchings``.
+``_cmdes_mask``) and ``crossing_nesting``.  Its partner list stays in
+this module: the loops over a class that read the matchings get their
+words from ``_stat_counts`` (``enum``, the cyclic class split, the
+bijection identities and ``enumerate_matchings``).
 """
 from __future__ import annotations
 
@@ -123,16 +124,18 @@ def cmdes(m: Matching) -> DescentSet:
 
 def _cmdes(word: Word) -> DescentSet:
     """cMDes of the matching whose involution word is ``word``."""
-    mask = _cmdes_mask([-1, *word, 0], len(word), _sweep(word)[2])
+    mask = _cmdes_mask(word, _sweep(word)[2])
     return perm._trusted(DescentSet, n=len(word), members=perm._members(mask), cyclic=True)
 
 
-def _cmdes_mask(p: list[int], n: int, mdes: int) -> int:
-    """The cMDes mask of the matching whose partner list ``p`` is as
-    ``_search`` fills it, given its MDes mask: the bit at n is MDes's test on
-    n and its successor 1 (n unmatched and 1 matched, the arc {n, 1}, or
-    crossing chords)."""
-    last, first = p[n], p[1]
+def _cmdes_mask(word: Word, mdes: int) -> int:
+    """The cMDes mask of the matching whose involution word is ``word``,
+    given its MDes mask: the bit at n is MDes's test on n and its successor
+    1 (n unmatched and 1 matched, the arc {n, 1}, or crossing chords)."""
+    n = len(word)
+    if not n:
+        return mdes
+    last, first = word[-1], word[0]
     return mdes | (first != 1 if last == n else last == 1 or last < first < n) << n
 
 
@@ -220,14 +223,13 @@ def enumerate_matchings(n: int, k: int) -> Iterator[Matching]:
     >>> [to_involution(m) for m in enumerate_matchings(4, 2)]
     [(1, 2, 4, 3), (1, 3, 2, 4), (1, 4, 3, 2), (2, 1, 3, 4), (3, 2, 1, 4), (4, 2, 3, 1)]
     """
-    p: list[int] = []
     words: list[Word] = []
-    _stat_counts(n, k, lambda cr, ne, mdes, des: words.append(tuple(p[1:-1])), p)
+    _stat_counts(n, k, lambda cr, ne, mdes, des, word: words.append(word), words=True)
     return map(_matching, words)
 
 
 def _stat_counts(
-    n: int, k: int | None, fold: Callable[..., object], p: list[int] | None = None, ne_max: int | None = None
+    n: int, k: int | None, fold: Callable[..., object], ne_max: int | None = None, words: bool = False
 ) -> None:
     """
     Call ``fold(cr, ne, mdes, des)`` once per matching of M_{n,k}, in
@@ -236,18 +238,17 @@ def _stat_counts(
     class M_{n,k} at once, still in increasing order of words: ``fold(k)``
     is called once per class, in k order, and returns the fold of that
     class.  With ``ne_max``, only the matchings with ne <= ne_max are folded.
+    With ``words``, every fold also gets the matching's involution word, as
+    its last argument; without it no word is built.  The search is
+    ``_search``.
 
-    A caller that passes a list ``p`` reads the matching of each call off
-    it: ``p[i]`` is the partner of i, or i itself when unmatched, for
-    1 <= i <= n.  The search is ``_search``.
-
-    >>> _stat_counts(4, 2, lambda cr, ne, mdes, des: print(cr, ne, bin(mdes), bin(des)))
-    1 1 0b1100 0b1000
-    1 1 0b110 0b100
-    1 1 0b1010 0b1100
-    1 1 0b10 0b10
-    1 1 0b100 0b110
-    1 1 0b1000 0b1010
+    >>> _stat_counts(4, 2, lambda cr, ne, mdes, des, word: print(word, cr, ne, bin(mdes), bin(des)), words=True)
+    (1, 2, 4, 3) 1 1 0b1100 0b1000
+    (1, 3, 2, 4) 1 1 0b110 0b100
+    (1, 4, 3, 2) 1 1 0b1010 0b1100
+    (2, 1, 3, 4) 1 1 0b10 0b10
+    (3, 2, 1, 4) 1 1 0b100 0b110
+    (4, 2, 3, 1) 1 1 0b1000 0b1010
     """
     if k is None:
         if n < 0:
@@ -265,8 +266,9 @@ def _stat_counts(
         ne_max = n
     # p[i] is the partner of i, i itself when unmatched, 0 while undecided;
     # p[n + 1] = 0 ends every sweep, and p[0] = -1 sets no bit at position 0
-    p = [] if p is None else p
-    p[:] = [-1] + [0] * (n + 1)
+    p = [-1] + [0] * (n + 1)
+    if words:  # each fold also gets the word; the None of a class of the wrong parity stays None
+        folds = [f and (lambda cr, ne, mdes, des, f=f: f(cr, ne, mdes, des, tuple(p[1:-1]))) for f in folds]
     _search(n, p, pairs, free, folds, ne_max)
 
 

@@ -28,15 +28,15 @@ from .tableau import Shape
 _same_multiset = dict.__eq__
 
 
-def multiset_diff(lhs: Counter, rhs: Counter, cap: int = 20) -> list:
-    """Symmetric difference of two multisets, capped for reporting.  Each
+def multiset_diff(lhs: Counter, rhs: Counter) -> list:
+    """Symmetric difference of two multisets, capped at 20 for reporting.  Each
     side is listed in the order of ``_canonical``, so the entries kept
     depend on the multisets alone, not on the order they were counted in."""
     diff = []
     for side, more, less in (("lhs-only", lhs, rhs), ("rhs-only", rhs, lhs)):
         extra = more - less
         diff.extend((side, key, extra[key]) for key in sorted(extra, key=_canonical))
-    return diff[:cap]
+    return diff[:20]
 
 
 def _canonical(key):
@@ -349,17 +349,17 @@ def _roby_holds(w: Word, *stats: int) -> bool:
 def verify_bijection(name: str, holds: Callable[..., bool], n: int) -> VerifyResult:
     """The bijection identity ``name`` on every perfect matching on n points,
     in increasing order of words: ``holds(w, cr, ne, mdes, des)`` checks it
-    on the involution word w, with the statistics (masks) of ``_stat_counts``."""
-    witness, p, checked = [], [], 0
+    on the involution word w, with the statistics (masks) of ``_stat_counts``,
+    which hands each fold w too."""
+    witness, checked = [], 0
 
-    def fold(*stats):
+    def fold(cr, ne, mdes, des, w):
         nonlocal checked
         checked += 1
-        w = tuple(p[1:-1])  # p[0] and p[n + 1] are the search's sentinels
-        if not holds(w, *stats):
+        if not holds(w, cr, ne, mdes, des):
             witness.append(matching_mod._format_word(w))
 
-    matching_mod._stat_counts(n, 0, fold, p)
+    matching_mod._stat_counts(n, 0, fold, words=True)
     return VerifyResult(name, {"n": n}, not witness, witness, {"matchings": checked})
 
 

@@ -768,7 +768,7 @@ def _no_geometric_descents(n, k, fold):
     _stat_counts(n, k, blind(fold) if k is not None else lambda kk: blind(fold(kk)))
 
 
-def _no_cyclic_descents(p, n, mdes):
+def _no_cyclic_descents(word, mdes):
     """cMDes folded as the empty set, where the class split reads it."""
     return 0
 
@@ -881,7 +881,7 @@ def test_a_failing_cdes_report_matches_the_set_keyed_report(capsys, monkeypatch,
     j = oracle_cr_ne(target)[0]  # ι̂ carries the matchings with cr = j onto the class ne = j
     cmdes_mask = mm._cmdes_mask
     monkeypatch.setattr(
-        mm, "_cmdes_mask", lambda p, n, mdes: cmdes_mask(p, n, mdes) ^ (2 if tuple(p[1 : n + 1]) == target else 0)
+        mm, "_cmdes_mask", lambda word, mdes: cmdes_mask(word, mdes) ^ (2 if word == target else 0)
     )
     if identity == "cdes":
         expected = verify_cdes(_inkj_words(n, k, j), perm.des, cyclic.transport_involution, f"I_{{{n},{k},{j}}}")

@@ -704,18 +704,16 @@ def test_word_enumerator_matches_oracle(n):
 @pytest.mark.parametrize("n", range(11))
 def test_kernel_leaves_arrive_in_increasing_word_order(n):
     # the order that enumerate_matchings, orbits and the bijection identities promise
-    p = []
-
     def recorder(seen):
-        return lambda cr, ne, mdes, des: seen.append(tuple(p[1:-1]))
+        return lambda cr, ne, mdes, des, word: seen.append(word)
 
     every = []
-    mm._stat_counts(n, None, lambda k: recorder(every), p)  # every class in one search
+    mm._stat_counts(n, None, lambda k: recorder(every), words=True)  # every class in one search
     assert all(a < b for a, b in zip(every, every[1:]))
     assert every == sorted(w for k in range(n % 2, n + 1, 2) for w in oracle_words(n, k))
     for k in range(n % 2, n + 1, 2):
         seen = []
-        mm._stat_counts(n, k, recorder(seen), p)
+        mm._stat_counts(n, k, recorder(seen), words=True)
         assert all(a < b for a, b in zip(seen, seen[1:]))
         assert seen == sorted(oracle_words(n, k))
 
@@ -807,13 +805,15 @@ def _appender(out, k):
 
 @pytest.mark.parametrize("n", range(11))
 def test_ne_ceiling_folds_exactly_the_matchings_below_it(n):
-    for k in (None, *range(n % 2, n + 1, 2)):
-        folded = []
-        mm._stat_counts(n, k, _appender(folded, k))
-        for ne_max in range(n // 2 + 1):
-            cut = []
-            mm._stat_counts(n, k, _appender(cut, k), ne_max=ne_max)
-            assert cut == [stats for stats in folded if stats[-3] <= ne_max], (k, ne_max)
+    # with words, each fold's last argument is the word, so ne is one place further back
+    for words, at_ne in ((False, -3), (True, -4)):
+        for k in (None, *range(n % 2, n + 1, 2)):
+            folded = []
+            mm._stat_counts(n, k, _appender(folded, k), words=words)
+            for ne_max in range(n // 2 + 1):
+                cut = []
+                mm._stat_counts(n, k, _appender(cut, k), ne_max=ne_max, words=words)
+                assert cut == [stats for stats in folded if stats[at_ne] <= ne_max], (words, k, ne_max)
 
 
 def test_stat_counts_refuses_invalid_classes():
@@ -905,16 +905,15 @@ def test_descent_sets_are_read_only_for_witnesses_and_public_multisets():
 
 @pytest.mark.parametrize("n", range(11))
 def test_cmdes_mask_matches_the_geometric_test(n):
-    # the wrap bit at n, read off the partner list, on every matching with n <= 10
+    # the wrap bit at n, read off the word, on every matching with n <= 10
     for k in range(n % 2, n + 1, 2):
-        p, seen = [], []
+        seen = []
 
-        def fold(cr, ne, mdes, des):
-            word = tuple(p[1:-1])
+        def fold(cr, ne, mdes, des, word):
             seen.append(word)
-            assert mm._cmdes_mask(p, n, mdes) == sum(1 << i for i in oracle_geometric_descents(word, n))
+            assert mm._cmdes_mask(word, mdes) == sum(1 << i for i in oracle_geometric_descents(word, n))
 
-        mm._stat_counts(n, k, fold, p)
+        mm._stat_counts(n, k, fold, words=True)
         assert len(seen) == mm.count_matchings(n, k)
 
 
