@@ -18,8 +18,9 @@ the moved points and row-inserts the k fixed points, and it takes a
 table core -> P(ι(core)), so that a walk over a class runs ι and the
 core's insertion once per distinct core.  The kernels (_emb, _phi,
 _q_map, _h_rows, _iota_hat, _h_map) check nothing, as their callers pass
-words that are valid by construction; emb, phi, iota_hat and h_map
-check their input, and q_map its output.
+words that are valid by construction; res, phi, iota_hat, iota_hat_inverse
+and h_map check their input through ``perm._involution``, emb its core
+through ``perm.is_involution``, and q_map its output.
 """
 from __future__ import annotations
 
@@ -62,17 +63,10 @@ class ShuffleElement:
         return frozenset(i for i, v in enumerate(self.word, start=1) if v > self.n - self.k)
 
 
-def _involution(word: Word) -> Word:
-    """``word``, checked at a public entry to be an involution of [len(word)]."""
-    if not (perm.is_perm(word) and perm.is_involution(word)):
-        raise ValueError(f"not an involution: {word}")
-    return word
-
-
 def res(word: Word) -> tuple[frozenset[int], Word]:
     """Split an involution into (fixed points, fixed-point-free core): the
     core is the standardization of the restriction to the moved letters."""
-    return _res(_involution(word))
+    return _res(perm._involution(word))
 
 
 def _res(word: Word) -> tuple[frozenset[int], Word]:
@@ -85,7 +79,7 @@ def emb(fixed: frozenset[int], sigma: Word, n: int) -> ShuffleElement:
     carry sigma's word on the small letters."""
     if len(sigma) != n - len(fixed) or not fixed <= frozenset(range(1, n + 1)):
         raise ValueError(f"size mismatch: |J|={len(fixed)}, |sigma|={len(sigma)}, n={n}")
-    if not perm.is_perm(sigma) or not perm.is_involution(sigma) or perm.fixed_points(sigma):
+    if not perm.is_involution(sigma) or perm.fixed_points(sigma):
         raise ValueError(f"not a fixed-point-free involution: {sigma}")
     return perm._trusted(ShuffleElement, word=_emb(fixed, sigma, n), k=len(fixed))
 
@@ -100,7 +94,7 @@ def _emb(fixed: frozenset[int], sigma: Word, n: int) -> Word:
 
 def phi(word: Word) -> ShuffleElement:
     """res, then the crossing/nesting involution on the core, then emb."""
-    return perm._trusted(ShuffleElement, word=_phi(_involution(word)), k=len(perm.fixed_points(word)))
+    return perm._trusted(ShuffleElement, word=_phi(perm._involution(word)), k=len(perm.fixed_points(word)))
 
 
 def _phi(word: Word) -> Word:
@@ -137,7 +131,7 @@ def iota_hat(word: Word) -> Word:
     """The composite bijection; preserves the fixed-point count and maps
     the geometric descent set / crossing number of the input to the
     standard descent set / nesting number of the output."""
-    return perm.check_perm(_iota_hat(_involution(word)))
+    return perm.check_perm(_iota_hat(perm._involution(word)))
 
 
 def _iota_hat(word: Word, table: dict[Word, list[list[int]]] | None = None) -> Word:
@@ -147,14 +141,14 @@ def _iota_hat(word: Word, table: dict[Word, list[list[int]]] | None = None) -> W
 
 
 def iota_hat_inverse(word: Word) -> Word:
-    return _phi_inverse(*_q_map_inverse(_involution(word)))
+    return _phi_inverse(*_q_map_inverse(perm._involution(word)))
 
 
 def h_map(word: Word) -> StandardTableau:
     """H = Q∘phi, the recording tableau of phi(word) and of the composite
     image; a bijection from involutions with k fixed points to tableaux
     with k odd columns."""
-    return _h_map(_involution(word))
+    return _h_map(perm._involution(word))
 
 
 def _h_map(word: Word, table: dict[Word, list[list[int]]] | None = None) -> StandardTableau:

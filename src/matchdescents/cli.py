@@ -24,7 +24,7 @@ from . import bijection, cyclic, matching as matching_mod, oscillating, perm, sy
 
 MAX_N_WITHOUT_FORCE = 12
 MAX_GESSEL_TOTAL_WITHOUT_FORCE = 9  # 52,328 pairs; 444,012 at 10
-MAX_OBJECT_N = 10_000  # the --n of stats and map: one object, under a second at this size
+MAX_OBJECT_N = 10_000  # the size of the one object of stats and map, --n or not: under a second at this size
 # the integer flags of verify: those of every registry entry, in first-seen order
 _VERIFY_FLAGS = tuple(dict.fromkeys(flag for entry in symfun.REGISTRY.values() for flag in entry.flags))
 
@@ -36,25 +36,29 @@ class InternalError(Exception):
     """A broken invariant, raised from its cause; the text names the command and its accepted parameters."""
 
 
-def _parse_involution(text: str, n: int | None) -> tuple[tuple[int, ...], str]:
-    """Accept cycles, one-line or matching codec; return (word, codec)."""
+def _parse_involution(text: str, n: int | None, codec: str | None = None) -> tuple[tuple[int, ...], str]:
+    """Read a word in ``codec`` (one-line, cycle or matching notation), or in
+    the one its first character names; return (word, codec)."""
     text = text.strip()
-    if text.startswith("["):
+    if codec is None:
+        codec = "one-line" if text.startswith("[") else "cycle" if text.startswith("(") or text == "" else "matching"
+    if codec == "one-line":
         word = perm.parse_one_line(text)
-        _refuse_other_n(n, len(word), "the length of the word")
-        return word, "one-line"
-    if text.startswith("(") or text == "":
-        if n is None:
-            raise UsageError("cycle notation requires --n")
-        return perm.parse_cycles(text, n), "cycles"
-    if n is None:
-        raise UsageError("matching notation requires --n")
-    return matching_mod.to_involution(matching_mod.parse_matching(text, n)), "matching"
+    elif n is None:
+        raise UsageError(f"{codec} notation requires --n")
+    elif codec == "cycle":
+        word = perm.parse_cycles(text, n)
+    else:
+        word = matching_mod.to_involution(matching_mod.parse_matching(text, n))
+    _refuse_size(n, len(word), "the length of the word")
+    return word, codec
 
 
-def _refuse_other_n(n: int | None, size: int, what: str) -> None:
+def _refuse_size(n: int | None, size: int, what: str) -> None:
+    """Refuse an object whose size differs from the --n given, or exceeds the --n guard."""
     if n is not None and n != size:
         raise UsageError(f"n={n} disagrees with {what} ({size})")
+    _refuse_over_guard("n", size, MAX_OBJECT_N)
 
 
 def _format_involution(word: tuple[int, ...], codec: str) -> str:
@@ -67,34 +71,9 @@ def _format_involution(word: tuple[int, ...], codec: str) -> str:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     _refuse_over_guard("n", args.n, MAX_OBJECT_N)
-    if args.perm is not None or args.cycles is not None:  # the parser admits exactly one object
-        if args.perm is not None:
-            word = perm.parse_one_line(args.perm)
-        elif args.n is None:
-            raise UsageError("--cycles requires --n")
-        else:
-            word = perm.parse_cycles(args.cycles, args.n)
-        _refuse_other_n(args.n, len(word), "the length of the word")
-        record = {
-            "object": perm.format_one_line(word),
-            "n": len(word),
-            "Des": sorted(perm.des(word).members),
-            "cDes_cellini": sorted(perm.cellini_cdes(word).members),
-            "cycle_type": list(perm.cycle_type(word)),
-            "fixed_points": sorted(perm.fixed_points(word)),
-            "is_involution": perm.is_involution(word),
-        }
-        if perm.is_involution(word):
-            record.update(_matching_stats(word))
-    elif args.matching is not None:
-        if args.n is None:
-            raise UsageError("--matching requires --n")
-        word = matching_mod.to_involution(matching_mod.parse_matching(args.matching, args.n))
-        record = {"object": matching_mod._format_word(word), "n": len(word)}
-        record.update(_matching_stats(word))
-    else:
+    if args.syt is not None:  # the parser admits exactly one object
         t = tableau.parse_tableau(args.syt)
-        _refuse_other_n(args.n, sum(t.shape), "the size of the tableau")
+        _refuse_size(args.n, sum(t.shape), "the size of the tableau")
         record = {
             "object": tableau.format_tableau(t),
             "shape": list(t.shape),
@@ -102,6 +81,24 @@ def cmd_stats(args: argparse.Namespace) -> int:
             "odd_cols": tableau.odd_cols(t.shape),
             "Des": sorted(tableau.des(t).members),
         }
+    else:
+        flags = {"one-line": args.perm, "cycle": args.cycles, "matching": args.matching}
+        codec = next(c for c, text in flags.items() if text is not None)
+        word, _ = _parse_involution(flags[codec], args.n, codec)
+        if codec == "matching":
+            record = {"object": matching_mod._format_word(word), "n": len(word)}
+        else:
+            record = {
+                "object": perm.format_one_line(word),
+                "n": len(word),
+                "Des": sorted(perm.des(word).members),
+                "cDes_cellini": sorted(perm.cellini_cdes(word).members),
+                "cycle_type": list(perm.cycle_type(word)),
+                "fixed_points": sorted(perm.fixed_points(word)),
+                "is_involution": perm.is_involution(word),
+            }
+        if record.get("is_involution", True):  # a matching always is one
+            record.update(_matching_stats(word))
 
     if args.format == "json":
         print(json.dumps(record))
@@ -143,7 +140,7 @@ MAPS: dict[str, tuple[bool, Callable]] = {
     # a shuffle word's k is the number of odd columns of its recording tableau
     "q": (False, lambda w, codec: _format_involution(
         bijection.q_map(bijection.ShuffleElement(w, tableau.odd_cols(tableau.rs_pair_q(w).shape))), codec)),
-    "rotate": (False, lambda w, codec: _format_involution(matching_mod._rotate(bijection._involution(w)), codec)),
+    "rotate": (False, lambda w, codec: _format_involution(matching_mod._rotate(perm._involution(w)), codec)),
     "p": (False, lambda w, codec: _format_involution(cyclic.transport_involution(w)[1], codec)),
     "h": (False, lambda w, _: tableau.format_tableau(bijection.h_map(w))),
 }
@@ -156,7 +153,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         obj, codec = oscillating.parse_oscillating(args.object), None
         if not takes_walk:
             raise UsageError(f"map {args.name} does not accept an oscillating tableau")
-        _refuse_other_n(args.n, obj.size, "the length of the oscillating tableau")
+        _refuse_size(args.n, obj.size, "the length of the oscillating tableau")
     else:
         obj, codec = _parse_involution(args.object, args.n)
     print(image(obj, codec))
@@ -202,9 +199,8 @@ def _refuse_over_guard(flag: str, value: int | None, bound: int, force: bool | N
 @functools.cache
 def _mask_str(mask: int) -> str:
     """The text of the descent set whose mask is ``mask``: bit i for position i.
-    The cache holds the texts alone, a few bytes for each mask seen: the set
-    comes from the body of ``perm._members``, past its cache of sets."""
-    return perm.format_set(perm._members.__wrapped__(mask))
+    The cache holds the texts alone, a few bytes for each mask seen."""
+    return perm.format_set(perm._members(mask))
 
 
 def cmd_enum(args: argparse.Namespace) -> int:

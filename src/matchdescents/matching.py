@@ -88,10 +88,7 @@ def to_involution(m: Matching) -> Word:
 
 
 def from_involution(word: Word) -> Matching:
-    if not perm.is_involution(word):
-        raise ValueError(f"not an involution: {word}")
-    arcs = tuple((i, v) for i, v in enumerate(word, start=1) if v > i)
-    return Matching(len(word), arcs)
+    return _matching(perm._involution(word))
 
 
 def _matching(word: Word) -> Matching:

@@ -8,7 +8,6 @@ on this form; cycle notation is an I/O codec only.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -115,7 +114,6 @@ def _descents(word: Word) -> frozenset[int]:
     return frozenset({i for i in range(1, len(word)) if word[i - 1] > word[i]})
 
 
-@functools.lru_cache(maxsize=1 << 16)  # every mask of a class up to n = 16; one-object calls do not pile up
 def _members(mask: int) -> frozenset[int]:
     """The descent set whose mask is ``mask``: bit i for position i."""
     return frozenset({i for i in range(1, mask.bit_length()) if mask >> i & 1})
@@ -162,8 +160,24 @@ def cycle_type(word: Word) -> tuple[int, ...]:
     return tuple(sorted((len(c) for c in cycles(word)), reverse=True))
 
 
-def is_involution(word: Word) -> bool:
-    return all(word[v - 1] == i for i, v in enumerate(word, start=1))
+def is_involution(word: Sequence[int]) -> bool:
+    """
+    Check that word is an involution of [n] where n = len(word): every
+    letter lies in [n] and word∘word is the identity, so word is also a
+    permutation.  Any other word gives False.
+
+    >>> [is_involution(w) for w in [(), (2, 1, 3), (2, 3, 1), (3, 1), (0, 3), (6,)]]
+    [True, True, False, False, False, False]
+    """
+    n = len(word)
+    return all(0 < v <= n and word[v - 1] == i for i, v in enumerate(word, start=1))
+
+
+def _involution(word: Word) -> Word:
+    """``word``, checked at a public entry to be an involution of [len(word)]."""
+    if not is_involution(word):
+        raise ValueError(f"not an involution: {word}")
+    return word
 
 
 def conjugate_w0(word: Word) -> Word:

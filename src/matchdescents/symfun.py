@@ -77,9 +77,9 @@ def schur_descent_multiset(shape: Shape) -> Counter:
 # compare the counts as dicts: main0, main1, main11 and main111 key plain
 # dicts by tuples that hold the masks of ``matching._stat_counts`` and
 # ``tableau._shape_des_counts``, and gessel keys Counters by bare masks.  The
-# masks are read as sets, through the cache of ``perm._members``, only where
-# someone reads them: in a failed comparison's witness and in the public
-# multisets ``lhs_main0`` and ``rhs_main0``.
+# masks are read as sets, through ``perm._members``, only where someone reads
+# them: in a failed comparison's witness and in the public multisets
+# ``lhs_main0`` and ``rhs_main0``.
 
 def _mask_last(counts: dict) -> Counter:
     """``counts``, keyed by tuples, with the descent mask that ends each key
@@ -186,21 +186,12 @@ def _cr_ne_counts(n: int, k: int | None, refined: bool = True) -> Iterator[tuple
     def class_fold(kk):
         lhs, rhs = classes[kk]
         lhs_get, rhs_get = lhs.get, rhs.get
-        if refined:
 
-            def fold(cr, ne, mdes, des):
-                key = cr, ne, mdes
-                lhs[key] = lhs_get(key, 0) + 1
-                key = ne, cr, des
-                rhs[key] = rhs_get(key, 0) + 1
-
-        else:
-
-            def fold(cr, ne, mdes, des):
-                key = cr, mdes
-                lhs[key] = lhs_get(key, 0) + 1
-                key = ne, des
-                rhs[key] = rhs_get(key, 0) + 1
+        def fold(cr, ne, mdes, des):
+            key = (cr, ne, mdes) if refined else (cr, mdes)
+            lhs[key] = lhs_get(key, 0) + 1
+            key = (ne, cr, des) if refined else (ne, des)
+            rhs[key] = rhs_get(key, 0) + 1
 
         return fold
 

@@ -5,7 +5,9 @@ The brute-force crossing and nesting numbers over arc subsets are the
 ground truth for the one-sweep ``matching.crossing_nesting``.
 ``oracle_geometric_descents`` and ``oracle_cr_ne`` are the package's
 earlier per-word sweeps, which ``matching._search`` replaced: the
-reference for the one home of MDes, cMDes, cr and ne.  The rest are the
+reference for the one home of MDes, cMDes, cr and ne; ``oracle_cr_ne``
+reads its LIS off ``longest_increasing``, a copy of its own, so that a
+wrong LIS in ``matching`` cannot shift both sides alike.  The rest are the
 package's earlier per-object paths: the validated one-step RS and
 jeu-de-taquin wrappers, the per-element cDes verifier, the per-word
 nesting filter, the per-pair Gessel check and a few enumerators and
@@ -24,6 +26,7 @@ checked ``Matching`` constructor, is the reference for
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import random
@@ -31,11 +34,11 @@ from collections import Counter
 from typing import Callable, Iterable, Iterator
 
 from matchdescents import perm, tableau
-from matchdescents.bijection import ShuffleElement, _involution, _phi, _phi_inverse, _q_map, _q_map_inverse
+from matchdescents.bijection import ShuffleElement, _phi, _phi_inverse, _q_map, _q_map_inverse
 from matchdescents.cyclic import CdesReport, _check_class, _cr_ne_classes, orbits
-from matchdescents.matching import Matching, _check_nkj, _longest_increasing, _matching, to_involution
+from matchdescents.matching import Matching, _check_nkj, _matching, to_involution
 from matchdescents.oscillating import OscillatingTableau
-from matchdescents.perm import Placements, Word
+from matchdescents.perm import Placements, Word, _involution
 from matchdescents.symfun import VerifyResult, _check_pair, _class_words, _descent_counts, _gessel_result
 from matchdescents.tableau import (
     Cell,
@@ -184,6 +187,19 @@ def oracle_geometric_descents(word: Word, last: int) -> frozenset[int]:
     return frozenset(members)
 
 
+def longest_increasing(seq: Iterable[int]) -> int:
+    """The length of a longest strictly increasing subsequence, by patience
+    sorting: a copy of its own, so that a wrong LIS in the package shows."""
+    tails: list[int] = []
+    for x in seq:
+        i = bisect.bisect_left(tails, x)
+        if i == len(tails):
+            tails.append(x)
+        else:
+            tails[i] = x
+    return len(tails)
+
+
 def oracle_cr_ne(word: Word) -> tuple[int, int]:
     """crossing_nesting of the matching whose involution word is ``word``,
     by a sweep of its own over the word."""
@@ -196,8 +212,8 @@ def oracle_cr_ne(word: Word) -> tuple[int, int]:
             grown = True
         elif q < t:
             if grown:
-                cr = max(cr, _longest_increasing(rights))
-                ne = max(ne, _longest_increasing(reversed(rights)))
+                cr = max(cr, longest_increasing(rights))
+                ne = max(ne, longest_increasing(reversed(rights)))
                 grown = False
             rights.remove(t)
     return cr, ne

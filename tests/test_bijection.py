@@ -1,6 +1,7 @@
 import pytest
 
 from matchdescents import bijection as bj
+from matchdescents import cyclic
 from matchdescents import matching as mm
 from matchdescents import oscillating as osc
 from matchdescents import perm, tableau
@@ -145,6 +146,17 @@ def test_public_maps_refuse_a_letter_above_the_length(public_map):
     # (3, 1) is no permutation of [2]; the involution test alone would index past its end
     with pytest.raises(ValueError, match=r"^not an involution: \(3, 1\)$"):
         public_map((3, 1))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [mm.from_involution, osc.sundaram, bj.res, bj.phi, bj.iota_hat, bj.iota_hat_inverse, bj.h_map, cyclic.transport_involution],
+)
+@pytest.mark.parametrize("word", [(3, 1), (6,), (0, 3)])
+def test_public_entries_refuse_a_word_outside_its_length(entry, word):
+    # a letter above the length or below 1 makes the word no involution of [n], never an IndexError
+    with pytest.raises(ValueError):
+        entry(word)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

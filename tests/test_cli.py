@@ -277,6 +277,74 @@ def test_stats_and_map_refuse_an_n_that_differs_from_the_object(capsys, argv, wh
     assert run(capsys, *argv) == (0, out, "")
 
 
+def _size_flags():
+    """(id, argv for a value of the size flag, flag, bound, whether the command
+    takes --force, the smallest value over the bound that its flags allow)."""
+    bound = cli.MAX_OBJECT_N
+    yield "stats", lambda v: ("stats", "--matching", "", "--n", str(v)), "n", bound, False, bound + 1
+    yield "map", lambda v: ("map", "rotate", "", "--n", str(v)), "n", bound, False, bound + 1
+    bound = cli.MAX_N_WITHOUT_FORCE
+    yield "orbits", lambda v: ("orbits", "--n", str(v), "--k", str(v)), "n", bound, True, bound + 1
+    for name, entry in symfun.REGISTRY.items():
+        flag = "max" if "max" in entry.flags else "n"
+        bound = cli.MAX_GESSEL_TOTAL_WITHOUT_FORCE if flag == "max" else cli.MAX_N_WITHOUT_FORCE
+        over = bound + 1 + (entry.perfect and bound % 2 == 0)  # a perfect matching has an even n
+        yield f"verify-{name}", lambda v, name=name, flag=flag: ("verify", name, f"--{flag}", str(v)), flag, bound, True, over
+
+
+def _stub_the_work(monkeypatch):
+    """Replace what each command runs after its checks by a stand-in that
+    records its call; return the list of calls."""
+    ran = []
+    monkeypatch.setattr(cli, "_matching_stats", lambda word: ran.append(len(word)) or {})
+    monkeypatch.setitem(cli.MAPS, "rotate", (False, lambda w, codec: ran.append(len(w)) or "rotated"))
+    monkeypatch.setitem(cli.MAPS, "transpose", (True, lambda o, codec: ran.append(o.size) or "transposed"))
+    monkeypatch.setattr(cyclic, "_cr_ne_classes", lambda n, k: ran.append(n) or ({}, {}))
+    monkeypatch.setattr(symfun, "run_identity", lambda name, params: ran.append(params) or symfun.VerifyResult(name, params, True))
+    return ran
+
+
+@pytest.mark.parametrize("case", list(_size_flags()), ids=lambda case: case[0])
+def test_every_size_flag_is_refused_past_its_bound_and_nowhere_else(capsys, monkeypatch, case):
+    _, argv, flag, bound, takes_force, over = case
+    ran = _stub_the_work(monkeypatch)
+    for force in ((), ("--force",)) if takes_force else ((),):
+        hint = "; pass --force to run anyway" if takes_force else ""
+        code, out, err = run(capsys, *argv(-1), *force)
+        assert (code, out, ran) == (2, "", []) and err.startswith("error: ")
+        expected = (0, "") if force else (2, f"error: {flag}={over} exceeds the guard ({bound}){hint}\n")
+        code, out, err = run(capsys, *argv(over), *force)
+        assert (code, err) == expected and len(ran) == bool(force)
+        ran.clear()
+        code, out, err = run(capsys, *argv(bound), *force)
+        assert code == 0 and out and err == "" and len(ran) == 1
+        ran.clear()
+    if not takes_force:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv(bound), "--force"])
+        assert exc.value.code == 2 and capsys.readouterr().out == "" and ran == []
+
+
+@pytest.mark.parametrize(
+    "argv, over",
+    [
+        (lambda size: ("stats", "--perm", perm.format_one_line(perm.identity(size))), cli.MAX_OBJECT_N + 1),
+        (lambda size: ("map", "rotate", perm.format_one_line(perm.identity(size))), cli.MAX_OBJECT_N + 1),
+        (lambda size: ("stats", "--syt", ",".join(map(str, range(1, size + 1)))), cli.MAX_OBJECT_N + 1),
+        # an oscillating tableau has an even length
+        (lambda size: ("map", "transpose", "--", "-" + ";1;-" * (size // 2)), cli.MAX_OBJECT_N + 2),
+    ],
+    ids=["stats-one-line", "map-one-line", "stats-tableau", "map-oscillating"],
+)
+def test_an_object_over_the_guard_is_refused_without_n(capsys, monkeypatch, argv, over):
+    # these answered, however large the object, when no --n was given
+    ran = _stub_the_work(monkeypatch)
+    assert run(capsys, *argv(over)) == (2, "", f"error: n={over} exceeds the guard ({cli.MAX_OBJECT_N})\n")
+    code, out, err = run(capsys, *argv(cli.MAX_OBJECT_N))
+    assert code == 0 and out and err == ""
+    assert ran in ([], [cli.MAX_OBJECT_N])  # stats --syt runs no stand-in
+
+
 def test_verify_takes_the_flags_of_the_registry():
     # every integer option of the verify subparser is a registry flag, in first-seen order
     (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]

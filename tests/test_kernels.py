@@ -12,7 +12,6 @@ an oracle), and check the round trips, the input checks and the
 statistics' properties at sizes beyond the exhaustive range.
 """
 import ast
-import bisect
 import csv
 import gc
 import io
@@ -44,6 +43,7 @@ from oracles import (
     hook_length_count,
     iota_hat_by_composition,
     jdt_delete,
+    longest_increasing,
     mask_of,
     member_sets,
     nesting_number_oracle,
@@ -266,17 +266,6 @@ def oracle_cmdes(m):
     return perm.DescentSet(m.n, frozenset(members), cyclic=True)
 
 
-def _longest_increasing(seq):
-    tails = []
-    for x in seq:
-        i = bisect.bisect_left(tails, x)
-        if i == len(tails):
-            tails.append(x)
-        else:
-            tails[i] = x
-    return len(tails)
-
-
 def oracle_crossing_number(m):
     """
     Largest r with arcs i1<...<ir<j1<...<jr.  Any such family spans a
@@ -286,7 +275,7 @@ def oracle_crossing_number(m):
     best = 0
     for t in range(1, m.n):
         spanning = sorted((a, b) for a, b in m.arcs if a <= t < b)
-        best = max(best, _longest_increasing([b for _, b in spanning]))
+        best = max(best, longest_increasing([b for _, b in spanning]))
     return best
 
 
@@ -296,7 +285,7 @@ def oracle_nesting_number(m):
     for t in range(1, m.n):
         spanning = sorted((a, b) for a, b in m.arcs if a <= t < b)
         rights = [-b for _, b in spanning]  # decreasing right endpoints
-        best = max(best, _longest_increasing(rights))
+        best = max(best, longest_increasing(rights))
     return best
 
 
@@ -869,11 +858,19 @@ def test_sweep_of_a_long_nested_word_stays_small():
 
 
 def test_mask_sets_stay_bounded_under_one_object_calls():
-    # mdes, cmdes and stats read their sets through perm._members; an unbounded
-    # cache would keep one entry per distinct mask a process ever reads
+    # mdes, cmdes and stats read their sets through perm._members; a cache
+    # there would keep one entry per distinct mask a process ever reads
     m = mm.matching(40, *((i, i + 20) for i in range(1, 21)))
     assert mm.mdes(m).members == frozenset(range(1, 40))  # every pair of neighbours crosses
-    assert perm._members.cache_info().maxsize == 1 << 16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for mask in range(1 << 12):
+            perm._members(mask)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 10_000  # 4,096 cached sets held 2.3 MB
 
 
 def test_lis_and_lds_are_read_only_inside_the_search():

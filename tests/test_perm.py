@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -59,6 +60,29 @@ def test_cycle_type_and_involution():
     assert perm.cycle_type((4, 2, 6, 1, 5, 3)) == (2, 2, 1, 1)
     assert perm.is_involution((4, 2, 6, 1, 5, 3))
     assert not perm.is_involution((3, 1, 2, 4))
+
+
+def _is_involution_by_definition(word):
+    n = len(word)
+    return sorted(word) == list(range(1, n + 1)) and all(word[v - 1] == i for i, v in enumerate(word, start=1))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_is_involution_on_every_small_word(n):
+    # every word of length n with letters in [-1, n + 1]: the test is total
+    for word in itertools.product(range(-1, n + 2), repeat=n):
+        assert perm.is_involution(word) == _is_involution_by_definition(word)
+
+
+@given(
+    st.integers(0, 12).flatmap(
+        lambda n: st.one_of(st.lists(st.integers(-1, n + 1), min_size=n, max_size=n), st.permutations(range(1, n + 1)))
+    )
+)
+def test_is_involution_is_total(word):
+    # True exactly for the permutations w of [n] with w∘w = id, and it never raises
+    word = tuple(word)
+    assert perm.is_involution(word) == _is_involution_by_definition(word)
 
 
 def test_conjugate_w0():
