@@ -19,8 +19,8 @@ table core -> P(ι(core)), so that a walk over a class runs ι and the
 core's insertion once per distinct core.  The kernels (_emb, _phi,
 _q_map, _h_rows, _iota_hat, _h_map) check nothing, as their callers pass
 words that are valid by construction; res, phi, iota_hat, iota_hat_inverse
-and h_map check their input through ``perm._involution``, emb its core
-through ``perm.is_involution``, and q_map its output.
+and h_map check their input through ``perm._involution``, emb and
+ShuffleElement their core through ``perm._fixed_point_free``, q_map its output.
 """
 from __future__ import annotations
 
@@ -47,9 +47,7 @@ class ShuffleElement:
         big_positions = [i for i, v in enumerate(self.word) if v > n - k]
         if [self.word[i] for i in big_positions] != list(range(n - k + 1, n + 1)):
             raise ValueError("large letters do not form an increasing run")
-        sigma = self.small_involution()
-        if not perm.is_involution(sigma) or perm.fixed_points(sigma):
-            raise ValueError("small letters do not standardize to a fixed-point-free involution")
+        perm._fixed_point_free(self.small_involution())
 
     @property
     def n(self) -> int:
@@ -79,9 +77,7 @@ def emb(fixed: frozenset[int], sigma: Word, n: int) -> ShuffleElement:
     carry sigma's word on the small letters."""
     if len(sigma) != n - len(fixed) or not fixed <= frozenset(range(1, n + 1)):
         raise ValueError(f"size mismatch: |J|={len(fixed)}, |sigma|={len(sigma)}, n={n}")
-    if not perm.is_involution(sigma) or perm.fixed_points(sigma):
-        raise ValueError(f"not a fixed-point-free involution: {sigma}")
-    return perm._trusted(ShuffleElement, word=_emb(fixed, sigma, n), k=len(fixed))
+    return perm._trusted(ShuffleElement, word=_emb(fixed, perm._fixed_point_free(sigma), n), k=len(fixed))
 
 
 def _emb(fixed: frozenset[int], sigma: Word, n: int) -> Word:

@@ -130,7 +130,7 @@ def _plain(value) -> str:
 # name -> (whether it takes an oscillating tableau, the text of its image
 # of the parsed object, given the codec of the input)
 MAPS: dict[str, tuple[bool, Callable]] = {
-    "iota": (False, lambda w, codec: _format_involution(oscillating._iota(oscillating._fixed_point_free(w)), codec)),
+    "iota": (False, lambda w, codec: _format_involution(oscillating._iota(perm._fixed_point_free(w)), codec)),
     "iota-hat": (False, lambda w, codec: _format_involution(bijection.iota_hat(w), codec)),
     "iota-hat-inv": (False, lambda w, codec: _format_involution(bijection.iota_hat_inverse(w), codec)),
     "sundaram": (False, lambda w, _: oscillating.format_oscillating(oscillating.sundaram(w))),
@@ -255,13 +255,8 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     matching_mod._check_nkj(n, k, j)
     with _row_sink(["orbit", "size", "element", "cdes"], args.format, args.output) as push:
         try:
-            # ι̂ sends cr to ne, so I_{n,k,j} is the image of the matchings with cr = j
-            by_cr, by_ne = cyclic._cr_ne_classes(n, k)
-            js = by_cr if j is None else [j]
-            preimages = {w: mask for jj in js for w, mask in by_cr[jj].items()}
-            elements = sorted(w for jj in js for w in by_ne[jj])  # in increasing order of words, as M_{n,k}
-            cdes, p = cyclic._walk(preimages, bijection._iota_hat, set(elements))
-            table = cyclic.orbits(elements, p.__getitem__)
+            des, cdes, p = cyclic._class_table(n, k, j, cyclic._cr_ne_classes(n, k))
+            table = cyclic.orbits(sorted(des), p.__getitem__)  # in increasing order of words, as M_{n,k}
         except Exception as exc:  # the flags were accepted, so this is a broken invariant
             params = {"n": n, "k": k} if j is None else {"n": n, "k": k, "j": j}
             raise InternalError(f"orbits {json.dumps(params)}") from exc

@@ -3,8 +3,9 @@ Cyclic descent extensions: the transported cyclic statistics on
 involutions and standard Young tableaux, the three-axiom verifier, and
 the classification of the Escherian classes.
 
-p = ι̂∘rot∘ι̂⁻¹ and ι̂ sends cr to ne, so the class checks walk forward from
-the matchings with cr = j, one ι̂ (or H) per element and no inverse.  The
+p = ι̂∘rot∘ι̂⁻¹ and ι̂ sends cr to ne, so ``_class_table``, the one class
+walk of ``verify cdes``, ``cdes-syt`` and ``orbits``, goes forward from the
+matchings with cr = j, one ι̂ (or H) per element and no inverse.  The
 walk's table holds P(ι(core)) for each fixed-point-free core, so Chen's ι
 and the core's insertion run once per core, and each element inserts only
 its fixed points.  The cMDes and Des of each word are bit masks from the
@@ -127,20 +128,25 @@ def _cr_ne_classes(n: int, k: int) -> tuple[dict[int, dict[Word, int]], dict[int
 
 
 def _check_class(n: int, k: int, j: int, classes: tuple[dict, dict], syt: bool = False) -> CdesReport:
-    """The report on I_{n,k,j} (SYT_{n,k,j} when syt) from the class cr = j
-    of ``_cr_ne_classes(n, k)``: cDes(ι̂ m) = cMDes(m), p(ι̂ m) = ι̂(rot m)."""
+    """The report on I_{n,k,j} (SYT_{n,k,j} when syt) from ``classes = _cr_ne_classes(n, k)``."""
+    report = _report(f"{'SYT' if syt else 'I'}_{{{n},{k},{j}}}", n, *_class_table(n, k, j, classes, syt))
     if syt:
-        # each tableau's rows, the walk's key, and its Des mask from the kernel, in its order
-        des = {
-            tuple(map(tuple, rows)): d
-            for shape in tableau._syt_shapes(n, k, j)
-            for rows, d, _ in tableau._syt_des(shape)
-        }
-        report = _report(f"SYT_{{{n},{k},{j}}}", n, des, *_walk(classes[0][j], _h_key, des.keys()))
         report.escher_witnesses = list(map(tableau._tableau, report.escher_witnesses))
-        return report
-    des = classes[1][j]
-    return _report(f"I_{{{n},{k},{j}}}", n, des, *_walk(classes[0][j], bijection._iota_hat, des.keys()))
+    return report
+
+
+def _class_table(n: int, k: int, j: int | None, classes: tuple[dict, dict], syt: bool = False) -> tuple[dict, ...]:
+    """(des, cdes, p): the Des masks, cDes masks and map p of I_{n,k,j}
+    (SYT_{n,k,j} when syt), or of every j when j is None, walked from the
+    words of ``classes = _cr_ne_classes(n, k)`` with cr = j."""
+    if j is None:  # every class, merged in order of j
+        preimages, des = ({w: mask for cls in by_j.values() for w, mask in cls.items()} for by_j in classes)
+    else:
+        preimages, des = classes[0][j], classes[1][j]
+    if syt:  # each tableau's rows, the walk's key, with its Des mask, in the kernel's order
+        shapes = tableau._syt_shapes(n, k, j)
+        des = {tuple(map(tuple, rows)): d for shape in shapes for rows, d, _ in tableau._syt_des(shape)}
+    return (des, *_walk(preimages, _h_key if syt else bijection._iota_hat, des.keys()))
 
 
 def _h_key(word: Word, table: dict) -> tuple[tuple[int, ...], ...]:
@@ -156,7 +162,7 @@ def _walk(preimages: dict[Word, int], image_of: Callable, ground: AbstractSet) -
     cores, so ``image_of`` gets a table core -> P(ι(core)) that lives for
     this walk and runs ι once per core.  ι̂'s kernels re-check nothing;
     this walk raises unless the map is a bijection onto ``ground`` and
-    rotation keeps the preimages."""
+    rotation keeps the preimages.  ``_class_table`` is its one caller."""
     table: dict = {}
     image = {m: image_of(m, table) for m in preimages}
     if len(preimages) != len(ground) or ground != set(image.values()):

@@ -1,8 +1,8 @@
 """
 Oscillating tableaux with empty endpoints, the insertion/deletion
-bijection from fixed-point-free involutions, the pointwise transpose,
-and the induced crossing/nesting-swapping involution on perfect
-matchings.
+bijection from fixed-point-free involutions (``sundaram`` checks its word
+through ``perm._fixed_point_free``), the pointwise transpose, and the
+induced crossing/nesting-swapping involution on perfect matchings.
 
 The working form of Sundaram's walk is the list of cells its steps add
 or remove, each a ``Step`` (adds, row, column), 0-based: one forward
@@ -85,13 +85,6 @@ def _cell(a: Shape, b: Shape) -> Step:
     return y > x, r, max(x, y) - 1
 
 
-def _fixed_point_free(word: Word) -> Word:
-    """The word, refused unless it is a fixed-point-free involution."""
-    if not perm.is_involution(word) or perm.fixed_points(word):
-        raise ValueError("input must be a fixed-point-free involution")
-    return word
-
-
 def _cells(word: Word) -> Iterator[Step]:
     """The cells of the walk of a fixed-point-free involution word."""
     rows: list[list[int]] = []
@@ -126,7 +119,7 @@ def sundaram(word: Word) -> OscillatingTableau:
     it at the larger one, and record the shapes.
     """
     shapes: list[Shape] = [()]
-    for adds, r, c in _cells(_fixed_point_free(word)):
+    for adds, r, c in _cells(perm._fixed_point_free(word)):
         shape = shapes[-1]  # row r now has c + adds cells; an empty last row goes
         shapes.append(shape[:r] + ((c + adds,) if c + adds else ()) + shape[r + 1 :])
     return _walk(tuple(shapes))

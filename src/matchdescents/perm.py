@@ -139,18 +139,21 @@ def fixed_points(word: Word) -> frozenset[int]:
 
 
 def cycles(word: Word) -> list[tuple[int, ...]]:
-    """Disjoint cycles, each starting at its smallest element, sorted by it."""
-    seen = [False] * len(word)
+    """Disjoint cycles, each starting at its smallest element, sorted by it; a ValueError on a non-permutation."""
+    n = len(word)
+    seen = [False] * n
     out = []
-    for i in range(1, len(word) + 1):
+    for i in range(1, n + 1):
         if seen[i - 1]:
             continue
         cyc = []
         j = i
-        while not seen[j - 1]:
+        while 0 < j <= n and not seen[j - 1]:
             seen[j - 1] = True
             cyc.append(j)
             j = word[j - 1]
+        if j != i:
+            raise ValueError(f"not a permutation of [n]: {word!r}")
         out.append(tuple(cyc))
     return out
 
@@ -177,6 +180,14 @@ def _involution(word: Word) -> Word:
     """``word``, checked at a public entry to be an involution of [len(word)]."""
     if not is_involution(word):
         raise ValueError(f"not an involution: {word}")
+    return word
+
+
+def _fixed_point_free(word: Word) -> Word:
+    """``word``, checked at a public entry to be a fixed-point-free involution
+    of [len(word)]: the core that Chen's ι and Sundaram's walk take."""
+    if not is_involution(word) or fixed_points(word):
+        raise ValueError(f"not a fixed-point-free involution: {word}")
     return word
 
 

@@ -328,10 +328,8 @@ def _q_inverse_shuffle(rows: list[list[int]]) -> Word:
     # residue: the P tableau of tau^{-1} restricted to the small letters
     rank = {v: r for r, v in enumerate(sorted(e for row in rows for e in row), start=1)}
     rows[:] = [[rank[e] for e in row] for row in rows]
-    sigma = _reverse_rs(rows, rows)
-    if not perm.is_involution(sigma) or perm.fixed_points(sigma):
-        raise ValueError("residue tableau does not encode a fixed-point-free involution")
-    small = iter(sigma)  # sigma's letters fill the other positions in order
+    # the residue reads back as the small involution, whose letters fill the other positions in order
+    small = iter(perm._fixed_point_free(_reverse_rs(rows, rows)))
     return tuple(v or next(small) for v in word)
 
 

@@ -885,6 +885,61 @@ def test_lis_and_lds_are_read_only_inside_the_search():
     assert readers == {("matching.py", "_search")}
 
 
+def _src_tops():
+    """(file name, source, top-level statement) for each module of the package."""
+    for path in sorted(Path(mm.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        for top in ast.parse(source).body:
+            yield path.name, source, top
+
+
+def _names_the_class_walk(module, node):
+    """Whether ``node`` of ``module`` names ``cyclic._walk``: by its bare name
+    inside cyclic, as ``cyclic._walk``, or in an import.  oscillating's own
+    ``_walk``, which wraps a list of shapes, is another function."""
+    if isinstance(node, ast.Name):
+        return module == "cyclic.py" and node.id == "_walk"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "_walk" and getattr(node.value, "id", None) == "cyclic"
+    return isinstance(node, ast.ImportFrom) and any(alias.name == "_walk" for alias in node.names)
+
+
+def test_the_class_walk_is_read_only_in_class_table():
+    # one class walk for verify cdes, cdes-syt and orbits
+    readers, cli_names = set(), set()
+    for name, _, top in _src_tops():
+        for node in ast.walk(top):
+            if name == "cli.py":
+                cli_names.add(node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+            if _names_the_class_walk(name, node):
+                readers.add((name, getattr(top, "name", None)))
+    assert readers == {("cyclic.py", "_class_table")}
+    assert not cli_names & {"_walk", "_iota_hat"}
+
+
+def test_the_fixed_point_free_rule_is_raised_only_in_perm():
+    raisers = set()
+    for name, source, top in _src_tops():
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise) and "fixed-point-free" in ast.get_source_segment(source, node):
+                raisers.add((name, getattr(top, "name", None)))
+    assert raisers == {("perm.py", "_fixed_point_free")}
+
+
+def test_a_fixed_point_is_refused_with_one_message(capsys):
+    refusals = [
+        lambda: osc.sundaram((2, 1, 3)),
+        lambda: bj.emb(frozenset({1}), (1, 2), 3),
+        lambda: bj.ShuffleElement((1, 2, 3), 1),  # the core (1, 2) fixes both letters
+        lambda: tableau._q_inverse_shuffle([[1, 4], [3, 2]]),  # rows whose residue is (3, 2, 1, 4)
+    ]
+    for refuse in refusals:
+        with pytest.raises(ValueError, match=r"^not a fixed-point-free involution: "):
+            refuse()
+    assert cli.main(["map", "iota", "[1]"]) == 2
+    assert capsys.readouterr() == ("", "error: not a fixed-point-free involution: (1,)\n")
+
+
 def test_descent_sets_are_read_only_for_witnesses_and_public_multisets():
     # symfun and cyclic compare descent masks; a mask becomes a set only in a
     # failed comparison's witness and in the public frozenset-keyed multisets

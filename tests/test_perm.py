@@ -62,6 +62,37 @@ def test_cycle_type_and_involution():
     assert not perm.is_involution((3, 1, 2, 4))
 
 
+def _cycles_by_definition(word):
+    """The orbits of a permutation, each from its least element, by least element."""
+    out = []
+    for i in range(1, len(word) + 1):
+        orbit = [i]
+        while word[orbit[-1] - 1] != i:
+            orbit.append(word[orbit[-1] - 1])
+        if min(orbit) == i:
+            out.append(tuple(orbit))
+    return out
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_cycles_refuse_exactly_the_non_permutations(n):
+    # every word of length n with letters in [-2, n + 2]
+    for word in itertools.product(range(-2, n + 3), repeat=n):
+        if perm.is_perm(word):
+            assert perm.cycles(word) == _cycles_by_definition(word)
+        else:
+            with pytest.raises(ValueError, match=r"not a permutation of \[n\]"):
+                perm.cycles(word)
+
+
+@pytest.mark.parametrize("word", [(0, 3), (3, 1), (2, 2)])
+@pytest.mark.parametrize("codec", [perm.cycles, perm.cycle_type, perm.format_cycles])
+def test_cycle_codecs_refuse_a_non_permutation(codec, word):
+    # these raised IndexError, or for (2, 2) returned a cycle that is not one
+    with pytest.raises(ValueError, match=r"not a permutation of \[n\]: "):
+        codec(word)
+
+
 def _is_involution_by_definition(word):
     n = len(word)
     return sorted(word) == list(range(1, n + 1)) and all(word[v - 1] == i for i, v in enumerate(word, start=1))
