@@ -25,6 +25,7 @@ from . import bijection, cyclic, matching as matching_mod, oscillating, perm, sy
 MAX_N_WITHOUT_FORCE = 12
 MAX_GESSEL_TOTAL_WITHOUT_FORCE = 9  # 52,328 pairs; 444,012 at 10
 MAX_OBJECT_N = 10_000  # the size of the one object of stats and map, --n or not: under a second at this size
+MAX_ENUM_N = 500  # enum's searches recurse once per point or cell: half of Python's default recursion limit
 # the integer flags of verify: those of every registry entry, in first-seen order
 _VERIFY_FLAGS = tuple(dict.fromkeys(flag for entry in symfun.REGISTRY.values() for flag in entry.flags))
 
@@ -205,6 +206,7 @@ def _mask_str(mask: int) -> str:
 
 def cmd_enum(args: argparse.Namespace) -> int:
     n, k, j = args.n, args.k, args.j
+    _refuse_over_guard("n", n, MAX_ENUM_N)
     if args.family == "syt":
         if j is not None and k is None:
             raise UsageError("enum syt --j requires --k")
@@ -212,8 +214,7 @@ def cmd_enum(args: argparse.Namespace) -> int:
         with _row_sink(["tableau", "shape", "height", "odd_cols", "des"], args.format, args.output) as push:
             for shape in shapes:
                 columns = (tableau.format_shape(shape), tableau.height(shape), tableau.odd_cols(shape))
-                for _, des, texts in tableau._syt_des(shape):
-                    push(["/".join(texts), *columns, _mask_str(des)])
+                tableau._syt_des(shape, lambda _, des, texts: push(["/".join(texts), *columns, _mask_str(des)]))
         return 0
     if k is None:
         raise UsageError(f"enum {args.family} requires --k")

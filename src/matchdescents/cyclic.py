@@ -144,8 +144,9 @@ def _class_table(n: int, k: int, j: int | None, classes: tuple[dict, dict], syt:
     else:
         preimages, des = classes[0][j], classes[1][j]
     if syt:  # each tableau's rows, the walk's key, with its Des mask, in the kernel's order
-        shapes = tableau._syt_shapes(n, k, j)
-        des = {tuple(map(tuple, rows)): d for shape in shapes for rows, d, _ in tableau._syt_des(shape)}
+        des = {}
+        for shape in tableau._syt_shapes(n, k, j):
+            tableau._syt_des(shape, lambda rows, d, _: des.__setitem__(tuple(map(tuple, rows)), d))
     return (des, *_walk(preimages, _h_key if syt else bijection._iota_hat, des.keys()))
 
 

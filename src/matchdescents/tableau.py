@@ -17,8 +17,8 @@ plain row lists (``_insert``, ``_unbump``, ``_slide_out``,
 ``_insert`` returns the row that grew and ``_slide_out`` the cell it
 vacates, so Sundaram's walk reads its cells off the kernels.  ``_rs``
 runs RS (Q = P for an involution), ``_q_inverse_shuffle`` transposes
-its shape once, and ``_syt_des`` lists the tableaux of a shape with
-their descent masks and row texts.  ``_shape_des_counts`` counts the
+its shape once, and ``_syt_des`` folds over the tableaux of a shape
+with their descent masks and row texts.  ``_shape_des_counts`` counts the
 descent masks of every shape by one pass over Young's lattice, with no
 tableau built.  What a kernel returns is standard by construction and is
 wrapped without a second check.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import matching as matching_mod
 from . import perm
@@ -336,58 +336,46 @@ def _q_inverse_shuffle(rows: list[list[int]]) -> Word:
 # ---------------------------------------------------------------------------
 # Enumeration
 
-def _syt_des(shape: Shape) -> Iterator[tuple[list[list[int]], int, list[str]]]:
+def _syt_des(shape: Shape, fold: Callable[[list[list[int]], int, list[str]], object]) -> None:
     """
-    The standard Young tableaux of a valid shape, each with its descent
-    set and its text, by one iterative depth-first search: step s goes
-    into each row that can take it, top row first.  ``row_of[s]`` is the
-    row step s sits in, which makes it the search's stack; ``des[s]`` is
-    the descent mask of steps 1..s (bit i for descent i), and each row's
-    text grows by one concatenation per placement and is popped back off
-    its stack of prefixes per removal.  Each item is the triple (rows,
-    mask, texts): the rows and the row texts are live lists, valid until
-    the next item is drawn, and ``"/".join(texts)`` is the tableau's codec.
+    Call ``fold(rows, mask, texts)`` on each standard Young tableau of a
+    valid shape, with its descent mask (bit i for descent i) and its row
+    texts, by one depth-first search shaped like ``matching._search``:
+    ``node`` places step s into each row that can take it, top row first,
+    grows that row's text by one concatenation, sets bit s - 1 when the row
+    is lower than the row of s - 1, and undoes both on return.  The rows
+    and the row texts are live lists, valid during the call, and
+    ``"/".join(texts)`` is the tableau's codec.
 
-    >>> [(str(from_rows(rows)), bin(d), "/".join(t)) for rows, d, t in _syt_des((2, 1))]
-    [('1,2/3', '0b100', '1,2/3'), ('1,3/2', '0b10', '1,3/2')]
+    >>> _syt_des((2, 1), lambda rows, d, t: print(from_rows(rows), bin(d), "/".join(t)))
+    1,2/3 0b100 1,2/3
+    1,3/2 0b10 1,3/2
     """
     n = sum(shape)
-    h = len(shape)
     rows: list[list[int]] = [[] for _ in shape]
-    texts = [""] * h
-    prefixes: list[list[str]] = [[] for _ in shape]  # the text of each row before each of its entries
-    if not n:
-        yield rows, 0, texts
-        return
+    texts = [""] * len(shape)
     label = [str(step) for step in range(n + 1)]
     after = ["," + text for text in label]  # step's label after the row's first entry
-    row_of = [h] * (n + 1)  # row_of[0] = h: no step lies below it
-    des = [0] * (n + 1)
-    step, r = 1, 0  # place step in the first row from r on that can take it
-    while True:
-        while r < h:
-            c = len(rows[r])
+
+    def node(step, below, des):
+        # step: the entry to place; below: the row of step - 1; des: the mask of steps 1..step - 1
+        if step > n:
+            fold(rows, des, texts)
+            return
+        for r, row in enumerate(rows):
+            c = len(row)
             if c < shape[r] and (not r or len(rows[r - 1]) > c):
-                break
-            r += 1
-        if r < h:
-            rows[r].append(step)
-            prefixes[r].append(texts[r])
-            texts[r] = texts[r] + after[step] if c else label[step]
-            des[step] = des[step - 1] | 1 << step - 1 if r > row_of[step - 1] else des[step - 1]
-            row_of[step] = r
-            if step < n:
-                step, r = step + 1, 0
-                continue
-            yield rows, des[n], texts
-        else:  # no row left for this step: take back the one before it
-            step -= 1
-            if not step:
-                return
-            r = row_of[step]
-        rows[r].pop()
-        texts[r] = prefixes[r].pop()
-        r += 1
+                row.append(step)
+                text = texts[r]
+                texts[r] = text + after[step] if c else label[step]
+                node(step + 1, r, des | 1 << step - 1 if r > below else des)
+                row.pop()
+                texts[r] = text
+
+    node(1, len(shape), 0)  # no row lies below row len(shape)
+    # node's closure holds node itself: unbinding it frees the rows, and the
+    # caller's fold, now rather than at the next cyclic collection
+    del node
 
 
 def _shape_des_counts(n: int, bound: Shape | None = None) -> dict[Shape, dict[int, int]]:
@@ -430,8 +418,11 @@ def _shape_des_counts(n: int, bound: Shape | None = None) -> dict[Shape, dict[in
 
 
 def enumerate_syt(shape: Shape) -> Iterator[StandardTableau]:
-    """All standard Young tableaux of a shape, in the order of ``_syt_des``."""
-    return (_tableau(rows) for rows, _, _ in _syt_des(check_shape(shape)))
+    """All standard Young tableaux of a shape, in the order of ``_syt_des``,
+    collected from one search."""
+    tableaux: list[StandardTableau] = []
+    _syt_des(check_shape(shape), lambda rows, _, __: tableaux.append(_tableau(rows)))
+    return iter(tableaux)
 
 
 def _syt_shapes(n: int, k: int | None = None, j: int | None = None) -> list[Shape]:
@@ -462,7 +453,7 @@ def enumerate_syt_nk(n: int, k: int) -> Iterator[StandardTableau]:
 
 def parse_tableau(text: str) -> StandardTableau:
     try:
-        rows = tuple(tuple(int(e) for e in chunk.split(",")) for chunk in text.strip().split("/"))
+        rows = [[int(e) for e in chunk.split(",")] for chunk in text.strip().split("/")] if text.strip() else []
     except ValueError as exc:
         raise ParseError(f"bad tableau text: {text!r}") from exc
     try:

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import itertools
 import json
 import os
@@ -54,6 +56,21 @@ def test_stats_syt(capsys):
     code, out, _ = run(capsys, "stats", "--syt", "1,3,5,9/2,4,6/7,8", "--format", "json")
     assert code == 0
     assert json.loads(out)["Des"] == [1, 3, 5, 6]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_enum_syt_tableaux_round_trip_through_stats(capsys, n):
+    # the empty tableau of n = 0 included, which enum lists as the blank text
+    code, out, _ = run(capsys, "enum", "syt", "--n", str(n), "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(list(enumerate_syt_n(n)))
+    for row in rows:
+        code, out, err = run(capsys, "stats", "--syt", row["tableau"], "--format", "json")
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert record["object"] == row["tableau"]
+        assert perm.format_set(record["Des"]) == row["des"]
 
 
 def test_map_iota_hat_cycles(capsys):
@@ -283,6 +300,10 @@ def _size_flags():
     bound = cli.MAX_OBJECT_N
     yield "stats", lambda v: ("stats", "--matching", "", "--n", str(v)), "n", bound, False, bound + 1
     yield "map", lambda v: ("map", "rotate", "", "--n", str(v)), "n", bound, False, bound + 1
+    bound = cli.MAX_ENUM_N
+    for family in ("matchings", "involutions"):
+        yield f"enum-{family}", lambda v, family=family: ("enum", family, "--n", str(v), "--k", str(v)), "n", bound, False, bound + 1
+    yield "enum-syt", lambda v: ("enum", "syt", "--n", str(v)), "n", bound, False, bound + 1
     bound = cli.MAX_N_WITHOUT_FORCE
     yield "orbits", lambda v: ("orbits", "--n", str(v), "--k", str(v)), "n", bound, True, bound + 1
     for name, entry in symfun.REGISTRY.items():
@@ -300,6 +321,9 @@ def _stub_the_work(monkeypatch):
     monkeypatch.setitem(cli.MAPS, "rotate", (False, lambda w, codec: ran.append(len(w)) or "rotated"))
     monkeypatch.setitem(cli.MAPS, "transpose", (True, lambda o, codec: ran.append(o.size) or "transposed"))
     monkeypatch.setattr(cyclic, "_cr_ne_classes", lambda n, k: ran.append(n) or ({}, {}))
+    monkeypatch.setattr(mm, "_stat_counts", lambda n, k, fold, **bounds: ran.append(n))
+    # the partitions that _syt_shapes filters, past its own refusals
+    monkeypatch.setattr(tableau, "partitions", lambda n: ran.append(n) or iter(()))
     monkeypatch.setattr(symfun, "run_identity", lambda name, params: ran.append(params) or symfun.VerifyResult(name, params, True))
     return ran
 
@@ -881,6 +905,15 @@ def test_every_registry_identity_passes_refuses_and_fails(capsys, monkeypatch, n
     assert report["ok"] is False
     assert report["witness_diff"]
     assert report["failing"]
+
+
+def test_verify_chen_fails_when_iota_is_not_an_involution(capsys, monkeypatch):
+    # iota followed by a rotation: applied twice it does not come back
+    real_iota = osc._iota
+    monkeypatch.setattr(osc, "_iota", lambda w: mm._rotate(real_iota(w)))
+    code, out, _ = run(capsys, "verify", "chen", "--n", "4")
+    report = json.loads(out)
+    assert code == 1 and report["ok"] is False and len(report["witness_diff"]) == 3
 
 
 def _first_mdes_flipped(n, k, fold, *rest):

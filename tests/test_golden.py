@@ -7,14 +7,20 @@ two sha256 digests: one over (argv, exit code, stdout) of its commands,
 with the ``elapsed_ms`` of ``verify`` masked, and one over (argv, stderr).
 A change that moves any byte of a command's output, or its exit code,
 changes a digest.  The tier-1 families run up to n = 5; the ``slow`` ones
-run up to n = 8, with ``stats`` and ``map`` up to n = 6.
+run up to n = 8, with ``enum`` up to n = 9 and ``stats`` and ``map`` up to
+n = 6.
 
 Regenerating the digests is a deliberate act, never done by the test:
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-``--dump DIR`` writes each family's transcript to ``DIR/<family>.txt`` so
-that the outputs of two trees can be compared line by line.
+``--dump DIR`` writes each family's transcript to ``DIR/<family>.txt``.
+``--against REV`` compares the work tree with a git revision: it extracts
+REV's ``src/`` with ``git archive`` into a temporary directory, dumps the
+commands of this file on both trees, each in a fresh interpreter, and
+prints the first commands whose exit code, stdout or stderr differ:
+
+    PYTHONPATH=src python tests/test_golden.py --against HEAD
 """
 from __future__ import annotations
 
@@ -23,8 +29,13 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import re
+import shlex
+import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 from typing import Iterator
 
@@ -39,7 +50,7 @@ from oracles import enumerate_oscillating, enumerate_syt_n
 GOLDEN = Path(__file__).with_name("golden.json")
 FORMATS = ("json", "csv", "plain")
 # family -> the largest n of its tier-1 run and of its slow run
-SIZES = {"stats": (5, 6), "map": (5, 6), "enum": (5, 8), "orbits": (5, 8), "verify": (5, 8)}
+SIZES = {"stats": (5, 6), "map": (5, 6), "enum": (5, 9), "orbits": (5, 8), "verify": (5, 8)}
 
 
 def involutions(n: int) -> Iterator[tuple[int, ...]]:
@@ -171,6 +182,36 @@ def test_corpus_slow(family):
     check(family, slow=True)
 
 
+def against(rev: str) -> int:
+    """Print the first differing commands of each family between ``rev``
+    and the work tree; return 1 if any command differs, else 0."""
+    root = Path(__file__).resolve().parents[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", rev, "src"], cwd=root, capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(Path(tmp, "old"), filter="data")
+        dumps = {"old": Path(tmp, "old", "src"), "new": root / "src"}
+        children = [
+            subprocess.Popen([sys.executable, __file__, "--dump", str(Path(tmp, name, "dump"))],
+                             env={**os.environ, "PYTHONPATH": str(src)})
+            for name, src in dumps.items()
+        ]
+        if any([child.wait() for child in children]):  # wait for both before the directory goes
+            sys.exit("a dump failed")
+        differing = 0
+        for family, slow in itertools.product(COMMANDS, (False, True)):
+            old, new = (Path(tmp, name, "dump", f"{key(family, slow)}.txt").read_text().splitlines() for name in dumps)
+            diffs = [(json.loads(a), json.loads(b)) for a, b in zip(old, new) if a != b]
+            if len(old) != len(new):
+                print(f"{key(family, slow)}: {len(old)} commands at {rev}, {len(new)} in the work tree")
+            for (argv, *was), (_, *now) in diffs[:3]:
+                parts = [part for part, a, b in zip(("exit code", "stdout", "stderr"), was, now) if a != b]
+                print(f"{key(family, slow)}: {shlex.join(argv)}: {', '.join(parts)} differ")
+            differing += len(diffs) + (len(old) != len(new))
+    print(f"{differing} differing commands against {rev}")
+    return 1 if differing else 0
+
+
 def main(argv: list[str]) -> None:
     if argv[:1] == ["--write"]:
         golden = {key(f, slow): digests(transcript(f, slow)) for slow in (False, True) for f in COMMANDS}
@@ -181,8 +222,10 @@ def main(argv: list[str]) -> None:
         for family, slow in itertools.product(COMMANDS, (False, True)):
             lines = [json.dumps(row) for row in transcript(family, slow)]
             (target / f"{key(family, slow)}.txt").write_text("\n".join(lines) + "\n")
+    elif argv[:1] == ["--against"] and len(argv) == 2:
+        sys.exit(against(argv[1]))
     else:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write | --dump DIR")
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write | --dump DIR | --against REV")
 
 
 if __name__ == "__main__":

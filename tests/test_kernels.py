@@ -719,6 +719,18 @@ def test_words_leaves_no_reference_cycle():
             gc.enable()
 
 
+def test_syt_search_leaves_no_reference_cycle():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(list(tableau.enumerate_syt((4, 3, 2)))) == 168
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @pytest.mark.parametrize("n", range(11))
 def test_cr_ne_classes_match_per_word_split(n):
     for k in range(n % 2, n + 1, 2):
@@ -1023,7 +1035,8 @@ def test_syt_kernel_matches_oracle(n):
     # n = 0 and n = 1 included: the empty tableau, and the one box
     for shape in tableau.partitions(n):
         expected = list(oracle_enumerate_syt(shape))
-        got = [(tuple(map(tuple, rows)), d, "/".join(texts)) for rows, d, texts in tableau._syt_des(shape)]
+        got = []
+        tableau._syt_des(shape, lambda rows, d, texts: got.append((tuple(map(tuple, rows)), d, "/".join(texts))))
         masks = [sum(1 << i for i in oracle_tableau_des(t).members) for t in expected]
         assert got == [(t.rows, mask, tableau._format_rows(t.rows)) for t, mask in zip(expected, masks)]
         assert list(tableau.enumerate_syt(shape)) == expected
@@ -1034,7 +1047,9 @@ def test_lattice_counts_match_syt_kernel(n):
     # one forward pass over Young's lattice counts the Des masks of every
     # shape as the tableau search lists them; bounded by a shape, it counts
     # that shape alone, which is the Schur function's descent multiset
-    expected = {shape: Counter(d for _, d, _ in tableau._syt_des(shape)) for shape in tableau.partitions(n)}
+    expected = {shape: Counter() for shape in tableau.partitions(n)}
+    for shape, masks in expected.items():
+        tableau._syt_des(shape, lambda rows, d, texts: masks.update((d,)))
     assert tableau._shape_des_counts(n) == expected
     for shape, masks in expected.items():
         assert tableau._shape_des_counts(n, shape) == {shape: masks}
@@ -1114,10 +1129,12 @@ def test_enum_streams_rows(monkeypatch, family, fmt, header_lines):
     else:
         real_syt = tableau._syt_des
 
-        def source(shape):
-            for item in real_syt(shape):
+        def source(shape, fold):
+            def recorded(*leaf):
                 written.append(out.getvalue().count("\n"))
-                yield item
+                fold(*leaf)
+
+            real_syt(shape, recorded)
 
         monkeypatch.setattr(tableau, "_syt_des", source)
         argv = ["enum", "syt", "--n", "5"]

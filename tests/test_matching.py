@@ -93,7 +93,7 @@ def test_enumerate_inkj():
 
 def test_codecs():
     assert mm.parse_matching("1-6,3-4,5-7", 8) == FIG1
-    assert mm.format_matching(FIG1) == "1-6,3-4,5-7"
+    assert mm.format_matching(FIG1) == "1-6,3-4,5-7" == str(FIG1)
     assert mm.parse_matching("", 3) == mm.matching(3)
     assert matching_from_json(matching_to_json(FIG1)) == FIG1
     with pytest.raises(mm.ParseError):

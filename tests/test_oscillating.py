@@ -111,6 +111,14 @@ def test_validate():
     )
 
 
+@pytest.mark.parametrize(
+    "shapes, message", [((), "empty shape sequence"), (((1,), (), ()), "first shape nonempty")]
+)
+def test_constructor_refuses_a_walk_that_does_not_start_empty(shapes, message):
+    with pytest.raises(ValueError, match=message):
+        osc.OscillatingTableau(shapes)
+
+
 def test_step():
     o = osc.OscillatingTableau(EX_SHAPES)
     assert o.step(1) == ("add", 1)
@@ -133,6 +141,6 @@ def test_codec():
     text = "-;1;1,1;2,1;2;1;1,1;1;-"
     o = osc.parse_oscillating(text)
     assert o.shapes == EX_SHAPES
-    assert osc.format_oscillating(o) == text
+    assert osc.format_oscillating(o) == text == str(o)
     with pytest.raises(osc.ParseError):
         osc.parse_oscillating("-;2;-")

@@ -47,6 +47,11 @@ def test_cellini_extension_and_equivariance(n):
         assert perm.cellini_cdes(rotated).members == cdes.shifted().members
 
 
+def test_shift_refuses_a_linear_descent_set():
+    with pytest.raises(ValueError, match="shift is defined for cyclic descent sets"):
+        perm.DescentSet(3, frozenset({1})).shifted()
+
+
 def test_fixed_points():
     assert perm.fixed_points((4, 2, 6, 1, 5, 3)) == frozenset({2, 5})
     assert perm.fixed_points(perm.identity(3)) == frozenset({1, 2, 3})

@@ -46,6 +46,8 @@ def test_tableau_validation():
         from_rows(((1, 2), (1,)))
     with pytest.raises(ValueError):
         from_rows(((1,), (2, 3)))
+    with pytest.raises(ValueError, match="column not increasing"):
+        from_rows(((2, 3), (1,)))
 
 
 def test_des():
@@ -82,6 +84,8 @@ def test_rs_inverse():
     assert tableau.rs_inverse(cell, cell) == (1,)
     with pytest.raises(ValueError):
         tableau.rs_inverse(from_rows(((1, 2),)), from_rows(((1,), (2,))))
+    with pytest.raises(ValueError, match="recording tableau must hold 1..n"):
+        tableau.rs_inverse(from_rows(((1, 2),)), from_rows(((1, 3),)))
 
 
 @given(permutations)
@@ -118,6 +122,8 @@ def test_q_inverse_shuffle():
     # expels the position of the largest letter
     _, pos = tableau.reverse_rs_insert(q, (2, 3))
     assert pos == 6
+    with pytest.raises(ValueError, match="not an outer corner"):
+        tableau.reverse_rs_insert(from_rows(((1, 2), (3, 4))), (1, 2))  # (2, 2) lies below it
     single_row = from_rows(((1, 2, 3, 4),))
     assert tableau.q_inverse_shuffle(single_row) == (1, 2, 3, 4)
 
@@ -141,5 +147,7 @@ def test_codecs():
     assert tableau.format_shape((4, 3, 2)) == "4,3,2"
     with pytest.raises(tableau.ParseError):
         tableau.parse_tableau("1,2/2,3")
+    # blank text is the empty tableau, which enum syt --n 0 lists
+    assert tableau.parse_tableau("") == tableau.parse_tableau(" ") == EMPTY_TABLEAU
     with pytest.raises(tableau.ParseError):
         tableau.parse_shape("2,3")
