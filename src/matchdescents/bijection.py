@@ -24,16 +24,13 @@ ShuffleElement their core through ``perm._fixed_point_free``, q_map its output.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import matching as matching_mod
 from . import oscillating, perm, tableau
 from .perm import Word
 from .tableau import StandardTableau
 
 
-@dataclass(frozen=True)
-class ShuffleElement:
+class ShuffleElement(perm._Record, frozen=True):
     """A word in I_{n-k,0} shuffled with the increasing run n-k+1..n."""
 
     word: Word
@@ -47,7 +44,7 @@ class ShuffleElement:
         big_positions = [i for i, v in enumerate(self.word) if v > n - k]
         if [self.word[i] for i in big_positions] != list(range(n - k + 1, n + 1)):
             raise ValueError("large letters do not form an increasing run")
-        perm._fixed_point_free(self.small_involution())
+        perm._fixed_point_free(self.small_involution(), self.word)
 
     @property
     def n(self) -> int:

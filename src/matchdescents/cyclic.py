@@ -16,10 +16,9 @@ carry one object at a time, through ι̂⁻¹ (H⁻¹) and then ι̂ (H).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Hashable, Iterable
 
-from . import bijection, matching as matching_mod, tableau
+from . import bijection, matching as matching_mod, perm, tableau
 from .perm import DescentSet, Word
 from .tableau import StandardTableau
 
@@ -49,16 +48,15 @@ def classify_escherian(n: int, k: int, j: int) -> str:
     return "non_escherian"
 
 
-@dataclass
-class CdesReport:
+class CdesReport(perm._Record):
     """Outcome of checking the three cyclic-extension axioms on a set."""
 
     set_id: str
     extension_ok: bool
     equivariance_ok: bool
     non_escher_ok: bool
-    escher_witnesses: list = field(default_factory=list)
-    orbit_sizes: list[int] = field(default_factory=list)
+    escher_witnesses: list = []
+    orbit_sizes: list[int] = []
 
     @property
     def all_axioms_ok(self) -> bool:

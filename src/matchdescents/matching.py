@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from . import perm
@@ -37,8 +36,7 @@ from .perm import DescentSet, ParseError, Word
 Arc = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(perm._Record, frozen=True):
     n: int
     arcs: tuple[Arc, ...]
 

@@ -13,7 +13,6 @@ transposed cells.  ``_cell`` reads the one cell between two shapes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import matching as matching_mod
@@ -25,8 +24,7 @@ from .tableau import Shape
 Step = tuple[bool, int, int]
 
 
-@dataclass(frozen=True)
-class OscillatingTableau:
+class OscillatingTableau(perm._Record, frozen=True):
     """A walk in the Young lattice from the empty shape back to itself,
     one box added or removed per step."""
 

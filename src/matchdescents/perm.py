@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -44,21 +43,77 @@ def identity(n: int) -> Word:
     return tuple(range(1, n + 1))
 
 
+class _Record:
+    """
+    The base of the package's value types.  A subclass names its fields
+    once, as annotations in order, and gives each default as a class
+    attribute; ``frozen=True`` in the class line makes it read-only.
+
+    The base supplies the constructor, which takes the fields by position
+    or keyword, copies a list or dict default for each instance and then
+    runs ``__post_init__``; equality only between instances of one class;
+    ``repr``; and, for frozen records, a hash of the fields and an
+    ``AttributeError`` on assignment or deletion.  Mutable records are
+    unhashable.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = False) -> None:
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        cls._key = attrgetter(*cls._fields)  # the tuple of field values; the value itself for one field
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _Record._read_only
+            cls.__hash__ = _Record._hash
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        values = dict(zip(cls._fields, args), **kwargs)
+        # zip drops extra positions, and a keyword overwrites a repeated field
+        if len(values) < len(args) + len(kwargs) or not values.keys() <= set(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {', '.join(cls._fields)}, each once, by position or keyword")
+        for name in cls._fields[len(args):]:
+            if name not in values:
+                if not hasattr(cls, name):
+                    raise TypeError(f"{cls.__name__}() missing {name!r}")
+                default = getattr(cls, name)
+                values[name] = default.copy() if isinstance(default, (list, dict)) else default
+        vars(self).update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the fields; a subclass with an invariant overrides this."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def _hash(self) -> int:
+        return hash(self._key(self))
+
+    def _read_only(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign or delete {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
 def _trusted(cls, **fields):
     """
-    An instance of the frozen dataclass ``cls`` built from field values
-    that are valid by construction, skipping ``__post_init__``.  The
-    package's kernels use it for their results; data entering from
-    outside goes through the public constructors.
+    An instance of the frozen record class ``cls`` built from field
+    values that are valid by construction, skipping ``__post_init__``; a
+    field left out reads its class default.  The package's kernels use it
+    for their results; data entering from outside goes through the public
+    constructors.
     """
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    vars(obj).update(fields)
     return obj
 
 
-@dataclass(frozen=True)
-class DescentSet:
+class DescentSet(_Record, frozen=True):
     """
     A subset of positions with an explicit ambient size.
 
@@ -183,11 +238,14 @@ def _involution(word: Word) -> Word:
     return word
 
 
-def _fixed_point_free(word: Word) -> Word:
+def _fixed_point_free(word: Word, whole: Word | None = None) -> Word:
     """``word``, checked at a public entry to be a fixed-point-free involution
-    of [len(word)]: the core that Chen's ι and Sundaram's walk take."""
+    of [len(word)]: the core that Chen's ι and Sundaram's walk take.  When
+    the core was read off a longer word, ``whole`` names that word in the
+    refusal."""
     if not is_involution(word) or fixed_points(word):
-        raise ValueError(f"not a fixed-point-free involution: {word}")
+        of = "" if whole is None else f", the core of {whole}"
+        raise ValueError(f"not a fixed-point-free involution: {word}{of}")
     return word
 
 

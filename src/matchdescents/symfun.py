@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress
 from operator import gt
 from typing import Callable, Iterable, Iterator, Sequence
@@ -49,14 +48,13 @@ def _canonical(key):
     return key
 
 
-@dataclass
-class VerifyResult:
+class VerifyResult(perm._Record):
     identity: str
     params: dict
     ok: bool
-    witness_diff: list = field(default_factory=list)
-    counts: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)  # further report fields
+    witness_diff: list = []
+    counts: dict = {}
+    extra: dict = {}  # further report fields
 
 
 def _compared(identity: str, params: dict, lhs: dict, rhs: dict, counts: dict) -> VerifyResult:
@@ -389,8 +387,7 @@ def verify_cdes_k(n: int, k: int, j: int | None = None, syt: bool = False) -> Ve
 GESSEL_DEFAULT_MAX = 6
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(perm._Record, frozen=True):
     """A registry entry: the flags the identity takes, and ``check``, which
     takes their values as keywords.  When k is a flag, ``check`` yields one
     result per class that the flags select, in k order."""

@@ -26,7 +26,6 @@ wrapped without a second check.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from . import matching as matching_mod
@@ -80,8 +79,7 @@ def partitions(n: int) -> Iterator[Shape]:
 Cell = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class StandardTableau:
+class StandardTableau(perm._Record, frozen=True):
     """A filling with distinct entries, strictly increasing in rows and columns."""
 
     rows: tuple[tuple[int, ...], ...]

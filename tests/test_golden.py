@@ -8,7 +8,9 @@ with the ``elapsed_ms`` of ``verify`` masked, and one over (argv, stderr).
 A change that moves any byte of a command's output, or its exit code,
 changes a digest.  The tier-1 families run up to n = 5; the ``slow`` ones
 run up to n = 8, with ``enum`` up to n = 9 and ``stats`` and ``map`` up to
-n = 6.
+n = 6.  The ``refusals`` family, every size flag of ``tests/test_cli.py``'s
+``_size_flags`` at -1 and just past its guard, runs in tier-1 only: each
+of its commands is refused before it does any work, whatever the size.
 
 Regenerating the digests is a deliberate act, never done by the test:
 
@@ -46,11 +48,12 @@ from matchdescents import oscillating as osc
 from matchdescents import tableau
 
 from oracles import enumerate_oscillating, enumerate_syt_n
+from test_cli import _size_flags
 
 GOLDEN = Path(__file__).with_name("golden.json")
 FORMATS = ("json", "csv", "plain")
-# family -> the largest n of its tier-1 run and of its slow run
-SIZES = {"stats": (5, 6), "map": (5, 6), "enum": (5, 9), "orbits": (5, 8), "verify": (5, 8)}
+# family -> the largest n of its tier-1 run and of its slow run, None for no slow run
+SIZES = {"stats": (5, 6), "map": (5, 6), "enum": (5, 9), "orbits": (5, 8), "verify": (5, 8), "refusals": (0, None)}
 
 
 def involutions(n: int) -> Iterator[tuple[int, ...]]:
@@ -131,12 +134,20 @@ def verify_commands(top: int) -> Iterator[tuple[str, ...]]:
                     yield "verify", name, "--n", str(n), *class_flags(k, j)
 
 
+def refusal_commands(top: int) -> Iterator[tuple[str, ...]]:
+    """Each size flag at -1 and just past its guard, with no --force."""
+    for _, argv, *_, over in _size_flags():
+        yield argv(-1)
+        yield argv(over)
+
+
 COMMANDS = {
     "stats": stats_commands,
     "map": map_commands,
     "enum": enum_commands,
     "orbits": orbits_commands,
     "verify": verify_commands,
+    "refusals": refusal_commands,
 }
 
 
@@ -166,6 +177,11 @@ def key(family: str, slow: bool) -> str:
     return f"{family}-slow" if slow else family
 
 
+def runs() -> list[tuple[str, bool]]:
+    """The (family, slow) pairs that have digests."""
+    return [(family, slow) for slow in (False, True) for family in COMMANDS if SIZES[family][slow] is not None]
+
+
 def check(family: str, slow: bool) -> None:
     expected = json.loads(GOLDEN.read_text())[key(family, slow)]
     assert digests(transcript(family, slow)) == expected
@@ -177,7 +193,7 @@ def test_corpus(family):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("family", COMMANDS)
+@pytest.mark.parametrize("family", [family for family, slow in runs() if slow])
 def test_corpus_slow(family):
     check(family, slow=True)
 
@@ -199,7 +215,7 @@ def against(rev: str) -> int:
         if any([child.wait() for child in children]):  # wait for both before the directory goes
             sys.exit("a dump failed")
         differing = 0
-        for family, slow in itertools.product(COMMANDS, (False, True)):
+        for family, slow in runs():
             old, new = (Path(tmp, name, "dump", f"{key(family, slow)}.txt").read_text().splitlines() for name in dumps)
             diffs = [(json.loads(a), json.loads(b)) for a, b in zip(old, new) if a != b]
             if len(old) != len(new):
@@ -214,12 +230,12 @@ def against(rev: str) -> int:
 
 def main(argv: list[str]) -> None:
     if argv[:1] == ["--write"]:
-        golden = {key(f, slow): digests(transcript(f, slow)) for slow in (False, True) for f in COMMANDS}
+        golden = {key(family, slow): digests(transcript(family, slow)) for family, slow in runs()}
         GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
     elif argv[:1] == ["--dump"] and len(argv) == 2:
         target = Path(argv[1])
         target.mkdir(parents=True, exist_ok=True)
-        for family, slow in itertools.product(COMMANDS, (False, True)):
+        for family, slow in runs():
             lines = [json.dumps(row) for row in transcript(family, slow)]
             (target / f"{key(family, slow)}.txt").write_text("\n".join(lines) + "\n")
     elif argv[:1] == ["--against"] and len(argv) == 2:

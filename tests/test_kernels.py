@@ -950,6 +950,9 @@ def test_a_fixed_point_is_refused_with_one_message(capsys):
             refuse()
     assert cli.main(["map", "iota", "[1]"]) == 2
     assert capsys.readouterr() == ("", "error: not a fixed-point-free involution: (1,)\n")
+    # map q checks the core of the word it was given, and names both
+    assert cli.main(["map", "q", "[1,3,2]"]) == 2
+    assert capsys.readouterr() == ("", "error: not a fixed-point-free involution: (1, 2), the core of (1, 3, 2)\n")
 
 
 def test_descent_sets_are_read_only_for_witnesses_and_public_multisets():
