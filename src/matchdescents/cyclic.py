@@ -16,7 +16,7 @@ carry one object at a time, through ι̂⁻¹ (H⁻¹) and then ι̂ (H).
 """
 from __future__ import annotations
 
-from typing import AbstractSet, Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable
 
 from . import bijection, matching as matching_mod, perm, tableau
 from .perm import DescentSet, Word
@@ -135,36 +135,26 @@ def _check_class(n: int, k: int, j: int, classes: tuple[dict, dict], syt: bool =
 
 def _class_table(n: int, k: int, j: int | None, classes: tuple[dict, dict], syt: bool = False) -> tuple[dict, ...]:
     """(des, cdes, p): the Des masks, cDes masks and map p of I_{n,k,j}
-    (SYT_{n,k,j} when syt), or of every j when j is None, walked from the
-    words of ``classes = _cr_ne_classes(n, k)`` with cr = j."""
+    (SYT_{n,k,j} when syt), or of every j when j is None, read forward from
+    the words of ``classes = _cr_ne_classes(n, k)`` with cr = j and their
+    cMDes masks: cDes(ι̂ m) = cMDes(m) and p(ι̂ m) = ι̂(rot m), with the rows
+    of H for ι̂ when syt.  ι̂'s kernels re-check nothing, so the walk raises
+    unless ι̂ maps the class onto its ground set and rotation keeps the class."""
     if j is None:  # every class, merged in order of j
         preimages, des = ({w: mask for cls in by_j.values() for w, mask in cls.items()} for by_j in classes)
     else:
         preimages, des = classes[0][j], classes[1][j]
+    table: dict = {}
     if syt:  # each tableau's rows, the walk's key, with its Des mask, in the kernel's order
         des = {}
         for shape in tableau._syt_shapes(n, k, j):
             tableau._syt_des(shape, lambda rows, d, _: des.__setitem__(tuple(map(tuple, rows)), d))
-    return (des, *_walk(preimages, _h_key if syt else bijection._iota_hat, des.keys()))
-
-
-def _h_key(word: Word, table: dict) -> tuple[tuple[int, ...], ...]:
-    """The rows of H(word) as a tuple of tuples, the key of a tableau in the walk."""
-    return tuple(map(tuple, bijection._h_rows(word, table)))
-
-
-def _walk(preimages: dict[Word, int], image_of: Callable, ground: AbstractSet) -> tuple[dict, dict]:
-    """The cDes mask and the map p of each element of ``ground``, read
-    forward from the matchings, each with its cMDes mask, that ``image_of``
-    (ι̂ or H) maps onto it: cDes(ι̂ m) = cMDes(m) and p(ι̂ m) = ι̂(rot m).  A
-    class is every choice of fixed points times a few fixed-point-free
-    cores, so ``image_of`` gets a table core -> P(ι(core)) that lives for
-    this walk and runs ι once per core.  ι̂'s kernels re-check nothing;
-    this walk raises unless the map is a bijection onto ``ground`` and
-    rotation keeps the preimages.  ``_class_table`` is its one caller."""
-    table: dict = {}
-    image = {m: image_of(m, table) for m in preimages}
-    if len(preimages) != len(ground) or ground != set(image.values()):
+        h_rows = bijection._h_rows
+        image = {m: tuple(map(tuple, h_rows(m, table))) for m in preimages}
+    else:
+        iota_hat = bijection._iota_hat
+        image = {m: iota_hat(m, table) for m in preimages}
+    if len(preimages) != len(des) or des.keys() != set(image.values()):
         raise ValueError("p is not a bijection of the ground set")
     cdes, p = {}, {}
     for (m, x), mask in zip(image.items(), preimages.values()):
@@ -172,4 +162,4 @@ def _walk(preimages: dict[Word, int], image_of: Callable, ground: AbstractSet) -
         if r not in image:
             raise ValueError("rotation leaves the crossing class: p is not a bijection of the ground set")
         cdes[x], p[x] = mask, image[r]
-    return cdes, p
+    return des, cdes, p

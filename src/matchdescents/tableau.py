@@ -423,22 +423,22 @@ def enumerate_syt(shape: Shape) -> Iterator[StandardTableau]:
     return iter(tableaux)
 
 
-def _syt_shapes(n: int, k: int | None = None, j: int | None = None) -> list[Shape]:
+def _syt_shapes(n: int, k: int | None = None, j: int | None = None) -> Iterator[Shape]:
     """
-    The shapes of size n; with k, those with k odd columns; with j as
-    well, those of height 2j or 2j + 1.  A negative n, and an (n, k) or
-    (n, k, j) that names no class, is refused here, before any tableau is
-    built.
+    The shapes of size n, one at a time; with k, those with k odd columns;
+    with j as well, those of height 2j or 2j + 1.  A negative n, and an
+    (n, k) or (n, k, j) that names no class, is refused here, when called,
+    before any tableau is built.
     """
     if n < 0:
         raise ValueError(f"invalid n = {n}")
     if k is not None:
         matching_mod._check_nkj(n, k, j)
-    return [
+    return (
         shape
         for shape in partitions(n)
         if (k is None or odd_cols(shape) == k) and (j is None or 2 * j <= height(shape) <= 2 * j + 1)
-    ]
+    )
 
 
 def enumerate_syt_nk(n: int, k: int) -> Iterator[StandardTableau]:

@@ -99,6 +99,25 @@ def test_verify_cdes_exits_3_when_iota_hat_is_not_injective(capsys, monkeypatch)
     assert "internal error" in err and "not a bijection" in err
 
 
+@pytest.mark.parametrize(
+    "module, attr, stand_in, flags, message",
+    [
+        # every tableau to the one-row tableau: not onto the class
+        (bj, "_h_rows", lambda word, table=None: [list(range(1, len(word) + 1))], ["--n", "6"], "not a bijection"),
+        # the identity word has cr = 0, outside the class cr = 1 of M_{6,0}
+        (mm, "_rotate", lambda word: tuple(range(1, len(word) + 1)), ["--n", "6", "--k", "0", "--j", "1"],
+         "rotation leaves the crossing class"),
+    ],
+)
+def test_verify_cdes_syt_exits_3_when_the_walk_refuses(capsys, monkeypatch, module, attr, stand_in, flags, message):
+    monkeypatch.setattr(module, attr, stand_in)
+    code = cli.main(["verify", "cdes-syt", *flags])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: verify cdes-syt ")
+    assert message in err.splitlines()[0]
+
+
 def oracle_orbit_rows(n, k, j):
     """The rows of ``orbits`` from one ``transport_involution`` (ι̂⁻¹, then ι̂)
     per element."""

@@ -474,7 +474,7 @@ def test_unwritable_output_is_refused(capsys, tmp_path, argv, fmt):
 @pytest.mark.parametrize("j", [None, 1])
 def test_orbits_refuses_unwritable_output_before_the_walk(capsys, monkeypatch, tmp_path, j):
     walked = []
-    monkeypatch.setattr(cyclic, "_walk", lambda *args: walked.append(args))
+    monkeypatch.setattr(cyclic, "_class_table", lambda *args: walked.append(args))
     flags = ["--n", "6", "--k", "0"] + ([] if j is None else ["--j", str(j)])
     code, out, err = run(capsys, "orbits", *flags, "--output", str(tmp_path / "missing" / "rows.csv"))
     assert code == 2 and out == "" and err.startswith("error: cannot write --output ")

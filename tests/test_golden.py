@@ -11,6 +11,10 @@ run up to n = 8, with ``enum`` up to n = 9 and ``stats`` and ``map`` up to
 n = 6.  The ``refusals`` family, every size flag of ``tests/test_cli.py``'s
 ``_size_flags`` at -1 and just past its guard, runs in tier-1 only: each
 of its commands is refused before it does any work, whatever the size.
+So does the ``failing`` family: each identity of the registry, with the
+flags of ``tests/test_cli.py``'s ``REGISTRY_CASES``, run under that
+case's stand-in, so that every failing report (exit code 1, its
+``witness_diff`` and ``failing``) is pinned too.
 
 Regenerating the digests is a deliberate act, never done by the test:
 
@@ -40,6 +44,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 from typing import Iterator
+from unittest import mock
 
 import pytest
 
@@ -48,12 +53,13 @@ from matchdescents import oscillating as osc
 from matchdescents import tableau
 
 from oracles import enumerate_oscillating, enumerate_syt_n
-from test_cli import _size_flags
+from test_cli import REGISTRY_CASES, _size_flags
 
 GOLDEN = Path(__file__).with_name("golden.json")
 FORMATS = ("json", "csv", "plain")
 # family -> the largest n of its tier-1 run and of its slow run, None for no slow run
-SIZES = {"stats": (5, 6), "map": (5, 6), "enum": (5, 9), "orbits": (5, 8), "verify": (5, 8), "refusals": (0, None)}
+SIZES = {"stats": (5, 6), "map": (5, 6), "enum": (5, 9), "orbits": (5, 8), "verify": (5, 8), "refusals": (0, None),
+         "failing": (0, None)}
 
 
 def involutions(n: int) -> Iterator[tuple[int, ...]]:
@@ -141,6 +147,12 @@ def refusal_commands(top: int) -> Iterator[tuple[str, ...]]:
         yield argv(over)
 
 
+def failing_commands(top: int) -> Iterator[tuple[str, ...]]:
+    """Each identity's small run of ``REGISTRY_CASES``, made under its ``stand_in``."""
+    for name, (flags, _) in REGISTRY_CASES.items():
+        yield "verify", name, *flags
+
+
 COMMANDS = {
     "stats": stats_commands,
     "map": map_commands,
@@ -148,7 +160,17 @@ COMMANDS = {
     "orbits": orbits_commands,
     "verify": verify_commands,
     "refusals": refusal_commands,
+    "failing": failing_commands,
 }
+
+
+def stand_in(family: str, argv: tuple[str, ...]) -> contextlib.AbstractContextManager:
+    """The map of ``REGISTRY_CASES`` patched by its stand-in while a command
+    of the ``failing`` family runs; nothing for the other families."""
+    if family != "failing":
+        return contextlib.nullcontext()
+    _, (module, attr, replacement) = REGISTRY_CASES[argv[1]]
+    return mock.patch.object(module, attr, replacement)
 
 
 def run(argv: tuple[str, ...]) -> tuple[int, str, str]:
@@ -162,7 +184,11 @@ def run(argv: tuple[str, ...]) -> tuple[int, str, str]:
 
 
 def transcript(family: str, slow: bool) -> list[tuple[tuple[str, ...], int, str, str]]:
-    return [(argv, *run(argv)) for argv in COMMANDS[family](SIZES[family][slow])]
+    rows = []
+    for argv in COMMANDS[family](SIZES[family][slow]):
+        with stand_in(family, argv):
+            rows.append((argv, *run(argv)))
+    return rows
 
 
 def digests(rows: list) -> dict:

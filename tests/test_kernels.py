@@ -905,28 +905,21 @@ def _src_tops():
             yield path.name, source, top
 
 
-def _names_the_class_walk(module, node):
-    """Whether ``node`` of ``module`` names ``cyclic._walk``: by its bare name
-    inside cyclic, as ``cyclic._walk``, or in an import.  oscillating's own
-    ``_walk``, which wraps a list of shapes, is another function."""
-    if isinstance(node, ast.Name):
-        return module == "cyclic.py" and node.id == "_walk"
-    if isinstance(node, ast.Attribute):
-        return node.attr == "_walk" and getattr(node.value, "id", None) == "cyclic"
-    return isinstance(node, ast.ImportFrom) and any(alias.name == "_walk" for alias in node.names)
-
-
-def test_the_class_walk_is_read_only_in_class_table():
-    # one class walk for verify cdes, cdes-syt and orbits
+def test_the_class_walk_is_read_only_by_its_two_callers():
+    # one class walk for verify cdes, cdes-syt and orbits, and no second ι̂ or H loop in cli
     readers, cli_names = set(), set()
     for name, _, top in _src_tops():
         for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                names = {node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)}
             if name == "cli.py":
-                cli_names.add(node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
-            if _names_the_class_walk(name, node):
+                cli_names.update(names)
+            if "_class_table" in names:
                 readers.add((name, getattr(top, "name", None)))
-    assert readers == {("cyclic.py", "_class_table")}
-    assert not cli_names & {"_walk", "_iota_hat"}
+    assert readers == {("cli.py", "cmd_orbits"), ("cyclic.py", "_check_class")}
+    assert not cli_names & {"_iota_hat", "_h_rows"}
 
 
 def test_the_fixed_point_free_rule_is_raised_only_in_perm():

@@ -6,7 +6,8 @@ kept below, and the README's "Library API" section must list exactly
 those names for that module.  A name that only the tests use belongs in
 ``tests/oracles.py``; a new public name is added here, to the README,
 and to a caller in the package, an acceptance criterion or the library
-example.
+example.  A kept name that none of those reads is named in ``UNREAD``
+with the reason it stays.
 """
 import ast
 import re
@@ -18,6 +19,7 @@ import matchdescents
 
 PACKAGE = Path(matchdescents.__file__).parent
 README = Path(__file__).resolve().parent.parent / "README.md"
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 
 KEPT = {
     "perm": [
@@ -57,6 +59,15 @@ KEPT = {
     "__main__": [],
 }
 
+# Kept names with no reader in the package, the acceptance criteria or the
+# library example, and why each stays public.
+UNREAD = {
+    ("cyclic", "transport_syt"): "cDes and p on one tableau, the paper's map on SYT; verify walks whole classes",
+    ("symfun", "schur_descent_multiset"): "one Schur function in the fundamental basis, the paper's own object",
+    ("symfun", "lhs_main0"): "main0's left side keyed by descent sets; verify_main0 compares the masks directly",
+    ("symfun", "rhs_main0"): "main0's right side keyed by descent sets; verify_main0 compares the masks directly",
+}
+
 
 def defined_public_names(name):
     """The public functions and classes defined at the top level of the
@@ -94,3 +105,38 @@ def test_readme_lists_the_kept_names(name):
 def test_readme_library_example_runs():
     (code,) = re.findall(r"```python\n(.*?)```", readme_section("Library example"), re.S)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def reads(source, module=None):
+    """(module, top-level definition, name, bare) for each name that
+    ``source`` reads: a bare name, which counts only inside its own
+    ``module``, an attribute or an imported name."""
+    out = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                names, bare = [alias.name for alias in node.names], False
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                bare = isinstance(node, ast.Name)
+                names = [node.id if bare else node.attr]
+            else:
+                continue
+            out.update((module, getattr(top, "name", None), name, bare) for name in names)
+    return out
+
+
+def test_every_kept_name_has_a_reader():
+    (example,) = re.findall(r"```python\n(.*?)```", readme_section("Library example"), re.S)
+    found = reads(example) | reads(ACCEPTANCE.read_text())
+    for path in PACKAGE.glob("*.py"):
+        found |= reads(path.read_text(), path.stem)
+    unread = {
+        (module, name)
+        for module, kept in KEPT.items()
+        for name in kept
+        if not any(
+            read == name and (where, top) != (module, name) and (not bare or where == module)
+            for where, top, read, bare in found
+        )
+    }
+    assert unread == set(UNREAD)

@@ -151,3 +151,15 @@ def test_codecs():
     assert tableau.parse_tableau("") == tableau.parse_tableau(" ") == EMPTY_TABLEAU
     with pytest.raises(tableau.ParseError):
         tableau.parse_shape("2,3")
+
+
+def test_syt_shapes_are_listed_one_at_a_time(monkeypatch):
+    # enum syt writes its first shape's rows before the later partitions of n exist
+    def first_then_fail(n):
+        yield (n,)
+        raise AssertionError("the shapes were listed ahead of use")
+
+    monkeypatch.setattr(tableau, "partitions", first_then_fail)
+    assert next(iter(tableau._syt_shapes(60))) == (60,)
+    with pytest.raises(ValueError, match="invalid"):
+        tableau._syt_shapes(-1)  # the refusals stay eager
