@@ -13,8 +13,8 @@ from __future__ import annotations
 import contextlib
 from collections import Counter
 from itertools import compress
-from operator import gt
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import gt, mul
+from typing import Callable, Iterable, Iterator
 
 from . import cyclic, matching as matching_mod, oscillating, perm, tableau
 from .perm import Placements, Word
@@ -211,8 +211,9 @@ def _main11_results(name: str, n: int, k: int | None) -> Iterator[VerifyResult]:
 # A class word is a shuffle: for the support S it places sup∘pi on the
 # positions in S and rest∘sigma on the rest, where sup and rest list S and
 # its complement in increasing order.  Both sides therefore lay out words
-# through one table of placements per (m, n), and the verifier counts their
-# descent masks, summing the bit of each descent position.  Pairs are
+# through one table of placements per (m, n).  The verifier packs all
+# C(m + n, m) words of a pair into one integer, a byte per letter, and
+# reads every descent of every word with one subtraction.  Pairs are
 # checked where they enter: ``gessel_pairs`` builds only valid ones.
 
 def _check_pair(pi: Word, sigma_word: tuple[int, ...]) -> None:
@@ -245,10 +246,64 @@ def gessel_class(pi: Word, sigma_word: tuple[int, ...]) -> list[Word]:
     return _class_words(pi, sigma_word, perm.placements(len(pi), len(sigma_word)))
 
 
-def _descent_counts(words: Iterable[Word], bits: Sequence[int]) -> Counter:
-    """The Des multiset of the words, keyed by masks; ``bits`` holds 1 << i
-    for each position i = 1, ..., n - 1 of words of length n."""
-    return Counter(sum(compress(bits, map(gt, w, w[1:]))) for w in words)
+class _DesMasks(dict):
+    """The Des mask of a word's byte group in a packed descent integer: bit i
+    for each position i whose byte is set."""
+
+    def __missing__(self, group: bytes) -> int:
+        mask = self[group] = sum(1 << i for i, byte in enumerate(group, 1) if byte)
+        return mask
+
+
+def _packed_block(m: int, n: int) -> tuple[list[list[int]], list[int], Callable[[int], Counter]]:
+    """
+    The class table and the shuffle spots of the block (m, n), and the Des
+    count of the words they pack.  The word of the s-th support of
+    ``perm.placements(m, n)`` takes bytes s*t .. s*t + t - 1 of an integer
+    (t = m + n), a letter a byte.  ``spots[a]`` holds the byte 1 where each
+    support puts the a-th letter of pi + sigma, so the sum of x_a *
+    ``spots[a]`` over the letters x_a of pi + sigma packs all its shuffles.
+    A class word has cols[x - 1] there instead, so ``table[a][x]``, for a
+    letter x of a's block, holds cols[x - 1] on each support's spot, and the
+    sum of ``table[a][x_a]`` packs the split class.
+
+    ``count`` returns their Des multiset, keyed by masks in first-occurrence
+    order.  (W | G) - (W >> 8) holds w[p] + 128 - w[p + 1] in byte p, with G
+    the byte 0x80 everywhere: no borrow crosses a byte, as every letter is
+    below 128, and bit 7 is set exactly when w[p] > w[p + 1].  The last byte
+    of a word compares it with the next word, so its group leaves it out.
+    """
+    t = m + n
+    if t > 127:
+        raise ValueError(f"a block of {t} letters: the packed Gessel check takes at most 127")
+    all_cols = [cols for cols, _ in perm.placements(m, n)]
+    size = len(all_cols) * t
+    table, spots = [], []
+    for a in range(t):
+        at = [s * t + cols[a] - 1 for s, cols in enumerate(all_cols)]
+        spots.append(sum(1 << 8 * p for p in at))
+        row = [0] * (t + 1)
+        for x in range(1, m + 1) if a < m else range(m + 1, t + 1):
+            letters = bytearray(size)
+            for p, cols in zip(at, all_cols):
+                letters[p] = cols[x - 1]
+            row[x] = int.from_bytes(letters, "little")
+        table.append(row)
+
+    high = int.from_bytes(b"\x80" * size, "little")
+    groups = [slice(p, p + t - 1) for p in range(0, size, t)]
+    masks = _DesMasks()
+
+    def count(packed: int) -> Counter:
+        descents = ((packed | high) - (packed >> 8)) & high
+        return Counter(map(masks.__getitem__, map(descents.to_bytes(size, "little").__getitem__, groups)))
+
+    return table, spots, count
+
+
+def _class_packed(pi: Word, sigma_word: tuple[int, ...], table: list[list[int]]) -> int:
+    """The class words of a checked pair, packed through the class table."""
+    return sum(map(list.__getitem__, table, (*pi, *sigma_word)))
 
 
 def _gessel_counts(pairs: Iterable[tuple[Word, Word]]) -> Iterator[tuple[Word, Word, Counter, Counter]]:
@@ -263,14 +318,14 @@ def _gessel_counts(pairs: Iterable[tuple[Word, Word]]) -> Iterator[tuple[Word, W
     for pi, sigma_word in pairs:
         if block != (len(pi), len(sigma_word)):
             block = (len(pi), len(sigma_word))
-            kernel = perm.placements(*block)
+            class_table, spots, count = _packed_block(*block)
             bits = [1 << i for i in range(1, sum(block))]  # sized to the block: compress drops what it lacks
             shuffle_side: dict[int, Counter] = {}
         joined = (*pi, *sigma_word)
         key = sum(compress(bits, map(gt, joined, joined[1:])))
         if key not in shuffle_side:
-            shuffle_side[key] = _descent_counts((layout(joined) for _, layout in kernel), bits)
-        yield pi, sigma_word, _descent_counts(_class_words(pi, sigma_word, kernel), bits), shuffle_side[key]
+            shuffle_side[key] = count(sum(map(mul, joined, spots)))
+        yield pi, sigma_word, count(_class_packed(pi, sigma_word, class_table)), shuffle_side[key]
 
 
 def _gessel_result(pi: Word, sigma_word: tuple[int, ...], lhs: Counter, rhs: Counter) -> VerifyResult:
@@ -283,17 +338,19 @@ def gessel_pairs(max_total: int):
     """All valid (pi, sigma) pairs with disjoint interval supports,
     coprime cycle-type part sets and total size up to the bound."""
     # each size's cycle lengths once, as bits of an int, in enumerate_sn order
-    masks = {
-        n: [sum(1 << p for p in set(perm.cycle_type(w))) for w in perm.enumerate_sn(n)] for n in range(1, max_total)
-    }
+    masks = {n: [sum({1 << len(c) for c in perm.cycles(w)}) for w in perm.enumerate_sn(n)] for n in range(1, max_total)}
     for total in range(2, max_total + 1):
         for m in range(1, total):
             n = total - m
+            # per part set mu of the first block, the sigma words whose parts miss mu's
+            compatible: dict[int, list[Word]] = {mu: [] for mu in masks[m]}
+            for sigma_std, nu in zip(perm.enumerate_sn(n), masks[n]):
+                sigma_word = tuple(map(m.__add__, sigma_std))
+                for mu, sigma_words in compatible.items():
+                    if not mu & nu:
+                        sigma_words.append(sigma_word)
             for pi, mu in zip(perm.enumerate_sn(m), masks[m]):
-                for sigma_std, nu in zip(perm.enumerate_sn(n), masks[n]):
-                    if mu & nu:
-                        continue
-                    sigma_word = tuple(v + m for v in sigma_std)
+                for sigma_word in compatible[mu]:
                     yield pi, sigma_word
 
 

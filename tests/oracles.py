@@ -15,8 +15,11 @@ codecs that no command uses.  Each still calls the package's kernels
 (``tableau._insert``, ``_slide_out``, ``_slide_in``, ``cyclic._check_class``,
 ``bijection._phi_inverse``, ``_q_map_inverse``, ``tableau._syt_shapes``,
 ``symfun._class_words``), so a test against one of them exercises the
-same code as before.  The package compares descent sets as bit masks
-(``mask_of``, read back as sets by ``member_sets``); ``oracle_report``,
+same code as before.  ``_descent_counts`` is the package's earlier
+per-word Des count of the Gessel check, which the packed one of
+``symfun._gessel_counts`` replaced; through ``_des_counts`` it is the
+differential oracle for that kernel.  The package compares descent sets
+as bit masks (``mask_of``, read back as sets by ``member_sets``); ``oracle_report``,
 ``oracle_class_sides`` and ``oracle_main0_sides`` are its earlier
 set-keyed cyclic axioms and multisets, the reference for the mask
 comparisons and for the witnesses that a failing check prints.  ι̂ and H by composition, RS of the word
@@ -31,7 +34,8 @@ import itertools
 import json
 import random
 from collections import Counter
-from typing import Callable, Iterable, Iterator
+from operator import gt
+from typing import Callable, Iterable, Iterator, Sequence
 
 from matchdescents import perm, tableau
 from matchdescents.bijection import ShuffleElement, _phi, _phi_inverse, _q_map, _q_map_inverse
@@ -39,7 +43,7 @@ from matchdescents.cyclic import CdesReport, _check_class, _cr_ne_classes, orbit
 from matchdescents.matching import Matching, _check_nkj, _matching, to_involution
 from matchdescents.oscillating import OscillatingTableau
 from matchdescents.perm import Placements, Word, _involution
-from matchdescents.symfun import VerifyResult, _check_pair, _class_words, _descent_counts, _gessel_result
+from matchdescents.symfun import VerifyResult, _check_pair, _class_words, _gessel_result
 from matchdescents.tableau import (
     Cell,
     Shape,
@@ -436,6 +440,12 @@ def oracle_main0_sides(n: int, stats: dict[int, Iterable[tuple]]) -> tuple[Count
         (tableau.odd_cols(t.shape), tableau.height(t.shape) // 2, tableau.des(t).members) for t in enumerate_syt_n(n)
     )
     return lhs, rhs
+
+
+def _descent_counts(words: Iterable[Word], bits: Sequence[int]) -> Counter:
+    """The Des multiset of the words, keyed by masks; ``bits`` holds 1 << i
+    for each position i = 1, ..., n - 1 of words of length n."""
+    return Counter(sum(itertools.compress(bits, map(gt, w, w[1:]))) for w in words)
 
 
 def _des_counts(pi: Word, sigma_word: tuple[int, ...], kernel: Placements) -> tuple[Counter, Counter]:

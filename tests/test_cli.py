@@ -674,11 +674,22 @@ def test_verify_reports_only_the_params_it_uses(capsys, argv, params):
     assert "failing" not in report
 
 
+def _packed(class_words):
+    """A stand-in for ``symfun._class_packed`` from one for ``symfun._class_words``:
+    the words it lays out, packed a byte per letter, one word after another."""
+
+    def class_packed(pi, sigma_word, table):
+        words = class_words(pi, sigma_word, perm.placements(len(pi), len(sigma_word)))
+        return int.from_bytes(b"".join(map(bytes, words)), "little")
+
+    return class_packed
+
+
 def test_verify_gessel_names_the_failing_pair(capsys, monkeypatch):
     def identity_words(pi, sigma_word, kernel):
         return [perm.identity(len(pi) + len(sigma_word))] * len(kernel)
 
-    monkeypatch.setattr(symfun, "_class_words", identity_words)
+    monkeypatch.setattr(symfun, "_class_packed", _packed(identity_words))
     code, out, _ = run(capsys, "verify", "gessel", "--max", "5")
     assert code == 1
     report = json.loads(out)
@@ -717,7 +728,7 @@ def test_a_failing_gessel_report_names_the_set_keyed_witness(capsys, monkeypatch
     # witness_diff, entry by entry and in order, against multiset_diff of the
     # frozenset-keyed Des multisets of the same class words and of the shuffles
     class_words = _gessel_stand_ins(max_total)[stand_in]
-    monkeypatch.setattr(symfun, "_class_words", class_words)
+    monkeypatch.setattr(symfun, "_class_packed", _packed(class_words))
     code, out, _ = run(capsys, "verify", "gessel", "--max", str(max_total))
     assert code == 1
     report = json.loads(out)
@@ -888,7 +899,7 @@ REGISTRY_CASES = {
     "main0": (("--n", "4"), (mm, "_stat_counts", _no_geometric_descents)),
     "cdes": (("--n", "4"), (mm, "_cmdes_mask", _no_cyclic_descents)),
     "cdes-syt": (("--n", "4"), (mm, "_cmdes_mask", _no_cyclic_descents)),
-    "gessel": (("--max", "4"), (symfun, "_class_words", _identity_class_words)),
+    "gessel": (("--max", "4"), (symfun, "_class_packed", _packed(_identity_class_words))),
     "chen": (("--n", "6"), (osc, "_iota", lambda w: w)),
     "sundaram-roundtrip": (("--n", "6"), (osc, "sundaram_inverse", lambda o: perm.identity(o.size))),
     "kim": (("--n", "6"), (osc, "kim_des", lambda o: perm.DescentSet(o.size, frozenset()))),

@@ -17,6 +17,8 @@ import gc
 import io
 import itertools
 import json
+import math
+import operator
 import random
 import sys
 import tracemalloc
@@ -35,6 +37,7 @@ from matchdescents.tableau import EMPTY_TABLEAU, check_shape, from_rows
 
 from oracles import (
     _des_counts,
+    _descent_counts,
     _inkj_words,
     arcs_cross,
     crossing_number_oracle,
@@ -905,21 +908,38 @@ def _src_tops():
             yield path.name, source, top
 
 
+def _names_read(node):
+    """The names an AST node reads: a name, an attribute, or what an import brings in."""
+    if isinstance(node, ast.ImportFrom):
+        return {alias.name for alias in node.names}
+    return {node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)}
+
+
 def test_the_class_walk_is_read_only_by_its_two_callers():
     # one class walk for verify cdes, cdes-syt and orbits, and no second ι̂ or H loop in cli
     readers, cli_names = set(), set()
     for name, _, top in _src_tops():
         for node in ast.walk(top):
-            if isinstance(node, ast.ImportFrom):
-                names = {alias.name for alias in node.names}
-            else:
-                names = {node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)}
+            names = _names_read(node)
             if name == "cli.py":
                 cli_names.update(names)
             if "_class_table" in names:
                 readers.add((name, getattr(top, "name", None)))
     assert readers == {("cli.py", "cmd_orbits"), ("cyclic.py", "_check_class")}
     assert not cli_names & {"_iota_hat", "_h_rows"}
+
+
+def test_the_gessel_class_layouts_are_read_only_by_their_callers():
+    # the word-level class layout serves gessel_class, the packed one the verifier
+    readers = {"_class_words": set(), "_class_packed": set()}
+    for name, _, top in _src_tops():
+        for node in ast.walk(top):
+            for read in _names_read(node) & readers.keys():
+                readers[read].add((name, getattr(top, "name", None)))
+    assert readers == {
+        "_class_words": {("symfun.py", "gessel_class")},
+        "_class_packed": {("symfun.py", "_gessel_counts")},
+    }
 
 
 def test_the_fixed_point_free_rule_is_raised_only_in_perm():
@@ -1256,6 +1276,37 @@ def test_gessel_counts_read_every_position_of_a_twelve_letter_block():
     assert any(mask >> 11 & 1 for mask in lhs) and any(mask >> 11 & 1 for mask in rhs)
 
 
+def _unpacked(packed, m, n):
+    """The words packed a byte per letter by the Gessel tables of block (m, n)."""
+    t = m + n
+    data = packed.to_bytes(math.comb(t, m) * t, "little")
+    return [tuple(data[p : p + t]) for p in range(0, len(data), t)]
+
+
+def test_packed_sides_lay_out_the_class_words_and_the_shuffles():
+    # one pair per block with m + n <= 8: the byte groups of each packed side,
+    # in placements order, are the words the per-word layouts give
+    first = {}
+    for pi, sigma_word in symfun.gessel_pairs(8):
+        first.setdefault((len(pi), len(sigma_word)), (pi, sigma_word))
+    assert len(first) == 27  # every block but (1, 1), whose cycle types share the part 1
+    for (m, n), (pi, sigma_word) in first.items():
+        class_table, spots, _ = symfun._packed_block(m, n)
+        class_side = symfun._class_packed(pi, sigma_word, class_table)
+        shuffle_side = sum(map(operator.mul, (*pi, *sigma_word), spots))
+        assert _unpacked(class_side, m, n) == symfun._class_words(pi, sigma_word, perm.placements(m, n))
+        assert _unpacked(shuffle_side, m, n) == perm.shuffles(pi, sigma_word)
+
+
+def test_a_block_past_127_letters_is_refused_before_its_tables(monkeypatch):
+    # a letter and the borrow bit share a byte; the class table of m = 1,
+    # n = 127 would hold 16,130 integers of 16 KB, so nothing may be built first
+    monkeypatch.setattr(perm, "placements", None)
+    pair = (1,), (*range(3, 129), 2)  # cycle types (1) and (127)
+    with pytest.raises(ValueError, match="128 letters"):
+        next(symfun._gessel_counts([pair]))
+
+
 def test_syt_des_keeps_entry_check():
     for rows in [((2, 3),), ((1, 3), (2, 5)), ((1, 4), (2,))]:
         with pytest.raises(ValueError):
@@ -1509,6 +1560,20 @@ def test_cached_shuffle_side_matches_verify_gessel_large(pair):
     kernel = perm.placements(len(pi), len(sigma_word))
     assert result.ok and result.counts == {"class": len(kernel), "shuffles": len(kernel)}
     assert (lhs, rhs) == _des_counts(pi, sigma_word, kernel)
+
+
+@settings(deadline=None, max_examples=40)
+@given(gessel_inputs())
+def test_packed_counts_match_the_per_word_counts_large(pair):
+    # 9 <= m + n <= 12, cycle types free to share a part: the packed kernel's
+    # multisets, keys in first-occurrence order, against the per-word count
+    # of the class words and of the shuffles
+    pi, sigma_word = pair
+    ((_, _, lhs, rhs),) = symfun._gessel_counts([pair])
+    bits = [1 << i for i in range(1, len(pi) + len(sigma_word))]
+    class_words = symfun._class_words(pi, sigma_word, perm.placements(len(pi), len(sigma_word)))
+    assert list(lhs.items()) == list(_descent_counts(class_words, bits).items())
+    assert list(rhs.items()) == list(_descent_counts(perm.shuffles(pi, sigma_word), bits).items())
 
 
 @st.composite
