@@ -24,7 +24,9 @@ from . import bijection, cyclic, matching as matching_mod, oscillating, perm, sy
 
 MAX_N_WITHOUT_FORCE = 12
 MAX_GESSEL_TOTAL_WITHOUT_FORCE = 9  # 52,328 pairs; 444,012 at 10
-MAX_OBJECT_N = 10_000  # the size of the one object of stats and map, --n or not: under a second at this size
+# the size of the one object of stats and map, --n or not: stats on 2,500 nested arcs around
+# 2,500 arcs of neighbours, the slowest shape tried, takes about 2 s at this size
+MAX_OBJECT_N = 10_000
 MAX_ENUM_N = 500  # enum's searches recurse once per point or cell: half of Python's default recursion limit
 # the integer flags of verify: those of every registry entry, in first-seen order
 _VERIFY_FLAGS = tuple(dict.fromkeys(flag for entry in symfun.REGISTRY.values() for flag in entry.flags))
@@ -231,15 +233,13 @@ def _push_matching_rows(push: Callable[[list], object], n: int, k: int, j: int |
     Push the ``enum matchings`` (or ``involutions``) row of each matching
     of M_{n,k}, or of I_{n,k,j} when j is given, in increasing order of
     words.  The statistics and the word come from ``_stat_counts``, which
-    cuts every branch whose ne passes j.
+    cuts every branch whose ne passes j or can no longer reach it.
     """
     # the text of arc {i, q}, for i < q: an arc of the list, or a 2-cycle
     arc = [[f"{i}-{q}" if matchings else f"({i},{q})" for q in range(n + 1)] for i in range(n + 1)]
     mask_str, cmdes_mask = _mask_str, matching_mod._cmdes_mask
 
     def fold(cr, ne, mdes, des, word):
-        if j is not None and ne != j:
-            return
         arcs = [arc[i][q] for i, q in enumerate(word, 1) if q > i]
         if matchings:
             row = [",".join(arcs), n, k]
@@ -247,7 +247,7 @@ def _push_matching_rows(push: Callable[[list], object], n: int, k: int, j: int |
             row = ["".join(arcs) or "()", "[" + ",".join(map(str, word)) + "]"]
         push([*row, mask_str(des), mask_str(mdes), mask_str(cmdes_mask(word, mdes)), cr, ne, k])
 
-    matching_mod._stat_counts(n, k, fold, ne_max=j, words=True)
+    matching_mod._stat_counts(n, k, fold, ne_max=j, ne_min=j, words=True)
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:

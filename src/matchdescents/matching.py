@@ -224,7 +224,12 @@ def enumerate_matchings(n: int, k: int) -> Iterator[Matching]:
 
 
 def _stat_counts(
-    n: int, k: int | None, fold: Callable[..., object], ne_max: int | None = None, words: bool = False
+    n: int,
+    k: int | None,
+    fold: Callable[..., object],
+    ne_max: int | None = None,
+    ne_min: int | None = None,
+    words: bool = False,
 ) -> None:
     """
     Call ``fold(cr, ne, mdes, des)`` once per matching of M_{n,k}, in
@@ -232,8 +237,9 @@ def _stat_counts(
     (bit i for position i).  When k is None, one search runs over every
     class M_{n,k} at once, still in increasing order of words: ``fold(k)``
     is called once per class, in k order, and returns the fold of that
-    class.  With ``ne_max``, only the matchings with ne <= ne_max are folded.
-    With ``words``, every fold also gets the matching's involution word, as
+    class.  With ``ne_max``, only the matchings with ne <= ne_max are
+    folded, and with ``ne_min`` only those with ne >= ne_min.  With
+    ``words``, every fold also gets the matching's involution word, as
     its last argument; without it no word is built.  The search is
     ``_search``.
 
@@ -259,30 +265,47 @@ def _stat_counts(
         pairs, free, folds = (n - k) // 2, k, [fold]  # every leaf uses the whole budget
     if ne_max is None:
         ne_max = n
+    if ne_min is None:
+        ne_min = 0
     # p[i] is the partner of i, i itself when unmatched, 0 while undecided;
     # p[n + 1] = 0 ends every sweep, and p[0] = -1 sets no bit at position 0
     p = [-1] + [0] * (n + 1)
     if words:  # each fold also gets the word; the None of a class of the wrong parity stays None
         folds = [f and (lambda cr, ne, mdes, des, f=f: f(cr, ne, mdes, des, tuple(p[1:-1]))) for f in folds]
-    _search(n, p, pairs, free, folds, ne_max)
+    _search(n, p, pairs, free, folds, ne_max, ne_min)
 
 
-def _search(n: int, p: list[int], pairs: int, free: int, folds: list, ne_max: int) -> None:
+def _search(n: int, p: list[int], pairs: int, free: int, folds: list, ne_max: int, ne_min: int = 0) -> None:
     """
     Complete the partner list ``p`` in every way that places ``pairs``
     more arcs and ``free`` more unmatched points, in increasing order of
     words, and call ``folds[f](cr, ne, mdes, des)`` on each completion
-    with ne <= ``ne_max``, f the unmatched points left unused.
+    with ``ne_min`` <= ne <= ``ne_max``, f the unmatched points left unused.
 
     Each node decides the smallest undecided point and sweeps the points
-    below it once, by the rules of ``des``, ``mdes`` and
-    ``crossing_nesting``, for every leaf below it.  The open right
-    endpoints go down as a tuple, extended at an opener and rebuilt
-    without s at a closer, so no node restores anything on return.  cr
-    and ne are running maxima of its LIS and LDS (Chen-Deng-Du-Stanley-
-    Yan): a table that lives for this call computes that pair once per
-    distinct tuple, and a node whose ne passes ``ne_max`` returns early.
+    below it once, for every leaf below it.  The Des and MDes bits of
+    point i = s - 1 (the rules of ``des`` and ``mdes``) are read from
+    where its partner p[i] and q = p[s] fall: when s is unmatched, i has
+    Des iff it opens an arc; when s opens an arc, i has nothing if it
+    closes one, MDes if it is unmatched, and if it opens one, Des when
+    q < p[i] (nested) and MDes when not (crossing); when s closes an
+    arc, i has both bits unless it closes one too, and then Des when
+    q < p[i] and MDes when not.  p[0] = -1 makes point 0 a closer.
+
+    The open right endpoints go down as a tuple, extended at an opener,
+    so no node restores anything on return.  A closer s is the least
+    open right endpoint, so the tuple it leaves depends on the tuple
+    alone: a table that lives for this call keeps it per tuple.  cr and
+    ne are running maxima of the tuple's LIS and LDS (Chen-Deng-Du-
+    Stanley-Yan), which a second table keeps per tuple.  A search that
+    places nothing (``_sweep``) meets each tuple once, so it keeps
+    neither.  A node whose ne passes ``ne_max`` returns early, and so
+    does one whose ne is below ``ne_min`` with fewer than ``ne_min``
+    arcs open or still to place, as the arcs over any later gap are
+    among those.
     """
+    keep = pairs or free
+    closed: dict[tuple[int, ...], tuple[int, ...]] = {}  # open right endpoints at a closer -> less the least
     table: dict[tuple[int, ...], tuple[int, int]] = {}  # open right endpoints -> (LIS, LDS)
     # the table's values, one shared object per (LIS, LDS), so that no entry holds a pair of its own
     shared: dict[tuple[int, int], tuple[int, int]] = {}
@@ -291,31 +314,37 @@ def _search(n: int, p: list[int], pairs: int, free: int, folds: list, ne_max: in
         # s: the first point not yet swept; pairs, free: arcs and unmatched
         # points still to place; the rest is the sweep state up to s - 1,
         # with rights the open right endpoints in opener order
+        i = s - 1
+        pi = p[i]
+        bit = 1 << i
         q = p[s]
         while q:
-            i = s - 1
-            pi = p[i]
-            if pi > q:
-                des |= 1 << i
-            if pi == i:
-                if q != s:
-                    mdes |= 1 << i
-            elif pi == s:
-                mdes |= 1 << i
-            elif q != s:
-                lo, hi = (i, pi) if i < pi else (pi, i)
-                if (lo < s < hi) != (lo < q < hi):
-                    mdes |= 1 << i
-            if q > s:
+            if q > s:  # s opens an arc
+                if pi >= i:
+                    if pi == i or q > pi:
+                        mdes |= bit
+                    else:
+                        des |= bit
                 rights += (q,)
                 grown = True
-            elif q < s:
+            elif q == s:
+                if pi > i:
+                    des |= bit
+            else:  # s closes an arc
+                if pi >= i:
+                    des |= bit
+                    mdes |= bit
+                elif q < pi:
+                    des |= bit
+                else:
+                    mdes |= bit
                 if grown:
-                    try:
-                        lis, lds = table[rights]
-                    except KeyError:
-                        lis, lds = _longest_increasing(rights), _longest_increasing(reversed(rights))
-                        table[rights] = shared.setdefault((lis, lds), (lis, lds))
+                    pair = table.get(rights) if keep else None
+                    if pair is None:
+                        pair = _longest_increasing(rights), _longest_increasing(reversed(rights))
+                        if keep:
+                            table[rights] = pair = shared.setdefault(pair, pair)
+                    lis, lds = pair
                     if lis > cr:
                         cr = lis
                     if lds > ne:
@@ -323,13 +352,22 @@ def _search(n: int, p: list[int], pairs: int, free: int, folds: list, ne_max: in
                             return
                         ne = lds
                     grown = False
-                at = rights.index(s)
-                rights = rights[:at] + rights[at + 1 :]
+                left = closed.get(rights) if keep else None
+                if left is None:
+                    at = rights.index(s)
+                    left = rights[:at] + rights[at + 1 :]
+                    if keep:
+                        closed[rights] = left
+                rights = left
+            i = s
+            pi = q
             s += 1
+            bit <<= 1
             q = p[s]
         if s > n:
-            folds[free](cr, ne, mdes, des)
-        else:
+            if ne >= ne_min:
+                folds[free](cr, ne, mdes, des)
+        elif ne >= ne_min or len(rights) + pairs >= ne_min:
             if free:
                 p[s] = s
                 node(s, pairs, free - 1, rights, cr, ne, grown, des, mdes)
@@ -342,7 +380,7 @@ def _search(n: int, p: list[int], pairs: int, free: int, folds: list, ne_max: in
             p[s] = 0
 
     node(1, pairs, free, (), 0, 0, False, 0, 0)
-    # node's closure holds node itself: unbinding it frees the table, and the
+    # node's closure holds node itself: unbinding it frees the tables, and the
     # caller's fold, now rather than at the next cyclic collection
     del node
 

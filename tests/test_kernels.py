@@ -809,15 +809,22 @@ def _appender(out, k):
 
 @pytest.mark.parametrize("n", range(11))
 def test_ne_ceiling_folds_exactly_the_matchings_below_it(n):
-    # with words, each fold's last argument is the word, so ne is one place further back
+    # with words, each fold's last argument is the word, so ne is one place further back;
+    # the floor cuts the branches that can no longer reach it, and ne = j is what enum --j lists
     for words, at_ne in ((False, -3), (True, -4)):
         for k in (None, *range(n % 2, n + 1, 2)):
             folded = []
             mm._stat_counts(n, k, _appender(folded, k), words=words)
-            for ne_max in range(n // 2 + 1):
+            for j in range(n // 2 + 1):
                 cut = []
-                mm._stat_counts(n, k, _appender(cut, k), ne_max=ne_max, words=words)
-                assert cut == [stats for stats in folded if stats[at_ne] <= ne_max], (words, k, ne_max)
+                mm._stat_counts(n, k, _appender(cut, k), ne_max=j, words=words)
+                assert cut == [stats for stats in folded if stats[at_ne] <= j], (words, k, j)
+                cut = []
+                mm._stat_counts(n, k, _appender(cut, k), ne_min=j, words=words)
+                assert cut == [stats for stats in folded if stats[at_ne] >= j], (words, k, j)
+                cut = []
+                mm._stat_counts(n, k, _appender(cut, k), ne_max=j, ne_min=j, words=words)
+                assert cut == [stats for stats in folded if stats[at_ne] == j], (words, k, j)
 
 
 def test_stat_counts_refuses_invalid_classes():
@@ -870,6 +877,50 @@ def test_sweep_of_a_long_nested_word_stays_small():
         tracemalloc.stop()
     assert (cr, ne, mdes, des) == (1, n // 2, 1 << n // 2, (1 << n) - 2)  # MDes {200}, Des {1..399}
     assert peak < 1_000_000
+
+
+def _nest_around_neighbours(n):
+    """The involution word of 1-n, 2-(n-1), ..., (n/4)-(3n/4+1) around
+    (n/4+1)-(n/4+2), ..., (3n/4-1)-(3n/4), for n a multiple of 4."""
+    word = list(range(1, n + 1))
+    for a in range(1, n // 4 + 1):
+        word[a - 1], word[n - a] = n + 1 - a, a
+    for a in range(n // 4 + 1, 3 * n // 4, 2):
+        word[a - 1], word[a] = a + 1, a
+    return tuple(word)
+
+
+def _oracle_sweep(word):
+    """What ``_sweep`` returns, from the oracles: (cr, ne, MDes, Des), the sets as masks."""
+    n = len(word)
+    return (*oracle_cr_ne(word), mask_of(oracle_geometric_descents(word, n - 1)), mask_of(perm._descents(word)))
+
+
+def test_sweep_of_one_word_keeps_no_cache():
+    # each of the 500 arcs i-(i+1) closes under 500 open arcs, so a table
+    # entry per read would keep 500 tuples of 501 endpoints, about 2 MB
+    word = _nest_around_neighbours(2000)
+    tracemalloc.start()
+    try:
+        stats = mm._sweep(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats[:2] == (1, 501)
+    assert stats == _oracle_sweep(word)
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        pytest.param(tuple(range(300, 0, -1)), id="nested"),
+        pytest.param(tuple(range(151, 301)) + tuple(range(1, 151)), id="crossing"),
+        pytest.param(_nest_around_neighbours(300), id="nest-around-neighbours"),
+    ],
+)
+def test_sweep_of_a_long_word_matches_the_oracles(word):
+    assert mm._sweep(word) == _oracle_sweep(word)
 
 
 def test_mask_sets_stay_bounded_under_one_object_calls():
@@ -1580,6 +1631,12 @@ def test_packed_counts_match_the_per_word_counts_large(pair):
 def sampled_words(draw, min_n=20, max_n=40):
     """Involution words of uniform matchings from M_{n,k}, n in [min_n, max_n]."""
     return mm.to_involution(draw(sampled_matchings(min_n, max_n)))
+
+
+@settings(deadline=None, max_examples=50)
+@given(sampled_words(min_n=12, max_n=64))
+def test_sweep_matches_the_oracles_large(word):
+    assert mm._sweep(word) == _oracle_sweep(word)
 
 
 @settings(deadline=None, max_examples=25)
