@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import functools
 import json
 import os
 import sys
@@ -164,33 +162,82 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 @contextlib.contextmanager
-def _row_sink(header: list[str], fmt: str, output: str | None) -> Iterator[Callable[[list], object]]:
+def _row_sink(header: list[str], fmt: str, output: str | None) -> Iterator[Callable[[str], object]]:
     """
     Open ``output``, or stdout, for a table and yield the function that
-    takes its rows, one call per row.  csv and json write each row at
-    once; plain collects them and aligns its columns at the end.  A
-    command runs every check on its input before it opens the sink, and
-    an ``output`` that cannot be opened is refused as a usage error.
+    takes its lines, one call per row, each built on ``_line_template``.
+    csv and json write each line at once, csv after its header; plain
+    collects them and aligns its columns at the end.  A command runs every
+    check on its input before it opens the sink, and an ``output`` that
+    cannot be opened is refused as a usage error.
     """
     try:
         target = open(output, "w") if output else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         raise UsageError(f"cannot write --output {output}: {exc.strerror}") from exc
     with target as fh:
-        if fmt == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            yield writer.writerow
-        elif fmt == "json":
-            yield lambda row: fh.write(json.dumps(dict(zip(header, row))) + "\n")
-        else:
-            rows: list[list] = []
-            yield rows.append
-            widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
-            lines = ["  ".join(str(h).ljust(w) for h, w in zip(header, widths))]
-            for row in rows:
-                lines.append("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
-            fh.write("\n".join(lines) + "\n")
+        if fmt != "plain":
+            if fmt == "csv":
+                fh.write(",".join(header) + "\n")
+            yield fh.write
+            return
+        lines: list[str] = []
+        yield lines.append
+        rows = [header, *(line[:-1].split(_PLAIN_SEP) for line in lines)]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        fh.write("".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) + "\n" for row in rows))
+
+
+_PLAIN_SEP = "\t"  # between the cells of a plain line until the sink aligns them
+_SLOT = "\0"  # a varying cell, while a template is rendered
+
+
+def _text_cell(fmt: str) -> Callable[[str], str]:
+    """
+    The function that renders a text as a cell of ``fmt``.  The texts of
+    every table hold only digits and ``, / - ( ) [ ] { }``, so a csv cell
+    needs quotes exactly when it holds a comma, as ``csv.writer`` quotes
+    it, and a json string needs no escaping; no cell holds a tab.
+    """
+    if fmt == "json":
+        return lambda text: f'"{text}"'
+    if fmt == "csv":
+        return lambda text: f'"{text}"' if "," in text else text
+    return str
+
+
+def _line_template(header: list[str], fmt: str, cells: list) -> list[str]:
+    """
+    The fixed text of a table line around its varying cells: ``cells``
+    holds the value of each column that a group of lines shares, and None
+    for each that varies.  A line is ``pieces[0] + v_1 + pieces[1] + ... +
+    v_m + pieces[m]``, with v_i the rendered cell of the i-th varying
+    column.
+
+    >>> _line_template(["a", "b", "c"], "json", [None, "1,2", 3])
+    ['{"a": ', ', "b": "1,2", "c": 3}\\n']
+    """
+    text_cell = _text_cell(fmt)
+    rendered = [_SLOT if v is None else str(v) if isinstance(v, int) else text_cell(v) for v in cells]
+    if fmt == "json":
+        line = "{" + ", ".join(f'"{name}": {cell}' for name, cell in zip(header, rendered)) + "}"
+    else:
+        line = ("," if fmt == "csv" else _PLAIN_SEP).join(rendered)
+    return (line + "\n").split(_SLOT)
+
+
+class _MaskCells(dict):
+    """The cell of each descent set in one command's format, by its mask
+    (bit i for position i), rendered on first use; it lives as long as the
+    command."""
+
+    def __init__(self, fmt: str):
+        super().__init__()
+        self.text_cell = _text_cell(fmt)
+
+    def __missing__(self, mask: int) -> str:
+        cell = self[mask] = self.text_cell(perm.format_set(perm._members(mask)))
+        return cell
 
 
 def _refuse_over_guard(flag: str, value: int | None, bound: int, force: bool | None = None) -> None:
@@ -199,71 +246,82 @@ def _refuse_over_guard(flag: str, value: int | None, bound: int, force: bool | N
         raise UsageError(f"{flag}={value} exceeds the guard ({bound}){hint}")
 
 
-@functools.cache
-def _mask_str(mask: int) -> str:
-    """The text of the descent set whose mask is ``mask``: bit i for position i.
-    The cache holds the texts alone, a few bytes for each mask seen."""
-    return perm.format_set(perm._members(mask))
-
-
 def cmd_enum(args: argparse.Namespace) -> int:
-    n, k, j = args.n, args.k, args.j
+    n, k, j, fmt = args.n, args.k, args.j, args.format
     _refuse_over_guard("n", n, MAX_ENUM_N)
     if args.family == "syt":
         if j is not None and k is None:
             raise UsageError("enum syt --j requires --k")
         shapes = tableau._syt_shapes(n, k, j)
-        with _row_sink(["tableau", "shape", "height", "odd_cols", "des"], args.format, args.output) as push:
+        header = ["tableau", "shape", "height", "odd_cols", "des"]
+        text_cell, masks = _text_cell(fmt), _MaskCells(fmt)
+        with _row_sink(header, fmt, args.output) as write:
             for shape in shapes:
-                columns = (tableau.format_shape(shape), tableau.height(shape), tableau.odd_cols(shape))
-                tableau._syt_des(shape, lambda _, des, texts: push(["/".join(texts), *columns, _mask_str(des)]))
+                cells = [None, tableau.format_shape(shape), tableau.height(shape), tableau.odd_cols(shape), None]
+                head, mid, tail = _line_template(header, fmt, cells)
+                tableau._syt_des(
+                    shape, lambda _, des, texts: write(f"{head}{text_cell('/'.join(texts))}{mid}{masks[des]}{tail}")
+                )
         return 0
     if k is None:
         raise UsageError(f"enum {args.family} requires --k")
     matching_mod._check_nkj(n, k, j)
-    matchings = args.family == "matchings"
-    header = ["matching", "n", "k"] if matchings else ["cycles", "one_line"]
-    with _row_sink([*header, "des", "mdes", "cmdes", "cr", "ne", "um"], args.format, args.output) as push:
-        _push_matching_rows(push, n, k, j, matchings)
+    _write_matching_rows(n, k, j, args.family == "matchings", fmt, args.output)
     return 0
 
 
-def _push_matching_rows(push: Callable[[list], object], n: int, k: int, j: int | None, matchings: bool) -> None:
+def _write_matching_rows(n: int, k: int, j: int | None, matchings: bool, fmt: str, output: str | None) -> None:
     """
-    Push the ``enum matchings`` (or ``involutions``) row of each matching
+    Write the ``enum matchings`` (or ``involutions``) row of each matching
     of M_{n,k}, or of I_{n,k,j} when j is given, in increasing order of
     words.  The statistics and the word come from ``_stat_counts``, which
-    cuts every branch whose ne passes j or can no longer reach it.
+    cuts every branch whose ne passes j or can no longer reach it.  n, k
+    and um are the same on every row, so the template holds them.
     """
     # the text of arc {i, q}, for i < q: an arc of the list, or a 2-cycle
     arc = [[f"{i}-{q}" if matchings else f"({i},{q})" for q in range(n + 1)] for i in range(n + 1)]
-    mask_str, cmdes_mask = _mask_str, matching_mod._cmdes_mask
+    header = ["matching", "n", "k"] if matchings else ["cycles", "one_line"]
+    header += ["des", "mdes", "cmdes", "cr", "ne", "um"]
+    lead = [None, n, k] if matchings else [None, None]
+    first, *between, b_des, b_mdes, b_cmdes, b_cr, b_ne, tail = _line_template(header, fmt, [*lead, *[None] * 5, k])
+    text_cell, masks, cmdes_mask = _text_cell(fmt), _MaskCells(fmt), matching_mod._cmdes_mask
 
-    def fold(cr, ne, mdes, des, word):
-        arcs = [arc[i][q] for i, q in enumerate(word, 1) if q > i]
-        if matchings:
-            row = [",".join(arcs), n, k]
-        else:
-            row = ["".join(arcs) or "()", "[" + ",".join(map(str, word)) + "]"]
-        push([*row, mask_str(des), mask_str(mdes), mask_str(cmdes_mask(word, mdes)), cr, ne, k])
+    with _row_sink(header, fmt, output) as write:
 
-    matching_mod._stat_counts(n, k, fold, ne_max=j, ne_min=j, words=True)
+        def fold(cr, ne, mdes, des, word):
+            arcs = [arc[i][q] for i, q in enumerate(word, 1) if q > i]
+            if matchings:
+                obj = text_cell(",".join(arcs))
+            else:  # between holds the text between the cycles and the one-line word
+                cycles, one_line = "".join(arcs) or "()", "[" + ",".join(map(str, word)) + "]"
+                obj = f"{text_cell(cycles)}{between[0]}{text_cell(one_line)}"
+            write(
+                f"{first}{obj}{b_des}{masks[des]}{b_mdes}{masks[mdes]}"
+                f"{b_cmdes}{masks[cmdes_mask(word, mdes)]}{b_cr}{cr}{b_ne}{ne}{tail}"
+            )
+
+        matching_mod._stat_counts(n, k, fold, ne_max=j, ne_min=j, words=True)
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:
-    n, k, j = args.n, args.k, args.j
+    n, k, j, fmt = args.n, args.k, args.j, args.format
     _refuse_over_guard("n", n, MAX_N_WITHOUT_FORCE, args.force)
     matching_mod._check_nkj(n, k, j)
-    with _row_sink(["orbit", "size", "element", "cdes"], args.format, args.output) as push:
+    header = ["orbit", "size", "element", "cdes"]
+    with _row_sink(header, fmt, args.output) as write:
         try:
             des, cdes, p = cyclic._class_table(n, k, j, cyclic._cr_ne_classes(n, k))
             table = cyclic.orbits(sorted(des), p.__getitem__)  # in increasing order of words, as M_{n,k}
         except Exception as exc:  # the flags were accepted, so this is a broken invariant
             params = {"n": n, "k": k} if j is None else {"n": n, "k": k, "j": j}
             raise InternalError(f"orbits {json.dumps(params)}") from exc
+        first, b_size, b_element, b_cdes, tail = _line_template(header, fmt, [None] * 4)
+        text_cell, masks = _text_cell(fmt), _MaskCells(fmt)
         for orbit_id, orbit in enumerate(table):
+            size = len(orbit)
             for w in orbit:
-                push([orbit_id, len(orbit), perm.format_cycles(w), _mask_str(cdes[w])])
+                element = text_cell(perm.format_cycles(w))
+                write(f"{first}{orbit_id}{b_size}{size}{b_element}{element}{b_cdes}{masks[cdes[w]]}{tail}")
     return 0
 
 

@@ -26,10 +26,15 @@ comparisons and for the witnesses that a failing check prints.  ι̂ and H by co
 φ(w) itself, are the oracle for the kernel that reads H as P(φ(w)⁻¹).  ``oracle_enumerate_matchings``, a recursion through the
 checked ``Matching`` constructor, is the reference for
 ``matching._stat_counts``, the package's one enumerator of matchings.
+``oracle_emit_text`` writes a table through ``csv.writer``, one
+``json.dumps`` per row or ``ljust`` columns: the reference for the lines
+that ``enum`` and ``orbits`` render themselves.
 """
 from __future__ import annotations
 
 import bisect
+import csv
+import io
 import itertools
 import json
 import random
@@ -462,3 +467,26 @@ def verify_gessel(pi: Word, sigma_word: tuple[int, ...]) -> VerifyResult:
     _check_pair(pi, sigma_word)
     kernel = perm.placements(len(pi), len(sigma_word))
     return _gessel_result(pi, sigma_word, *_des_counts(pi, sigma_word, kernel))
+
+
+# every character that a cell of an enum or orbits table may hold
+TABLE_CHARACTERS = frozenset("0123456789,/-()[]{}")
+
+
+def oracle_emit_text(header: Sequence[str], rows: Sequence[Sequence], fmt: str) -> str:
+    """The text of a table as ``csv.writer``, one ``json.dumps`` per row or
+    ``ljust`` columns write it: the reference for the rendered lines of
+    ``enum`` and ``orbits``."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
+    if fmt == "json":
+        return "".join(json.dumps(dict(zip(header, row))) + "\n" for row in rows)  # no rows: no bytes
+    widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
+    lines = ["  ".join(str(h).ljust(w) for h, w in zip(header, widths))]
+    for row in rows:
+        lines.append("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
+    return "\n".join(lines) + "\n"

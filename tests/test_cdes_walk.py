@@ -16,9 +16,11 @@ from matchdescents import oscillating as osc
 from matchdescents import perm, tableau
 
 from oracles import (
+    TABLE_CHARACTERS,
     _inkj_words,
     enumerate_syt_nkj,
     oracle_cr_ne,
+    oracle_emit_text,
     oracle_words,
     verify_cdes,
     verify_cdes_involutions,
@@ -136,7 +138,14 @@ def test_orbits_walk_matches_per_element_transport(capsys, n):
         flags = ["--n", str(n), "--k", str(k)] + ([] if j is None else ["--j", str(j)])
         assert cli.main(["orbits", *flags, "--format", "csv"]) == 0
         walked = capsys.readouterr().out
-        with cli._row_sink(["orbit", "size", "element", "cdes"], "csv", None) as push:
+        assert walked == oracle_emit_text(["orbit", "size", "element", "cdes"], oracle_orbit_rows(n, k, j), "csv")
+
+
+def test_orbits_cells_hold_only_table_characters():
+    """The premise of the CLI's line templates (see
+    ``test_kernels.test_enum_cells_hold_only_table_characters``), on the
+    rows of every class with n <= 7, with and without --j."""
+    for n in range(8):
+        for k, j in [*classes(n), *((k, None) for k in range(n % 2, n + 1, 2))]:
             for row in oracle_orbit_rows(n, k, j):
-                push(row)
-        assert walked == capsys.readouterr().out
+                assert all(set(str(cell)) <= TABLE_CHARACTERS for cell in row), (n, k, j, row)

@@ -192,8 +192,9 @@ def test_python_dash_m_runs_the_cli():
 def test_start_up_imports_no_code_introspection():
     # dataclasses loads inspect, ast, dis and tokenize, and its decorators
     # generate code at import: together about a quarter of the CLI's
-    # start-up, which the plain record classes of perm._Record avoid
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    # start-up, which the plain record classes of perm._Record avoid; enum and
+    # orbits render their own csv lines, so csv is not loaded either
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "csv")
     probe = f"import sys; from matchdescents import cli; cli.build_parser(); print([m for m in {heavy} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_source_env(), timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

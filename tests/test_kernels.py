@@ -12,11 +12,9 @@ an oracle), and check the round trips, the input checks and the
 statistics' properties at sizes beyond the exhaustive range.
 """
 import ast
-import csv
 import gc
 import io
 import itertools
-import json
 import math
 import operator
 import random
@@ -36,6 +34,7 @@ from matchdescents import perm, symfun, tableau
 from matchdescents.tableau import EMPTY_TABLEAU, check_shape, from_rows
 
 from oracles import (
+    TABLE_CHARACTERS,
     _des_counts,
     _descent_counts,
     _inkj_words,
@@ -51,6 +50,7 @@ from oracles import (
     member_sets,
     nesting_number_oracle,
     oracle_cr_ne,
+    oracle_emit_text,
     oracle_geometric_descents,
     oracle_words,
     per_word_stats,
@@ -581,22 +581,6 @@ def oracle_enum_rows(family, n, k, j):
         descents = (perm._descents(w), oracle_geometric_descents(w, n - 1), oracle_geometric_descents(w, n))
         rows.append([*first, *map(_oracle_set_str, descents), cr, ne, k])
     return header, rows
-
-
-def oracle_emit_text(header, rows, fmt):
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
-    if fmt == "json":
-        return "".join(json.dumps(dict(zip(header, row))) + "\n" for row in rows)  # no rows: no bytes
-    widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
-    lines = ["  ".join(str(h).ljust(w) for h, w in zip(header, widths))]
-    for row in rows:
-        lines.append("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1148,22 +1132,44 @@ def _enum_cases(max_n, min_n=0, families=ENUM_FAMILIES):
                     yield family, n, k, j
 
 
+# the two commands of perfbench's enum workload, run here in csv and json
+BENCHMARK_ENUM_CASES = {
+    "n12-k0": (("matchings", 12, 0, None), ("involutions", 12, 0, None)),
+    "syt-n11": tuple(_enum_cases(11, 11, ("syt",))),
+}
+
+
 @pytest.mark.parametrize(
-    "fmt, span",
+    "fmt, cases",
     [
-        *(pytest.param(fmt, (7,), id=fmt) for fmt in ("csv", "json", "plain")),
-        pytest.param("csv", (8, 8), id="csv-n8"),
-        pytest.param("csv", (10, 10), id="csv-n10", marks=pytest.mark.slow),
-        pytest.param("csv", (11, 11, ("syt",)), id="csv-syt-n11", marks=pytest.mark.slow),
+        *(pytest.param(fmt, tuple(_enum_cases(7)), id=fmt) for fmt in ("csv", "json", "plain")),
+        pytest.param("csv", tuple(_enum_cases(8, 8)), id="csv-n8"),
+        pytest.param("csv", tuple(_enum_cases(10, 10)), id="csv-n10", marks=pytest.mark.slow),
+        *(
+            pytest.param(fmt, cases, id=f"{fmt}-{name}", marks=pytest.mark.slow)
+            for name, cases in BENCHMARK_ENUM_CASES.items()
+            for fmt in ("csv", "json")
+        ),
     ],
 )
-def test_enum_output_matches_oracle(capsys, fmt, span):
-    for family, n, k, j in _enum_cases(*span):
+def test_enum_output_matches_oracle(capsys, fmt, cases):
+    for family, n, k, j in cases:
         argv = ["enum", family, "--n", str(n), "--format", fmt]
         argv += [] if k is None else ["--k", str(k)]
         argv += [] if j is None else ["--j", str(j)]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == oracle_emit_text(*oracle_enum_rows(family, n, k, j), fmt), argv
+
+
+def test_enum_cells_hold_only_table_characters():
+    """The premise of the CLI's line templates: with no cell holding a quote,
+    a backslash, a control character or a letter, a csv cell needs quotes
+    exactly when it holds a comma, and a json string needs no escaping."""
+    for case in _enum_cases(7):
+        header, rows = oracle_enum_rows(*case)
+        assert all(name.isidentifier() for name in header)
+        for row in rows:
+            assert all(set(str(cell)) <= TABLE_CHARACTERS for cell in row), (case, row)
 
 
 def test_enum_output_file_matches_oracle(tmp_path):
