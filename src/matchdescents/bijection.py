@@ -10,7 +10,11 @@ shuffle, has k odd columns and is the primitive: the composite iota_hat
 is RS⁻¹(H, H), and H⁻¹ reads the shuffle back off the tableau and undoes
 phi.  iota_hat carries the geometric descent set to the standard one
 and the crossing number to the nesting number.  The maps run as kernels
-on words and rows, and iota_hat⁻¹ inserts once, as Q = P for involutions.
+on words and rows.  Every RS pair they build or read off an involution
+is symmetric, P = Q, and runs by Beissinger's rule (``tableau._involution_rows``
+and ``tableau._involution``): iota_hat peels its image off H with one unbump
+per 2-cycle, q_map off the recording rows, and iota_hat⁻¹ and the core
+table of ``_h_rows`` insert with one insertion per 2-cycle.
 
 The forward kernel ``_h_rows`` builds H without phi's word, by
 Schützenberger's symmetry Q(w) = P(w⁻¹): it relabels P(ι(core)) through
@@ -111,13 +115,11 @@ def q_map(t: ShuffleElement) -> Word:
 
 
 def _q_map(word: Word) -> Word:
-    q_rows = tableau._rs(word)[1]
-    return tuple(tableau._reverse_rs(q_rows, q_rows))
+    return tuple(tableau._involution(tableau._rs(word)[1]))
 
 
 def _q_map_inverse(word: Word) -> tuple[Word, int]:
-    k = len(perm.fixed_points(word))  # its insertion rows are its recording rows
-    return tableau._q_inverse_shuffle(tableau._rs(word)[0]), k
+    return tableau._q_inverse_shuffle(tableau._involution_rows(word)), len(perm.fixed_points(word))
 
 
 def iota_hat(word: Word) -> Word:
@@ -128,9 +130,8 @@ def iota_hat(word: Word) -> Word:
 
 
 def _iota_hat(word: Word, table: dict[Word, list[list[int]]] | None = None) -> Word:
-    """iota_hat of an involution word the package built: RS⁻¹(H, H)."""
-    rows = _h_rows(word, table)
-    return tuple(tableau._reverse_rs(rows, rows))
+    """iota_hat of an involution word the package built: RS⁻¹(H, H), peeled."""
+    return tuple(tableau._involution(_h_rows(word, table)))
 
 
 def iota_hat_inverse(word: Word) -> Word:
@@ -171,7 +172,7 @@ def _h_rows(word: Word, table: dict[Word, list[list[int]]] | None = None) -> lis
     try:
         p_rows = table[core]
     except KeyError:
-        p_rows = table[core] = tableau._rs(oscillating._iota(core))[0]
+        p_rows = table[core] = tableau._involution_rows(oscillating._iota(core))
     rows = [[moved[v] for v in row] for row in p_rows]
     for x in fixed:
         tableau._insert(rows, x)

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from typing import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from . import bijection, cyclic, matching as matching_mod, oscillating, perm, symfun, tableau
 

@@ -16,7 +16,7 @@ carry one object at a time, through ι̂⁻¹ (H⁻¹) and then ι̂ (H).
 """
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable
 
 from . import bijection, matching as matching_mod, perm, tableau
 from .perm import DescentSet, Word

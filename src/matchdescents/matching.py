@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from typing import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from . import perm
 from .perm import DescentSet, ParseError, Word

@@ -13,7 +13,7 @@ transposed cells.  ``_cell`` reads the one cell between two shapes.
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from . import matching as matching_mod
 from . import perm, tableau

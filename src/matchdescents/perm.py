@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
 Placements = list[tuple[Word, Callable[[Sequence[int]], Word]]]
@@ -216,6 +216,27 @@ def cycles(word: Word) -> list[tuple[int, ...]]:
 def cycle_type(word: Word) -> tuple[int, ...]:
     """Cycle lengths, sorted non-increasing."""
     return tuple(sorted((len(c) for c in cycles(word)), reverse=True))
+
+
+def _cycle_mask(word: Word) -> int:
+    """
+    The set of cycle lengths of a permutation word the package built, as
+    the bits of an int, by one walk of each cycle with no tuple built.
+
+    >>> bin(_cycle_mask((2, 3, 1, 4, 6, 5)))
+    '0b1110'
+    """
+    seen = [False] * (len(word) + 1)
+    mask = 0
+    for i in range(1, len(word) + 1):
+        if not seen[i]:
+            length = 0
+            while not seen[i]:
+                seen[i] = True
+                i = word[i - 1]
+                length += 1
+            mask |= 1 << length
+    return mask
 
 
 def is_involution(word: Sequence[int]) -> bool:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import contextlib
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator
 from itertools import compress
 from operator import gt, mul
-from typing import Callable, Iterable, Iterator
 
 from . import cyclic, matching as matching_mod, oscillating, perm, tableau
 from .perm import Placements, Word
@@ -338,7 +338,7 @@ def gessel_pairs(max_total: int):
     """All valid (pi, sigma) pairs with disjoint interval supports,
     coprime cycle-type part sets and total size up to the bound."""
     # each size's cycle lengths once, as bits of an int, in enumerate_sn order
-    masks = {n: [sum({1 << len(c) for c in perm.cycles(w)}) for w in perm.enumerate_sn(n)] for n in range(1, max_total)}
+    masks = {n: list(map(perm._cycle_mask, perm.enumerate_sn(n))) for n in range(1, max_total)}
     for total in range(2, max_total + 1):
         for m in range(1, total):
             n = total - m

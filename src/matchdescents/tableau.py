@@ -16,7 +16,9 @@ plain row lists (``_insert``, ``_unbump``, ``_slide_out``,
 ``_slide_in``), which other modules call directly in their inner loops.
 ``_insert`` returns the row that grew and ``_slide_out`` the cell it
 vacates, so Sundaram's walk reads its cells off the kernels.  ``_rs``
-runs RS (Q = P for an involution), ``_q_inverse_shuffle`` transposes
+runs RS, and ``_reverse_rs`` its inverse; on an involution, where Q = P,
+``_involution_rows`` and ``_involution`` run them by Beissinger's rule,
+with one insertion or one unbump per 2-cycle.  ``_q_inverse_shuffle`` transposes
 its shape once, and ``_syt_des`` folds over the tableaux of a shape
 with their descent masks and row texts.  ``_shape_des_counts`` counts the
 descent masks of every shape by one pass over Young's lattice, with no
@@ -26,7 +28,7 @@ wrapped without a second check.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from . import matching as matching_mod
 from . import perm
@@ -254,6 +256,55 @@ def _reverse_rs(p_rows: list[list[int]], q_rows: Sequence[Sequence[int]]) -> lis
     return word
 
 
+def _involution_rows(word: Sequence[int]) -> list[list[int]]:
+    """
+    P(w) = Q(w) of an involution word w, by Beissinger's rule (Discrete
+    Math. 67, 1987), which reads w's cycles by their larger letter v =
+    1..n: a fixed point v ends row 1, and a 2-cycle x < v row-inserts x
+    and appends v to the row below the one that grew.
+
+    >>> _involution_rows((3, 4, 1, 2, 5))
+    [[1, 2, 5], [3, 4]]
+    """
+    rows: list[list[int]] = [[]]
+    for v, x in enumerate(word, start=1):
+        if x == v:
+            rows[0].append(v)
+        elif x < v:
+            r = _insert(rows, x) + 1
+            if r == len(rows):
+                rows.append([v])
+            else:
+                rows[r].append(v)
+    return rows if rows[0] else []
+
+
+def _involution(rows: list[list[int]]) -> list[int]:
+    """
+    The involution word whose P = Q is the standard tableau on 1..n held
+    by rows, which it empties: Beissinger's rule backwards.  The largest
+    entry v left ends some row r; v is fixed if r is the first row, and
+    otherwise pops, and unbumping the end of row r - 1 expels its partner.
+    """
+    word = [0] * sum(map(len, rows))
+    for v in range(len(word), 0, -1):
+        if word[v - 1]:
+            continue  # the partner of a larger letter, expelled already
+        r = 0
+        while rows[r][-1] != v:
+            r += 1
+        if not r:
+            rows[0].pop()
+            word[v - 1] = v
+            continue
+        rows[r].pop()
+        if not rows[r]:
+            rows.pop()
+        x = _unbump(rows, r - 1)
+        word[v - 1], word[x - 1] = x, v
+    return word
+
+
 def _tableau(rows: Sequence[Sequence[int]]) -> StandardTableau:
     """Wrap kernel output, standard by construction, without re-checking it."""
     return perm._trusted(StandardTableau, rows=tuple(map(tuple, rows)))
@@ -326,7 +377,9 @@ def _q_inverse_shuffle(rows: list[list[int]]) -> Word:
     # residue: the P tableau of tau^{-1} restricted to the small letters
     rank = {v: r for r, v in enumerate(sorted(e for row in rows for e in row), start=1)}
     rows[:] = [[rank[e] for e in row] for row in rows]
-    # the residue reads back as the small involution, whose letters fill the other positions in order
+    # the residue reads back as the small involution, whose letters fill the other positions in order;
+    # by full RS⁻¹, not _involution's peel, which reads standard rows only: rows that are not must still
+    # reach the fixed-point refusal
     small = iter(perm._fixed_point_free(_reverse_rs(rows, rows)))
     return tuple(v or next(small) for v in word)
 

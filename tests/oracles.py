@@ -23,7 +23,9 @@ as bit masks (``mask_of``, read back as sets by ``member_sets``); ``oracle_repor
 ``oracle_class_sides`` and ``oracle_main0_sides`` are its earlier
 set-keyed cyclic axioms and multisets, the reference for the mask
 comparisons and for the witnesses that a failing check prints.  ι̂ and H by composition, RS of the word
-φ(w) itself, are the oracle for the kernel that reads H as P(φ(w)⁻¹).  ``oracle_enumerate_matchings``, a recursion through the
+φ(w) itself, are the oracle for the kernel that reads H as P(φ(w)⁻¹); ι̂ by
+RS⁻¹(H, H), one unbump per letter, is the oracle for the peel of
+``tableau._involution``.  ``oracle_enumerate_matchings``, a recursion through the
 checked ``Matching`` constructor, is the reference for
 ``matching._stat_counts``, the package's one enumerator of matchings.
 ``oracle_emit_text`` writes a table through ``csv.writer``, one
@@ -43,7 +45,7 @@ from operator import gt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from matchdescents import perm, tableau
-from matchdescents.bijection import ShuffleElement, _phi, _phi_inverse, _q_map, _q_map_inverse
+from matchdescents.bijection import ShuffleElement, _h_rows, _phi, _phi_inverse, _q_map, _q_map_inverse
 from matchdescents.cyclic import CdesReport, _check_class, _cr_ne_classes, orbits
 from matchdescents.matching import Matching, _check_nkj, _matching, to_involution
 from matchdescents.oscillating import OscillatingTableau
@@ -54,6 +56,7 @@ from matchdescents.tableau import (
     Shape,
     StandardTableau,
     _insert,
+    _reverse_rs,
     _rs,
     _slide_in,
     _slide_out,
@@ -357,6 +360,14 @@ def iota_hat_by_composition(word: Word) -> Word:
     """ι̂ of an involution as RS⁻¹(Q, Q), with Q the recording tableau of
     the word φ(word), inserted letter by letter."""
     return _q_map(_phi(word))
+
+
+def iota_hat_by_reverse_rs(word: Word) -> Word:
+    """ι̂ of an involution as RS⁻¹(H, H) by one unbump per letter, each
+    from the row where H records it: the package's ι̂ before it peeled H
+    by Beissinger's rule."""
+    rows = _h_rows(word)
+    return tuple(_reverse_rs(rows, rows))
 
 
 def h_map_by_composition(word: Word) -> StandardTableau:

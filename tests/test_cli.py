@@ -193,10 +193,12 @@ def test_start_up_imports_no_code_introspection():
     # dataclasses loads inspect, ast, dis and tokenize, and its decorators
     # generate code at import: together about a quarter of the CLI's
     # start-up, which the plain record classes of perm._Record avoid; enum and
-    # orbits render their own csv lines, so csv is not loaded either
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "csv")
+    # orbits render their own csv lines, so csv is not loaded either; the
+    # annotations' names come from collections.abc, so typing is not loaded.
+    # -S keeps site's own start-up hooks, which may load any of these, out of it
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "csv", "typing")
     probe = f"import sys; from matchdescents import cli; cli.build_parser(); print([m for m in {heavy} if m in sys.modules])"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_source_env(), timeout=60)
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=_source_env(), timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 

@@ -44,6 +44,7 @@ from oracles import (
     h_map_by_composition,
     hook_length_count,
     iota_hat_by_composition,
+    iota_hat_by_reverse_rs,
     jdt_delete,
     longest_increasing,
     mask_of,
@@ -1398,6 +1399,45 @@ def test_reverse_rs_insert_matches_oracle():
             revalidated(got[0])
 
 
+def involution_words(max_n):
+    """Every involution word with n <= max_n, from the matching search."""
+    words = []
+    for n in range(max_n + 1):
+        mm._stat_counts(n, None, lambda k: lambda *stats: words.append(stats[-1]), words=True)
+    return words
+
+
+def assert_beissinger_is_rs(word):
+    """Beissinger's insertion and its peel against full RS on one involution."""
+    p_rows, q_rows = tableau._rs(word)
+    assert tableau._involution_rows(word) == p_rows == q_rows
+    assert tableau._involution(p_rows) == list(word)
+
+
+def test_involution_rows_are_rs_and_peel_back():
+    words = involution_words(10)
+    assert len(words) == 13232
+    for word in words:
+        assert_beissinger_is_rs(word)
+
+
+def test_iota_hat_peel_matches_reverse_rs():
+    for word in involution_words(9):
+        assert bj._iota_hat(word) == iota_hat_by_reverse_rs(word)
+
+
+def test_iota_hat_is_iota_on_perfect_matchings():
+    # k = 0: phi = ι gives an involution, so ι̂(m) = RS⁻¹(P(ι m), P(ι m)) = ι(m),
+    # and the classes where the peel does all of the work pin it
+    table = {}
+    for n in range(0, 11, 2):
+        words = []
+        mm._stat_counts(n, 0, lambda *stats: words.append(stats[-1]), words=True)
+        assert len(words) == math.prod(range(1, n, 2))
+        for word in words:
+            assert bj._iota_hat(word, table) == osc._iota(word)
+
+
 def test_jdt_delete_matches_oracle():
     for t in doubled_tableaux(7):
         for x in t.entries():
@@ -1525,6 +1565,12 @@ def sampled_matchings(draw, min_n=12, max_n=32):
     n = draw(st.integers(min_n, max_n))
     k = draw(st.sampled_from(range(n % 2, n + 1, 2)))
     return random_matching(n, k, draw(st.randoms(use_true_random=False)))
+
+
+@settings(deadline=None, max_examples=50)
+@given(sampled_matchings(max_n=40))
+def test_involution_rows_are_rs_and_peel_back_large(m):
+    assert_beissinger_is_rs(mm.to_involution(m))
 
 
 @settings(deadline=None, max_examples=30)

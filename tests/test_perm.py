@@ -79,6 +79,12 @@ def _cycles_by_definition(word):
     return out
 
 
+def test_cycle_mask_is_the_set_of_cycle_lengths():
+    for n in range(1, 8):
+        for word in perm.enumerate_sn(n):
+            assert perm._cycle_mask(word) == sum({1 << len(c) for c in perm.cycles(word)})
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_cycles_refuse_exactly_the_non_permutations(n):
     # every word of length n with letters in [-2, n + 2]
