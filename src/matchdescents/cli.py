@@ -254,14 +254,15 @@ def cmd_enum(args: argparse.Namespace) -> int:
             raise UsageError("enum syt --j requires --k")
         shapes = tableau._syt_shapes(n, k, j)
         header = ["tableau", "shape", "height", "odd_cols", "des"]
-        text_cell, masks = _text_cell(fmt), _MaskCells(fmt)
+        masks = _MaskCells(fmt)
         with _row_sink(header, fmt, args.output) as write:
             for shape in shapes:
                 cells = [None, tableau.format_shape(shape), tableau.height(shape), tableau.odd_cols(shape), None]
                 head, mid, tail = _line_template(header, fmt, cells)
-                tableau._syt_des(
-                    shape, lambda _, des, texts: write(f"{head}{text_cell('/'.join(texts))}{mid}{masks[des]}{tail}")
-                )
+                # a tableau's text holds a comma exactly when its first row does
+                quote = '"' if fmt == "json" or fmt == "csv" and shape and shape[0] >= 2 else ""
+                head, mid = head + quote, quote + mid
+                tableau._syt_des(shape, lambda _, des, texts: write(f"{head}{'/'.join(texts)}{mid}{masks[des]}{tail}"))
         return 0
     if k is None:
         raise UsageError(f"enum {args.family} requires --k")

@@ -20,9 +20,10 @@ runs RS, and ``_reverse_rs`` its inverse; on an involution, where Q = P,
 ``_involution_rows`` and ``_involution`` run them by Beissinger's rule,
 with one insertion or one unbump per 2-cycle.  ``_q_inverse_shuffle`` transposes
 its shape once, and ``_syt_des`` folds over the tableaux of a shape
-with their descent masks and row texts.  ``_shape_des_counts`` counts the
-descent masks of every shape by one pass over Young's lattice, with no
-tableau built.  What a kernel returns is standard by construction and is
+with their descent masks and row texts, by a walk over a table of the
+moves out of each sub-shape, filled on the sub-shape's first visit.
+``_shape_des_counts`` counts the descent masks of every shape by one
+pass over Young's lattice, with no tableau built.  What a kernel returns is standard by construction and is
 wrapped without a second check.
 """
 from __future__ import annotations
@@ -391,12 +392,18 @@ def _syt_des(shape: Shape, fold: Callable[[list[list[int]], int, list[str]], obj
     """
     Call ``fold(rows, mask, texts)`` on each standard Young tableau of a
     valid shape, with its descent mask (bit i for descent i) and its row
-    texts, by one depth-first search shaped like ``matching._search``:
-    ``node`` places step s into each row that can take it, top row first,
-    grows that row's text by one concatenation, sets bit s - 1 when the row
-    is lower than the row of s - 1, and undoes both on return.  The rows
-    and the row texts are live lists, valid during the call, and
-    ``"/".join(texts)`` is the tableau's codec.
+    texts, by one depth-first search shaped like ``matching._search``
+    over the sub-shapes of ``shape`` in Young's lattice.  The sub-shapes
+    are numbered as the search first reaches them, and ``moves[state]``
+    lists the moves out of sub-shape ``state`` as (row, the row's live
+    list, the number of the sub-shape it grows into), top row first; it
+    is filled on the sub-shape's first visit, so the table only ever
+    holds sub-shapes of the tableaux folded.  ``node`` places step s by
+    each move, grows that row's text by one concatenation, sets bit
+    s - 1 when the row is lower than the row of s - 1, and undoes both on
+    return; at s = n it folds in the loop.  The rows and the row texts are
+    live lists, valid during the call, and ``"/".join(texts)`` is the
+    tableau's codec.
 
     >>> _syt_des((2, 1), lambda rows, d, t: print(from_rows(rows), bin(d), "/".join(t)))
     1,2/3 0b100 1,2/3
@@ -405,25 +412,42 @@ def _syt_des(shape: Shape, fold: Callable[[list[list[int]], int, list[str]], obj
     n = sum(shape)
     rows: list[list[int]] = [[] for _ in shape]
     texts = [""] * len(shape)
+    if not n:
+        fold(rows, 0, texts)
+        return
     label = [str(step) for step in range(n + 1)]
     after = ["," + text for text in label]  # step's label after the row's first entry
+    number = {(0,) * len(shape): 0}  # sub-shape: its state
+    moves: list[list | None] = [None]
 
-    def node(step, below, des):
-        # step: the entry to place; below: the row of step - 1; des: the mask of steps 1..step - 1
-        if step > n:
-            fold(rows, des, texts)
-            return
-        for r, row in enumerate(rows):
-            c = len(row)
-            if c < shape[r] and (not r or len(rows[r - 1]) > c):
-                row.append(step)
-                text = texts[r]
-                texts[r] = text + after[step] if c else label[step]
-                node(step + 1, r, des | 1 << step - 1 if r > below else des)
-                row.pop()
-                texts[r] = text
+    def node(step, state, below, des):
+        # step: the entry to place; state: the sub-shape of steps 1..step - 1;
+        # below: the row of step - 1; des: the mask of steps 1..step - 1
+        out = moves[state]
+        if out is None:  # first visit: the rows that can take step, top row first
+            out = moves[state] = []
+            lens = [len(row) for row in rows]
+            for r, row in enumerate(rows):
+                c = lens[r]
+                if c < shape[r] and (not r or lens[r - 1] > c):
+                    child = (*lens[:r], c + 1, *lens[r + 1 :])
+                    if child not in number:
+                        number[child] = len(moves)
+                        moves.append(None)
+                    out.append((r, row, number[child]))
+        bit = 1 << step - 1
+        for r, row, grown in out:
+            row.append(step)
+            text = texts[r]
+            texts[r] = text + after[step] if text else label[step]
+            if step < n:
+                node(step + 1, grown, r, des | bit if r > below else des)
+            else:
+                fold(rows, des | bit if r > below else des, texts)
+            row.pop()
+            texts[r] = text
 
-    node(1, len(shape), 0)  # no row lies below row len(shape)
+    node(1, 0, len(shape), 0)  # no row lies below row len(shape)
     # node's closure holds node itself: unbinding it frees the rows, and the
     # caller's fold, now rather than at the next cyclic collection
     del node
@@ -478,20 +502,43 @@ def enumerate_syt(shape: Shape) -> Iterator[StandardTableau]:
 
 def _syt_shapes(n: int, k: int | None = None, j: int | None = None) -> Iterator[Shape]:
     """
-    The shapes of size n, one at a time; with k, those with k odd columns;
-    with j as well, those of height 2j or 2j + 1.  A negative n, and an
-    (n, k) or (n, k, j) that names no class, is refused here, when called,
-    before any tableau is built.
+    The shapes of size n, one at a time, as ``partitions`` lists them;
+    with k, those with k odd columns; with j as well, those of height 2j
+    or 2j + 1.  A negative n, and an (n, k) or (n, k, j) that names no
+    class, is refused here, when called, before any tableau is built.
+
+    With k, the rows are built top-down as in ``partitions``, and a branch
+    is cut as soon as k or the height band is out of its reach, so only
+    the shapes that can fit are built.  Below a prefix of h rows with
+    last part b, every column c <= b has height h, the columns past b are
+    final (``odd_done`` of them odd), and the m cells left form rows of at
+    most b cells: at most min(b, m) of the first b columns grow, and at
+    least ceil(m / b) and at most m rows are added.
+
+    >>> list(_syt_shapes(6, 2, 1))
+    [(4, 2), (3, 2, 1), (2, 2, 2)]
     """
     if n < 0:
         raise ValueError(f"invalid n = {n}")
-    if k is not None:
-        matching_mod._check_nkj(n, k, j)
-    return (
-        shape
-        for shape in partitions(n)
-        if (k is None or odd_cols(shape) == k) and (j is None or 2 * j <= height(shape) <= 2 * j + 1)
-    )
+    if k is None:
+        return partitions(n)
+    matching_mod._check_nkj(n, k, j)
+
+    def gen(m: int, b: int, h: int, odd_done: int, prefix: Shape) -> Iterator[Shape]:
+        grows = min(b, m)
+        if h % 2:  # a first-b column ends odd unless it grows by an odd number
+            if not odd_done + b - grows <= k <= odd_done + b:
+                return
+        elif not odd_done <= k <= odd_done + grows:
+            return
+        if j is not None and (m > b * (2 * j + 1 - h) or h + m < 2 * j):
+            return
+        if not m:
+            yield prefix
+        for part in range(grows, 0, -1):  # columns part + 1..b end here, at height h
+            yield from gen(m - part, part, h + 1, odd_done + (b - part) * (h % 2), prefix + (part,))
+
+    return gen(n, n, 0, 0, ())
 
 
 def enumerate_syt_nk(n: int, k: int) -> Iterator[StandardTableau]:

@@ -408,6 +408,15 @@ def test_enum_syt_count(capsys):
     assert len(out.splitlines()) == 2  # header + the single row
 
 
+def test_enum_syt_k_builds_only_the_shapes_that_fit(capsys):
+    # the one shape (500,) of SYT_{500,500}: a filter over the partitions of 500 never ends
+    code, out, err = run(capsys, "enum", "syt", "--n", "500", "--k", "500", "--format", "csv")
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    assert header == "tableau,shape,height,odd_cols,des"
+    assert row == '"' + ",".join(map(str, range(1, 501))) + '",500,1,500,{}'
+
+
 def test_enum_involutions_filter(capsys):
     code, out, _ = run(capsys, "enum", "involutions", "--n", "6", "--k", "2", "--j", "1", "--format", "json")
     assert code == 0

@@ -1497,6 +1497,28 @@ def random_involutions(draw, min_n=12, max_n=20, min_fixed=0, fixed_point_free=F
 random_fpf_involutions = random_involutions(fixed_point_free=True)
 
 
+# shapes above the exhaustive range whose tableaux stay few enough to list
+_MID_SHAPES = [shape for n in range(12, 17) for shape in tableau.partitions(n) if hook_length_count(shape) <= 5000]
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.sampled_from(_MID_SHAPES))
+def test_syt_kernel_matches_oracle_large(shape):
+    row_words = []  # the row of each entry 1..n, one word per leaf
+
+    def fold(rows, mask, texts):
+        t = from_rows(rows)
+        assert t.shape == shape
+        assert mask == sum(1 << i for i in oracle_syt_des(t).members)
+        assert "/".join(texts) == tableau._format_rows(rows)
+        row_of = {e: r for r, row in enumerate(rows) for e in row}
+        row_words.append(tuple(row_of[e] for e in range(1, len(row_of) + 1)))
+
+    tableau._syt_des(shape, fold)
+    assert len(row_words) == hook_length_count(shape)  # distinct by the order below
+    assert all(a < b for a, b in zip(row_words, row_words[1:]))  # top row first
+
+
 @settings(deadline=None, max_examples=50)
 @given(random_involutions())
 def test_rs_roundtrip_large(word):

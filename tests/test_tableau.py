@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -163,3 +166,35 @@ def test_syt_shapes_are_listed_one_at_a_time(monkeypatch):
     assert next(iter(tableau._syt_shapes(60))) == (60,)
     with pytest.raises(ValueError, match="invalid"):
         tableau._syt_shapes(-1)  # the refusals stay eager
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_syt_shapes_cut_only_what_the_filter_drops(n):
+    for k in range(n % 2, n + 1, 2):
+        for j in (None, *range((n - k) // 2 + 1)):
+            expected = [
+                shape
+                for shape in tableau.partitions(n)
+                if tableau.odd_cols(shape) == k and (j is None or 2 * j <= tableau.height(shape) <= 2 * j + 1)
+            ]
+            assert list(tableau._syt_shapes(n, k, j)) == expected
+
+
+def test_syt_move_table_is_filled_on_first_visit():
+    # an eager table of the staircase would hold about Catalan(20) sub-shapes;
+    # the first leaf is reached through n sub-shapes
+    class FirstLeaf(Exception):
+        pass
+
+    def fold(rows, mask, texts):
+        raise FirstLeaf(tuple(map(tuple, rows)), mask)
+
+    shape = tuple(range(19, 0, -1))
+    start = time.perf_counter()
+    with pytest.raises(FirstLeaf) as leaf:
+        tableau._syt_des(shape, fold)
+    assert time.perf_counter() - start < 1
+    rows, mask = leaf.value.args
+    ends = list(itertools.accumulate(shape))
+    assert rows == tuple(tuple(range(end - part + 1, end + 1)) for part, end in zip(shape, ends))
+    assert mask == sum(1 << end for end in ends[:-1])  # 19, 37, 54, ...
