@@ -145,9 +145,9 @@ def h_map(word: Word) -> StandardTableau:
     return _h_map(perm._involution(word))
 
 
-def _h_map(word: Word, table: dict[Word, list[list[int]]] | None = None) -> StandardTableau:
+def _h_map(word: Word) -> StandardTableau:
     """h_map of an involution word the package built."""
-    return tableau._tableau(_h_rows(word, table))
+    return tableau._tableau(_h_rows(word))
 
 
 def _h_rows(word: Word, table: dict[Word, list[list[int]]] | None = None) -> list[list[int]]:

@@ -3,10 +3,11 @@ Command-line front end: object statistics, named maps, enumeration
 tables, orbit tables and the verification suite.
 
 Exit codes: 0 on success; 1 when a verified identity fails, with a
-witness; 2 on usage or parse errors, refused before any work starts; 3
-on an internal error, an exception raised inside a ``verify`` run or an
-``orbits`` walk after its parameters were accepted.  A stdout closed
-early ends a command quietly, with the code it would have had anyway.
+witness; 2 on usage or parse errors, refused before any work starts, and
+on a failed write of the output; 3 on an internal error, an exception
+raised inside a ``verify`` run or an ``orbits`` walk after its parameters
+were accepted.  A stdout closed early ends a command quietly, with the
+code it would have had anyway.
 """
 from __future__ import annotations
 
@@ -166,26 +167,29 @@ def _row_sink(header: list[str], fmt: str, output: str | None) -> Iterator[Calla
     """
     Open ``output``, or stdout, for a table and yield the function that
     takes its lines, one call per row, each built on ``_line_template``.
-    csv and json write each line at once, csv after its header; plain
-    collects them and aligns its columns at the end.  A command runs every
-    check on its input before it opens the sink, and an ``output`` that
-    cannot be opened is refused as a usage error.
+    csv and json write each line at once, csv after its header, which it
+    flushes before the work; plain collects them and aligns its columns
+    at the end.  A command runs every check on its input before it opens
+    the sink, and an ``output`` that cannot be opened or written is
+    refused as a usage error.
     """
     try:
-        target = open(output, "w") if output else contextlib.nullcontext(sys.stdout)
+        with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
+            if fmt != "plain":
+                if fmt == "csv":
+                    fh.write(",".join(header) + "\n")
+                    fh.flush()  # so that nothing is left to fail in the close after an internal error
+                yield fh.write
+                return
+            lines: list[str] = []
+            yield lines.append
+            rows = [header, *(line[:-1].split(_PLAIN_SEP) for line in lines)]
+            widths = [max(map(len, column)) for column in zip(*rows)]
+            fh.write("".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) + "\n" for row in rows))
     except OSError as exc:
-        raise UsageError(f"cannot write --output {output}: {exc.strerror}") from exc
-    with target as fh:
-        if fmt != "plain":
-            if fmt == "csv":
-                fh.write(",".join(header) + "\n")
-            yield fh.write
-            return
-        lines: list[str] = []
-        yield lines.append
-        rows = [header, *(line[:-1].split(_PLAIN_SEP) for line in lines)]
-        widths = [max(map(len, column)) for column in zip(*rows)]
-        fh.write("".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) + "\n" for row in rows))
+        if not output:
+            raise  # stdout's, for _until_stdout_closes
+        raise UsageError(f"cannot write --output {output}: {exc.strerror or exc}") from exc
 
 
 _PLAIN_SEP = "\t"  # between the cells of a plain line until the sink aligns them
@@ -301,7 +305,7 @@ def _write_matching_rows(n: int, k: int, j: int | None, matchings: bool, fmt: st
                 f"{b_cmdes}{masks[cmdes_mask(word, mdes)]}{b_cr}{cr}{b_ne}{ne}{tail}"
             )
 
-        matching_mod._stat_counts(n, k, fold, ne_max=j, ne_min=j, words=True)
+        matching_mod._stat_counts(n, k, fold, j=j, words=True)
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:
@@ -359,15 +363,18 @@ def _json_default(value):
 
 @contextlib.contextmanager
 def _until_stdout_closes() -> Iterator[None]:
-    """Run the block and flush stdout; if its reader has closed it, stop
-    quietly and send the rest, and the flush at exit, to the null device."""
+    """Run the block and flush stdout; if a write to stdout fails, send the
+    rest, and the flush at exit, to the null device, and stop quietly if
+    its reader has closed it, or else refuse as ``_row_sink`` does."""
     try:
         yield
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:  # stdout's: _row_sink refuses the failed writes of --output itself
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

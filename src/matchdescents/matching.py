@@ -195,7 +195,7 @@ def _sweep(word: Word) -> tuple[int, int, int, int]:
     (2, 1, 44, 42)
     """
     stats: list[tuple[int, int, int, int]] = []
-    _search(len(word), [-1, *word, 0], 0, 0, [lambda *leaf: stats.append(leaf)], len(word))
+    _search(len(word), [-1, *word, 0], 0, 0, [lambda *leaf: stats.append(leaf)])
     return stats[0]
 
 
@@ -227,8 +227,7 @@ def _stat_counts(
     n: int,
     k: int | None,
     fold: Callable[..., object],
-    ne_max: int | None = None,
-    ne_min: int | None = None,
+    j: int | None = None,
     words: bool = False,
 ) -> None:
     """
@@ -237,11 +236,10 @@ def _stat_counts(
     (bit i for position i).  When k is None, one search runs over every
     class M_{n,k} at once, still in increasing order of words: ``fold(k)``
     is called once per class, in k order, and returns the fold of that
-    class.  With ``ne_max``, only the matchings with ne <= ne_max are
-    folded, and with ``ne_min`` only those with ne >= ne_min.  With
-    ``words``, every fold also gets the matching's involution word, as
-    its last argument; without it no word is built.  The search is
-    ``_search``.
+    class.  With j, only the matchings with ne = j are folded, the class
+    I_{n,k,j}.  With ``words``, every fold also gets the matching's
+    involution word, as its last argument; without it no word is built.
+    The search is ``_search``.
 
     >>> _stat_counts(4, 2, lambda cr, ne, mdes, des, word: print(word, cr, ne, bin(mdes), bin(des)), words=True)
     (1, 2, 4, 3) 1 1 0b1100 0b1000
@@ -263,24 +261,20 @@ def _stat_counts(
     else:
         _check_nkj(n, k)
         pairs, free, folds = (n - k) // 2, k, [fold]  # every leaf uses the whole budget
-    if ne_max is None:
-        ne_max = n
-    if ne_min is None:
-        ne_min = 0
     # p[i] is the partner of i, i itself when unmatched, 0 while undecided;
     # p[n + 1] = 0 ends every sweep, and p[0] = -1 sets no bit at position 0
     p = [-1] + [0] * (n + 1)
     if words:  # each fold also gets the word; the None of a class of the wrong parity stays None
         folds = [f and (lambda cr, ne, mdes, des, f=f: f(cr, ne, mdes, des, tuple(p[1:-1]))) for f in folds]
-    _search(n, p, pairs, free, folds, ne_max, ne_min)
+    _search(n, p, pairs, free, folds, j)
 
 
-def _search(n: int, p: list[int], pairs: int, free: int, folds: list, ne_max: int, ne_min: int = 0) -> None:
+def _search(n: int, p: list[int], pairs: int, free: int, folds: list, j: int | None = None) -> None:
     """
     Complete the partner list ``p`` in every way that places ``pairs``
     more arcs and ``free`` more unmatched points, in increasing order of
-    words, and call ``folds[f](cr, ne, mdes, des)`` on each completion
-    with ``ne_min`` <= ne <= ``ne_max``, f the unmatched points left unused.
+    words, and call ``folds[f](cr, ne, mdes, des)`` on each completion,
+    f the unmatched points left unused; with j, only on those with ne = j.
 
     Each node decides the smallest undecided point and sweeps the points
     below it once, for every leaf below it.  The Des and MDes bits of
@@ -299,11 +293,11 @@ def _search(n: int, p: list[int], pairs: int, free: int, folds: list, ne_max: in
     ne are running maxima of the tuple's LIS and LDS (Chen-Deng-Du-
     Stanley-Yan), which a second table keeps per tuple.  A search that
     places nothing (``_sweep``) meets each tuple once, so it keeps
-    neither.  A node whose ne passes ``ne_max`` returns early, and so
-    does one whose ne is below ``ne_min`` with fewer than ``ne_min``
-    arcs open or still to place, as the arcs over any later gap are
-    among those.
+    neither.  With j, a node whose ne passes j returns early, and so
+    does one whose ne is below j with fewer than j arcs open or still to
+    place, as the arcs over any later gap are among those.
     """
+    ne_max, ne_min = (n, 0) if j is None else (j, j)
     keep = pairs or free
     closed: dict[tuple[int, ...], tuple[int, ...]] = {}  # open right endpoints at a closer -> less the least
     table: dict[tuple[int, ...], tuple[int, int]] = {}  # open right endpoints -> (LIS, LDS)

@@ -68,15 +68,33 @@ def odd_cols(shape: Shape) -> int:
 
 def partitions(n: int) -> Iterator[Shape]:
     """All partitions of n, in reverse lexicographic order."""
+    return _shapes(n, n, 0, 0, (), None, None)
 
-    def gen(remaining: int, bound: int, prefix: tuple[int, ...]) -> Iterator[Shape]:
-        if remaining == 0:
-            yield prefix
+
+def _shapes(m: int, b: int, h: int, odd_done: int, prefix: Shape, k: int | None, j: int | None) -> Iterator[Shape]:
+    """
+    The shapes ``prefix`` + a partition of m into parts <= b, in reverse
+    lexicographic order, built top-down.  With k, a branch is cut as soon
+    as k odd columns are out of its reach, and with j as well, as soon as
+    a height of 2j or 2j + 1 is.  Below the h rows of ``prefix``, with last
+    part b, every column c <= b has height h, the columns past b are final
+    (``odd_done`` of them odd), and the m cells left form rows of at most b
+    cells: at most min(b, m) of the first b columns grow, and at least
+    ceil(m / b) and at most m rows are added.
+    """
+    grows = min(b, m)
+    if k is not None:
+        if h % 2:  # a first-b column ends odd unless it grows by an odd number
+            if not odd_done + b - grows <= k <= odd_done + b:
+                return
+        elif not odd_done <= k <= odd_done + grows:
             return
-        for part in range(min(bound, remaining), 0, -1):
-            yield from gen(remaining - part, part, prefix + (part,))
-
-    yield from gen(n, n, ())
+        if j is not None and (m > b * (2 * j + 1 - h) or h + m < 2 * j):
+            return
+    if not m:
+        yield prefix
+    for part in range(grows, 0, -1):  # columns part + 1..b end here, at height h
+        yield from _shapes(m - part, part, h + 1, odd_done + (b - part) * (h % 2), prefix + (part,), k, j)
 
 
 Cell = tuple[int, int]
@@ -506,14 +524,8 @@ def _syt_shapes(n: int, k: int | None = None, j: int | None = None) -> Iterator[
     with k, those with k odd columns; with j as well, those of height 2j
     or 2j + 1.  A negative n, and an (n, k) or (n, k, j) that names no
     class, is refused here, when called, before any tableau is built.
-
-    With k, the rows are built top-down as in ``partitions``, and a branch
-    is cut as soon as k or the height band is out of its reach, so only
-    the shapes that can fit are built.  Below a prefix of h rows with
-    last part b, every column c <= b has height h, the columns past b are
-    final (``odd_done`` of them odd), and the m cells left form rows of at
-    most b cells: at most min(b, m) of the first b columns grow, and at
-    least ceil(m / b) and at most m rows are added.
+    The generator of ``partitions`` cuts every branch that k and j rule
+    out, so only the shapes that can fit are built.
 
     >>> list(_syt_shapes(6, 2, 1))
     [(4, 2), (3, 2, 1), (2, 2, 2)]
@@ -523,22 +535,7 @@ def _syt_shapes(n: int, k: int | None = None, j: int | None = None) -> Iterator[
     if k is None:
         return partitions(n)
     matching_mod._check_nkj(n, k, j)
-
-    def gen(m: int, b: int, h: int, odd_done: int, prefix: Shape) -> Iterator[Shape]:
-        grows = min(b, m)
-        if h % 2:  # a first-b column ends odd unless it grows by an odd number
-            if not odd_done + b - grows <= k <= odd_done + b:
-                return
-        elif not odd_done <= k <= odd_done + grows:
-            return
-        if j is not None and (m > b * (2 * j + 1 - h) or h + m < 2 * j):
-            return
-        if not m:
-            yield prefix
-        for part in range(grows, 0, -1):  # columns part + 1..b end here, at height h
-            yield from gen(m - part, part, h + 1, odd_done + (b - part) * (h % 2), prefix + (part,))
-
-    return gen(n, n, 0, 0, ())
+    return _shapes(n, n, 0, 0, (), k, j)
 
 
 def enumerate_syt_nk(n: int, k: int) -> Iterator[StandardTableau]:

@@ -30,7 +30,9 @@ checked ``Matching`` constructor, is the reference for
 ``matching._stat_counts``, the package's one enumerator of matchings.
 ``oracle_emit_text`` writes a table through ``csv.writer``, one
 ``json.dumps`` per row or ``ljust`` columns: the reference for the lines
-that ``enum`` and ``orbits`` render themselves.
+that ``enum`` and ``orbits`` render themselves.  ``oracle_partitions``,
+built bottom-up and sorted, is the reference for the top-down generator
+of ``tableau.partitions`` and of the cut shapes of ``_syt_shapes``.
 """
 from __future__ import annotations
 
@@ -289,6 +291,20 @@ def reverse_jdt_place(t: StandardTableau, x: int, corner: Cell) -> StandardTable
     rows = [list(row) for row in t.rows]
     _slide_in(rows, x, r - 1, c - 1)
     return _tableau(rows)
+
+
+def oracle_partitions(n: int) -> list[Shape]:
+    """Every partition of n in reverse lexicographic order: the weakly
+    increasing compositions of n, built bottom-up, each reversed, sorted."""
+
+    def ascending(m: int, least: int) -> Iterator[Shape]:
+        if not m:
+            yield ()
+        for part in range(least, m + 1):
+            for rest in ascending(m - part, part):
+                yield (part, *rest)
+
+    return sorted((parts[::-1] for parts in ascending(n, 1)), reverse=True)
 
 
 def enumerate_syt_n(n: int) -> Iterator[StandardTableau]:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import io
 import itertools
 import json
@@ -106,6 +107,10 @@ def test_map_rotate(capsys):
 
 def test_map_p_refuses_a_non_involution(capsys):
     assert run(capsys, "map", "p", "[2,3,1]") == (2, "", "error: not an involution: (2, 3, 1)\n")
+
+
+def test_stats_refuses_bad_tableau_text(capsys):
+    assert run(capsys, "stats", "--syt", "1,x") == (2, "", "error: bad tableau text: '1,x'\n")
 
 
 @pytest.mark.parametrize("text", ["1-1", "1-2,3-3"])
@@ -335,7 +340,7 @@ def _stub_the_work(monkeypatch):
     monkeypatch.setitem(cli.MAPS, "transpose", (True, lambda o, codec: ran.append(o.size) or "transposed"))
     monkeypatch.setattr(cyclic, "_cr_ne_classes", lambda n, k: ran.append(n) or ({}, {}))
     monkeypatch.setattr(mm, "_stat_counts", lambda n, k, fold, **bounds: ran.append(n))
-    # the partitions that _syt_shapes filters, past its own refusals
+    # the shapes of enum syt without --k, which _syt_shapes takes from partitions past its own refusals
     monkeypatch.setattr(tableau, "partitions", lambda n: ran.append(n) or iter(()))
     monkeypatch.setattr(symfun, "run_identity", lambda name, params: ran.append(params) or symfun.VerifyResult(name, params, True))
     return ran
@@ -481,6 +486,54 @@ def test_unwritable_output_is_refused(capsys, tmp_path, argv, fmt):
         code, out, err = run(capsys, *argv, "--n", "4", "--format", fmt, "--output", str(target))
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot write --output {target}: ") and err.count("\n") == 1
+
+
+_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full, the device whose writes fail")
+
+
+@_DEV_FULL
+@pytest.mark.parametrize(
+    "argv", [("enum", "syt", "--n", "3", "--format", "csv"), ("orbits", "--n", "4", "--k", "0")], ids=["enum", "orbits"]
+)
+def test_a_failed_write_to_output_is_refused(capsys, argv):
+    # the file opens, and the write fails: exit 2 with one line, as when it cannot be opened
+    code, out, err = run(capsys, *argv, "--output", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --output /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
+
+@_DEV_FULL
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "main0", "--n", "4"), ("stats", "--perm", "[2,1]"), ("enum", "syt", "--n", "3", "--format", "csv")],
+    ids=["verify", "stats", "enum"],
+)
+def test_a_failed_write_to_stdout_is_refused(argv):
+    # stdout buffered, as a user gets it, so that the rejected bytes wait for the flush at exit
+    env = {name: value for name, value in _source_env().items() if name != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "matchdescents", *argv], stdout=full, stderr=subprocess.PIPE, text=True,
+            env=env, timeout=60,
+        )
+    assert (done.returncode, done.stderr) == (2, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+
+
+@_DEV_FULL
+@pytest.mark.parametrize("fmt", ["csv", "json", "plain"])
+def test_a_full_output_keeps_the_internal_error_of_the_walk(capsys, monkeypatch, fmt):
+    # csv flushes its header before the walk, so it is refused unwalked; json and plain
+    # have written nothing when the walk fails, so closing the output cannot hide it
+    walked = []
+    monkeypatch.setattr(bj, "_iota_hat", lambda word, iota=None: walked.append(word) or word)  # a broken ι̂
+    argv = ("orbits", "--n", "6", "--k", "0", "--j", "1", "--format", fmt, "--output", "/dev/full")
+    code, out, err = run(capsys, *argv)
+    if fmt == "csv":
+        assert (code, out, walked) == (2, "", [])
+        assert err == f"error: cannot write --output /dev/full: {os.strerror(errno.ENOSPC)}\n"
+    else:
+        assert (code, out) == (3, "") and walked
+        assert err.startswith('internal error: orbits {"n": 6, "k": 0, "j": 1}: ValueError: p is not a bijection')
 
 
 @pytest.mark.parametrize("j", [None, 1])

@@ -795,20 +795,14 @@ def _appender(out, k):
 @pytest.mark.parametrize("n", range(11))
 def test_ne_ceiling_folds_exactly_the_matchings_below_it(n):
     # with words, each fold's last argument is the word, so ne is one place further back;
-    # the floor cuts the branches that can no longer reach it, and ne = j is what enum --j lists
+    # j cuts the branches whose ne passes it or can no longer reach it, and ne = j is what enum --j lists
     for words, at_ne in ((False, -3), (True, -4)):
         for k in (None, *range(n % 2, n + 1, 2)):
             folded = []
             mm._stat_counts(n, k, _appender(folded, k), words=words)
             for j in range(n // 2 + 1):
                 cut = []
-                mm._stat_counts(n, k, _appender(cut, k), ne_max=j, words=words)
-                assert cut == [stats for stats in folded if stats[at_ne] <= j], (words, k, j)
-                cut = []
-                mm._stat_counts(n, k, _appender(cut, k), ne_min=j, words=words)
-                assert cut == [stats for stats in folded if stats[at_ne] >= j], (words, k, j)
-                cut = []
-                mm._stat_counts(n, k, _appender(cut, k), ne_max=j, ne_min=j, words=words)
+                mm._stat_counts(n, k, _appender(cut, k), j=j, words=words)
                 assert cut == [stats for stats in folded if stats[at_ne] == j], (words, k, j)
 
 
@@ -845,7 +839,7 @@ def test_h_rows_match_the_composition(n):
     table = {}
     for k in range(n % 2, n + 1, 2):
         for word in oracle_words(n, k):
-            assert bj._h_map(word, table) == h_map_by_composition(word)
+            assert tableau._tableau(bj._h_rows(word, table)) == h_map_by_composition(word)
             assert bj._iota_hat(word, table) == iota_hat_by_composition(word)
 
 

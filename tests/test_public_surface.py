@@ -11,6 +11,7 @@ with the reason it stays.
 """
 import ast
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,16 @@ def readme_section(title):
 
 def test_every_module_is_pinned():
     assert sorted(path.stem for path in PACKAGE.glob("*.py")) == sorted(KEPT)
+
+
+@pytest.mark.parametrize("name", sorted(KEPT))
+def test_module_compiles_without_warnings(name):
+    # start-up compiles the package from source under PYTHONDONTWRITEBYTECODE=1,
+    # so a SyntaxWarning here would print on every run of the command line
+    path = PACKAGE / f"{name}.py"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(path.read_text(), str(path), "exec")
 
 
 @pytest.mark.parametrize("name", sorted(KEPT))

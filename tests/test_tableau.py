@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from matchdescents import perm, tableau
 from matchdescents.tableau import EMPTY_TABLEAU, from_rows
 
-from oracles import enumerate_syt_n, hook_length_count, jdt_delete, reverse_jdt_place, rs_insert
+from oracles import enumerate_syt_n, hook_length_count, jdt_delete, oracle_partitions, reverse_jdt_place, rs_insert
 
 permutations = st.permutations(range(1, 8)).map(tuple)
 
@@ -38,6 +38,9 @@ def test_partitions():
     assert list(tableau.partitions(0)) == [()]
     counts = [len(list(tableau.partitions(n))) for n in range(1, 10)]
     assert counts == [1, 2, 3, 5, 7, 11, 15, 22, 30]
+    assert list(tableau.partitions(-1)) == []
+    for n in range(17):
+        assert list(tableau.partitions(n)) == oracle_partitions(n), n
 
 
 def test_tableau_validation():
@@ -174,7 +177,7 @@ def test_syt_shapes_cut_only_what_the_filter_drops(n):
         for j in (None, *range((n - k) // 2 + 1)):
             expected = [
                 shape
-                for shape in tableau.partitions(n)
+                for shape in oracle_partitions(n)
                 if tableau.odd_cols(shape) == k and (j is None or 2 * j <= tableau.height(shape) <= 2 * j + 1)
             ]
             assert list(tableau._syt_shapes(n, k, j)) == expected
