@@ -8,6 +8,9 @@ on a failed write of the output; 3 on an internal error, an exception
 raised inside a ``verify`` run or an ``orbits`` walk after its parameters
 were accepted.  A stdout closed early ends a command quietly, with the
 code it would have had anyway.
+
+``verify`` reads each identity's flags and size guard off its entry in
+``symfun.REGISTRY``; ``orbits``, which runs the walk of ``cdes``, its guard.
 """
 from __future__ import annotations
 
@@ -21,8 +24,6 @@ from collections.abc import Callable, Iterator, Sequence
 
 from . import bijection, cyclic, matching as matching_mod, oscillating, perm, symfun, tableau
 
-MAX_N_WITHOUT_FORCE = 12
-MAX_GESSEL_TOTAL_WITHOUT_FORCE = 9  # 52,328 pairs; 444,012 at 10
 # the size of the one object of stats and map, --n or not: stats on 2,500 nested arcs around
 # 2,500 arcs of neighbours, the slowest shape tried, takes about 2 s at this size
 MAX_OBJECT_N = 10_000
@@ -310,7 +311,7 @@ def _write_matching_rows(n: int, k: int, j: int | None, matchings: bool, fmt: st
 
 def cmd_orbits(args: argparse.Namespace) -> int:
     n, k, j, fmt = args.n, args.k, args.j, args.format
-    _refuse_over_guard("n", n, MAX_N_WITHOUT_FORCE, args.force)
+    _refuse_over_guard("n", n, symfun.REGISTRY["cdes"].guard[1], args.force)  # the walk of verify cdes
     matching_mod._check_nkj(n, k, j)
     header = ["orbit", "size", "element", "cdes"]
     with _row_sink(header, fmt, args.output) as write:
@@ -333,8 +334,8 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     name = args.identity
     params = symfun.resolve_params(name, {flag: getattr(args, flag) for flag in _VERIFY_FLAGS})
-    for flag, bound in (("n", MAX_N_WITHOUT_FORCE), ("max", MAX_GESSEL_TOTAL_WITHOUT_FORCE)):
-        _refuse_over_guard(flag, params.get(flag, 0), bound, args.force)
+    flag, bound = symfun.REGISTRY[name].guard
+    _refuse_over_guard(flag, params[flag], bound, args.force)
     start = time.perf_counter()
     try:
         res = symfun.run_identity(name, params)

@@ -57,9 +57,13 @@ class VerifyResult(perm._Record):
     extra: dict = {}  # further report fields
 
 
-def _compared(identity: str, params: dict, lhs: dict, rhs: dict, counts: dict) -> VerifyResult:
-    ok = _same_multiset(lhs, rhs)
-    return VerifyResult(identity, params, ok, [] if ok else _witness_diff(identity, lhs, rhs), counts)
+def _compared(identity: str, params: dict, lhs: dict, rhs: dict, counts: dict, read: Callable) -> VerifyResult:
+    """Compare two multisets keyed by descent masks; the witness of a
+    failure is their ``multiset_diff`` with each key read by ``read``."""
+    if _same_multiset(lhs, rhs):
+        return VerifyResult(identity, params, True, [], counts)
+    lhs, rhs = (Counter({read(key): c for key, c in side.items()}) for side in (lhs, rhs))
+    return VerifyResult(identity, params, False, multiset_diff(lhs, rhs), counts)
 
 
 def schur_descent_multiset(shape: Shape) -> Counter:
@@ -76,30 +80,14 @@ def schur_descent_multiset(shape: Shape) -> Counter:
 # dicts by tuples that hold the masks of ``matching._stat_counts`` and
 # ``tableau._shape_des_counts``, and gessel keys Counters by bare masks.  The
 # masks are read as sets, through ``perm._members``, only where someone reads
-# them: in a failed comparison's witness and in the public multisets
-# ``lhs_main0`` and ``rhs_main0``.
+# them: in a failed comparison's witness, by the key reader that each
+# identity hands ``_compared``, and in the public multisets ``lhs_main0`` and
+# ``rhs_main0``.
 
-def _mask_last(counts: dict) -> Counter:
-    """``counts``, keyed by tuples, with the descent mask that ends each key
-    read as its set."""
-    return Counter({(*key, perm._members(mask)): c for (*key, mask), c in counts.items()})
-
-
-def _witness_diff(identity: str, lhs: dict, rhs: dict) -> list:
-    """``multiset_diff`` of the two sides of a failed comparison, with the
-    descent masks read as sets: a gessel key, the first two entries of a
-    main1 key and the last entry of a main0, main11 or main111 key."""
-    if identity == "gessel":
-        read = perm._members
-    elif identity == "main1":
-
-        def read(key):
-            g, d, *rest = key
-            return perm._members(g), perm._members(d), *rest
-
-    else:
-        return multiset_diff(_mask_last(lhs), _mask_last(rhs))
-    return multiset_diff(*(Counter({read(key): c for key, c in counts.items()}) for counts in (lhs, rhs)))
+def _mask_last(key: tuple) -> tuple:
+    """``key`` with the descent mask that ends it read as its set."""
+    *rest, mask = key
+    return (*rest, perm._members(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +123,19 @@ def _rhs_main0_masks(n: int) -> dict:
 
 def lhs_main0(n: int) -> Counter:
     """The multiset of (um, cr, MDes), one term per matching on n points."""
-    return _mask_last(_lhs_main0_masks(n))
+    return Counter({_mask_last(key): c for key, c in _lhs_main0_masks(n).items()})
 
 
 def rhs_main0(n: int) -> Counter:
     """The multiset of (odd columns, floor(height/2), Des(T)), one term per
     SYT of size n."""
-    return _mask_last(_rhs_main0_masks(n))
+    return Counter({_mask_last(key): c for key, c in _rhs_main0_masks(n).items()})
 
 
 def verify_main0(n: int) -> VerifyResult:
     lhs, rhs = _lhs_main0_masks(n), _rhs_main0_masks(n)
-    return _compared("main0", {"n": n}, lhs, rhs, {"lhs": sum(lhs.values()), "rhs": sum(rhs.values())})
+    counts = {"lhs": sum(lhs.values()), "rhs": sum(rhs.values())}
+    return _compared("main0", {"n": n}, lhs, rhs, counts, _mask_last)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +154,11 @@ def verify_lemma_main1(n2: int) -> VerifyResult:
 
     matching_mod._stat_counts(n2, 0, fold)
     swapped = {(d, g, ne, cr): c for (g, d, cr, ne), c in refined.items()}
-    return _compared("main1", {"n": n2}, refined, swapped, {"matchings": sum(refined.values())})
+
+    def read(key):  # the witness reads the two masks that lead each key
+        return perm._members(key[0]), perm._members(key[1]), *key[2:]
+
+    return _compared("main1", {"n": n2}, refined, swapped, {"matchings": sum(refined.values())}, read)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +195,7 @@ def _main11_results(name: str, n: int, k: int | None) -> Iterator[VerifyResult]:
     """The results of identity main11 (main111 when ``name`` is main111)
     on class k, or on every class in k order when k is None."""
     for kk, lhs, rhs in _cr_ne_counts(n, k, refined=name == "main111"):
-        yield _compared(name, {"n": n, "k": kk}, lhs, rhs, {"matchings": sum(lhs.values())})
+        yield _compared(name, {"n": n, "k": kk}, lhs, rhs, {"matchings": sum(lhs.values())}, _mask_last)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +324,7 @@ def _gessel_counts(pairs: Iterable[tuple[Word, Word]]) -> Iterator[tuple[Word, W
 def _gessel_result(pi: Word, sigma_word: tuple[int, ...], lhs: Counter, rhs: Counter) -> VerifyResult:
     params = {"pi": list(pi), "sigma": list(sigma_word)}
     counts = {"class": lhs.total(), "shuffles": rhs.total()}
-    return _compared("gessel", params, lhs, rhs, counts)
+    return _compared("gessel", params, lhs, rhs, counts, perm._members)
 
 
 def gessel_pairs(max_total: int):
@@ -445,13 +438,15 @@ GESSEL_DEFAULT_MAX = 6
 
 
 class Identity(perm._Record, frozen=True):
-    """A registry entry: the flags the identity takes, and ``check``, which
-    takes their values as keywords.  When k is a flag, ``check`` yields one
-    result per class that the flags select, in k order."""
+    """A registry entry, the whole declaration of an identity: the flags it
+    takes, ``check``, which takes their values as keywords, and its size
+    guard.  When k is a flag, ``check`` yields one result per class that the
+    flags select, in k order."""
 
     flags: tuple[str, ...]
     check: Callable[..., VerifyResult | Iterator[VerifyResult]]
     perfect: bool = False  # n counts the points of perfect matchings
+    guard: tuple[str, int] = ("n", 12)  # the size flag, and its largest value run without --force
 
 
 # Each entry looks its function up when it runs, so that a patched module
@@ -465,7 +460,8 @@ REGISTRY: dict[str, Identity] = {
     "cdes-syt": Identity(
         ("n", "k", "j"), lambda n, k, j: (verify_cdes_k(n, kk, j, syt=True) for kk in _ks(n, k, j))
     ),
-    "gessel": Identity(("max",), lambda max: verify_gessel_all(max)),
+    # 52,328 pairs; 444,012 at 10
+    "gessel": Identity(("max",), lambda max: verify_gessel_all(max), guard=("max", 9)),
     "chen": Identity(("n",), lambda n: verify_bijection("chen", _chen_holds, n), perfect=True),
     "sundaram-roundtrip": Identity(
         ("n",), lambda n: verify_bijection("sundaram-roundtrip", _sundaram_roundtrip_holds, n), perfect=True

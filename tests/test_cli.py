@@ -322,11 +322,10 @@ def _size_flags():
     for family in ("matchings", "involutions"):
         yield f"enum-{family}", lambda v, family=family: ("enum", family, "--n", str(v), "--k", str(v)), "n", bound, False, bound + 1
     yield "enum-syt", lambda v: ("enum", "syt", "--n", str(v)), "n", bound, False, bound + 1
-    bound = cli.MAX_N_WITHOUT_FORCE
+    bound = symfun.REGISTRY["cdes"].guard[1]
     yield "orbits", lambda v: ("orbits", "--n", str(v), "--k", str(v)), "n", bound, True, bound + 1
     for name, entry in symfun.REGISTRY.items():
-        flag = "max" if "max" in entry.flags else "n"
-        bound = cli.MAX_GESSEL_TOTAL_WITHOUT_FORCE if flag == "max" else cli.MAX_N_WITHOUT_FORCE
+        flag, bound = entry.guard
         over = bound + 1 + (entry.perfect and bound % 2 == 0)  # a perfect matching has an even n
         yield f"verify-{name}", lambda v, name=name, flag=flag: ("verify", name, f"--{flag}", str(v)), flag, bound, True, over
 
@@ -643,6 +642,26 @@ def test_verify_gessel_max_guard(capsys, monkeypatch):
     assert code == 0 and started == [10]
 
 
+@pytest.mark.parametrize(
+    "name, flag, argv",
+    [
+        ("main0", "n", lambda v: ("verify", "main0", "--n", v)),
+        ("gessel", "max", lambda v: ("verify", "gessel", "--max", v)),
+        ("cdes", "n", lambda v: ("orbits", "--n", v, "--k", v)),
+    ],
+    ids=["verify-main0", "verify-gessel", "orbits"],
+)
+def test_verify_and_orbits_honour_the_entrys_guard(capsys, monkeypatch, name, flag, argv):
+    # the guard is the registry entry's, and orbits takes cdes's
+    entry = symfun.REGISTRY[name]
+    monkeypatch.setitem(symfun.REGISTRY, name, symfun.Identity(**{**vars(entry), "guard": (flag, 5)}))
+    expected = (2, "", f"error: {flag}=6 exceeds the guard (5); pass --force to run anyway\n")
+    assert run(capsys, *argv("6")) == expected
+    for ran in (argv("5"), (*argv("6"), "--force")):
+        code, out, err = run(capsys, *ran)
+        assert code == 0 and out and err == ""
+
+
 def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, "stats", "--perm", "[1,2")
     assert code == 2 and "error:" in err
@@ -810,8 +829,8 @@ def test_a_failing_gessel_report_names_the_set_keyed_witness(capsys, monkeypatch
 def _fails_at_k3(real):
     """A stand-in for ``symfun._compared`` whose result fails exactly on class k = 3."""
 
-    def compared(identity, params, lhs, rhs, counts):
-        result = real(identity, params, lhs, rhs, counts)
+    def compared(identity, params, lhs, rhs, counts, read):
+        result = real(identity, params, lhs, rhs, counts, read)
         result.ok = params["k"] != 3
         return result
 

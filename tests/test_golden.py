@@ -53,6 +53,20 @@ from matchdescents import oscillating as osc
 from matchdescents import tableau
 
 from oracles import enumerate_oscillating, enumerate_syt_n
+
+
+def earlier_guard(entry: symfun.Identity) -> tuple[str, int]:
+    """The guard of a registry entry in a tree from before ``Identity.guard``
+    (a revision of ``--against``): the one of cli's two constants that went
+    with the entry's size flag."""
+    if "max" in entry.flags:
+        return "max", cli.MAX_GESSEL_TOTAL_WITHOUT_FORCE
+    return "n", cli.MAX_N_WITHOUT_FORCE
+
+
+if not hasattr(symfun.Identity, "guard"):  # before test_cli, whose size flags read it
+    symfun.Identity.guard = property(earlier_guard)
+
 from test_cli import REGISTRY_CASES, _identity_class_words, _size_flags
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -166,7 +180,9 @@ COMMANDS = {
 
 # A seam of ``REGISTRY_CASES`` that an earlier tree lacks, with the map that
 # the earlier tree's stand-in patched instead, so that ``--against`` a
-# revision from before the move runs the same failing check on both trees.
+# revision from before the move runs the same failing check on both trees;
+# ``earlier_guard`` does the same for the guards of a registry from before
+# ``Identity.guard``.
 EARLIER_SEAMS = {"_class_packed": ("_class_words", _identity_class_words)}
 
 

@@ -1000,17 +1000,32 @@ def test_a_fixed_point_is_refused_with_one_message(capsys):
 
 def test_descent_sets_are_read_only_for_witnesses_and_public_multisets():
     # symfun and cyclic compare descent masks; a mask becomes a set only in a
-    # failed comparison's witness and in the public frozenset-keyed multisets
-    readers = set()
+    # failed comparison's witness, by the key reader that each identity hands
+    # _compared, and in the public frozenset-keyed multisets
+    readers, handed, diffs = set(), set(), set()
     for module in (symfun, cyclic):
         path = Path(module.__file__)
         for top in ast.parse(path.read_text()).body:
+            where = (path.name, getattr(top, "name", None))
             for node in ast.walk(top):
                 name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
                 if name in ("_members", "_mask_last"):
-                    readers.add((path.name, getattr(top, "name", None)))
+                    readers.add(where)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    if node.func.id == "_compared":
+                        handed.add((*where, ast.unparse(node.args[-1])))
+                    elif node.func.id == "multiset_diff":
+                        diffs.add(where)
+    witness = {
+        "verify_main0": "_mask_last",
+        "verify_lemma_main1": "read",
+        "_main11_results": "_mask_last",
+        "_gessel_result": "perm._members",
+    }
+    assert handed == {("symfun.py", name, read) for name, read in witness.items()}
     public = ("lhs_main0", "rhs_main0", "schur_descent_multiset")
-    assert readers == {("symfun.py", name) for name in ("_mask_last", "_witness_diff", *public)}
+    assert readers == {("symfun.py", name) for name in ("_mask_last", *witness, *public)}
+    assert diffs == {("symfun.py", "_compared")}  # the one code that applies a reader
 
 
 @pytest.mark.parametrize("n", range(11))

@@ -102,6 +102,18 @@ def test_module_compiles_without_warnings(name):
         compile(path.read_text(), str(path), "exec")
 
 
+def test_every_module_parses_at_the_python_floor():
+    """Every module's syntax is that of the oldest Python that
+    ``pyproject.toml`` admits.  This checks syntax only: a library API newer
+    than the floor passes unseen."""
+    pyproject = (README.parent / "pyproject.toml").read_text()
+    floor = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=floor)
+    with pytest.raises(SyntaxError):  # the check sees syntax past the floor
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=floor)
+
+
 @pytest.mark.parametrize("name", sorted(KEPT))
 def test_public_names_are_the_kept_ones(name):
     assert defined_public_names(name) == KEPT[name]

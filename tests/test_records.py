@@ -21,7 +21,7 @@ SAMPLES = [
     (oscillating.OscillatingTableau, {"shapes": ((), (1,), ())}, "OscillatingTableau(shapes=((), (1,), ()))"),
     (bijection.ShuffleElement, {"word": (2, 1, 3), "k": 1}, "ShuffleElement(word=(2, 1, 3), k=1)"),
     (symfun.Identity, {"flags": ("n",), "check": len},
-     "Identity(flags=('n',), check=<built-in function len>, perfect=False)"),
+     "Identity(flags=('n',), check=<built-in function len>, perfect=False, guard=('n', 12))"),
     (symfun.VerifyResult, {"identity": "main0", "params": {"n": 2}, "ok": True},
      "VerifyResult(identity='main0', params={'n': 2}, ok=True, witness_diff=[], counts={}, extra={})"),
     (cyclic.CdesReport, {"set_id": "k=0", "extension_ok": True, "equivariance_ok": True, "non_escher_ok": False},
